@@ -23,7 +23,7 @@ suites.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,13 +32,14 @@ from .ensemble import (
     AuxiliaryDecomposition,
     DegenerateEnsembleError,
     DiscreteEnsemble,
+    _h_terms,
     build_auxiliary,
     distance_weights,
     holevo_quantity,
     member_epsilons,
 )
 from .entropy import binary_entropy, shannon_entropy, von_neumann_entropy
-from .linalg import DensityOperator, jordan_parts, trace_distance, trace_norm
+from .linalg import DensityOperator, hermitian_eig, jordan_split, trace_distance
 
 SLACK_KEYS = (
     "aux_bound",
@@ -68,19 +69,17 @@ def fei_check(rho: DensityOperator, sigma: DensityOperator) -> FeiReport:
     """Evaluate the entropic inequality for (rho, sigma).
 
     eps is the trace distance and tau_plus/tau_minus the unit-trace positive
-    and negative parts of rho - sigma.  The slack is nonnegative for all pairs
-    of states, up to floating point.  When eps is numerically zero both sides
-    collapse to S(rho) and the slack is exactly 0.
+    and negative parts of rho - sigma, from one eigendecomposition.  The slack
+    is nonnegative for all pairs of states, up to floating point.  When eps
+    is numerically zero both sides collapse to S(rho) and the slack is 0.
     """
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    eps = min(trace_distance(rho, sigma), 1.0)
-    if eps <= EPS_ZERO_TOL:
-        s = von_neumann_entropy(rho)
-        return FeiReport(eps=eps, lhs=s, rhs=s, slack=0.0)
-    plus, minus = jordan_parts(rho - sigma)
+    system = hermitian_eig(rho - sigma)
+    eps = min(0.5 * float(np.abs(system.eigenvalues).sum()), 1.0)
+    plus, minus = jordan_split(system)
     tr_plus, tr_minus = plus.trace(), minus.trace()
-    if min(tr_plus, tr_minus) <= EPS_ZERO_TOL:
+    if min(eps, tr_plus, tr_minus) <= EPS_ZERO_TOL:
         s = von_neumann_entropy(rho)
         return FeiReport(eps=eps, lhs=s, rhs=s, slack=0.0)
     tau_plus = DensityOperator(plus.mat / tr_plus)
@@ -94,14 +93,6 @@ def fei_check(rho: DensityOperator, sigma: DensityOperator) -> FeiReport:
     return FeiReport(eps=eps, lhs=lhs, rhs=rhs, slack=rhs - lhs)
 
 
-def _hbar(probs: np.ndarray, eps: np.ndarray) -> float:
-    return float(sum(p * binary_entropy(e) for p, e in zip(probs, eps)))
-
-
-def _pair(lead: float, hbar: float, h_av: float) -> tuple[float, float]:
-    return lead + hbar, lead + h_av
-
-
 def aux_bound(mu: DiscreteEnsemble) -> tuple[float, float]:
     """Bound chi <= eps_av (chi(mu+) - chi(mu-)) + hbar via the auxiliary
     ensembles; returns (that value, the h(eps_av) variant).
@@ -109,15 +100,13 @@ def aux_bound(mu: DiscreteEnsemble) -> tuple[float, float]:
     Both components are (0, 0) for a degenerate ensemble (eps_av = 0), where
     chi is 0 as well.
     """
-    eps, eps_av = member_epsilons(mu)
-    if eps_av <= EPS_ZERO_TOL:
-        return 0.0, 0.0
     try:
         aux = build_auxiliary(mu)
     except DegenerateEnsembleError:
         return 0.0, 0.0
-    core = eps_av * (holevo_quantity(aux.mu_plus) - holevo_quantity(aux.mu_minus))
-    return _pair(core, _hbar(mu.probs, eps), binary_entropy(eps_av))
+    core = aux.eps_av * (holevo_quantity(aux.mu_plus) - holevo_quantity(aux.mu_minus))
+    hbar, h_av = _h_terms(aux.probs, aux.eps, aux.eps_av)
+    return core + hbar, core + h_av
 
 
 def shannon_bound(mu: DiscreteEnsemble) -> tuple[float, float]:
@@ -128,7 +117,8 @@ def shannon_bound(mu: DiscreteEnsemble) -> tuple[float, float]:
         return 0.0, 0.0
     _, weights = distance_weights(mu.probs, eps)
     lead = eps_av * shannon_entropy(weights)
-    return _pair(lead, _hbar(mu.probs, eps), binary_entropy(eps_av))
+    hbar, h_av = _h_terms(mu.probs, eps, eps_av)
+    return lead + hbar, lead + h_av
 
 
 def count_bound(mu: DiscreteEnsemble) -> tuple[float, float]:
@@ -136,7 +126,8 @@ def count_bound(mu: DiscreteEnsemble) -> tuple[float, float]:
     (that value, the h(eps_av) variant)."""
     eps, eps_av = member_epsilons(mu)
     lead = eps_av * math.log(mu.size)
-    return _pair(lead, _hbar(mu.probs, eps), binary_entropy(eps_av))
+    hbar, h_av = _h_terms(mu.probs, eps, eps_av)
+    return lead + hbar, lead + h_av
 
 
 def plus_diameter(aux: AuxiliaryDecomposition) -> float:
@@ -160,32 +151,24 @@ def pinsker_term(aux: AuxiliaryDecomposition, *, reweighted: bool = False) -> fl
     contribute zero, matching the eps_i -> 0 limit of their weight); with
     reweighted=True the mu_minus weights p_i eps_i / eps_av are used instead.
     The reweighted form is the termwise Pinsker lower bound on chi(mu_minus);
-    the two coincide whenever all member distances are equal.
+    the two coincide whenever all member distances are equal.  Both forms
+    read the gaps kept on `aux`, so only the first call solves for them.
     """
-    if reweighted:
-        w = aux.weights
-    else:
-        w = aux.probs[list(aux.retained)]
-    total = 0.0
-    for wi, tau in zip(w, aux.tau_minus):
-        gap = trace_norm(tau - aux.omega)
-        total += float(wi) * gap * gap
-    return 0.5 * total
+    w = aux.weights if reweighted else aux.probs[list(aux.retained)]
+    return 0.5 * sum(float(wi) * gap * gap for wi, gap in zip(w, aux.minus_gaps))
 
 
 def diameter_bound(mu: DiscreteEnsemble) -> float:
     """Bound chi <= eps_av C H({p_i eps_i / eps_av}) + hbar - eps_av D, the
     refinement of shannon_bound by the positive-part diameter C and the
     negative-part spread D.  0 for a degenerate ensemble."""
-    eps, eps_av = member_epsilons(mu)
-    if eps_av <= EPS_ZERO_TOL:
-        return 0.0
     try:
         aux = build_auxiliary(mu)
     except DegenerateEnsembleError:
         return 0.0
-    lead = eps_av * plus_diameter(aux) * shannon_entropy(aux.weights)
-    return lead + _hbar(mu.probs, eps) - eps_av * pinsker_term(aux)
+    lead = aux.eps_av * plus_diameter(aux) * shannon_entropy(aux.weights)
+    hbar, _ = _h_terms(aux.probs, aux.eps, aux.eps_av)
+    return lead + hbar - aux.eps_av * pinsker_term(aux)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,54 +207,41 @@ def full_report(mu: DiscreteEnsemble) -> BoundReport:
     report.  Slack entries "pinsker_lemma" (chi(mu-) - D) and
     "audenaert_lemma" (C H(weights) - chi(mu+)) expose the two internal
     inequalities behind diameter_bound.
+
+    Every value comes from one build_auxiliary analysis and the spectra that
+    validation kept.  Eigensolves for m members: at most 4m + 4 (the
+    average, build_auxiliary, and m for D) plus one per pair that the
+    diameter scan evaluates, at most m(m-1)/2.
     """
     chi = holevo_quantity(mu)
-    eps, eps_av = member_epsilons(mu)
-    hbar = _hbar(mu.probs, eps)
-    h_av = binary_entropy(min(eps_av, 1.0))
     try:
         aux = build_auxiliary(mu)
     except DegenerateEnsembleError:
-        return BoundReport(
-            chi=chi,
-            chi_plus=0.0,
-            chi_minus=0.0,
-            eps_av=eps_av,
-            hbar=hbar,
-            h_of_eps_av=h_av,
-            aux_bound=0.0,
-            aux_bound_hvariant=0.0,
-            shannon_bound=0.0,
-            shannon_bound_hvariant=0.0,
-            count_bound=0.0,
-            diameter_bound=0.0,
-            plus_diameter=0.0,
-            pinsker_term=0.0,
-            pinsker_term_reweighted=0.0,
-            average_match_residual=0.0,
-            slacks={key: 0.0 for key in SLACK_KEYS},
-        )
+        eps, eps_av = member_epsilons(mu)
+        hbar, h_av = _h_terms(mu.probs, eps, eps_av)
+        kept = {"chi": chi, "eps_av": eps_av, "hbar": hbar, "h_of_eps_av": h_av}
+        zeros = {f.name: 0.0 for f in fields(BoundReport) if f.name not in kept}
+        return BoundReport(**zeros | kept | {"slacks": dict.fromkeys(SLACK_KEYS, 0.0)})
+    eps_av = aux.eps_av
+    hbar, h_av = _h_terms(aux.probs, aux.eps, eps_av)
     chi_plus = holevo_quantity(aux.mu_plus)
     chi_minus = holevo_quantity(aux.mu_minus)
     weight_entropy = shannon_entropy(aux.weights)
     diameter = plus_diameter(aux)
     pinsker = pinsker_term(aux)
-    pinsker_rw = pinsker_term(aux, reweighted=True)
     core = eps_av * (chi_plus - chi_minus)
-    aux1, aux2 = _pair(core, hbar, h_av)
-    sh1, sh2 = _pair(eps_av * weight_entropy, hbar, h_av)
-    cnt1, _ = _pair(eps_av * math.log(mu.size), hbar, h_av)
-    dia = eps_av * diameter * weight_entropy + hbar - eps_av * pinsker
-    slacks = {
-        "aux_bound": aux1 - chi,
-        "aux_bound_hvariant": aux2 - chi,
-        "shannon_bound": sh1 - chi,
-        "shannon_bound_hvariant": sh2 - chi,
-        "count_bound": cnt1 - chi,
-        "diameter_bound": dia - chi,
-        "pinsker_lemma": chi_minus - pinsker,
-        "audenaert_lemma": diameter * weight_entropy - chi_plus,
+    lead = eps_av * weight_entropy
+    bounds = {
+        "aux_bound": core + hbar,
+        "aux_bound_hvariant": core + h_av,
+        "shannon_bound": lead + hbar,
+        "shannon_bound_hvariant": lead + h_av,
+        "count_bound": eps_av * math.log(mu.size) + hbar,
+        "diameter_bound": eps_av * diameter * weight_entropy + hbar - eps_av * pinsker,
     }
+    slacks = {key: value - chi for key, value in bounds.items()}
+    slacks["pinsker_lemma"] = chi_minus - pinsker
+    slacks["audenaert_lemma"] = diameter * weight_entropy - chi_plus
     return BoundReport(
         chi=chi,
         chi_plus=chi_plus,
@@ -279,15 +249,10 @@ def full_report(mu: DiscreteEnsemble) -> BoundReport:
         eps_av=eps_av,
         hbar=hbar,
         h_of_eps_av=h_av,
-        aux_bound=aux1,
-        aux_bound_hvariant=aux2,
-        shannon_bound=sh1,
-        shannon_bound_hvariant=sh2,
-        count_bound=cnt1,
-        diameter_bound=dia,
         plus_diameter=diameter,
         pinsker_term=pinsker,
-        pinsker_term_reweighted=pinsker_rw,
+        pinsker_term_reweighted=pinsker_term(aux, reweighted=True),
         average_match_residual=aux.average_match_residual,
         slacks=slacks,
+        **bounds,
     )

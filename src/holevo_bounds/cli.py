@@ -109,7 +109,7 @@ def ensemble_from_dict(data: dict) -> DiscreteEnsemble:
         if not isinstance(member, dict):
             raise EnsembleFileError(f"member {k} must be an object")
         prob = member.get("prob")
-        if not isinstance(prob, (int, float)):
+        if isinstance(prob, bool) or not isinstance(prob, (int, float)):
             raise EnsembleFileError(f"member {k}: prob must be a number")
         probs.append(float(prob))
         raw = member.get("state")
@@ -419,8 +419,7 @@ def _cmd_verify(args) -> int:
             indent=2,
         )
     print(
-        f"{len(result.violations)} violation(s); first instance written to "
-        f"{failure_path}",
+        f"{len(result.violations)} violation(s) written to {failure_path}",
         file=sys.stderr,
     )
     return EXIT_VIOLATION

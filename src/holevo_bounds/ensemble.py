@@ -9,16 +9,14 @@ built from the normalized positive and negative parts of rho_i - average.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .entropy import (
-    as_probability_vector,
-    binary_entropy,
-    entropy_difference,
-    von_neumann_entropy,
+from .entropy import as_probability_vector, binary_entropy, von_neumann_entropy
+from .linalg import (
+    DensityOperator, hermitian_eig, jordan_split, trace_distance, trace_norm,
 )
-from .linalg import DensityOperator, jordan_parts, trace_distance, trace_norm
 
 # Member distances at or below this count as exactly zero.
 EPS_ZERO_TOL = 1e-12
@@ -73,6 +71,11 @@ class DiscreteEnsemble:
     def dim(self) -> int:
         return self.states[0].dim
 
+    @cached_property
+    def average(self) -> DensityOperator:
+        """average_state(self), built on first use and kept."""
+        return average_state(self)
+
 
 def average_state(mu: DiscreteEnsemble) -> DensityOperator:
     """The probability-weighted mixture sum(p_i rho_i)."""
@@ -88,9 +91,9 @@ def holevo_quantity(mu: DiscreteEnsemble) -> float:
     Always finite at finite dimension; nonnegative, and bounded by both the
     Shannon entropy of the probabilities and ln(dim).
     """
-    avg = von_neumann_entropy(average_state(mu))
+    avg = von_neumann_entropy(mu.average)
     members = sum(p * von_neumann_entropy(s) for p, s in zip(mu.probs, mu.states))
-    val = entropy_difference(avg, float(members))
+    val = avg - float(members)
     return val if val > 0.0 else 0.0
 
 
@@ -100,8 +103,7 @@ def member_epsilons(mu: DiscreteEnsemble) -> tuple[np.ndarray, float]:
     Returns (eps, eps_av) with eps_i = (1/2)||rho_i - average||_1 clipped to
     [0, 1] and eps_av = sum(p_i eps_i).
     """
-    avg = average_state(mu)
-    eps = np.clip([trace_distance(s, avg) for s in mu.states], 0.0, 1.0)
+    eps = np.clip([trace_distance(s, mu.average) for s in mu.states], 0.0, 1.0)
     eps.setflags(write=False)
     return eps, float(mu.probs @ eps)
 
@@ -111,8 +113,13 @@ def mean_binary_entropy(mu: DiscreteEnsemble) -> float:
 
     By concavity of h this never exceeds h(eps_av).
     """
-    eps, _ = member_epsilons(mu)
-    return float(sum(p * binary_entropy(e) for p, e in zip(mu.probs, eps)))
+    return _h_terms(mu.probs, *member_epsilons(mu))[0]
+
+
+def _h_terms(probs: np.ndarray, eps: np.ndarray, eps_av: float) -> tuple[float, float]:
+    """hbar = sum(p_i h(eps_i)) and its concavity ceiling h(eps_av)."""
+    hbar = float(sum(p * binary_entropy(e) for p, e in zip(probs, eps)))
+    return hbar, binary_entropy(min(eps_av, 1.0))
 
 
 def distance_weights(probs: np.ndarray, eps: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
@@ -150,6 +157,12 @@ class AuxiliaryDecomposition:
     omega: DensityOperator
     average_match_residual: float
 
+    @cached_property
+    def minus_gaps(self) -> tuple[float, ...]:
+        """Trace-norm gaps ||tau_i^minus - omega||_1, one eigensolve per
+        retained member on first use, then kept."""
+        return tuple(trace_norm(tau - self.omega) for tau in self.tau_minus)
+
 
 def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
     """Construct the auxiliary ensembles {p_i eps_i / eps_av, tau_i^(+/-)}.
@@ -158,20 +171,23 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
     rho_i - average, each normalized to unit trace (the trace of either part
     equals eps_i in exact arithmetic).  Raises DegenerateEnsembleError when
     eps_av <= EPS_ZERO_TOL.
+
+    Eigensolves: at most 3m + 4 for m members.  One for mu's average unless
+    mu holds it already; one eigh per member, which gives eps_i and both
+    Jordan parts, solved one member at a time; two to validate each
+    tau_i^(+/-); one each for the kept averages of mu_plus and mu_minus,
+    and one for their residual.
     """
-    avg = average_state(mu)
-    eps, eps_av = member_epsilons(mu)
-    if eps_av <= EPS_ZERO_TOL:
-        raise DegenerateEnsembleError(
-            f"mean member distance {eps_av:.3e} is below {EPS_ZERO_TOL:.0e}; "
-            "all states equal the average"
-        )
-    retained, weights = distance_weights(mu.probs, eps)
+    eps = np.zeros(mu.size)
     tau_plus: list[DensityOperator] = []
     tau_minus: list[DensityOperator] = []
     usable: list[int] = []
-    for i in retained:
-        plus, minus = jordan_parts(mu.states[i] - avg)
+    for i, state in enumerate(mu.states):
+        system = hermitian_eig(state - mu.average)
+        eps[i] = min(0.5 * float(np.abs(system.eigenvalues).sum()), 1.0)
+        if eps[i] <= EPS_ZERO_TOL:
+            continue
+        plus, minus = jordan_split(system)
         tr_plus, tr_minus = plus.trace(), minus.trace()
         if min(tr_plus, tr_minus) <= EPS_ZERO_TOL:
             # Difference sits entirely inside the eigenvalue dead zone:
@@ -180,28 +196,33 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
         usable.append(i)
         tau_plus.append(DensityOperator(plus.mat / tr_plus))
         tau_minus.append(DensityOperator(minus.mat / tr_minus))
-    if len(usable) != len(retained):
-        if not usable:
-            raise DegenerateEnsembleError(
-                "every member difference lies inside the eigenvalue dead zone"
-            )
-        retained, weights = distance_weights(
-            mu.probs, np.where(np.isin(np.arange(mu.size), usable), eps, 0.0)
+        del system, plus, minus  # free before the next member's solve: peak memory
+    eps.setflags(write=False)
+    eps_av = float(mu.probs @ eps)
+    if eps_av <= EPS_ZERO_TOL:
+        raise DegenerateEnsembleError(
+            f"mean member distance {eps_av:.3e} is below {EPS_ZERO_TOL:.0e}; "
+            "all states equal the average"
         )
+    if not usable:
+        raise DegenerateEnsembleError(
+            "every member difference lies inside the eigenvalue dead zone"
+        )
+    retained, weights = distance_weights(
+        mu.probs, np.where(np.isin(np.arange(mu.size), usable), eps, 0.0)
+    )
     mu_plus = DiscreteEnsemble(weights, tuple(tau_plus))
     mu_minus = DiscreteEnsemble(weights, tuple(tau_minus))
-    omega = average_state(mu_minus)
-    residual = trace_norm(average_state(mu_plus) - omega)
     return AuxiliaryDecomposition(
         probs=mu.probs,
         eps=eps,
         eps_av=eps_av,
         retained=retained,
         weights=weights,
-        tau_plus=tuple(tau_plus),
-        tau_minus=tuple(tau_minus),
+        tau_plus=mu_plus.states,
+        tau_minus=mu_minus.states,
         mu_plus=mu_plus,
         mu_minus=mu_minus,
-        omega=omega,
-        average_match_residual=residual,
+        omega=mu_minus.average,
+        average_match_residual=trace_norm(mu_plus.average - mu_minus.average),
     )

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .linalg import DensityOperator, PSD_TOL, hermitian_eig, hermitian_eigenvalues
+from .linalg import DensityOperator, PSD_TOL, hermitian_eig
 
 # Spectrum weights at or below this are treated as exact zeros inside eta.
 ETA_FLOOR = 1e-14
@@ -74,9 +74,10 @@ def shannon_entropy(weights) -> float:
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """Entropy of a state: the Shannon entropy of its spectrum.
 
-    Bounded by ln(dim); zero for pure states.
+    Bounded by ln(dim); zero for pure states.  Reads the spectrum kept by
+    the state's validation, so it makes no eigensolve.
     """
-    return _entropy_of_weights(hermitian_eigenvalues(rho))
+    return _entropy_of_weights(rho.spectrum)
 
 
 def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:

@@ -9,7 +9,7 @@ functions in this module are pure and safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,11 +94,17 @@ class DensityOperator(HermitianOperator):
 
     Eigenvalues down to -PSD_TOL are accepted (eigensolvers return tiny
     negatives for PSD matrices) and treated as zero by all consumers.
+    `spectrum` keeps the ascending eigenvalues that the positivity check
+    computes, read-only, so consumers such as von_neumann_entropy need no
+    second eigensolve.
     """
+
+    spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         super().__post_init__()
-        smallest = float(hermitian_eigenvalues(self)[0])
+        object.__setattr__(self, "spectrum", _frozen(hermitian_eigenvalues(self), float))
+        smallest = float(self.spectrum[0])
         if smallest < -PSD_TOL:
             raise ValueError(
                 f"state is not positive semidefinite: min eigenvalue {smallest:.3e}"
@@ -180,7 +186,12 @@ def jordan_parts(a: HermitianOperator) -> tuple[HermitianOperator, HermitianOper
     The two parts have orthogonal supports, so A_plus A_minus = 0 and
     Tr A_plus + Tr A_minus = ||A||_1 up to solver noise.
     """
-    system = hermitian_eig(a)
+    return jordan_split(hermitian_eig(a))
+
+
+def jordan_split(system: EigenSystem) -> tuple[HermitianOperator, HermitianOperator]:
+    """jordan_parts of the operator whose eigendecomposition is `system`,
+    for callers that also need its eigenvalues (one solve serves both)."""
     w, v = system.eigenvalues, system.eigenvectors
     pos = w > PSD_TOL
     neg = w < -PSD_TOL

@@ -1,5 +1,6 @@
 """Tests for the entropic inequality checker and the four Holevo bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from holevo_bounds.bounds import (
     SLACK_KEYS,
+    BoundReport,
     aux_bound,
     count_bound,
     diameter_bound,
@@ -29,7 +31,8 @@ from holevo_bounds.gallery import (
     random_pure_state,
     trine_ensemble,
 )
-from holevo_bounds.linalg import DensityOperator
+from holevo_bounds.entropy import binary_entropy, shannon_entropy
+from holevo_bounds.linalg import DensityOperator, jordan_parts, trace_distance
 
 from helpers import cyclic_orbit_ensemble
 
@@ -304,3 +307,135 @@ def test_internal_lemma_slacks_equal_distance_families():
     for report in reports:
         assert report.slacks["pinsker_lemma"] >= -1e-8
         assert report.slacks["audenaert_lemma"] >= -1e-8
+
+
+@pytest.mark.parametrize(
+    "mu, ceiling",
+    [
+        # Ceilings are today's counts, each within 4m + 4 + m(m-1)/2.
+        # Lower them as the pipeline improves; never raise one silently.
+        pytest.param(trine_ensemble(), 19, id="trine"),
+        pytest.param(random_ensemble(6, 8, 0), 43, id="random-6-8-0"),
+        pytest.param(orthogonal_ensemble(8), 37, id="orthogonal-8"),
+    ],
+)
+def test_full_report_eigensolve_budget(monkeypatch, mu, ceiling):
+    calls = []
+    for solver in ("eigvalsh", "eigh"):
+        original = getattr(np.linalg, solver)
+
+        def counted(a, *args, _original=original, **kwargs):
+            calls.append(np.shape(a)[-1])
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, solver, counted)
+    full_report(mu)
+    m = mu.size
+    assert ceiling <= 4 * m + 4 + m * (m - 1) // 2
+    assert len(calls) <= ceiling, f"{len(calls)} eigensolves"
+
+
+def _fresh_entropy(mat: np.ndarray) -> float:
+    w = np.linalg.eigvalsh(mat)
+    w = w[w > 1e-14]
+    return max(0.0, float(-(w * np.log(w)).sum()))
+
+
+def _fresh_chi(probs, mats) -> float:
+    avg = sum(p * mat for p, mat in zip(probs, mats))
+    members = sum(p * _fresh_entropy(mat) for p, mat in zip(probs, mats))
+    return max(0.0, _fresh_entropy(avg) - members)
+
+
+def _trace_norm(mat: np.ndarray) -> float:
+    return float(np.abs(np.linalg.eigvalsh(mat)).sum())
+
+
+def _reference_report(mu: DiscreteEnsemble) -> dict:
+    """Every BoundReport field from trace_distance and jordan_parts per
+    member and fresh eigvalsh entropies; no spectrum kept by a state is
+    read, and the diameter scan is exhaustive."""
+    probs = mu.probs
+    avg = DensityOperator(sum(p * s.mat for p, s in zip(probs, mu.states)))
+    eps = np.array([min(trace_distance(s, avg), 1.0) for s in mu.states])
+    eps_av = float(probs @ eps)
+    hbar = float(sum(p * binary_entropy(e) for p, e in zip(probs, eps)))
+    h_av = binary_entropy(min(eps_av, 1.0))
+    kept, plus, minus = [], [], []
+    for i, state in enumerate(mu.states):
+        if eps[i] <= 1e-12:
+            continue
+        a_plus, a_minus = jordan_parts(state - avg)
+        kept.append(i)
+        plus.append(a_plus.mat / a_plus.trace())
+        minus.append(a_minus.mat / a_minus.trace())
+    weights = probs[kept] * eps[kept]
+    weights = weights / weights.sum()
+    chi = _fresh_chi(probs, [s.mat for s in mu.states])
+    chi_plus = _fresh_chi(weights, plus)
+    chi_minus = _fresh_chi(weights, minus)
+    omega = sum(w * t for w, t in zip(weights, minus))
+    residual = _trace_norm(sum(w * t for w, t in zip(weights, plus)) - omega)
+    diameter = min(
+        1.0,
+        max(
+            (0.5 * _trace_norm(plus[i] - plus[j])
+             for i in range(len(plus)) for j in range(i + 1, len(plus))),
+            default=0.0,
+        ),
+    )
+    gaps = np.array([_trace_norm(t - omega) for t in minus])
+    pinsker = 0.5 * float(probs[kept] @ gaps**2)
+    weight_entropy = shannon_entropy(weights)
+    bounds = {
+        "aux_bound": eps_av * (chi_plus - chi_minus) + hbar,
+        "aux_bound_hvariant": eps_av * (chi_plus - chi_minus) + h_av,
+        "shannon_bound": eps_av * weight_entropy + hbar,
+        "shannon_bound_hvariant": eps_av * weight_entropy + h_av,
+        "count_bound": eps_av * math.log(mu.size) + hbar,
+        "diameter_bound": eps_av * diameter * weight_entropy + hbar - eps_av * pinsker,
+    }
+    slacks = {key: value - chi for key, value in bounds.items()}
+    slacks["pinsker_lemma"] = chi_minus - pinsker
+    slacks["audenaert_lemma"] = diameter * weight_entropy - chi_plus
+    return dict(
+        chi=chi,
+        chi_plus=chi_plus,
+        chi_minus=chi_minus,
+        eps_av=eps_av,
+        hbar=hbar,
+        h_of_eps_av=h_av,
+        plus_diameter=diameter,
+        pinsker_term=pinsker,
+        pinsker_term_reweighted=0.5 * float(weights @ gaps**2),
+        average_match_residual=residual,
+        slacks=slacks,
+        **bounds,
+    )
+
+
+def _haar_pure_ensemble(m: int, dim: int, seed: int) -> DiscreteEnsemble:
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.ones(m))
+    return DiscreteEnsemble(probs, tuple(random_pure_state(dim, rng) for _ in range(m)))
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        pytest.param(random_ensemble(m, d, seed), id=f"random-{m}-{d}-{seed}")
+        for m, d, seed in ((3, 2, 1), (6, 8, 0), (5, 4, 2), (8, 6, 3))
+    ]
+    + [pytest.param(_haar_pure_ensemble(7, 5, 4), id="haar-pure-7-5-4")],
+)
+def test_full_report_matches_fresh_reference(mu):
+    report = full_report(mu)
+    reference = _reference_report(mu)
+    for field in dataclasses.fields(BoundReport):
+        got, want = getattr(report, field.name), reference[field.name]
+        if field.name == "slacks":
+            assert list(got) == list(want)
+            for key in want:
+                assert abs(got[key] - want[key]) <= 1e-12, key
+        else:
+            assert abs(got - want) <= 1e-12, field.name

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from holevo_bounds.bounds import full_report
+from holevo_bounds.bounds import FeiReport, full_report
 from holevo_bounds.cli import (
     EnsembleFileError,
     ensemble_from_dict,
@@ -132,6 +132,17 @@ def test_ensemble_file_round_trip(tmp_path):
             "pinsker_term",
         ):
             assert abs(getattr(before, name) - getattr(after, name)) <= 1e-12
+
+
+def test_report_rejects_boolean_prob(tmp_path, capsys):
+    # JSON true is a Python bool, which is an int: it must not load as 1.0.
+    data = {"version": 1, "dim": 1, "members": [{"prob": True, "state": [[[1.0, 0.0]]]}]}
+    with pytest.raises(EnsembleFileError, match="prob must be a number"):
+        ensemble_from_dict(data)
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(data))
+    assert main(["report", str(path)]) == 2
+    assert "member 0: prob" in capsys.readouterr().err
 
 
 def test_ensemble_dict_rejects_malformed_shapes():
@@ -267,6 +278,21 @@ def test_verify_violation_exit_code_and_failure_file(tmp_path, capsys, monkeypat
     failure = json.loads((tmp_path / "verify-fei-failure.json").read_text())
     assert failure["seed"] == 3
     assert failure["violations"][0]["ensemble"]["dim"] == 2
+
+
+def test_verify_failure_message_counts_every_violation(tmp_path, capsys, monkeypatch):
+    import holevo_bounds.cli as cli
+
+    def broken_fei_check(rho, sigma):
+        return FeiReport(eps=0.5, lhs=1.0, rhs=0.0, slack=-1.0)
+
+    monkeypatch.setattr(cli, "fei_check", broken_fei_check)
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "fei", "--trials", "3", "--seed", "5"]) == 1
+    err = capsys.readouterr().err
+    assert "3 violation(s) written to verify-fei-failure.json" in err
+    failure = json.loads((tmp_path / "verify-fei-failure.json").read_text())
+    assert [v["trial"] for v in failure["violations"]] == [0, 1, 2]
 
 
 def test_suite_results_are_structured():
