@@ -39,7 +39,13 @@ from .ensemble import (
     member_epsilons,
 )
 from .entropy import binary_entropy, shannon_entropy, von_neumann_entropy
-from .linalg import DensityOperator, hermitian_eig, jordan_split, trace_distance
+from .linalg import (
+    DensityOperator,
+    hermitian_eig,
+    jordan_split,
+    pair_trace_distances,
+    pure_trace_distances,
+)
 
 SLACK_KEYS = (
     "aux_bound",
@@ -132,14 +138,33 @@ def count_bound(mu: DiscreteEnsemble) -> tuple[float, float]:
 
 def plus_diameter(aux: AuxiliaryDecomposition) -> float:
     """Largest pairwise trace distance among the positive-part states; in
-    [0, 1].  Exhaustive pairwise scan, stopping early at the metric ceiling."""
-    best = 0.0
+    [0, 1].  Exact: every pair is evaluated unless the metric ceiling
+    1 - 1e-12 is reached first.
+
+    Pairs of rank-1 positive parts (an entry in aux.plus_vectors) take the
+    closed form sqrt(1 - |<a|b>|^2) from one Gram matrix, with no
+    eigensolve.  Every other pair's difference is solved in stacked chunks,
+    one eigvalsh call per chunk.  The ceiling is checked after the Gram
+    stage and after each chunk.
+    """
+    ceiling = 1.0 - 1e-12
     taus = aux.tau_plus
-    for i in range(len(taus)):
-        for j in range(i + 1, len(taus)):
-            best = max(best, trace_distance(taus[i], taus[j]))
-            if best >= 1.0 - 1e-12:
-                return min(best, 1.0)
+    vectors = aux.plus_vectors or (None,) * len(taus)
+    pure = np.array([v is not None for v in vectors], dtype=bool)
+    best = 0.0
+    if pure.sum() > 1:
+        columns = np.stack([v for v in vectors if v is not None], axis=1)
+        distances = pure_trace_distances(columns)
+        best = float(distances[np.triu_indices(len(distances), 1)].max())
+        if best >= ceiling:
+            return min(best, 1.0)
+    first, second = np.triu_indices(len(taus), 1)
+    dense = ~(pure[first] & pure[second])
+    mats = [tau.mat for tau in taus]
+    for chunk in pair_trace_distances(mats, first[dense], second[dense]):
+        best = max(best, float(chunk.max()))
+        if best >= ceiling:
+            break
     return min(best, 1.0)
 
 
@@ -210,15 +235,16 @@ def full_report(mu: DiscreteEnsemble) -> BoundReport:
 
     Every value comes from one build_auxiliary analysis and the spectra that
     validation kept.  Eigensolves for m members: at most 4m + 4 (the
-    average, build_auxiliary, and m for D) plus one per pair that the
-    diameter scan evaluates, at most m(m-1)/2.
+    average, build_auxiliary, and m for D) plus, for the diameter C, one
+    per pair that is not a pair of rank-1 positive parts, at most m(m-1)/2.
+    A degenerate ensemble takes one per member after the average.
     """
     chi = holevo_quantity(mu)
     try:
         aux = build_auxiliary(mu)
-    except DegenerateEnsembleError:
-        eps, eps_av = member_epsilons(mu)
-        hbar, h_av = _h_terms(mu.probs, eps, eps_av)
+    except DegenerateEnsembleError as exc:
+        eps_av = exc.eps_av
+        hbar, h_av = _h_terms(mu.probs, exc.eps, eps_av)
         kept = {"chi": chi, "eps_av": eps_av, "hbar": hbar, "h_of_eps_av": h_av}
         zeros = {f.name: 0.0 for f in fields(BoundReport) if f.name not in kept}
         return BoundReport(**zeros | kept | {"slacks": dict.fromkeys(SLACK_KEYS, 0.0)})

@@ -9,8 +9,10 @@ Subcommands:
   verify            run a randomized verification suite (fei, bounds,
                     tightness)
 
-Exit codes: 0 success, 1 property violation, 2 input error.  All stored and
-checked tolerances are in nats; --log-base 2 rescales display output only.
+Exit codes: 0 success, 1 property violation, 2 input error, 3 numerical
+failure (an eigensolver failed or exceeded its residual tolerance).  All
+stored and checked tolerances are in nats; --log-base 2 rescales display
+output only.
 """
 
 from __future__ import annotations
@@ -35,11 +37,12 @@ from .gallery import (
     random_ensemble,
     trine_ensemble,
 )
-from .linalg import DensityOperator
+from .linalg import DensityOperator, EigensolverError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
+EXIT_NUMERICAL = 3
 
 ENSEMBLE_FILE_VERSION = 1
 
@@ -473,6 +476,14 @@ def main(argv=None) -> int:
     except (EnsembleFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except EigensolverError as exc:
+        residual = "unknown" if exc.residual is None else f"{exc.residual:.3e}"
+        reason = " ".join(str(exc).split())
+        print(
+            f"numerical failure at dim {exc.dim} (residual {residual}): {reason}",
+            file=sys.stderr,
+        )
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import numpy as np
 
 from .entropy import as_probability_vector, binary_entropy, von_neumann_entropy
 from .linalg import (
-    DensityOperator, hermitian_eig, jordan_split, trace_distance, trace_norm,
+    PSD_TOL, DensityOperator, hermitian_eig, jordan_split, trace_distance, trace_norm,
 )
 
 # Member distances at or below this count as exactly zero.
@@ -28,7 +28,18 @@ AVERAGE_MATCH_TOL = 1e-9
 
 class DegenerateEnsembleError(ValueError):
     """Every state equals the average: the auxiliary ensembles are undefined
-    (and every bound is trivially 0, which equals the Holevo quantity)."""
+    (and every bound is trivially 0, which equals the Holevo quantity).
+
+    build_auxiliary attaches the member distances `eps` and their mean
+    `eps_av` it computed before finding the degeneracy.
+    """
+
+    def __init__(
+        self, message: str, *, eps: np.ndarray | None = None, eps_av: float | None = None
+    ):
+        super().__init__(message)
+        self.eps = eps
+        self.eps_av = eps_av
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,6 +154,12 @@ class AuxiliaryDecomposition:
     averages of mu_plus and mu_minus coincide in exact arithmetic; `omega` is
     the computed average of mu_minus and `average_match_residual` the
     trace-norm gap to the average of mu_plus.
+
+    `plus_vectors` runs parallel to tau_plus.  Where the positive part of
+    rho_i - average has rank 1 (exactly one eigenvalue above PSD_TOL, as
+    for every pure member), tau_i^+ is the pure state of the unit vector
+    kept there; elsewhere the entry is None.  Left as None altogether, no
+    vector is known.
     """
 
     probs: np.ndarray
@@ -156,6 +173,7 @@ class AuxiliaryDecomposition:
     mu_minus: DiscreteEnsemble
     omega: DensityOperator
     average_match_residual: float
+    plus_vectors: tuple[np.ndarray | None, ...] | None = None
 
     @cached_property
     def minus_gaps(self) -> tuple[float, ...]:
@@ -174,13 +192,15 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
 
     Eigensolves: at most 3m + 4 for m members.  One for mu's average unless
     mu holds it already; one eigh per member, which gives eps_i and both
-    Jordan parts, solved one member at a time; two to validate each
+    Jordan parts (and, for a rank-1 positive part, the unit vector kept in
+    `plus_vectors`), solved one member at a time; two to validate each
     tau_i^(+/-); one each for the kept averages of mu_plus and mu_minus,
     and one for their residual.
     """
     eps = np.zeros(mu.size)
     tau_plus: list[DensityOperator] = []
     tau_minus: list[DensityOperator] = []
+    plus_vectors: list[np.ndarray | None] = []
     usable: list[int] = []
     for i, state in enumerate(mu.states):
         system = hermitian_eig(state - mu.average)
@@ -196,17 +216,28 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
         usable.append(i)
         tau_plus.append(DensityOperator(plus.mat / tr_plus))
         tau_minus.append(DensityOperator(minus.mat / tr_minus))
+        # Eigenvalues ascend and tr_plus > 0, so the largest is above
+        # PSD_TOL; the positive part has rank 1 when no other one is.
+        vec = None
+        if system.eigenvalues[-2] <= PSD_TOL:
+            vec = system.eigenvectors[:, -1].copy()  # keeps no view of system
+            vec.setflags(write=False)
+        plus_vectors.append(vec)
         del system, plus, minus  # free before the next member's solve: peak memory
     eps.setflags(write=False)
     eps_av = float(mu.probs @ eps)
     if eps_av <= EPS_ZERO_TOL:
         raise DegenerateEnsembleError(
             f"mean member distance {eps_av:.3e} is below {EPS_ZERO_TOL:.0e}; "
-            "all states equal the average"
+            "all states equal the average",
+            eps=eps,
+            eps_av=eps_av,
         )
     if not usable:
         raise DegenerateEnsembleError(
-            "every member difference lies inside the eigenvalue dead zone"
+            "every member difference lies inside the eigenvalue dead zone",
+            eps=eps,
+            eps_av=eps_av,
         )
     retained, weights = distance_weights(
         mu.probs, np.where(np.isin(np.arange(mu.size), usable), eps, 0.0)
@@ -225,4 +256,5 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
         mu_minus=mu_minus,
         omega=mu_minus.average,
         average_match_residual=trace_norm(mu_plus.average - mu_minus.average),
+        plus_vectors=tuple(plus_vectors),
     )

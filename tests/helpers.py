@@ -16,6 +16,24 @@ from holevo_bounds import (
 )
 
 
+def count_eigensolves(monkeypatch) -> list[int]:
+    """Wrap np.linalg.eigvalsh and eigh so that every matrix they solve
+    appends its dimension to the returned list.  A stacked call of shape
+    (..., d, d) appends one entry per matrix, prod(shape[:-2]) in all, so
+    batching cannot hide solves."""
+    calls: list[int] = []
+    for solver in ("eigvalsh", "eigh"):
+        original = getattr(np.linalg, solver)
+
+        def counted(a, *args, _original=original, **kwargs):
+            shape = np.shape(a)
+            calls.extend([shape[-1]] * math.prod(shape[:-2]))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, solver, counted)
+    return calls
+
+
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> HermitianOperator:
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return HermitianOperator(scale * (a + a.conj().T) / 2.0)

@@ -34,7 +34,7 @@ from holevo_bounds.gallery import (
 from holevo_bounds.entropy import binary_entropy, shannon_entropy
 from holevo_bounds.linalg import DensityOperator, jordan_parts, trace_distance
 
-from helpers import cyclic_orbit_ensemble
+from helpers import count_eigensolves, cyclic_orbit_ensemble
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -309,30 +309,115 @@ def test_internal_lemma_slacks_equal_distance_families():
         assert report.slacks["audenaert_lemma"] >= -1e-8
 
 
+def _haar_pure_ensemble(m: int, dim: int, seed: int) -> DiscreteEnsemble:
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.ones(m))
+    return DiscreteEnsemble(probs, tuple(random_pure_state(dim, rng) for _ in range(m)))
+
+
 @pytest.mark.parametrize(
     "mu, ceiling",
     [
         # Ceilings are today's counts, each within 4m + 4 + m(m-1)/2.
         # Lower them as the pipeline improves; never raise one silently.
-        pytest.param(trine_ensemble(), 19, id="trine"),
+        # Pure members have rank-1 positive parts, so their diameter pairs
+        # cost no eigensolve: trine, orthogonal and Haar-pure sit at 4m + 4.
+        pytest.param(trine_ensemble(), 16, id="trine"),
         pytest.param(random_ensemble(6, 8, 0), 43, id="random-6-8-0"),
-        pytest.param(orthogonal_ensemble(8), 37, id="orthogonal-8"),
+        pytest.param(orthogonal_ensemble(8), 36, id="orthogonal-8"),
+        pytest.param(_haar_pure_ensemble(7, 5, 4), 32, id="haar-pure-7-5-4"),
     ],
 )
 def test_full_report_eigensolve_budget(monkeypatch, mu, ceiling):
-    calls = []
-    for solver in ("eigvalsh", "eigh"):
-        original = getattr(np.linalg, solver)
-
-        def counted(a, *args, _original=original, **kwargs):
-            calls.append(np.shape(a)[-1])
-            return _original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, solver, counted)
+    calls = count_eigensolves(monkeypatch)
     full_report(mu)
     m = mu.size
     assert ceiling <= 4 * m + 4 + m * (m - 1) // 2
     assert len(calls) <= ceiling, f"{len(calls)} eigensolves"
+
+
+def test_degenerate_report_reuses_member_distances(monkeypatch):
+    # One solve validates the average and one eigh per member finds the
+    # degeneracy; its distances are read from the exception, not re-solved.
+    rho = DensityOperator.from_pure([1.0, 2.0j])
+    mu = DiscreteEnsemble(np.array([0.4, 0.6]), (rho, rho))
+    calls = count_eigensolves(monkeypatch)
+    report = full_report(mu)
+    assert len(calls) <= 3, f"{len(calls)} eigensolves"
+    assert report.eps_av <= 1e-12
+    assert report.diameter_bound == 0.0
+
+
+def _scan_diameter(aux: AuxiliaryDecomposition) -> float:
+    """The exhaustive per-pair trace_distance scan, without early exit."""
+    taus = aux.tau_plus
+    return min(
+        1.0,
+        max(
+            (trace_distance(taus[i], taus[j])
+             for i in range(len(taus)) for j in range(i + 1, len(taus))),
+            default=0.0,
+        ),
+    )
+
+
+def _mixed_rank_ensemble(n_pure: int, n_full: int, dim: int, seed: int) -> DiscreteEnsemble:
+    rng = np.random.default_rng(seed)
+    states = [random_pure_state(dim, rng) for _ in range(n_pure)]
+    states += [random_mixed_state(dim, dim, rng) for _ in range(n_full)]
+    return DiscreteEnsemble(rng.dirichlet(np.ones(len(states))), tuple(states))
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        pytest.param(random_ensemble(m, d, seed), id=f"random-{m}-{d}-{seed}")
+        for m, d, seed in ((5, 4, 0), (6, 8, 1), (9, 6, 2), (12, 16, 3), (4, 3, 4))
+    ]
+    + [
+        pytest.param(_haar_pure_ensemble(m, d, seed), id=f"haar-pure-{m}-{d}-{seed}")
+        for m, d, seed in ((7, 5, 4), (12, 9, 5), (20, 4, 6))
+    ]
+    + [
+        pytest.param(random_ensemble(m, 2, seed), id=f"qubit-{m}-{seed}")
+        for m, seed in ((4, 7), (9, 8))
+    ]
+    + [pytest.param(orthogonal_ensemble(6), id="orthogonal-6")],
+)
+def test_plus_diameter_matches_exhaustive_scan(mu):
+    aux = build_auxiliary(mu)
+    assert abs(plus_diameter(aux) - _scan_diameter(aux)) <= 1e-12
+
+
+def test_plus_diameter_qubit_parts_are_rank_one():
+    # rho_i - avg is traceless at d = 2, so every positive part is pure.
+    aux = build_auxiliary(random_ensemble(6, 2, 11))
+    assert all(vec is not None for vec in aux.plus_vectors)
+
+
+def test_plus_diameter_runs_both_stages(monkeypatch):
+    # 4 pure and 3 full-rank members: the 6 pure pairs come from the Gram
+    # matrix and the other 15 from stacked solves, all in one call.
+    aux = build_auxiliary(_mixed_rank_ensemble(4, 3, 5, seed=12))
+    assert [vec is not None for vec in aux.plus_vectors] == [True] * 4 + [False] * 3
+    calls = count_eigensolves(monkeypatch)
+    got = plus_diameter(aux)
+    assert len(calls) == 21 - 6
+    assert abs(got - _scan_diameter(aux)) <= 1e-12
+
+
+def test_plus_diameter_orthogonal_stops_at_ceiling(monkeypatch):
+    aux = build_auxiliary(orthogonal_ensemble(6))
+    calls = count_eigensolves(monkeypatch)
+    assert plus_diameter(aux) == 1.0
+    assert calls == []
+
+
+def test_plus_diameter_without_vectors_solves_every_pair(monkeypatch):
+    aux = dataclasses.replace(build_auxiliary(trine_ensemble()), plus_vectors=None)
+    calls = count_eigensolves(monkeypatch)
+    assert math.isclose(plus_diameter(aux), math.sqrt(3.0) / 2.0, abs_tol=1e-10)
+    assert len(calls) == 3
 
 
 def _fresh_entropy(mat: np.ndarray) -> float:
@@ -412,12 +497,6 @@ def _reference_report(mu: DiscreteEnsemble) -> dict:
         slacks=slacks,
         **bounds,
     )
-
-
-def _haar_pure_ensemble(m: int, dim: int, seed: int) -> DiscreteEnsemble:
-    rng = np.random.default_rng(seed)
-    probs = rng.dirichlet(np.ones(m))
-    return DiscreteEnsemble(probs, tuple(random_pure_state(dim, rng) for _ in range(m)))
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import pytest
 
 from holevo_bounds.bounds import FeiReport, full_report
 from holevo_bounds.cli import (
+    EXIT_NUMERICAL,
     EnsembleFileError,
     ensemble_from_dict,
     ensemble_to_dict,
@@ -183,6 +184,32 @@ def test_example_unknown_name(capsys):
 
 def test_example_bad_parameter(capsys):
     assert main(["example", "orthogonal:x"]) == 2
+
+
+def _failing_eigh(a, *args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _inaccurate_eigh(a, *args, _eigh=np.linalg.eigh, **kwargs):
+    w, v = _eigh(a, *args, **kwargs)
+    return w, 2.0 * v
+
+
+@pytest.mark.parametrize(
+    "solver, residual",
+    [(_failing_eigh, "residual unknown"), (_inaccurate_eigh, "residual 3.")],
+    ids=["lapack-failure", "residual-too-large"],
+)
+def test_solver_failure_exits_numerical(capsys, monkeypatch, solver, residual):
+    monkeypatch.setattr(np.linalg, "eigh", solver)
+    assert main(["example", "trine"]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert "numerical failure at dim 2" in lines[0]
+    assert residual in lines[0]
 
 
 def test_oscillator_curve(tmp_path, capsys):

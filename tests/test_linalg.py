@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from holevo_bounds import linalg
+from holevo_bounds.gallery import random_mixed_state, random_pure_state
 from holevo_bounds.linalg import (
     DensityOperator,
     EigensolverError,
@@ -12,11 +14,13 @@ from holevo_bounds.linalg import (
     hermitian_eig,
     hermitian_eigenvalues,
     jordan_parts,
+    pair_trace_distances,
+    pure_trace_distances,
     trace_distance,
     trace_norm,
 )
 
-from helpers import random_hermitian
+from helpers import count_eigensolves, random_hermitian
 
 TRINE_FIRST = DensityOperator.from_pure([1.0, 0.0])
 TRINE_SECOND = DensityOperator.from_pure([-0.5, math.sqrt(3.0) / 2.0])
@@ -149,6 +153,49 @@ def test_trace_distance_trine_pair():
 def test_trace_distance_dim_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
         trace_distance(DensityOperator(np.eye(2) / 2), DensityOperator(np.eye(3) / 3))
+
+
+def test_pure_trace_distances_match_dense():
+    rng = np.random.default_rng(31)
+    vectors = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
+    vectors /= np.linalg.norm(vectors, axis=0)
+    vectors[:, 5] = 3j * vectors[:, 0]  # column 0's state, not normalized
+    states = [DensityOperator.from_pure(v) for v in vectors.T]
+    distances = pure_trace_distances(vectors)
+    for i in range(6):
+        for j in range(6):
+            assert abs(distances[i, j] - trace_distance(states[i], states[j])) <= 1e-12
+    trine = np.array([[1.0, -0.5], [0.0, math.sqrt(3.0) / 2.0]])
+    expected = math.sqrt(3.0) / 2.0
+    assert math.isclose(pure_trace_distances(trine)[0, 1], expected, abs_tol=1e-15)
+
+
+def test_pair_trace_distances_in_chunks(monkeypatch):
+    rng = np.random.default_rng(37)
+    dim = 4
+    states = [random_pure_state(dim, rng) for _ in range(3)]
+    states += [random_mixed_state(dim, dim, rng) for _ in range(3)]
+    first, second = np.triu_indices(len(states), 1)
+    # Room for two differences per stack: 15 pairs take 8 eigvalsh calls.
+    monkeypatch.setattr(linalg, "_STACK_BYTES", 2 * 16 * dim * dim)
+    solves = count_eigensolves(monkeypatch)
+    chunks = list(pair_trace_distances([s.mat for s in states], first, second))
+    assert [len(c) for c in chunks] == [2] * 7 + [1]
+    assert len(solves) == 15
+    for (i, j), got in zip(zip(first, second), np.concatenate(chunks)):
+        assert abs(got - trace_distance(states[i], states[j])) <= 1e-12
+    assert list(pair_trace_distances([], first[:0], second[:0])) == []
+
+
+def test_pair_trace_distances_failure_is_wrapped(monkeypatch):
+    def boom(_):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", boom)
+    mats = [np.eye(3) / 3, np.diag([1.0, 0.0, 0.0])]
+    with pytest.raises(EigensolverError) as excinfo:
+        next(pair_trace_distances(mats, np.array([0]), np.array([1])))
+    assert excinfo.value.dim == 3
 
 
 def test_trace_distance_triangle_inequality():
