@@ -10,7 +10,8 @@ Subcommands:
                     tightness)
 
 Exit codes: 0 success, 1 property violation, 2 input error, 3 numerical
-failure (an eigensolver failed or exceeded its residual tolerance).  All
+failure (an eigensolver failed or exceeded its residual tolerance; `verify`
+exits 3 when every failed trial failed numerically).  All
 stored and checked tolerances are in nats; --log-base 2 rescales display
 output only.
 """
@@ -200,11 +201,13 @@ def format_report_csv(data: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _print_report(mu: DiscreteEnsemble, args) -> int:
+def _print_report(mu: DiscreteEnsemble, args, **extra) -> int:
+    """Print mu's report, followed by the `extra` output fields."""
     report = full_report(mu)
     data = report_to_dict(
         report, log_base=args.log_base, members=mu.size, dim=mu.dim
     )
+    data.update(extra)
     if args.format == "json":
         sys.stdout.write(format_report_json(data))
     else:
@@ -217,30 +220,32 @@ def _cmd_report(args) -> int:
     return _print_report(mu, args)
 
 
-def _parse_example_name(name: str) -> DiscreteEnsemble:
+def _parse_example_name(name: str) -> tuple[DiscreteEnsemble, dict]:
+    """The named ensemble and the extra output fields that describe it: the
+    oscillator's truncation tail mass, which the ensemble itself drops."""
     if name == "trine":
-        return trine_ensemble()
+        return trine_ensemble(), {}
     if name.startswith("orthogonal:"):
         try:
             m = int(name.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad member count in {name!r}") from None
-        return orthogonal_ensemble(m)
+        return orthogonal_ensemble(m), {}
     if name.startswith("oscillator:"):
         try:
             n_mean = float(name.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad mean photon number in {name!r}") from None
-        mu, _ = oscillator_ensemble(OscillatorEnsembleSpec(n_mean))
-        return mu
+        mu, tail_mass = oscillator_ensemble(OscillatorEnsembleSpec(n_mean))
+        return mu, {"tail_mass": tail_mass}
     raise ValueError(
         f"unknown example {name!r}; use trine, orthogonal:<m> or oscillator:<N>"
     )
 
 
 def _cmd_example(args) -> int:
-    mu = _parse_example_name(args.name)
-    return _print_report(mu, args)
+    mu, extra = _parse_example_name(args.name)
+    return _print_report(mu, args, **extra)
 
 
 def _cmd_oscillator_curve(args) -> int:
@@ -267,13 +272,24 @@ def _cmd_oscillator_curve(args) -> int:
 @dataclass
 class SuiteResult:
     """Outcome of a verification suite: per-inequality worst slacks and any
-    violations beyond the stated tolerances."""
+    failed trials.  Each entry of `violations` names its trial, its ensemble
+    and its "kind": "violation" when an inequality failed beyond its
+    tolerance, "numerical" when an eigensolver failed (EigensolverError)."""
 
     suite: str
     trials: int
     passed: bool
     worst: dict[str, float] = field(default_factory=dict)
     violations: list[dict] = field(default_factory=list)
+
+
+def _record_failure(
+    result: SuiteResult, trial: int, kind: str, detail: str, mu: DiscreteEnsemble
+) -> None:
+    result.passed = False
+    result.violations.append(
+        {"trial": trial, "kind": kind, "detail": detail, "ensemble": ensemble_to_dict(mu)}
+    )
 
 
 def _min_into(worst: dict, key: str, value: float) -> None:
@@ -302,19 +318,17 @@ def run_fei_suite(trials: int, seed: int) -> SuiteResult:
         dim = int(rng.integers(2, 9))
         rho = _random_state(dim, rng)
         sigma = _random_state(dim, rng)
-        check = fei_check(rho, sigma)
-        _min_into(result.worst, "slack", check.slack)
-        if check.slack < -1e-8:
-            result.passed = False
-            result.violations.append(
-                {
-                    "trial": trial,
-                    "detail": f"slack {check.slack:.3e} below -1e-08",
-                    "ensemble": ensemble_to_dict(
-                        DiscreteEnsemble(np.array([0.5, 0.5]), (rho, sigma))
-                    ),
-                }
-            )
+        try:
+            check = fei_check(rho, sigma)
+        except EigensolverError as exc:
+            kind, detail = "numerical", str(exc)
+        else:
+            _min_into(result.worst, "slack", check.slack)
+            if check.slack >= -1e-8:
+                continue
+            kind, detail = "violation", f"slack {check.slack:.3e} below -1e-08"
+        pair = DiscreteEnsemble(np.array([0.5, 0.5]), (rho, sigma))
+        _record_failure(result, trial, kind, detail, pair)
     return result
 
 
@@ -347,7 +361,11 @@ def run_bounds_suite(trials: int, seed: int) -> SuiteResult:
         m = int(rng.integers(2, 7))
         dim = int(rng.integers(2, 9))
         mu = random_ensemble(m, dim, rng)
-        report = full_report(mu)
+        try:
+            report = full_report(mu)
+        except EigensolverError as exc:
+            _record_failure(result, trial, "numerical", str(exc), mu)
+            continue
         problems = []
         for key in bound_keys:
             slack = report.slacks[key]
@@ -365,14 +383,7 @@ def run_bounds_suite(trials: int, seed: int) -> SuiteResult:
                 f"auxiliary averages differ by {report.average_match_residual:.3e}"
             )
         if problems:
-            result.passed = False
-            result.violations.append(
-                {
-                    "trial": trial,
-                    "detail": "; ".join(problems),
-                    "ensemble": ensemble_to_dict(mu),
-                }
-            )
+            _record_failure(result, trial, "violation", "; ".join(problems), mu)
     return result
 
 
@@ -387,14 +398,8 @@ def run_tightness_suite(trials: int = 7, seed: int = 0) -> SuiteResult:
         gap = abs(report.aux_bound - report.chi)
         _max_into(result.worst, "abs(aux_bound - chi)", gap)
         if gap > 1e-9:
-            result.passed = False
-            result.violations.append(
-                {
-                    "trial": m,
-                    "detail": f"m={m}: |aux_bound - chi| = {gap:.3e} above 1e-09",
-                    "ensemble": ensemble_to_dict(mu),
-                }
-            )
+            detail = f"m={m}: |aux_bound - chi| = {gap:.3e} above 1e-09"
+            _record_failure(result, m, "violation", detail, mu)
     return result
 
 
@@ -421,11 +426,13 @@ def _cmd_verify(args) -> int:
             fh,
             indent=2,
         )
-    print(
-        f"{len(result.violations)} violation(s) written to {failure_path}",
-        file=sys.stderr,
-    )
-    return EXIT_VIOLATION
+    numerical = sum(v.get("kind") == "numerical" for v in result.violations)
+    violations = len(result.violations) - numerical
+    counts = [f"{violations} violation(s)"] if violations else []
+    if numerical:
+        counts.append(f"{numerical} numerical failure(s)")
+    print(f"{' and '.join(counts)} written to {failure_path}", file=sys.stderr)
+    return EXIT_VIOLATION if violations else EXIT_NUMERICAL
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -25,7 +25,9 @@ from holevo_bounds.ensemble import (
     holevo_quantity,
 )
 from holevo_bounds.gallery import (
+    OscillatorEnsembleSpec,
     orthogonal_ensemble,
+    oscillator_ensemble,
     random_ensemble,
     random_mixed_state,
     random_pure_state,
@@ -321,11 +323,16 @@ def _haar_pure_ensemble(m: int, dim: int, seed: int) -> DiscreteEnsemble:
         # Ceilings are today's counts, each within 4m + 4 + m(m-1)/2.
         # Lower them as the pipeline improves; never raise one silently.
         # Pure members have rank-1 positive parts, so their diameter pairs
-        # cost no eigensolve: trine, orthogonal and Haar-pure sit at 4m + 4.
-        pytest.param(trine_ensemble(), 16, id="trine"),
+        # cost no eigensolve: Haar-pure sits at 4m + 4.  Diagonal operators
+        # are solved in closed form: the orthogonal and oscillator ensembles
+        # make none, and the trine only for its two non-diagonal members.
+        pytest.param(trine_ensemble(), 8, id="trine"),
         pytest.param(random_ensemble(6, 8, 0), 43, id="random-6-8-0"),
-        pytest.param(orthogonal_ensemble(8), 36, id="orthogonal-8"),
+        pytest.param(orthogonal_ensemble(8), 0, id="orthogonal-8"),
         pytest.param(_haar_pure_ensemble(7, 5, 4), 32, id="haar-pure-7-5-4"),
+        pytest.param(
+            oscillator_ensemble(OscillatorEnsembleSpec(0.5))[0], 0, id="oscillator-0.5"
+        ),
     ],
 )
 def test_full_report_eigensolve_budget(monkeypatch, mu, ceiling):
@@ -518,3 +525,55 @@ def test_full_report_matches_fresh_reference(mu):
                 assert abs(got[key] - want[key]) <= 1e-12, key
         else:
             assert abs(got - want) <= 1e-12, field.name
+
+
+def _diagonal_mixed_ensemble(m: int, dim: int, seed: int) -> DiscreteEnsemble:
+    """Full-support diagonal states: every positive part has rank > 1."""
+    rng = np.random.default_rng(seed)
+    states = tuple(DensityOperator(np.diag(rng.dirichlet(np.ones(dim)))) for _ in range(m))
+    return DiscreteEnsemble(rng.dirichlet(np.ones(m)), states)
+
+
+def _rotated(mu: DiscreteEnsemble, seed: int) -> DiscreteEnsemble:
+    """U mu U^dag for a seeded Haar-random unitary U."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((mu.dim, mu.dim)) + 1j * rng.standard_normal((mu.dim, mu.dim))
+    q, r = np.linalg.qr(g)
+    u = q * (r.diagonal() / np.abs(r.diagonal()))
+    return DiscreteEnsemble(
+        mu.probs, tuple(DensityOperator(u @ s.mat @ u.conj().T) for s in mu.states)
+    )
+
+
+def test_diagonal_mixed_ensemble_reaches_stacked_diameter_stage():
+    # No positive part has rank 1, so every diameter pair is solved stacked.
+    aux = build_auxiliary(_diagonal_mixed_ensemble(4, 6, 2))
+    assert aux.plus_vectors == (None,) * 4
+    assert plus_diameter(aux) < 1.0
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        pytest.param(orthogonal_ensemble(8), id="orthogonal-8"),
+        pytest.param(oscillator_ensemble(OscillatorEnsembleSpec(1.0))[0], id="oscillator-1"),
+        pytest.param(_diagonal_mixed_ensemble(4, 6, 2), id="diagonal-mixed-4-6"),
+    ],
+)
+def test_diagonal_reports_match_dense_path(monkeypatch, mu):
+    # Rotating the ensemble changes no report field, and takes every
+    # operator off the diagonal: the dense path is the oracle.
+    rotated = _rotated(mu, seed=mu.dim)
+    calls = count_eigensolves(monkeypatch)
+    report = full_report(mu)
+    diagonal_calls = len(calls)
+    reference = full_report(rotated)
+    assert len(calls) - diagonal_calls >= 3 * mu.size
+    for field in dataclasses.fields(BoundReport):
+        got, want = getattr(report, field.name), getattr(reference, field.name)
+        if field.name == "slacks":
+            assert list(got) == list(want)
+            for key in want:
+                assert abs(got[key] - want[key]) <= 1e-10, key
+        else:
+            assert abs(got - want) <= 1e-10, field.name

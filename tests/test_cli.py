@@ -22,7 +22,7 @@ from holevo_bounds.cli import (
 )
 from holevo_bounds.ensemble import DiscreteEnsemble
 from holevo_bounds.gallery import random_ensemble, trine_ensemble
-from holevo_bounds.linalg import DensityOperator
+from holevo_bounds.linalg import DensityOperator, EigensolverError
 
 LN2 = math.log(2.0)
 
@@ -177,6 +177,15 @@ def test_example_oscillator(capsys):
     assert math.isclose(data["chi"], 2 * LN2, abs_tol=1e-4)
 
 
+def test_example_oscillator_reports_tail_mass(capsys):
+    data = _report_json(capsys, ["example", "oscillator:1"])
+    assert 0.0 < data["tail_mass"] < 1e-12
+    assert main(["example", "oscillator:1", "--format", "csv"]) == 0
+    rows = dict(line.split(",") for line in capsys.readouterr().out.splitlines())
+    assert float(rows["tail_mass"]) == data["tail_mass"]
+    assert "tail_mass" not in _report_json(capsys, ["example", "trine"])
+
+
 def test_example_unknown_name(capsys):
     assert main(["example", "bell"]) == 2
     assert "unknown example" in capsys.readouterr().err
@@ -320,6 +329,59 @@ def test_verify_failure_message_counts_every_violation(tmp_path, capsys, monkeyp
     assert "3 violation(s) written to verify-fei-failure.json" in err
     failure = json.loads((tmp_path / "verify-fei-failure.json").read_text())
     assert [v["trial"] for v in failure["violations"]] == [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "suite, target",
+    [("bounds", "full_report"), ("fei", "fei_check")],
+)
+def test_verify_numerical_failure_is_recorded_per_trial(
+    tmp_path, capsys, monkeypatch, suite, target
+):
+    import holevo_bounds.cli as cli
+
+    original = getattr(cli, target)
+    calls = []
+
+    def fails_on_trial_one(*args):
+        calls.append(len(calls))
+        if len(calls) == 2:
+            raise EigensolverError("eigendecomposition failed at dim 4: boom", dim=4)
+        return original(*args)
+
+    monkeypatch.setattr(cli, target, fails_on_trial_one)
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", suite, "--trials", "5", "--seed", "7"]) == EXIT_NUMERICAL
+    assert calls == [0, 1, 2, 3, 4]
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"suite {suite}: 5 trials")
+    assert "1 numerical failure(s) written to" in captured.err
+    failure = json.loads((tmp_path / f"verify-{suite}-failure.json").read_text())
+    assert failure["seed"] == 7
+    [entry] = failure["violations"]
+    assert entry["trial"] == 1
+    assert entry["kind"] == "numerical"
+    assert "boom" in entry["detail"]
+    assert ensemble_from_dict(entry["ensemble"]).size >= 2
+
+
+def test_verify_violation_outranks_numerical_failure(tmp_path, capsys, monkeypatch):
+    import holevo_bounds.cli as cli
+
+    calls = []
+
+    def numerical_then_violation(rho, sigma):
+        calls.append(len(calls))
+        if len(calls) == 1:
+            raise EigensolverError("eigendecomposition failed at dim 2: boom", dim=2)
+        return FeiReport(eps=0.5, lhs=1.0, rhs=0.0, slack=-1.0)
+
+    monkeypatch.setattr(cli, "fei_check", numerical_then_violation)
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "fei", "--trials", "2", "--seed", "5"]) == 1
+    assert "1 violation(s) and 1 numerical failure(s)" in capsys.readouterr().err
+    failure = json.loads((tmp_path / "verify-fei-failure.json").read_text())
+    assert [v["kind"] for v in failure["violations"]] == ["numerical", "violation"]
 
 
 def test_suite_results_are_structured():

@@ -1,5 +1,6 @@
 """Tests for the dense Hermitian matrix kernel."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -119,9 +120,74 @@ def test_eigensolver_failure_is_wrapped(monkeypatch):
         raise np.linalg.LinAlgError("did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", boom)
+    # Not diagonal: a diagonal input is solved without LAPACK.
+    op = HermitianOperator(np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]]))
     with pytest.raises(EigensolverError) as excinfo:
-        hermitian_eig(HermitianOperator(np.eye(3)))
+        hermitian_eig(op)
     assert excinfo.value.dim == 3
+
+
+DIAGONAL_ENTRIES = [0.5, -2.0, 0.0, 0.5, 3.0, -2.0, 0.0, 1e-11, -1e-11, 0.5]
+
+
+def test_diagonal_eigenvalues_match_lapack(monkeypatch):
+    op = HermitianOperator(np.diag(DIAGONAL_ENTRIES))
+    expected = np.linalg.eigvalsh(op.mat)
+    calls = count_eigensolves(monkeypatch)
+    values = hermitian_eigenvalues(op)
+    system = hermitian_eig(op)
+    assert calls == []
+    np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(system.eigenvalues, expected, rtol=0.0, atol=1e-15)
+
+
+def test_diagonal_eigenvectors_are_a_permutation():
+    op = HermitianOperator(np.diag(DIAGONAL_ENTRIES))
+    system = hermitian_eig(op)
+    v = system.eigenvectors
+    dim = len(DIAGONAL_ENTRIES)
+    assert set(np.unique(v)) == {0.0, 1.0}
+    assert np.array_equal(np.abs(v).sum(axis=0), np.ones(dim))
+    assert np.array_equal(np.abs(v).sum(axis=1), np.ones(dim))
+    assert np.array_equal(v[system.order, np.arange(dim)], np.ones(dim))
+    assert np.array_equal((v * system.eigenvalues) @ v.conj().T, op.mat)
+    assert np.array_equal(v.conj().T @ v, np.eye(dim))
+
+
+def test_diagonal_residual_is_checked():
+    # A Hermitian operator's diagonal is real after symmetrization; an
+    # imaginary diagonal entry is the one residual the closed form can have.
+    class Raw:
+        mat = np.diag([1.0, 2.0 + 1e-6j, 0.0])
+        dim = 3
+
+    with pytest.raises(EigensolverError) as excinfo:
+        hermitian_eig(Raw())
+    assert excinfo.value.residual == pytest.approx(1e-6)
+
+
+def test_tiny_off_diagonal_entry_takes_lapack(monkeypatch):
+    # Away from the corner entry, so the full off-diagonal count decides.
+    mat = np.diag([0.25, 0.5, 0.25]).astype(complex)
+    mat[0, 1] = mat[1, 0] = 1e-300
+    op = HermitianOperator(mat)
+    calls = count_eigensolves(monkeypatch)
+    assert hermitian_eig(op).order is None
+    assert calls == [3]
+    hermitian_eigenvalues(op)
+    assert calls == [3, 3]
+
+
+def test_diagonal_jordan_split_matches_dense_formula():
+    # The same eigensystem without its permutation goes through the dense
+    # (V w) V^dag formula; the dead-zone entries +-1e-11 join neither part.
+    system = hermitian_eig(HermitianOperator(np.diag(DIAGONAL_ENTRIES)))
+    plus, minus = linalg.jordan_split(system)
+    dense_plus, dense_minus = linalg.jordan_split(dataclasses.replace(system, order=None))
+    assert np.array_equal(plus.mat, dense_plus.mat)
+    assert np.array_equal(minus.mat, dense_minus.mat)
+    kept = np.where(np.abs(DIAGONAL_ENTRIES) > linalg.PSD_TOL, DIAGONAL_ENTRIES, 0.0)
+    assert np.array_equal(plus.mat - minus.mat, np.diag(kept))
 
 
 def test_trace_norm_examples():
