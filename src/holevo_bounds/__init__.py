@@ -31,7 +31,6 @@ from .ensemble import (
 from .entropy import (
     as_probability_vector,
     binary_entropy,
-    entropy_difference,
     eta,
     gibbs_entropy,
     relative_entropy,
@@ -85,7 +84,6 @@ __all__ = [
     "diameter_bound",
     "discretize_continuous",
     "distance_weights",
-    "entropy_difference",
     "eta",
     "fei_check",
     "full_report",

@@ -15,6 +15,9 @@ Pinsker-style spread of the negative parts around their barycenter.  Each
 bound also has a variant with hbar replaced by h(eps_av) (never smaller, by
 concavity).
 
+full_report is the one place where these formulas are evaluated; the four
+functions named above return its fields, so each call costs one report.
+
 Reports carry measured slacks rather than enforcing the inequalities, so a
 violating instance can still be inspected and serialized by the verification
 suites.
@@ -28,35 +31,32 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .ensemble import (
-    EPS_ZERO_TOL,
     AuxiliaryDecomposition,
     DegenerateEnsembleError,
     DiscreteEnsemble,
     _h_terms,
     build_auxiliary,
-    distance_weights,
     holevo_quantity,
-    member_epsilons,
+    normalized_parts,
 )
 from .entropy import binary_entropy, shannon_entropy, von_neumann_entropy
 from .linalg import (
     DensityOperator,
     hermitian_eig,
-    jordan_split,
     pair_trace_distances,
     pure_trace_distances,
 )
 
-SLACK_KEYS = (
+# The bound fields of BoundReport, in report order; each has a slack.
+BOUND_KEYS = (
     "aux_bound",
     "aux_bound_hvariant",
     "shannon_bound",
     "shannon_bound_hvariant",
     "count_bound",
     "diameter_bound",
-    "pinsker_lemma",
-    "audenaert_lemma",
 )
+SLACK_KEYS = BOUND_KEYS + ("pinsker_lemma", "audenaert_lemma")
 
 
 @dataclass(frozen=True)
@@ -76,20 +76,14 @@ def fei_check(rho: DensityOperator, sigma: DensityOperator) -> FeiReport:
 
     eps is the trace distance and tau_plus/tau_minus the unit-trace positive
     and negative parts of rho - sigma, from one eigendecomposition.  The slack
-    is nonnegative for all pairs of states, up to floating point.  When eps
-    is numerically zero both sides collapse to S(rho) and the slack is 0.
+    is nonnegative for all pairs of states, up to floating point.  When
+    rho - sigma is numerically zero (the dead zone of normalized_parts) both
+    sides collapse to S(rho) and the slack is 0.
     """
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    system = hermitian_eig(rho - sigma)
-    eps = min(0.5 * float(np.abs(system.eigenvalues).sum()), 1.0)
-    plus, minus = jordan_split(system)
-    tr_plus, tr_minus = plus.trace(), minus.trace()
-    if min(eps, tr_plus, tr_minus) <= EPS_ZERO_TOL:
+    eps, tau_plus, tau_minus = normalized_parts(hermitian_eig(rho - sigma))
+    if tau_plus is None:
         s = von_neumann_entropy(rho)
         return FeiReport(eps=eps, lhs=s, rhs=s, slack=0.0)
-    tau_plus = DensityOperator(plus.mat / tr_plus)
-    tau_minus = DensityOperator(minus.mat / tr_minus)
     lhs = von_neumann_entropy(rho) + eps * von_neumann_entropy(tau_minus)
     rhs = (
         von_neumann_entropy(sigma)
@@ -97,43 +91,6 @@ def fei_check(rho: DensityOperator, sigma: DensityOperator) -> FeiReport:
         + binary_entropy(eps)
     )
     return FeiReport(eps=eps, lhs=lhs, rhs=rhs, slack=rhs - lhs)
-
-
-def aux_bound(mu: DiscreteEnsemble) -> tuple[float, float]:
-    """Bound chi <= eps_av (chi(mu+) - chi(mu-)) + hbar via the auxiliary
-    ensembles; returns (that value, the h(eps_av) variant).
-
-    Both components are (0, 0) for a degenerate ensemble (eps_av = 0), where
-    chi is 0 as well.
-    """
-    try:
-        aux = build_auxiliary(mu)
-    except DegenerateEnsembleError:
-        return 0.0, 0.0
-    core = aux.eps_av * (holevo_quantity(aux.mu_plus) - holevo_quantity(aux.mu_minus))
-    hbar, h_av = _h_terms(aux.probs, aux.eps, aux.eps_av)
-    return core + hbar, core + h_av
-
-
-def shannon_bound(mu: DiscreteEnsemble) -> tuple[float, float]:
-    """Bound chi <= eps_av H({p_i eps_i / eps_av}) + hbar; returns (that
-    value, the h(eps_av) variant).  Needs no Jordan decompositions."""
-    eps, eps_av = member_epsilons(mu)
-    if eps_av <= EPS_ZERO_TOL:
-        return 0.0, 0.0
-    _, weights = distance_weights(mu.probs, eps)
-    lead = eps_av * shannon_entropy(weights)
-    hbar, h_av = _h_terms(mu.probs, eps, eps_av)
-    return lead + hbar, lead + h_av
-
-
-def count_bound(mu: DiscreteEnsemble) -> tuple[float, float]:
-    """Bound chi <= eps_av ln(m) + hbar for an m-state ensemble; returns
-    (that value, the h(eps_av) variant)."""
-    eps, eps_av = member_epsilons(mu)
-    lead = eps_av * math.log(mu.size)
-    hbar, h_av = _h_terms(mu.probs, eps, eps_av)
-    return lead + hbar, lead + h_av
 
 
 def plus_diameter(aux: AuxiliaryDecomposition) -> float:
@@ -149,7 +106,7 @@ def plus_diameter(aux: AuxiliaryDecomposition) -> float:
     """
     ceiling = 1.0 - 1e-12
     taus = aux.tau_plus
-    vectors = aux.plus_vectors or (None,) * len(taus)
+    vectors = aux.plus_vectors
     pure = np.array([v is not None for v in vectors], dtype=bool)
     best = 0.0
     if pure.sum() > 1:
@@ -181,19 +138,6 @@ def pinsker_term(aux: AuxiliaryDecomposition, *, reweighted: bool = False) -> fl
     """
     w = aux.weights if reweighted else aux.probs[list(aux.retained)]
     return 0.5 * sum(float(wi) * gap * gap for wi, gap in zip(w, aux.minus_gaps))
-
-
-def diameter_bound(mu: DiscreteEnsemble) -> float:
-    """Bound chi <= eps_av C H({p_i eps_i / eps_av}) + hbar - eps_av D, the
-    refinement of shannon_bound by the positive-part diameter C and the
-    negative-part spread D.  0 for a degenerate ensemble."""
-    try:
-        aux = build_auxiliary(mu)
-    except DegenerateEnsembleError:
-        return 0.0
-    lead = aux.eps_av * plus_diameter(aux) * shannon_entropy(aux.weights)
-    hbar, _ = _h_terms(aux.probs, aux.eps, aux.eps_av)
-    return lead + hbar - aux.eps_av * pinsker_term(aux)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,10 +172,11 @@ class BoundReport:
 def full_report(mu: DiscreteEnsemble) -> BoundReport:
     """Evaluate chi and every bound on `mu` once.
 
-    A degenerate ensemble (all states equal the average) yields an all-zeros
-    report.  Slack entries "pinsker_lemma" (chi(mu-) - D) and
-    "audenaert_lemma" (C H(weights) - chi(mu+)) expose the two internal
-    inequalities behind diameter_bound.
+    A degenerate ensemble (every member difference is numerically zero)
+    yields 0 for every field but chi, eps_av, hbar and h_of_eps_av.  Slack
+    entries "pinsker_lemma" (chi(mu-) - D) and "audenaert_lemma"
+    (C H(weights) - chi(mu+)) expose the two internal inequalities behind
+    diameter_bound.
 
     Every value comes from one build_auxiliary analysis and the spectra that
     validation kept.  Eigensolves for m members: at most 4m + 4 (the
@@ -282,3 +227,27 @@ def full_report(mu: DiscreteEnsemble) -> BoundReport:
         slacks=slacks,
         **bounds,
     )
+
+
+def aux_bound(mu: DiscreteEnsemble) -> tuple[float, float]:
+    """(aux_bound, aux_bound_hvariant) of full_report(mu)."""
+    report = full_report(mu)
+    return report.aux_bound, report.aux_bound_hvariant
+
+
+def shannon_bound(mu: DiscreteEnsemble) -> tuple[float, float]:
+    """(shannon_bound, shannon_bound_hvariant) of full_report(mu)."""
+    report = full_report(mu)
+    return report.shannon_bound, report.shannon_bound_hvariant
+
+
+def count_bound(mu: DiscreteEnsemble) -> tuple[float, float]:
+    """count_bound of full_report(mu), and its variant with hbar replaced by
+    h(eps_av)."""
+    report = full_report(mu)
+    return report.count_bound, report.count_bound - report.hbar + report.h_of_eps_av
+
+
+def diameter_bound(mu: DiscreteEnsemble) -> float:
+    """diameter_bound of full_report(mu)."""
+    return full_report(mu).diameter_bound

@@ -15,7 +15,8 @@ import numpy as np
 
 from .entropy import as_probability_vector, binary_entropy, von_neumann_entropy
 from .linalg import (
-    PSD_TOL, DensityOperator, hermitian_eig, jordan_split, trace_distance, trace_norm,
+    PSD_TOL, DensityOperator, EigenSystem, hermitian_eig, jordan_split, trace_distance,
+    trace_norm,
 )
 
 # Member distances at or below this count as exactly zero.
@@ -133,6 +134,26 @@ def _h_terms(probs: np.ndarray, eps: np.ndarray, eps_av: float) -> tuple[float, 
     return hbar, binary_entropy(min(eps_av, 1.0))
 
 
+def normalized_parts(
+    system: EigenSystem,
+) -> tuple[float, DensityOperator | None, DensityOperator | None]:
+    """(eps, tau_plus, tau_minus) for the difference of two states whose
+    eigendecomposition is `system`: eps is its trace distance, clipped to 1,
+    and tau_plus/tau_minus its positive and negative parts, each normalized
+    to unit trace.  Both parts are None in the dead zone, where eps or the
+    trace of either part is at most EPS_ZERO_TOL: the difference is then
+    numerically indistinguishable from zero.
+    """
+    eps = min(0.5 * float(np.abs(system.eigenvalues).sum()), 1.0)
+    if eps <= EPS_ZERO_TOL:
+        return eps, None, None
+    plus, minus = jordan_split(system)
+    tr_plus, tr_minus = plus.trace(), minus.trace()
+    if min(tr_plus, tr_minus) <= EPS_ZERO_TOL:
+        return eps, None, None
+    return eps, DensityOperator(plus.mat / tr_plus), DensityOperator(minus.mat / tr_minus)
+
+
 def distance_weights(probs: np.ndarray, eps: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
     """Weights p_i eps_i / eps_av of the auxiliary ensembles.
 
@@ -158,8 +179,7 @@ class AuxiliaryDecomposition:
     `plus_vectors` runs parallel to tau_plus.  Where the positive part of
     rho_i - average has rank 1 (exactly one eigenvalue above PSD_TOL, as
     for every pure member), tau_i^+ is the pure state of the unit vector
-    kept there; elsewhere the entry is None.  Left as None altogether, no
-    vector is known.
+    kept there; elsewhere the entry is None.
     """
 
     probs: np.ndarray
@@ -173,7 +193,7 @@ class AuxiliaryDecomposition:
     mu_minus: DiscreteEnsemble
     omega: DensityOperator
     average_match_residual: float
-    plus_vectors: tuple[np.ndarray | None, ...] | None = None
+    plus_vectors: tuple[np.ndarray | None, ...]
 
     @cached_property
     def minus_gaps(self) -> tuple[float, ...]:
@@ -204,26 +224,20 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
     usable: list[int] = []
     for i, state in enumerate(mu.states):
         system = hermitian_eig(state - mu.average)
-        eps[i] = min(0.5 * float(np.abs(system.eigenvalues).sum()), 1.0)
-        if eps[i] <= EPS_ZERO_TOL:
-            continue
-        plus, minus = jordan_split(system)
-        tr_plus, tr_minus = plus.trace(), minus.trace()
-        if min(tr_plus, tr_minus) <= EPS_ZERO_TOL:
-            # Difference sits entirely inside the eigenvalue dead zone:
-            # numerically indistinguishable from a zero-distance member.
+        eps[i], plus, minus = normalized_parts(system)
+        if plus is None:
             continue
         usable.append(i)
-        tau_plus.append(DensityOperator(plus.mat / tr_plus))
-        tau_minus.append(DensityOperator(minus.mat / tr_minus))
-        # Eigenvalues ascend and tr_plus > 0, so the largest is above
-        # PSD_TOL; the positive part has rank 1 when no other one is.
+        tau_plus.append(plus)
+        tau_minus.append(minus)
+        # Eigenvalues ascend and the positive part is nonzero, so the largest
+        # is above PSD_TOL; the part has rank 1 when no other one is.
         vec = None
         if system.eigenvalues[-2] <= PSD_TOL:
             vec = system.eigenvectors[:, -1].copy()  # keeps no view of system
             vec.setflags(write=False)
         plus_vectors.append(vec)
-        del system, plus, minus  # free before the next member's solve: peak memory
+        del system  # free before the next member's solve: peak memory
     eps.setflags(write=False)
     eps_av = float(mu.probs @ eps)
     if eps_av <= EPS_ZERO_TOL:

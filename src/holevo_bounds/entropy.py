@@ -104,16 +104,6 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
     return val if val > 0.0 else 0.0
 
 
-def entropy_difference(a: float, b: float) -> float:
-    """a - b for entropy values, where either may be +inf.
-
-    inf - finite propagates to inf; inf - inf is undefined and raises.
-    """
-    if math.isinf(a) and math.isinf(b):
-        raise ValueError("difference of two infinite entropies is undefined")
-    return a - b
-
-
 def gibbs_entropy(mean_photon_number: float) -> float:
     """Entropy (N+1) ln(N+1) - N ln N of the thermal oscillator state with
     mean occupation N; strictly increasing, with value 0 at N = 0."""

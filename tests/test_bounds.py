@@ -46,6 +46,18 @@ def _single_state_ensemble(dim=2):
     return DiscreteEnsemble(np.array([1.0]), (DensityOperator(np.eye(dim) / dim),))
 
 
+def _identical_states_ensemble():
+    rho = DensityOperator.from_pure([1.0, 2.0j])
+    return DiscreteEnsemble(np.array([0.4, 0.6]), (rho, rho))
+
+
+def _dead_zone_ensemble():
+    # eps_i = 5e-11 > EPS_ZERO_TOL, but every Jordan-part eigenvalue is
+    # below PSD_TOL: the report treats the ensemble as degenerate.
+    states = tuple(DensityOperator(np.diag([0.5 + s, 0.5 - s])) for s in (5e-11, -5e-11))
+    return DiscreteEnsemble(np.array([0.5, 0.5]), states)
+
+
 def _manual_aux(taus_plus, taus_minus, probs, weights):
     taus_plus = tuple(taus_plus)
     taus_minus = tuple(taus_minus)
@@ -67,6 +79,7 @@ def _manual_aux(taus_plus, taus_minus, probs, weights):
         mu_minus=mu_minus,
         omega=omega,
         average_match_residual=0.0,
+        plus_vectors=(None,) * len(taus_plus),
     )
 
 
@@ -256,12 +269,32 @@ def test_full_report_single_state_all_zeros():
 
 
 def test_full_report_identical_states_all_zeros():
-    rho = DensityOperator.from_pure([1.0, 2.0j])
-    mu = DiscreteEnsemble(np.array([0.4, 0.6]), (rho, rho))
-    report = full_report(mu)
+    report = full_report(_identical_states_ensemble())
     assert report.chi <= 1e-12
     assert report.aux_bound == 0.0
     assert report.diameter_bound == 0.0
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        pytest.param(_dead_zone_ensemble(), id="dead-zone"),
+        pytest.param(_identical_states_ensemble(), id="identical-states"),
+        pytest.param(trine_ensemble(), id="trine"),
+    ]
+    + [
+        pytest.param(random_ensemble(m, d, seed), id=f"random-{m}-{d}-{seed}")
+        for m, d, seed in ((3, 2, 1), (5, 4, 2), (4, 6, 3))
+    ],
+)
+def test_bound_functions_read_full_report(mu):
+    report = full_report(mu)
+    assert aux_bound(mu) == (report.aux_bound, report.aux_bound_hvariant)
+    assert shannon_bound(mu) == (report.shannon_bound, report.shannon_bound_hvariant)
+    assert count_bound(mu) == (
+        report.count_bound, report.count_bound - report.hbar + report.h_of_eps_av
+    )
+    assert diameter_bound(mu) == report.diameter_bound
 
 
 def test_bound_orderings_random():
@@ -346,8 +379,7 @@ def test_full_report_eigensolve_budget(monkeypatch, mu, ceiling):
 def test_degenerate_report_reuses_member_distances(monkeypatch):
     # One solve validates the average and one eigh per member finds the
     # degeneracy; its distances are read from the exception, not re-solved.
-    rho = DensityOperator.from_pure([1.0, 2.0j])
-    mu = DiscreteEnsemble(np.array([0.4, 0.6]), (rho, rho))
+    mu = _identical_states_ensemble()
     calls = count_eigensolves(monkeypatch)
     report = full_report(mu)
     assert len(calls) <= 3, f"{len(calls)} eigensolves"
@@ -421,7 +453,7 @@ def test_plus_diameter_orthogonal_stops_at_ceiling(monkeypatch):
 
 
 def test_plus_diameter_without_vectors_solves_every_pair(monkeypatch):
-    aux = dataclasses.replace(build_auxiliary(trine_ensemble()), plus_vectors=None)
+    aux = dataclasses.replace(build_auxiliary(trine_ensemble()), plus_vectors=(None,) * 3)
     calls = count_eigensolves(monkeypatch)
     assert math.isclose(plus_diameter(aux), math.sqrt(3.0) / 2.0, abs_tol=1e-10)
     assert len(calls) == 3

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from holevo_bounds.entropy import (
     as_probability_vector,
     binary_entropy,
-    entropy_difference,
     eta,
     gibbs_entropy,
     relative_entropy,
@@ -184,13 +183,6 @@ def test_mixing_bound():
         rhs = sum(p * von_neumann_entropy(s) for p, s in zip(probs, states))
         rhs += shannon_entropy(probs)
         assert lhs <= rhs + 1e-9
-
-
-def test_entropy_difference_infinities():
-    assert entropy_difference(math.inf, 1.0) == math.inf
-    assert entropy_difference(3.0, 1.0) == 2.0
-    with pytest.raises(ValueError, match="undefined"):
-        entropy_difference(math.inf, math.inf)
 
 
 def test_gibbs_entropy_values():
