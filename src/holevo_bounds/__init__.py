@@ -21,9 +21,7 @@ from .ensemble import (
     AuxiliaryDecomposition,
     DegenerateEnsembleError,
     DiscreteEnsemble,
-    average_state,
     build_auxiliary,
-    distance_weights,
     holevo_quantity,
     mean_binary_entropy,
     member_epsilons,
@@ -77,13 +75,11 @@ __all__ = [
     "OscillatorEnsembleSpec",
     "as_probability_vector",
     "aux_bound",
-    "average_state",
     "binary_entropy",
     "build_auxiliary",
     "count_bound",
     "diameter_bound",
     "discretize_continuous",
-    "distance_weights",
     "eta",
     "fei_check",
     "full_report",

@@ -178,11 +178,11 @@ def full_report(mu: DiscreteEnsemble) -> BoundReport:
     (C H(weights) - chi(mu+)) expose the two internal inequalities behind
     diameter_bound.
 
-    Every value comes from one build_auxiliary analysis and the spectra that
-    validation kept.  Eigensolves for m members: at most 4m + 4 (the
-    average, build_auxiliary, and m for D) plus, for the diameter C, one
-    per pair that is not a pair of rank-1 positive parts, at most m(m-1)/2.
-    A degenerate ensemble takes one per member after the average.
+    Every value comes from one build_auxiliary analysis and the spectra it
+    kept.  Eigensolves for m members: at most 2m + 4 (build_auxiliary's
+    m + 4, and m for D) plus, for the diameter C, one per pair that is not
+    a pair of rank-1 positive parts, at most m(m-1)/2.  A degenerate
+    ensemble takes one per member after the average.
     """
     chi = holevo_quantity(mu)
     try:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import BOUND_KEYS, BoundReport, fei_check, full_report
-from .ensemble import DiscreteEnsemble
+from .ensemble import AVERAGE_MATCH_TOL, DiscreteEnsemble
 from .gallery import (
     OscillatorEnsembleSpec,
     orthogonal_ensemble,
@@ -336,7 +336,7 @@ _ORDERINGS = (
 def run_bounds_suite(trials: int, seed: int) -> SuiteResult:
     """Soundness suite on random ensembles (m in 2..6, dim in 2..8):
     every bound >= chi - 1e-8, the bound orderings hold, and the two
-    auxiliary-ensemble averages coincide to 1e-9 in trace norm."""
+    auxiliary-ensemble averages coincide to AVERAGE_MATCH_TOL in trace norm."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
@@ -362,7 +362,7 @@ def run_bounds_suite(trials: int, seed: int) -> SuiteResult:
             if gap < -tol:
                 problems.append(f"{small} exceeds {large} by {-gap:.3e}")
         _max_into(result.worst, "average_match_residual", report.average_match_residual)
-        if report.average_match_residual > 1e-9:
+        if report.average_match_residual > AVERAGE_MATCH_TOL:
             problems.append(
                 f"auxiliary averages differ by {report.average_match_residual:.3e}"
             )

@@ -21,9 +21,8 @@ from .linalg import (
 
 # Member distances at or below this count as exactly zero.
 EPS_ZERO_TOL = 1e-12
-# Expected trace-norm gap between the averages of the two auxiliary
-# ensembles (an identity in exact arithmetic); asserted by the random-suite
-# tests, stored as a diagnostic on the decomposition.
+# Largest average_match_residual that `verify bounds` accepts: the trace-norm
+# gap between the two auxiliary ensembles' averages, 0 in exact arithmetic.
 AVERAGE_MATCH_TOL = 1e-9
 
 
@@ -61,10 +60,8 @@ class DiscreteEnsemble:
         for k, state in enumerate(states):
             if not isinstance(state, DensityOperator):
                 raise TypeError(f"member {k} is not a DensityOperator")
-        dim = states[0].dim
-        for k, state in enumerate(states):
-            if state.dim != dim:
-                raise ValueError(f"member {k} has dim {state.dim}, expected {dim}")
+            if state.dim != states[0].dim:
+                raise ValueError(f"member {k} has dim {state.dim}, expected {states[0].dim}")
         if self.labels is not None:
             labels = tuple(str(label) for label in self.labels)
             if len(labels) != len(states):
@@ -142,7 +139,8 @@ def normalized_parts(
     and tau_plus/tau_minus its positive and negative parts, each normalized
     to unit trace.  Both parts are None in the dead zone, where eps or the
     trace of either part is at most EPS_ZERO_TOL: the difference is then
-    numerically indistinguishable from zero.
+    numerically indistinguishable from zero.  The parts are not re-validated:
+    their spectra are the split eigenvalues of `system` over their traces.
     """
     eps = min(0.5 * float(np.abs(system.eigenvalues).sum()), 1.0)
     if eps <= EPS_ZERO_TOL:
@@ -151,7 +149,12 @@ def normalized_parts(
     tr_plus, tr_minus = plus.trace(), minus.trace()
     if min(tr_plus, tr_minus) <= EPS_ZERO_TOL:
         return eps, None, None
-    return eps, DensityOperator(plus.mat / tr_plus), DensityOperator(minus.mat / tr_minus)
+    w = system.eigenvalues  # ascending, so the negative part's is reversed
+    spec_plus = np.where(w > PSD_TOL, w, 0.0) / tr_plus
+    spec_minus = np.where(w < -PSD_TOL, -w, 0.0)[::-1] / tr_minus
+    tau_plus = DensityOperator._derived(plus.mat / tr_plus, spectrum=spec_plus)
+    tau_minus = DensityOperator._derived(minus.mat / tr_minus, spectrum=spec_minus)
+    return eps, tau_plus, tau_minus
 
 
 def distance_weights(probs: np.ndarray, eps: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
@@ -210,12 +213,11 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
     equals eps_i in exact arithmetic).  Raises DegenerateEnsembleError when
     eps_av <= EPS_ZERO_TOL.
 
-    Eigensolves: at most 3m + 4 for m members.  One for mu's average unless
-    mu holds it already; one eigh per member, which gives eps_i and both
-    Jordan parts (and, for a rank-1 positive part, the unit vector kept in
-    `plus_vectors`), solved one member at a time; two to validate each
-    tau_i^(+/-); one each for the kept averages of mu_plus and mu_minus,
-    and one for their residual.
+    Eigensolves: at most m + 4 for m members.  One for mu's average unless
+    mu holds it already; one eigh per member, solved one at a time, which
+    gives eps_i, both Jordan parts, the spectra of tau_i^(+/-) and, for a
+    rank-1 positive part, the unit vector kept in `plus_vectors`; one each
+    for the averages of mu_plus and mu_minus, and one for their residual.
     """
     eps = np.zeros(mu.size)
     tau_plus: list[DensityOperator] = []

@@ -35,10 +35,10 @@ class EigensolverError(RuntimeError):
         self.residual = residual
 
 
-def _frozen(mat: np.ndarray, dtype) -> np.ndarray:
-    out = np.array(mat, dtype=dtype)
-    out.setflags(write=False)
-    return out
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    """Make an array the library has just allocated read-only, in place."""
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +47,7 @@ class HermitianOperator:
 
     Input must be Hermitian to within HERMITICITY_TOL in the max-entry norm
     (file-sourced matrices carry rounding noise); it is then symmetrized to
-    (A + A^dag)/2 and frozen.
+    (A + A^dag)/2 and frozen.  _derived builds derived operators unchecked.
     """
 
     mat: np.ndarray
@@ -64,7 +64,17 @@ class HermitianOperator:
                 f"matrix is not Hermitian: max |A - A^dag| = {deviation:.3e} "
                 f"exceeds {HERMITICITY_TOL:.0e}"
             )
-        object.__setattr__(self, "mat", _frozen((mat + mat.conj().T) / 2.0, complex))
+        object.__setattr__(self, "mat", _freeze((mat + mat.conj().T) / 2.0))
+
+    @classmethod
+    def _derived(cls, mat: np.ndarray, **fields):
+        """An operator the library computed from validated ones: `mat`, a fresh
+        and exactly Hermitian complex array, and any other field (such as
+        DensityOperator's `spectrum`) are taken over and frozen, unchecked."""
+        op = cls.__new__(cls)
+        for name, value in {"mat": mat, **fields}.items():
+            object.__setattr__(op, name, _freeze(value))
+        return op
 
     @property
     def dim(self) -> int:
@@ -73,22 +83,11 @@ class HermitianOperator:
     def trace(self) -> float:
         return float(self.mat.trace().real)
 
-    def _check_same_dim(self, other: "HermitianOperator") -> None:
+    def __sub__(self, other: "HermitianOperator") -> "HermitianOperator":
+        # The difference of two exactly Hermitian matrices is exactly Hermitian.
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-    def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
-        self._check_same_dim(other)
-        return HermitianOperator(self.mat + other.mat)
-
-    def __sub__(self, other: "HermitianOperator") -> "HermitianOperator":
-        self._check_same_dim(other)
-        return HermitianOperator(self.mat - other.mat)
-
-    def __mul__(self, scalar: float) -> "HermitianOperator":
-        return HermitianOperator(self.mat * float(scalar))
-
-    __rmul__ = __mul__
+        return HermitianOperator._derived(self.mat - other.mat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,14 +98,14 @@ class DensityOperator(HermitianOperator):
     negatives for PSD matrices) and treated as zero by all consumers.
     `spectrum` keeps the ascending eigenvalues that the positivity check
     computes, read-only, so consumers such as von_neumann_entropy need no
-    second eigensolve.
+    second eigensolve.  A derived state is handed its spectrum by _derived.
     """
 
     spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "spectrum", _frozen(hermitian_eigenvalues(self), float))
+        object.__setattr__(self, "spectrum", _freeze(hermitian_eigenvalues(self)))
         smallest = float(self.spectrum[0])
         if smallest < -PSD_TOL:
             raise ValueError(
@@ -204,7 +203,7 @@ def hermitian_eig(a: HermitianOperator) -> EigenSystem:
         _check_residual(float(np.max(np.abs(diag[order] - w))), a.dim)
         v = np.zeros((a.dim, a.dim), dtype=complex)
         v[order, np.arange(a.dim)] = 1.0
-        return EigenSystem(_frozen(w, float), _frozen(v, complex), _frozen(order, np.intp))
+        return EigenSystem(_freeze(w), _freeze(v), _freeze(order))
     try:
         w, v = np.linalg.eigh(a.mat)
     except np.linalg.LinAlgError as exc:
@@ -214,7 +213,7 @@ def hermitian_eig(a: HermitianOperator) -> EigenSystem:
     recon_err = float(np.max(np.abs((v * w) @ v.conj().T - a.mat)))
     ortho_err = float(np.max(np.abs(v.conj().T @ v - np.eye(a.dim))))
     _check_residual(max(recon_err, ortho_err), a.dim)
-    return EigenSystem(_frozen(w, float), _frozen(v, complex))
+    return EigenSystem(_freeze(w), _freeze(v))
 
 
 def trace_norm(a: HermitianOperator) -> float:
@@ -285,17 +284,19 @@ def jordan_parts(a: HermitianOperator) -> tuple[HermitianOperator, HermitianOper
 
 def jordan_split(system: EigenSystem) -> tuple[HermitianOperator, HermitianOperator]:
     """jordan_parts of the operator whose eigendecomposition is `system`,
-    for callers that also need its eigenvalues (one solve serves both)."""
-    w, v = system.eigenvalues, system.eigenvectors
-    if system.order is not None:
-        diag = np.empty_like(w)
-        diag[system.order] = w
-        return (
-            HermitianOperator(np.diag(np.where(diag > PSD_TOL, diag, 0.0))),
-            HermitianOperator(np.diag(np.where(diag < -PSD_TOL, -diag, 0.0))),
-        )
-    pos = w > PSD_TOL
-    neg = w < -PSD_TOL
-    plus = (v[:, pos] * w[pos]) @ v[:, pos].conj().T
-    minus = (v[:, neg] * (-w[neg])) @ v[:, neg].conj().T
-    return HermitianOperator(plus), HermitianOperator(minus)
+    for callers that also need its eigenvalues (one solve serves both).
+    Diagonal parts are exactly Hermitian as built; LAPACK-path parts are
+    symmetrized to (P + P^dag)/2."""
+    parts = []
+    for sign in (1.0, -1.0):
+        w = sign * system.eigenvalues
+        if system.order is not None:
+            diag = np.empty_like(w)
+            diag[system.order] = np.where(w > PSD_TOL, w, 0.0)
+            parts.append(HermitianOperator._derived(np.diag(diag.astype(complex))))
+        else:
+            keep = w > PSD_TOL
+            v = system.eigenvectors[:, keep]
+            part = (v * w[keep]) @ v.conj().T
+            parts.append(HermitianOperator._derived((part + part.conj().T) / 2.0))
+    return parts[0], parts[1]

@@ -34,6 +34,22 @@ def count_eigensolves(monkeypatch) -> list[int]:
     return calls
 
 
+def count_constructions(monkeypatch) -> list[str]:
+    """Wrap HermitianOperator.__post_init__, the checking constructor, so
+    that every checked construction appends its class name to the returned
+    list.  DensityOperator's check calls it too; operators built by
+    HermitianOperator._derived do not."""
+    calls: list[str] = []
+    original = HermitianOperator.__post_init__
+
+    def counted(self):
+        calls.append(type(self).__name__)
+        original(self)
+
+    monkeypatch.setattr(HermitianOperator, "__post_init__", counted)
+    return calls
+
+
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> HermitianOperator:
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return HermitianOperator(scale * (a + a.conj().T) / 2.0)

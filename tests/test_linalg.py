@@ -60,9 +60,19 @@ def test_arithmetic_and_dim_mismatch():
     a = HermitianOperator(np.eye(2))
     b = HermitianOperator(np.diag([1.0, -1.0]))
     np.testing.assert_allclose((a - b).mat, np.diag([0.0, 2.0]))
-    np.testing.assert_allclose((2.0 * a).mat, 2.0 * np.eye(2))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        a + HermitianOperator(np.eye(3))
+        a - HermitianOperator(np.eye(3))
+
+
+def test_derived_operators_are_read_only():
+    rho = random_mixed_state(4, 2, 3)
+    sigma = random_mixed_state(4, 4, 5)
+    plus, minus = jordan_parts(rho - sigma)
+    diag_plus, diag_minus = jordan_parts(HermitianOperator(np.diag([0.5, -0.25, 0.0])))
+    for op in (rho - sigma, plus, minus, diag_plus, diag_minus):
+        assert not op.mat.flags.writeable
+        with pytest.raises(ValueError):
+            op.mat[0, 0] = 5.0
 
 
 def test_density_operator_rejects_negative_eigenvalue():
