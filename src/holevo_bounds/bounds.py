@@ -100,13 +100,22 @@ def plus_diameter(aux: AuxiliaryDecomposition) -> float:
 
     Pairs of rank-1 positive parts (an entry in aux.plus_vectors) take the
     closed form sqrt(1 - |<a|b>|^2) from one Gram matrix, with no
-    eigensolve.  Every other pair's difference is solved in stacked chunks,
-    one eigvalsh call per chunk.  The ceiling is checked after the Gram
-    stage and after each chunk.
+    eigensolve; when there are such entries, a rank-1 diagonal part joins
+    them as its basis vector.  Other pairs of diagonal parts take half the
+    L1 norm of their difference, in chunks.  Every remaining pair's
+    difference is solved in stacked chunks, one eigvalsh call per chunk.
+    The ceiling is checked after the Gram stage and after each chunk.
     """
     ceiling = 1.0 - 1e-12
     taus = aux.tau_plus
-    vectors = aux.plus_vectors
+    vectors = list(aux.plus_vectors)
+    diagonal = np.array([tau.diagonal is not None for tau in taus], dtype=bool)
+    if any(v is not None for v in vectors):
+        for k in np.flatnonzero(diagonal):
+            support = np.flatnonzero(taus[k].diagonal)
+            if support.size == 1:
+                vectors[k] = np.zeros(taus[k].dim, dtype=complex)
+                vectors[k][support[0]] = 1.0
     pure = np.array([v is not None for v in vectors], dtype=bool)
     best = 0.0
     if pure.sum() > 1:
@@ -116,12 +125,17 @@ def plus_diameter(aux: AuxiliaryDecomposition) -> float:
         if best >= ceiling:
             return min(best, 1.0)
     first, second = np.triu_indices(len(taus), 1)
-    dense = ~(pure[first] & pure[second])
-    mats = [tau.mat for tau in taus]
-    for chunk in pair_trace_distances(mats, first[dense], second[dense]):
-        best = max(best, float(chunk.max()))
-        if best >= ceiling:
-            break
+    rest = ~(pure[first] & pure[second])
+    by_vector = rest & diagonal[first] & diagonal[second]
+    by_solve = rest & ~by_vector
+    stages = [([tau.diagonal for tau in taus], by_vector)]
+    if by_solve.any():
+        stages.append(([tau.mat for tau in taus], by_solve))
+    for mats, selected in stages:
+        for chunk in pair_trace_distances(mats, first[selected], second[selected]):
+            best = max(best, float(chunk.max()))
+            if best >= ceiling:
+                return min(best, 1.0)
     return min(best, 1.0)
 
 
@@ -180,9 +194,11 @@ def full_report(mu: DiscreteEnsemble) -> BoundReport:
 
     Every value comes from one build_auxiliary analysis and the spectra it
     kept.  Eigensolves for m members: at most 2m + 4 (build_auxiliary's
-    m + 4, and m for D) plus, for the diameter C, one per pair that is not
-    a pair of rank-1 positive parts, at most m(m-1)/2.  A degenerate
-    ensemble takes one per member after the average.
+    m + 4, and m for D) plus, for the diameter C, one per pair that is
+    neither a pair of rank-1 positive parts nor a pair of diagonal ones, at
+    most m(m-1)/2.  A degenerate ensemble takes one per member after the
+    average.  An ensemble of exactly diagonal members takes none, and builds
+    no d x d matrix.
     """
     chi = holevo_quantity(mu)
     try:

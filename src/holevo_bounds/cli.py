@@ -9,9 +9,11 @@ Subcommands:
   verify            run a randomized verification suite (fei, bounds,
                     tightness)
 
-Exit codes: 0 success, 1 property violation, 2 input error, 3 numerical
-failure (an eigensolver failed or exceeded its residual tolerance; `verify`
-exits 3 when every failed trial failed numerically).  All
+Exit codes: 0 success, 1 property violation, 2 input error (including an
+input too large for memory, such as an oscillator whose cutoff asks for more
+members than fit), 3 numerical failure (an eigensolver failed or exceeded
+its residual tolerance; `verify` exits 3 when every failed trial failed
+numerically).  All
 stored and checked tolerances are in nats; --log-base 2 rescales display
 output only.
 """
@@ -19,6 +21,7 @@ output only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -419,7 +422,10 @@ def _cmd_verify(args) -> int:
     return EXIT_VIOLATION if violations else EXIT_NUMERICAL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and building it costs more than a small report."""
     parser = argparse.ArgumentParser(
         prog="holevo-bounds",
         description=(
@@ -466,6 +472,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (EnsembleFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        reason = " ".join(str(exc).split()) or "no detail"
+        print(f"error: input too large for memory: {reason}", file=sys.stderr)
         return EXIT_INPUT
     except EigensolverError as exc:
         residual = "unknown" if exc.residual is None else f"{exc.residual:.3e}"

@@ -15,8 +15,8 @@ import numpy as np
 
 from .entropy import as_probability_vector, binary_entropy, von_neumann_entropy
 from .linalg import (
-    PSD_TOL, DensityOperator, EigenSystem, hermitian_eig, jordan_split, trace_distance,
-    trace_norm,
+    PSD_TOL, DensityOperator, EigenSystem, HermitianOperator, hermitian_eig, jordan_split,
+    trace_distance, trace_norm,
 )
 
 # Member distances at or below this count as exactly zero.
@@ -87,7 +87,13 @@ class DiscreteEnsemble:
 
 
 def average_state(mu: DiscreteEnsemble) -> DensityOperator:
-    """The probability-weighted mixture sum(p_i rho_i)."""
+    """The probability-weighted mixture sum(p_i rho_i); kept as a diagonal
+    when every member is one."""
+    if all(state.diagonal is not None for state in mu.states):
+        diag = np.zeros(mu.dim)
+        for p, state in zip(mu.probs, mu.states):
+            diag += p * state.diagonal
+        return DensityOperator.from_diagonal(diag)
     acc = np.zeros((mu.dim, mu.dim), dtype=complex)
     for p, state in zip(mu.probs, mu.states):
         acc += p * state.mat
@@ -152,9 +158,14 @@ def normalized_parts(
     w = system.eigenvalues  # ascending, so the negative part's is reversed
     spec_plus = np.where(w > PSD_TOL, w, 0.0) / tr_plus
     spec_minus = np.where(w < -PSD_TOL, -w, 0.0)[::-1] / tr_minus
-    tau_plus = DensityOperator._derived(plus.mat / tr_plus, spectrum=spec_plus)
-    tau_minus = DensityOperator._derived(minus.mat / tr_minus, spectrum=spec_minus)
-    return eps, tau_plus, tau_minus
+    return eps, _normalized(plus, tr_plus, spec_plus), _normalized(minus, tr_minus, spec_minus)
+
+
+def _normalized(part: HermitianOperator, trace: float, spectrum: np.ndarray) -> DensityOperator:
+    """part / trace, in part's representation, with its spectrum handed over."""
+    if part.diagonal is not None:
+        return DensityOperator._derived(diagonal=part.diagonal / trace, spectrum=spectrum)
+    return DensityOperator._derived(part.mat / trace, spectrum=spectrum)
 
 
 def distance_weights(probs: np.ndarray, eps: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
@@ -180,9 +191,10 @@ class AuxiliaryDecomposition:
     trace-norm gap to the average of mu_plus.
 
     `plus_vectors` runs parallel to tau_plus.  Where the positive part of
-    rho_i - average has rank 1 (exactly one eigenvalue above PSD_TOL, as
-    for every pure member), tau_i^+ is the pure state of the unit vector
-    kept there; elsewhere the entry is None.
+    a dense rho_i - average has rank 1 (exactly one eigenvalue above
+    PSD_TOL, as for every pure member), tau_i^+ is the pure state of the
+    unit vector kept there; elsewhere the entry is None.  An exactly
+    diagonal difference gets None: its tau_i^+ is kept as a diagonal.
     """
 
     probs: np.ndarray
@@ -201,7 +213,8 @@ class AuxiliaryDecomposition:
     @cached_property
     def minus_gaps(self) -> tuple[float, ...]:
         """Trace-norm gaps ||tau_i^minus - omega||_1, one eigensolve per
-        retained member on first use, then kept."""
+        retained member (an L1 norm for a diagonal gap) on first use, then
+        kept."""
         return tuple(trace_norm(tau - self.omega) for tau in self.tau_minus)
 
 
@@ -218,6 +231,9 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
     gives eps_i, both Jordan parts, the spectra of tau_i^(+/-) and, for a
     rank-1 positive part, the unit vector kept in `plus_vectors`; one each
     for the averages of mu_plus and mu_minus, and one for their residual.
+    Exactly diagonal operators take none of these: when every member is
+    diagonal, so is every difference, part and average, and each stage is
+    O(d) per member on vectors.
     """
     eps = np.zeros(mu.size)
     tau_plus: list[DensityOperator] = []
@@ -235,7 +251,7 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
         # Eigenvalues ascend and the positive part is nonzero, so the largest
         # is above PSD_TOL; the part has rank 1 when no other one is.
         vec = None
-        if system.eigenvalues[-2] <= PSD_TOL:
+        if system.order is None and system.eigenvalues[-2] <= PSD_TOL:
             vec = system.eigenvectors[:, -1].copy()  # keeps no view of system
             vec.setflags(write=False)
         plus_vectors.append(vec)

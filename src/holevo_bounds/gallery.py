@@ -32,10 +32,10 @@ def trine_ensemble() -> DiscreteEnsemble:
     return DiscreteEnsemble(np.full(3, 1.0 / 3.0), states, labels=labels)
 
 
-def _fock_projector(level: int, dim: int) -> DensityOperator:
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[level, level] = 1.0
-    return DensityOperator(mat)
+def _fock_projectors(dim: int) -> tuple[DensityOperator, ...]:
+    """The projectors |n><n|, n < dim, kept as diagonals: the rows of one
+    dim x dim allocation, so a family too large for memory fails at once."""
+    return tuple(DensityOperator.from_diagonal(row) for row in np.eye(dim))
 
 
 def orthogonal_ensemble(m: int) -> DiscreteEnsemble:
@@ -43,7 +43,7 @@ def orthogonal_ensemble(m: int) -> DiscreteEnsemble:
     dimension m).  The auxiliary-ensemble bound is exactly tight here."""
     if m < 1:
         raise ValueError(f"need at least one state, got m={m}")
-    states = tuple(_fock_projector(k, m) for k in range(m))
+    states = _fock_projectors(m)
     labels = tuple(f"e{k}" for k in range(m))
     return DiscreteEnsemble(np.full(m, 1.0 / m), states, labels=labels)
 
@@ -65,6 +65,15 @@ class OscillatorEnsembleSpec:
         if not self.mean_photon_number > 0.0:
             raise ValueError(
                 f"mean photon number must be positive, got {self.mean_photon_number!r}"
+            )
+        if not math.isfinite(self.mean_photon_number):
+            raise ValueError(
+                f"mean photon number must be finite, got {self.mean_photon_number!r}"
+            )
+        if not self.ratio < 1.0:
+            raise ValueError(
+                f"mean photon number {self.mean_photon_number!r} is too large: "
+                "its geometric ratio N/(N+1) rounds to 1"
             )
         if not 0.0 < self.tail_tol < 1.0:
             raise ValueError(f"tail_tol must be in (0, 1), got {self.tail_tol!r}")
@@ -107,7 +116,7 @@ def oscillator_ensemble(spec: OscillatorEnsembleSpec) -> tuple[DiscreteEnsemble,
     levels = np.arange(dim)
     probs = (1.0 - q) * q**levels
     probs = probs / probs.sum()
-    states = tuple(_fock_projector(k, dim) for k in range(dim))
+    states = _fock_projectors(dim)
     labels = tuple(f"n={k}" for k in range(dim))
     mu = DiscreteEnsemble(probs, states, labels=labels)
     return mu, float(tail)

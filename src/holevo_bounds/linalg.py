@@ -1,16 +1,19 @@
-"""Dense complex Hermitian matrix kernel.
+"""Complex Hermitian matrix kernel.
 
 Everything downstream (entropies, ensemble bounds) reduces to the operations
 here: eigendecomposition, trace norm, trace distance, and the split of a
 Hermitian operator into its positive and negative parts.  Matrices are dense
 double-precision arrays; operators are immutable once constructed, so all
 functions in this module are pure and safe to call concurrently.  An exactly
-diagonal operator (every commuting ensemble in its shared basis) is
-decomposed in closed form, with no LAPACK call.
+diagonal operator (every commuting ensemble in its shared basis) is kept as
+its real diagonal: its eigendecomposition, differences, Jordan parts and
+trace distances to other diagonal operators are O(d) vector operations, with
+no LAPACK call and no d x d matrix.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
@@ -41,18 +44,50 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _materialize(owner, name: str, mat: np.ndarray) -> np.ndarray:
+    """Keep `mat`, the d x d array a diagonal operator or eigensystem builds
+    on the first read of its field `name`, frozen on `owner`."""
+    object.__setattr__(owner, name, _freeze(mat))
+    return mat
+
+
+def _real_vector(values) -> np.ndarray:
+    """`values` as a fresh or borrowed 1-d float array; raises ValueError
+    unless it is nonempty, real and finite."""
+    arr = np.asarray(values)
+    if arr.ndim != 1 or arr.size < 1:
+        raise ValueError(f"expected a nonempty 1-d diagonal, got shape {arr.shape}")
+    if np.iscomplexobj(arr):
+        if np.any(arr.imag != 0):
+            raise ValueError("diagonal entries must be real")
+        arr = arr.real
+    arr = np.asarray(arr, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("diagonal entries must be finite")
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """A dense complex square matrix, exactly Hermitian after construction.
+    """A complex square matrix, exactly Hermitian after construction.
 
     Input must be Hermitian to within HERMITICITY_TOL in the max-entry norm
     (file-sourced matrices carry rounding noise); it is then symmetrized to
     (A + A^dag)/2 and frozen.  _derived builds derived operators unchecked.
+
+    `diagonal` holds the real diagonal of an exactly diagonal operator, and
+    is None for every other one.  The checking constructor sets it when every
+    off-diagonal entry is exactly 0; from_diagonal builds an operator from it
+    alone, and such an operator builds `mat` on its first read and keeps it.
     """
 
     mat: np.ndarray
+    diagonal: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        if self.diagonal is not None:  # from_diagonal: O(d), and no matrix
+            object.__setattr__(self, "diagonal", _freeze(_real_vector(self.diagonal)))
+            return
         mat = np.asarray(self.mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {mat.shape}")
@@ -64,29 +99,56 @@ class HermitianOperator:
                 f"matrix is not Hermitian: max |A - A^dag| = {deviation:.3e} "
                 f"exceeds {HERMITICITY_TOL:.0e}"
             )
-        object.__setattr__(self, "mat", _freeze((mat + mat.conj().T) / 2.0))
+        mat = (mat + mat.conj().T) / 2.0
+        if _is_diagonal(mat):
+            object.__setattr__(self, "diagonal", _freeze(mat.diagonal().real.copy()))
+        object.__setattr__(self, "mat", _freeze(mat))
 
     @classmethod
-    def _derived(cls, mat: np.ndarray, **fields):
+    def from_diagonal(cls, values):
+        """The operator diag(values), kept as its diagonal: checked in O(d)
+        by the same __post_init__ as a matrix, for real and finite entries
+        (and, for a DensityOperator, positivity and unit trace).  The values
+        are borrowed and frozen when they already form a float array."""
+        op = cls.__new__(cls)
+        object.__setattr__(op, "diagonal", values)
+        op.__post_init__()
+        return op
+
+    @classmethod
+    def _derived(cls, mat: np.ndarray | None = None, **fields):
         """An operator the library computed from validated ones: `mat`, a fresh
-        and exactly Hermitian complex array, and any other field (such as
-        DensityOperator's `spectrum`) are taken over and frozen, unchecked."""
+        and exactly Hermitian complex array, or `diagonal`, a fresh real one,
+        and any other field (such as DensityOperator's `spectrum`) are taken
+        over and frozen, unchecked."""
         op = cls.__new__(cls)
         for name, value in {"mat": mat, **fields}.items():
-            object.__setattr__(op, name, _freeze(value))
+            if value is not None:
+                object.__setattr__(op, name, _freeze(value))
         return op
+
+    def __getattr__(self, name):
+        # Reached only for a field not set on the instance: the `mat` of an
+        # operator built from its diagonal.
+        if name != "mat" or self.diagonal is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return _materialize(self, "mat", np.diag(self.diagonal.astype(complex)))
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self.mat.shape[0] if self.diagonal is None else self.diagonal.size
 
     def trace(self) -> float:
+        if self.diagonal is not None:
+            return float(self.diagonal.sum())
         return float(self.mat.trace().real)
 
     def __sub__(self, other: "HermitianOperator") -> "HermitianOperator":
         # The difference of two exactly Hermitian matrices is exactly Hermitian.
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        if self.diagonal is not None and other.diagonal is not None:
+            return HermitianOperator._derived(diagonal=self.diagonal - other.diagonal)
         return HermitianOperator._derived(self.mat - other.mat)
 
 
@@ -132,12 +194,30 @@ class EigenSystem:
 
     `order` is set when the operator was exactly diagonal: eigenvalue k is
     its diagonal entry order[k] and eigenvector k the basis vector
-    e_order[k].  It is None for a LAPACK solution.
+    e_order[k].  Such a system builds its permutation matrix `eigenvectors`
+    on first read and keeps it.  `order` is None for a LAPACK solution.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     order: np.ndarray | None = None
+
+    @classmethod
+    def _diagonal(cls, eigenvalues: np.ndarray, order: np.ndarray) -> "EigenSystem":
+        system = cls.__new__(cls)
+        object.__setattr__(system, "eigenvalues", _freeze(eigenvalues))
+        object.__setattr__(system, "order", _freeze(order))
+        return system
+
+    def __getattr__(self, name):
+        # Reached only for a field not set on the instance: the
+        # `eigenvectors` of a diagonal system.
+        if name != "eigenvectors" or self.order is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        dim = self.order.size
+        v = np.zeros((dim, dim), dtype=complex)
+        v[self.order, np.arange(dim)] = 1.0
+        return _materialize(self, "eigenvectors", v)
 
 
 def _is_diagonal(mat: np.ndarray) -> bool:
@@ -154,21 +234,34 @@ def _is_diagonal(mat: np.ndarray) -> bool:
     return np.count_nonzero(mat) == np.count_nonzero(mat.diagonal())
 
 
-def _diagonal_order(mat: np.ndarray) -> np.ndarray:
-    """Indices that sort the real diagonal of `mat` ascending, ties in place.
+def _exact_diagonal(a: HermitianOperator) -> np.ndarray | None:
+    """The real diagonal of `a` when `a` is exactly diagonal, else None.
 
-    Python's list sort, not numpy's: the first call of a numpy sort kernel
-    pages in 0.1-0.25 MB of its code, a peak-memory rise on every run.
+    An operator kept as its diagonal answers at once.  A dense one, such as
+    the zero difference of two identical dense states, is scanned by
+    _is_diagonal; an imaginary entry on its diagonal is the one residual the
+    closed form can have, and is checked against RECON_TOL.
     """
-    entries = mat.diagonal().real.tolist()
-    return np.array(sorted(range(len(entries)), key=entries.__getitem__), dtype=np.intp)
+    if a.diagonal is not None:
+        return a.diagonal
+    if not _is_diagonal(a.mat):
+        return None
+    diag = a.mat.diagonal()
+    _check_residual(float(np.max(np.abs(diag.imag))), a.dim)
+    return diag.real
+
+
+def _diagonal_order(diag: np.ndarray) -> np.ndarray:
+    """Indices that sort the real vector `diag` ascending, ties in place."""
+    return np.argsort(diag, kind="stable")
 
 
 def hermitian_eigenvalues(a: HermitianOperator) -> np.ndarray:
     """Ascending eigenvalues of `a` (values-only fast path); the sorted
     diagonal when `a` is diagonal."""
-    if _is_diagonal(a.mat):
-        return a.mat.diagonal().real[_diagonal_order(a.mat)]
+    diag = _exact_diagonal(a)
+    if diag is not None:
+        return diag[_diagonal_order(diag)]
     try:
         return np.linalg.eigvalsh(a.mat)
     except np.linalg.LinAlgError as exc:
@@ -192,18 +285,13 @@ def hermitian_eig(a: HermitianOperator) -> EigenSystem:
 
     Raises EigensolverError when LAPACK fails or when the reconstruction
     residual max(||V diag(w) V^dag - A||_max, ||V^dag V - I||_max) exceeds
-    RECON_TOL.  A diagonal `a` is solved in closed form (see EigenSystem.order).
+    RECON_TOL.  A diagonal `a` is solved in closed form (see EigenSystem.order):
+    V is a permutation, so the residual vanishes.
     """
-    if _is_diagonal(a.mat):
-        diag = a.mat.diagonal()
-        order = _diagonal_order(a.mat)
-        w = diag.real[order]
-        # V is a permutation, so V^dag V = I and V diag(w) V^dag - A vanish
-        # off the diagonal; on it they differ only by Im(A_kk).
-        _check_residual(float(np.max(np.abs(diag[order] - w))), a.dim)
-        v = np.zeros((a.dim, a.dim), dtype=complex)
-        v[order, np.arange(a.dim)] = 1.0
-        return EigenSystem(_freeze(w), _freeze(v), _freeze(order))
+    diag = _exact_diagonal(a)
+    if diag is not None:
+        order = _diagonal_order(diag)
+        return EigenSystem._diagonal(diag[order], order)
     try:
         w, v = np.linalg.eigh(a.mat)
     except np.linalg.LinAlgError as exc:
@@ -217,8 +305,10 @@ def hermitian_eig(a: HermitianOperator) -> EigenSystem:
 
 
 def trace_norm(a: HermitianOperator) -> float:
-    """Trace norm ||A||_1, the sum of absolute eigenvalues."""
-    return float(np.abs(hermitian_eigenvalues(a)).sum())
+    """Trace norm ||A||_1, the sum of absolute eigenvalues: the L1 norm of
+    the diagonal when `a` is kept as one."""
+    w = a.diagonal if a.diagonal is not None else hermitian_eigenvalues(a)
+    return float(np.abs(w).sum())
 
 
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
@@ -247,21 +337,30 @@ def pair_trace_distances(
     mats: Sequence[np.ndarray], first: np.ndarray, second: np.ndarray
 ) -> Iterator[np.ndarray]:
     """Trace distances (1/2)||A_i - A_j||_1 for the index pairs
-    (first[k], second[k]) over the Hermitian d x d matrices `mats`.
+    (first[k], second[k]) over `mats`: Hermitian d x d matrices, or the real
+    diagonals of exactly diagonal operators.  Only the indexed entries are
+    read.
 
-    The differences are stacked into chunks of at most _STACK_BYTES, one
-    eigvalsh call per chunk, and each chunk's distances are yielded before
-    the next is solved, so a caller may stop early.
+    The differences are stacked into chunks of at most _STACK_BYTES, and
+    each chunk's distances are yielded before the next is computed, so a
+    caller may stop early.  A chunk of matrices costs one eigvalsh call; a
+    chunk of diagonals costs none, since a diagonal difference's eigenvalues
+    are its entries and its distance is half their L1 norm.
     """
     if not len(first):
         return
-    dim = mats[0].shape[0]
-    chunk = max(1, _STACK_BYTES // (16 * dim * dim))
-    stack = np.empty((min(chunk, len(first)), dim, dim), dtype=complex)
+    shape = np.shape(mats[first[0]])
+    dim = shape[0]
+    dtype = np.dtype(complex if len(shape) == 2 else float)
+    chunk = max(1, _STACK_BYTES // (dtype.itemsize * math.prod(shape)))
+    stack = np.empty((min(chunk, len(first)), *shape), dtype=dtype)
     for start in range(0, len(first), chunk):
         block = stack[:len(first) - start]
         for k in range(len(block)):
             np.subtract(mats[first[start + k]], mats[second[start + k]], out=block[k])
+        if block.ndim == 2:
+            yield 0.5 * np.abs(block).sum(axis=1)
+            continue
         try:
             w = np.linalg.eigvalsh(block)
         except np.linalg.LinAlgError as exc:
@@ -285,15 +384,15 @@ def jordan_parts(a: HermitianOperator) -> tuple[HermitianOperator, HermitianOper
 def jordan_split(system: EigenSystem) -> tuple[HermitianOperator, HermitianOperator]:
     """jordan_parts of the operator whose eigendecomposition is `system`,
     for callers that also need its eigenvalues (one solve serves both).
-    Diagonal parts are exactly Hermitian as built; LAPACK-path parts are
-    symmetrized to (P + P^dag)/2."""
+    A diagonal system's parts are the sign split of its diagonal, kept as
+    diagonals; LAPACK-path parts are symmetrized to (P + P^dag)/2."""
     parts = []
     for sign in (1.0, -1.0):
         w = sign * system.eigenvalues
         if system.order is not None:
             diag = np.empty_like(w)
             diag[system.order] = np.where(w > PSD_TOL, w, 0.0)
-            parts.append(HermitianOperator._derived(np.diag(diag.astype(complex))))
+            parts.append(HermitianOperator._derived(diagonal=diag))
         else:
             keep = w > PSD_TOL
             v = system.eigenvectors[:, keep]

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 
+from holevo_bounds import linalg
 from holevo_bounds import (
     ContinuousFamilySpec,
     DensityOperator,
@@ -47,6 +48,22 @@ def count_constructions(monkeypatch) -> list[str]:
         original(self)
 
     monkeypatch.setattr(HermitianOperator, "__post_init__", counted)
+    return calls
+
+
+def count_materializations(monkeypatch) -> list[tuple[str, int]]:
+    """Wrap linalg._materialize, through which an operator kept as its
+    diagonal builds its d x d `mat` (and a diagonal eigensystem its
+    `eigenvectors`), so that every build appends (field name, d) to the
+    returned list."""
+    calls: list[tuple[str, int]] = []
+    original = linalg._materialize
+
+    def counted(owner, name, mat):
+        calls.append((name, mat.shape[0]))
+        return original(owner, name, mat)
+
+    monkeypatch.setattr(linalg, "_materialize", counted)
     return calls
 
 

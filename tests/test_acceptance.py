@@ -63,7 +63,7 @@ def test_orthogonal_families_attain_equality():
 
 
 def test_oscillator_two_computation_paths_agree():
-    grid = (0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0)
+    grid = (0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0)
     for n_mean in grid:
         chi_series, chi_hat_series = oscillator_closed_form(n_mean, term_tol=1e-10)
         mu, _ = oscillator_ensemble(OscillatorEnsembleSpec(n_mean, tail_tol=1e-9))
@@ -74,7 +74,7 @@ def test_oscillator_two_computation_paths_agree():
         assert abs(chi_hat_series - estimate_matrix) <= 1e-6
     _announce(
         "oscillator family: series and truncated-matrix paths agree to 1e-6 "
-        "for chi and its upper estimate over seven mean photon numbers"
+        "for chi and its upper estimate over eight mean photon numbers"
     )
 
 

@@ -33,10 +33,15 @@ from holevo_bounds.gallery import (
     random_pure_state,
     trine_ensemble,
 )
-from holevo_bounds.entropy import binary_entropy, shannon_entropy
+from holevo_bounds.entropy import binary_entropy, relative_entropy, shannon_entropy
 from holevo_bounds.linalg import DensityOperator, jordan_parts, trace_distance
 
-from helpers import count_constructions, count_eigensolves, cyclic_orbit_ensemble
+from helpers import (
+    count_constructions,
+    count_eigensolves,
+    count_materializations,
+    cyclic_orbit_ensemble,
+)
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -622,11 +627,15 @@ def _rotated(mu: DiscreteEnsemble, seed: int) -> DiscreteEnsemble:
     )
 
 
-def test_diagonal_mixed_ensemble_reaches_stacked_diameter_stage():
-    # No positive part has rank 1, so every diameter pair is solved stacked.
+def test_diagonal_mixed_ensemble_reaches_stacked_diameter_stage(monkeypatch):
+    # No positive part has rank 1, so no diameter pair comes from the Gram
+    # matrix: every pair takes the stacked stage, whose chunks of diagonal
+    # differences are L1 norms and cost no eigensolve.
     aux = build_auxiliary(_diagonal_mixed_ensemble(4, 6, 2))
     assert aux.plus_vectors == (None,) * 4
+    calls = count_eigensolves(monkeypatch)
     assert plus_diameter(aux) < 1.0
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -634,7 +643,11 @@ def test_diagonal_mixed_ensemble_reaches_stacked_diameter_stage():
     [
         pytest.param(orthogonal_ensemble(8), id="orthogonal-8"),
         pytest.param(oscillator_ensemble(OscillatorEnsembleSpec(1.0))[0], id="oscillator-1"),
+        pytest.param(oscillator_ensemble(OscillatorEnsembleSpec(3.0))[0], id="oscillator-3"),
         pytest.param(_diagonal_mixed_ensemble(4, 6, 2), id="diagonal-mixed-4-6"),
+        # One diagonal member and two dense ones around a diagonal average:
+        # the report mixes vector and matrix operators.
+        pytest.param(trine_ensemble(), id="trine"),
     ],
 )
 def test_diagonal_reports_match_dense_path(monkeypatch, mu):
@@ -655,3 +668,55 @@ def test_diagonal_reports_match_dense_path(monkeypatch, mu):
                 assert abs(got[key] - want[key]) <= 1e-10, key
         else:
             assert abs(got - want) <= 1e-10, field.name
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        pytest.param(oscillator_ensemble(OscillatorEnsembleSpec(10.0))[0], id="oscillator-10"),
+        pytest.param(orthogonal_ensemble(64), id="orthogonal-64"),
+    ],
+)
+def test_commuting_report_builds_no_matrix(monkeypatch, mu):
+    # Every member is kept as its diagonal, and so is every operator the
+    # report derives: no d x d matrix, no eigensolve, and only the three
+    # averages are checked.
+    assert all(state.diagonal is not None for state in mu.states)
+    builds = count_materializations(monkeypatch)
+    solves = count_eigensolves(monkeypatch)
+    checks = count_constructions(monkeypatch)
+    full_report(mu)
+    assert builds == []
+    assert solves == []
+    assert len(checks) <= 3, checks
+
+
+def _diagonal_pairs():
+    rng = np.random.default_rng(41)
+    pairs = []
+    for dim in (2, 3, 5, 8):
+        rho, sigma = (rng.dirichlet(np.ones(dim)) for _ in range(2))
+        pairs.append((rho, sigma))
+    rho = rng.dirichlet(np.ones(4))
+    pairs.append((np.r_[rho[:3], 0.0] / rho[:3].sum(), rho))  # supp(rho) in supp(sigma)
+    pairs.append((np.array([0.0, 0.3, 0.7]), np.array([0.5, 0.5, 0.0])))  # not: S = inf
+    pairs.append((np.array([0.2, 0.8]), np.array([0.2, 0.8])))  # the dead zone
+    return pairs
+
+
+@pytest.mark.parametrize("rho, sigma", _diagonal_pairs())
+def test_diagonal_pairs_match_their_rotations(rho, sigma):
+    # fei_check and relative_entropy on operators kept as diagonals, against
+    # the dense path on the same pair in a rotated basis.
+    pair = DiscreteEnsemble(
+        np.array([0.5, 0.5]),
+        (DensityOperator.from_diagonal(rho), DensityOperator.from_diagonal(sigma)),
+    )
+    rotated = _rotated(pair, seed=len(rho))
+    assert all(s.diagonal is not None for s in pair.states)
+    assert all(s.diagonal is None for s in rotated.states)
+    got, want = fei_check(*pair.states), fei_check(*rotated.states)
+    for field in dataclasses.fields(got):
+        assert abs(getattr(got, field.name) - getattr(want, field.name)) <= 1e-12, field.name
+    got_s, want_s = relative_entropy(*pair.states), relative_entropy(*rotated.states)
+    assert got_s == want_s or abs(got_s - want_s) <= 1e-12

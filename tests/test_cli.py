@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from holevo_bounds import cli
 from holevo_bounds.bounds import FeiReport, full_report
 from holevo_bounds.cli import (
     EXIT_NUMERICAL,
@@ -193,6 +194,44 @@ def test_example_unknown_name(capsys):
 
 def test_example_bad_parameter(capsys):
     assert main(["example", "orthogonal:x"]) == 2
+
+
+def _single_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    return lines[0]
+
+
+@pytest.mark.parametrize("n_mean", ["inf", "1e20", "1e300"])
+def test_example_oscillator_unusable_mean_is_input_error(capsys, n_mean):
+    assert main(["example", f"oscillator:{n_mean}"]) == 2
+    assert "mean photon number" in _single_error_line(capsys)
+
+
+def test_out_of_memory_is_input_error(capsys, monkeypatch):
+    def too_large(spec):
+        raise MemoryError("Unable to allocate 5.42 PiB for an array")
+
+    monkeypatch.setattr(cli, "oscillator_ensemble", too_large)
+    assert main(["example", "oscillator:1e6"]) == 2
+    line = _single_error_line(capsys)
+    assert line.startswith("error: input too large for memory")
+    assert "5.42 PiB" in line
+
+
+def test_parser_is_built_once_and_reused(capsys, trine_file):
+    assert cli.build_parser() is cli.build_parser()
+    first = _report_json(capsys, ["example", "trine"])
+    assert main(["report", trine_file, "--format", "csv", "--log-base", "2"]) == 0
+    assert capsys.readouterr().out.startswith("field,value\nlog_base,2\n")
+    # Neither the csv format nor the log base of the call before carries over.
+    assert _report_json(capsys, ["example", "trine"]) == first
+    assert main(["verify", "tightness"]) == 0
+    assert capsys.readouterr().out.startswith("suite tightness")
+    assert _report_json(capsys, ["report", trine_file])["log_base"] == "natural"
 
 
 def _failing_eigh(a, *args, **kwargs):

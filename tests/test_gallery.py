@@ -80,6 +80,15 @@ def test_oscillator_spec_validation():
         OscillatorEnsembleSpec(1.0, cutoff=-1)
 
 
+@pytest.mark.parametrize("n_mean", [math.inf, 1e20, 1e300])
+def test_oscillator_spec_rejects_unusable_means(n_mean):
+    # An infinite N has no geometric ratio, and from about N = 1e16 on
+    # N/(N+1) rounds to 1, where no cutoff drops a finite tail.
+    with pytest.raises(ValueError, match="mean photon number") as excinfo:
+        OscillatorEnsembleSpec(n_mean)
+    assert repr(n_mean) in str(excinfo.value)
+
+
 def test_oscillator_insufficient_cutoff():
     # At mean occupation 1 the ratio is 1/2, so cutoff 0 drops mass 1/2.
     with pytest.raises(ValueError, match="need cutoff >="):

@@ -96,6 +96,30 @@ def test_from_pure_normalizes():
         DensityOperator.from_pure([0.0, 0.0])
 
 
+def test_from_diagonal_checks_its_values():
+    rho = DensityOperator.from_diagonal([0.25, 0.0, 0.75])
+    assert rho.dim == 3 and rho.trace() == 1.0
+    np.testing.assert_array_equal(rho.spectrum, [0.0, 0.25, 0.75])
+    assert not rho.diagonal.flags.writeable
+    np.testing.assert_array_equal(rho.mat, np.diag([0.25, 0.0, 0.75]))
+    assert not rho.mat.flags.writeable and rho.mat is rho.mat
+    DensityOperator.from_diagonal(np.array([1.0 + 5e-11, -5e-11]))
+    for values, message in (
+        ([[0.5, 0.5]], "1-d"),
+        ([], "1-d"),
+        ([0.5, 0.5 + 1e-3j], "real"),
+        ([0.5, np.nan], "finite"),
+        ([1.5, -0.5], "positive semidefinite"),
+        ([0.6, 0.6], "trace"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            DensityOperator.from_diagonal(values)
+    # A checked matrix with no off-diagonal entry is kept as its diagonal too.
+    op = HermitianOperator(np.diag([2.0, -1.0]).astype(complex))
+    np.testing.assert_array_equal(op.diagonal, [2.0, -1.0])
+    assert HermitianOperator(np.array([[1.0, 0.5], [0.5, 1.0]])).diagonal is None
+
+
 def test_eig_diagonal():
     system = hermitian_eig(HermitianOperator(np.diag([1.0, 0.0])))
     np.testing.assert_allclose(system.eigenvalues, [0.0, 1.0])
@@ -167,8 +191,10 @@ def test_diagonal_eigenvectors_are_a_permutation():
 def test_diagonal_residual_is_checked():
     # A Hermitian operator's diagonal is real after symmetrization; an
     # imaginary diagonal entry is the one residual the closed form can have.
+    # `diagonal = None` marks a dense operator, so its matrix is scanned.
     class Raw:
         mat = np.diag([1.0, 2.0 + 1e-6j, 0.0])
+        diagonal = None
         dim = 3
 
     with pytest.raises(EigensolverError) as excinfo:
