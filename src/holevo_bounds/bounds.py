@@ -26,6 +26,8 @@ suites.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
+from contextlib import closing
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -102,9 +104,11 @@ def plus_diameter(aux: AuxiliaryDecomposition) -> float:
     closed form sqrt(1 - |<a|b>|^2) from one Gram matrix, with no
     eigensolve; when there are such entries, a rank-1 diagonal part joins
     them as its basis vector.  Other pairs of diagonal parts take half the
-    L1 norm of their difference, in chunks.  Every remaining pair's
-    difference is solved in stacked chunks, one eigvalsh call per chunk.
-    The ceiling is checked after the Gram stage and after each chunk.
+    L1 norm of their difference, in stacks.  Every remaining pair's
+    difference is solved in stacks by pair_trace_distances, one eigvalsh
+    call per stack.  The pairs of each stage are generated in blocks of
+    rows, so a scan that stops early never holds all m(m-1)/2 of them.  The
+    ceiling is checked after the Gram stage and after each stack.
     """
     ceiling = 1.0 - 1e-12
     taus = aux.tau_plus
@@ -124,19 +128,48 @@ def plus_diameter(aux: AuxiliaryDecomposition) -> float:
         best = float(distances[np.triu_indices(len(distances), 1)].max())
         if best >= ceiling:
             return min(best, 1.0)
-    first, second = np.triu_indices(len(taus), 1)
-    rest = ~(pure[first] & pure[second])
-    by_vector = rest & diagonal[first] & diagonal[second]
-    by_solve = rest & ~by_vector
-    stages = [([tau.diagonal for tau in taus], by_vector)]
-    if by_solve.any():
-        stages.append(([tau.mat for tau in taus], by_solve))
-    for mats, selected in stages:
-        for chunk in pair_trace_distances(mats, first[selected], second[selected]):
-            best = max(best, float(chunk.max()))
-            if best >= ceiling:
-                return min(best, 1.0)
+    n_diagonal = int(diagonal.sum())
+    # The vector stage needs two diagonal parts, the dense stage a dense one.
+    for by_vector, needed in ((True, n_diagonal > 1), (False, n_diagonal < len(taus))):
+        if not needed:
+            continue
+        mats = None
+        for first, second in _upper_pairs(len(taus)):
+            both_diagonal = diagonal[first] & diagonal[second]
+            keep = ~(pure[first] & pure[second])
+            keep &= both_diagonal if by_vector else ~both_diagonal
+            if not keep.any():
+                continue
+            if mats is None:
+                mats = [tau.diagonal if by_vector else tau.mat for tau in taus]
+            # Closed on an early return: its worker threads are joined first.
+            with closing(pair_trace_distances(mats, first[keep], second[keep])) as stacks:
+                for stack in stacks:
+                    best = max(best, float(stack.max()))
+                    if best >= ceiling:
+                        return min(best, 1.0)
     return min(best, 1.0)
+
+
+# Fewest pairs in a block of _upper_pairs, the last excepted: 2^15 pairs,
+# 512 KB of indices.
+_PAIR_BLOCK = 1 << 15
+
+
+def _upper_pairs(m: int, block: int = _PAIR_BLOCK) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The index pairs (i, j), 0 <= i < j < m, in np.triu_indices(m, 1)
+    order, as blocks of whole rows i with at least `block` pairs each (the
+    last block may hold fewer)."""
+    start = 0
+    while start < m - 1:
+        stop, count = start, 0
+        while stop < m - 1 and count < block:
+            count += m - 1 - stop
+            stop += 1
+        rows = np.arange(start, stop)
+        first, second = np.nonzero(rows[:, None] < np.arange(m))
+        yield first + start, second
+        start = stop
 
 
 def pinsker_term(aux: AuxiliaryDecomposition, *, reweighted: bool = False) -> float:

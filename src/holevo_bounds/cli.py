@@ -244,6 +244,9 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_oscillator_curve(args) -> int:
+    for name, value in (("n-min", args.n_min), ("n-max", args.n_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"mean photon number {name} must be finite, got {value}")
     if not 0.0 < args.n_min < args.n_max:
         raise ValueError(
             f"need 0 < n-min < n-max, got n-min={args.n_min} n-max={args.n_max}"

@@ -16,7 +16,7 @@ import numpy as np
 from .entropy import as_probability_vector, binary_entropy, von_neumann_entropy
 from .linalg import (
     PSD_TOL, DensityOperator, EigenSystem, HermitianOperator, hermitian_eig, jordan_split,
-    trace_distance, trace_norm,
+    pair_trace_distances, trace_distance, trace_norm,
 )
 
 # Member distances at or below this count as exactly zero.
@@ -212,10 +212,26 @@ class AuxiliaryDecomposition:
 
     @cached_property
     def minus_gaps(self) -> tuple[float, ...]:
-        """Trace-norm gaps ||tau_i^minus - omega||_1, one eigensolve per
-        retained member (an L1 norm for a diagonal gap) on first use, then
-        kept."""
-        return tuple(trace_norm(tau - self.omega) for tau in self.tau_minus)
+        """Trace-norm gaps ||tau_i^minus - omega||_1, twice the distances of
+        the pairs (tau_i^minus, omega) from pair_trace_distances: an L1 norm
+        when both are diagonal, else one stacked eigensolve.  Computed on
+        first use, then kept."""
+        ops = (*self.tau_minus, self.omega)
+        n = len(self.tau_minus)
+        first, second = np.arange(n), np.full(n, n)
+        by_vector = np.array([op.diagonal is not None for op in ops])
+        by_vector = by_vector[:n] & by_vector[n]
+        gaps = np.empty(n)
+        for selected, kept_as in ((by_vector, "diagonal"), (~by_vector, "mat")):
+            if not selected.any():
+                continue
+            mats = [
+                getattr(op, kept_as) if k == n or selected[k] else None
+                for k, op in enumerate(ops)
+            ]
+            distances = pair_trace_distances(mats, first[selected], second[selected])
+            gaps[selected] = 2.0 * np.concatenate(list(distances))
+        return tuple(float(gap) for gap in gaps)
 
 
 def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:

@@ -62,19 +62,7 @@ class OscillatorEnsembleSpec:
     tail_tol: float = 1e-12
 
     def __post_init__(self):
-        if not self.mean_photon_number > 0.0:
-            raise ValueError(
-                f"mean photon number must be positive, got {self.mean_photon_number!r}"
-            )
-        if not math.isfinite(self.mean_photon_number):
-            raise ValueError(
-                f"mean photon number must be finite, got {self.mean_photon_number!r}"
-            )
-        if not self.ratio < 1.0:
-            raise ValueError(
-                f"mean photon number {self.mean_photon_number!r} is too large: "
-                "its geometric ratio N/(N+1) rounds to 1"
-            )
+        _geometric_ratio(self.mean_photon_number)
         if not 0.0 < self.tail_tol < 1.0:
             raise ValueError(f"tail_tol must be in (0, 1), got {self.tail_tol!r}")
         if self.cutoff is not None and (
@@ -85,6 +73,23 @@ class OscillatorEnsembleSpec:
     @property
     def ratio(self) -> float:
         return self.mean_photon_number / (self.mean_photon_number + 1.0)
+
+
+def _geometric_ratio(n_mean: float) -> float:
+    """The ratio q = N/(N+1) of the oscillator ensemble with mean photon
+    number N; raises ValueError, naming N, unless N is positive and finite
+    and q is below 1."""
+    if not n_mean > 0.0:
+        raise ValueError(f"mean photon number must be positive, got {n_mean!r}")
+    if not math.isfinite(n_mean):
+        raise ValueError(f"mean photon number must be finite, got {n_mean!r}")
+    q = n_mean / (n_mean + 1.0)
+    if not q < 1.0:
+        raise ValueError(
+            f"mean photon number {n_mean!r} is too large: "
+            "its geometric ratio N/(N+1) rounds to 1"
+        )
+    return q
 
 
 def _auto_cutoff(q: float, tail_tol: float) -> int:
@@ -138,11 +143,9 @@ def oscillator_closed_form(
     truncation error.
     """
     n_mean = float(mean_photon_number)
-    if not n_mean > 0.0:
-        raise ValueError(f"mean photon number must be positive, got {n_mean!r}")
+    q = _geometric_ratio(n_mean)
     if not term_tol > 0.0:
         raise ValueError(f"term_tol must be positive, got {term_tol!r}")
-    q = n_mean / (n_mean + 1.0)
     a = 2.0 * q / (1.0 + q)
     chi = gibbs_entropy(n_mean)
     log_q = math.log(q)

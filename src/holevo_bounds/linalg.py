@@ -13,8 +13,9 @@ no LAPACK call and no d x d matrix.
 
 from __future__ import annotations
 
-import math
-from collections.abc import Iterator, Sequence
+import os
+from collections import deque
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -327,10 +328,21 @@ def pure_trace_distances(vectors: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(1.0 - overlaps, 0.0, 1.0))
 
 
-# Byte cap on one stack of pair differences (2^13 complex entries).  The
-# stack adds its whole size to peak memory, and on the dense-files benchmark
-# inputs the diameter ran equally fast with caps from 128 KB to 1 MB.
+# Byte cap on one stack of diagonal pair differences (2^13 floats at most).
+# These stacks are solved serially: a larger cap computes more pairs before
+# a caller's early exit (a 1 MB cap cut commuting-examples from 171 to 138
+# ops/s).
 _STACK_BYTES = 1 << 17
+# Fewest rows (matrices x d) in one stack of dense pair differences: 43
+# matrices, 1.5 MB, at d = 48.  numpy's stacked eigvalsh releases the GIL
+# only from about 500 rows, and on the dense-files benchmark inputs stacks
+# of 1024 rows gained less than 2048 and slowed the (12, 16) files.
+_STACK_ROWS = 2048
+# Dense stacks solved at once, each on a worker thread: two, or one when
+# this process may use only one CPU.
+_WORKERS = min(
+    2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 
 
 def pair_trace_distances(
@@ -341,33 +353,84 @@ def pair_trace_distances(
     diagonals of exactly diagonal operators.  Only the indexed entries are
     read.
 
-    The differences are stacked into chunks of at most _STACK_BYTES, and
-    each chunk's distances are yielded before the next is computed, so a
-    caller may stop early.  A chunk of matrices costs one eigvalsh call; a
-    chunk of diagonals costs none, since a diagonal difference's eigenvalues
-    are its entries and its distance is half their L1 norm.
+    The differences are stacked, and each stack's distances are yielded in
+    pair order, so a caller may stop early.  A stack of diagonals holds at
+    most _STACK_BYTES and costs no eigensolve, since a diagonal difference's
+    eigenvalues are its entries; the stacks are computed one at a time, on
+    demand.  A stack of matrices holds the fewest whose rows reach
+    _STACK_ROWS and costs one eigvalsh call, which then runs without the
+    GIL; up to _WORKERS such stacks are solved at once on worker threads,
+    and no thread starts when the pairs fit one stack.  A matrix's
+    eigenvalues do not depend on the stack it is in, so neither do the
+    distances.  When the caller stops or a solve fails, the pending stacks
+    are dropped and the workers joined before control returns to it.
     """
     if not len(first):
         return
     shape = np.shape(mats[first[0]])
-    dim = shape[0]
-    dtype = np.dtype(complex if len(shape) == 2 else float)
-    chunk = max(1, _STACK_BYTES // (dtype.itemsize * math.prod(shape)))
-    stack = np.empty((min(chunk, len(first)), *shape), dtype=dtype)
-    for start in range(0, len(first), chunk):
-        block = stack[:len(first) - start]
-        for k in range(len(block)):
-            np.subtract(mats[first[start + k]], mats[second[start + k]], out=block[k])
-        if block.ndim == 2:
-            yield 0.5 * np.abs(block).sum(axis=1)
-            continue
+    dense = len(shape) == 2
+    size = -(-_STACK_ROWS // shape[0]) if dense else max(1, _STACK_BYTES // (8 * shape[0]))
+    stacks = [(first[k:k + size], second[k:k + size]) for k in range(0, len(first), size)]
+    workers = min(_WORKERS, len(stacks)) if dense else 1
+    # One buffer per stack being filled or solved, allocated on this thread:
+    # stacks allocated on the workers raised dense-files' peak RSS by 7%.
+    dtype = complex if dense else float
+    buffers = [np.empty((min(size, len(first)), *shape), dtype) for _ in range(workers)]
+
+    def distances(pairs):
+        buffer = buffers.pop()
         try:
-            w = np.linalg.eigvalsh(block)
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(
-                f"stacked eigenvalue computation failed at dim {dim}: {exc}", dim=dim
-            ) from exc
-        yield 0.5 * np.abs(w).sum(axis=1)
+            return _stack_distances(mats, *pairs, buffer[:len(pairs[0])])
+        finally:
+            buffers.append(buffer)
+
+    if workers < 2:
+        yield from map(distances, stacks)
+    else:
+        yield from _solved_in_order(distances, stacks, workers)
+
+
+def _stack_distances(
+    mats: Sequence[np.ndarray], first: np.ndarray, second: np.ndarray, stack: np.ndarray
+) -> np.ndarray:
+    """Half the trace norms of mats[first[k]] - mats[second[k]], computed in
+    `stack`, whose first axis has length len(first)."""
+    for k, (i, j) in enumerate(zip(first, second)):
+        np.subtract(mats[i], mats[j], out=stack[k])
+    if stack.ndim == 2:
+        return 0.5 * np.abs(stack).sum(axis=1)
+    try:
+        w = np.linalg.eigvalsh(stack)
+    except np.linalg.LinAlgError as exc:
+        dim = stack.shape[-1]
+        raise EigensolverError(
+            f"stacked eigenvalue computation failed at dim {dim}: {exc}", dim=dim
+        ) from exc
+    return 0.5 * np.abs(w).sum(axis=1)
+
+
+def _solved_in_order(solve: Callable, tasks: Sequence, workers: int) -> Iterator:
+    """solve(task) for each of `tasks`, yielded in order and computed on
+    `workers` threads, with at most `workers` tasks started and not yet
+    yielded.  A task's exception is raised in its turn.  When the consumer
+    stops or an exception leaves, the tasks not started are cancelled and
+    every worker is joined before control returns.  The workers call `solve`
+    only, so it must touch nothing but private helpers and numpy."""
+    # Imported on first use (about 5 ms), so runs that never solve two
+    # stacks at once do not pay for it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(workers)
+    try:
+        pending = deque()
+        for task in tasks:
+            if len(pending) == workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(solve, task))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def jordan_parts(a: HermitianOperator) -> tuple[HermitianOperator, HermitianOperator]:

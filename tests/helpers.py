@@ -35,6 +35,24 @@ def count_eigensolves(monkeypatch) -> list[int]:
     return calls
 
 
+def fail_second_stack(monkeypatch) -> list[int]:
+    """Wrap np.linalg.eigvalsh so that its second stacked call (an input of
+    shape (n, d, d)) raises LinAlgError; returns the list of stack sizes
+    seen, the failing one included."""
+    stacked: list[int] = []
+    original = np.linalg.eigvalsh
+
+    def second_stack_fails(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            stacked.append(len(a))
+            if len(stacked) == 2:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", second_stack_fails)
+    return stacked
+
+
 def count_constructions(monkeypatch) -> list[str]:
     """Wrap HermitianOperator.__post_init__, the checking constructor, so
     that every checked construction appends its class name to the returned

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from holevo_bounds.bounds import (
     pinsker_term,
     plus_diameter,
     shannon_bound,
+    _upper_pairs,
 )
 from holevo_bounds.ensemble import (
     AuxiliaryDecomposition,
@@ -34,13 +37,15 @@ from holevo_bounds.gallery import (
     trine_ensemble,
 )
 from holevo_bounds.entropy import binary_entropy, relative_entropy, shannon_entropy
-from holevo_bounds.linalg import DensityOperator, jordan_parts, trace_distance
+from holevo_bounds import linalg
+from holevo_bounds.linalg import DensityOperator, EigensolverError, jordan_parts, trace_distance
 
 from helpers import (
     count_constructions,
     count_eigensolves,
     count_materializations,
     cyclic_orbit_ensemble,
+    fail_second_stack,
 )
 
 LN2 = math.log(2.0)
@@ -479,6 +484,138 @@ def test_plus_diameter_without_vectors_solves_every_pair(monkeypatch):
     calls = count_eigensolves(monkeypatch)
     assert math.isclose(plus_diameter(aux), math.sqrt(3.0) / 2.0, abs_tol=1e-10)
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 7, 12])
+@pytest.mark.parametrize("block", [1, 2, 5, 1 << 15])
+def test_upper_pairs_follow_triu_order(m, block):
+    blocks = list(_upper_pairs(m, block))
+    first, second = np.triu_indices(m, 1)
+    assert np.array_equal(np.concatenate([f for f, _ in blocks] or [first]), first)
+    assert np.array_equal(np.concatenate([s for _, s in blocks] or [second]), second)
+    for f, _ in blocks[:-1]:
+        assert len(f) >= block
+    for (f, _), (g, _) in zip(blocks, blocks[1:]):
+        assert f[-1] < g[0]  # whole rows: no row spans two blocks
+
+
+def test_plus_diameter_never_holds_every_pair_index():
+    # 1,000 orthogonal members reach the ceiling in their first stack, so the
+    # scan must not build all m(m-1)/2 index pairs (16 bytes each) first.
+    m = 1000
+    aux = build_auxiliary(orthogonal_ensemble(m))
+    tracemalloc.start()
+    try:
+        assert plus_diameter(aux) == 1.0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * m * (m - 1) // 2, f"peak {peak} bytes"
+
+
+def _block_supported_ensemble(m: int, block: int, seed: int) -> DiscreteEnsemble:
+    """m states of full rank on mutually orthogonal blocks of `block`
+    dimensions, each rotated within its block so that none is diagonal:
+    every positive part has rank `block` and every pair is at distance 1."""
+    rng = np.random.default_rng(seed)
+    dim = m * block
+    states = []
+    for i in range(m):
+        g = rng.standard_normal((block, block)) + 1j * rng.standard_normal((block, block))
+        mat = np.zeros((dim, dim), dtype=complex)
+        mat[i * block:(i + 1) * block, i * block:(i + 1) * block] = g @ g.conj().T
+        states.append(DensityOperator(mat / mat.trace().real))
+    return DiscreteEnsemble(rng.dirichlet(np.ones(m)), tuple(states))
+
+
+def _count_in_order_calls(monkeypatch) -> list[int]:
+    """Wrap linalg._solved_in_order so that every call appends its worker
+    count to the returned list: a call per scan that starts threads."""
+    calls: list[int] = []
+    original = linalg._solved_in_order
+
+    def counted(solve, tasks, workers):
+        calls.append(workers)
+        return original(solve, tasks, workers)
+
+    monkeypatch.setattr(linalg, "_solved_in_order", counted)
+    return calls
+
+
+@pytest.mark.parametrize("rows", [None, 48], ids=["default-rows", "48-rows"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_worker_stacks_match_one_worker(monkeypatch, rows, seed):
+    # 276 pairs at d = 12 take 2 stacks of 171 matrices by default, and 69
+    # stacks of 4 (6 for D's 24 gaps) at 48 rows.  Two workers must give the
+    # values of one, bit for bit, and the exhaustive scan's to 1e-12.
+    if rows is not None:
+        monkeypatch.setattr(linalg, "_STACK_ROWS", rows)
+    mu = random_ensemble(24, 12, seed)
+    monkeypatch.setattr(linalg, "_WORKERS", 1)
+    single = build_auxiliary(mu)
+    expected = (plus_diameter(single), single.minus_gaps)
+    monkeypatch.setattr(linalg, "_WORKERS", 2)
+    threaded = _count_in_order_calls(monkeypatch)
+    aux = build_auxiliary(mu)
+    before = threading.active_count()
+    assert (plus_diameter(aux), aux.minus_gaps) == expected
+    assert threading.active_count() == before
+    assert threaded == ([2] if rows is None else [2, 2])
+    assert abs(expected[0] - _scan_diameter(aux)) <= 1e-12
+    for gap, tau in zip(expected[1], aux.tau_minus):
+        assert abs(gap - 2.0 * trace_distance(tau, aux.omega)) <= 1e-12
+    assert pinsker_term(aux) == pinsker_term(single)
+
+
+def test_worker_stacks_stop_at_ceiling(monkeypatch):
+    # 24 rank-2 parts on orthogonal blocks, d = 48: 276 pairs in 7 stacks of
+    # 43.  The first stack reaches the ceiling; the scan returns with at most
+    # one more stack solved and no worker left running.
+    mu = _block_supported_ensemble(24, 2, seed=5)
+    aux = build_auxiliary(mu)
+    assert all(vec is None and tau.diagonal is None
+               for vec, tau in zip(aux.plus_vectors, aux.tau_plus))
+    monkeypatch.setattr(linalg, "_WORKERS", 2)
+    threaded = _count_in_order_calls(monkeypatch)
+    calls = count_eigensolves(monkeypatch)
+    before = threading.active_count()
+    assert plus_diameter(aux) == 1.0
+    assert threading.active_count() == before
+    assert threaded == [2]
+    assert 43 <= len(calls) <= 2 * 43
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        pytest.param(trine_ensemble(), id="trine"),
+        pytest.param(random_ensemble(6, 8, 0), id="random-6-8-0"),
+        pytest.param(random_ensemble(12, 16, 1), id="random-12-16-1"),
+        pytest.param(orthogonal_ensemble(64), id="orthogonal-64"),
+        pytest.param(oscillator_ensemble(OscillatorEnsembleSpec(3.0))[0], id="oscillator-3"),
+    ],
+)
+def test_one_stack_and_diagonal_reports_start_no_thread(monkeypatch, mu):
+    # Pairs that fit one dense stack, and stacks of diagonals, are solved
+    # on the calling thread.
+    monkeypatch.setattr(linalg, "_WORKERS", 2)
+    threaded = _count_in_order_calls(monkeypatch)
+    full_report(mu)
+    assert threaded == []
+
+
+def test_worker_failure_is_an_eigensolver_error(monkeypatch):
+    # The second stacked solve raises LinAlgError on a worker thread.
+    mu = random_ensemble(24, 12, 0)
+    aux = build_auxiliary(mu)
+    monkeypatch.setattr(linalg, "_WORKERS", 2)
+    monkeypatch.setattr(linalg, "_STACK_ROWS", 48)
+    stacked = fail_second_stack(monkeypatch)
+    before = threading.active_count()
+    with pytest.raises(EigensolverError, match="stacked eigenvalue computation failed"):
+        plus_diameter(aux)
+    assert threading.active_count() == before
+    assert len(stacked) < 69
 
 
 def _fresh_entropy(mat: np.ndarray) -> float:

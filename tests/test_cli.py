@@ -2,11 +2,12 @@
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
-from holevo_bounds import cli
+from holevo_bounds import cli, linalg
 from holevo_bounds.bounds import FeiReport, full_report
 from holevo_bounds.cli import (
     EXIT_NUMERICAL,
@@ -24,6 +25,8 @@ from holevo_bounds.cli import (
 from holevo_bounds.ensemble import DiscreteEnsemble
 from holevo_bounds.gallery import random_ensemble, trine_ensemble
 from holevo_bounds.linalg import DensityOperator, EigensolverError
+
+from helpers import fail_second_stack
 
 LN2 = math.log(2.0)
 
@@ -211,6 +214,18 @@ def test_example_oscillator_unusable_mean_is_input_error(capsys, n_mean):
     assert "mean photon number" in _single_error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    ("n_max", "named"), [("1e20", "1e+20"), ("inf", "inf"), ("nan", "nan")]
+)
+def test_oscillator_curve_unusable_mean_is_input_error(capsys, tmp_path, n_max, named):
+    out = tmp_path / "curve.csv"
+    argv = ["oscillator-curve", "--n-min", "1", "--n-max", n_max, "--steps", "2"]
+    assert main([*argv, "--out", str(out)]) == 2
+    line = _single_error_line(capsys)
+    assert "mean photon number" in line and named in line
+    assert not out.exists()
+
+
 def test_out_of_memory_is_input_error(capsys, monkeypatch):
     def too_large(spec):
         raise MemoryError("Unable to allocate 5.42 PiB for an array")
@@ -232,6 +247,22 @@ def test_parser_is_built_once_and_reused(capsys, trine_file):
     assert main(["verify", "tightness"]) == 0
     assert capsys.readouterr().out.startswith("suite tightness")
     assert _report_json(capsys, ["report", trine_file])["log_base"] == "natural"
+
+
+def test_worker_failure_exits_numerical(capsys, monkeypatch, tmp_path):
+    # The diameter of 24 members at d = 12 takes 2 stacks, solved on two
+    # worker threads; the second stacked eigvalsh raises LinAlgError.
+    path = tmp_path / "random.json"
+    write_ensemble_file(str(path), random_ensemble(24, 12, 0))
+    monkeypatch.setattr(linalg, "_WORKERS", 2)
+    fail_second_stack(monkeypatch)
+    before = threading.active_count()
+    assert main(["report", str(path)]) == EXIT_NUMERICAL
+    assert threading.active_count() == before
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("numerical failure at dim 12 (residual unknown)")
+    assert "stacked eigenvalue computation failed" in lines[0]
 
 
 def _failing_eigh(a, *args, **kwargs):

@@ -89,6 +89,15 @@ def test_oscillator_spec_rejects_unusable_means(n_mean):
     assert repr(n_mean) in str(excinfo.value)
 
 
+@pytest.mark.parametrize("n_mean", [math.inf, 1e20, 1e300, math.nan])
+def test_oscillator_closed_form_rejects_unusable_means(n_mean):
+    # The series needs the ratio q = N/(N+1) below 1, as the ensemble does;
+    # at N = 1e20 q rounds to 1 and the tail bound divided by 1 - q = 0.
+    with pytest.raises(ValueError, match="mean photon number") as excinfo:
+        oscillator_closed_form(n_mean)
+    assert repr(n_mean) in str(excinfo.value)
+
+
 def test_oscillator_insufficient_cutoff():
     # At mean occupation 1 the ratio is 1/2, so cutoff 0 drops mass 1/2.
     with pytest.raises(ValueError, match="need cutoff >="):

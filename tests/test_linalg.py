@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -161,6 +163,62 @@ def test_eigensolver_failure_is_wrapped(monkeypatch):
     assert excinfo.value.dim == 3
 
 
+def test_solved_in_order_under_thread_switching():
+    # More workers than cores and a switch interval of 1 us: every task runs
+    # exactly once, results arrive in order, and stopping after any prefix
+    # leaves no worker running.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    runs: list[int] = []
+    outcome: dict[int, list[int]] = {}
+
+    def solve(task):
+        runs.append(task)  # list.append is atomic
+        return task * task
+
+    def consume():
+        for stop in (200, 57, 1, 0):
+            got = []
+            for value in linalg._solved_in_order(solve, range(200), workers=4):
+                if len(got) == stop:
+                    break
+                got.append(value)
+            outcome[stop] = got
+
+    before = threading.active_count()
+    try:
+        consumer = threading.Thread(target=consume)
+        consumer.start()
+        consumer.join(timeout=60)
+        assert not consumer.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert outcome[200] == [k * k for k in range(200)]
+    assert sorted(runs[:200]) == list(range(200))  # the first call's tasks
+    for stop in (57, 1, 0):
+        assert outcome[stop] == [k * k for k in range(stop)]
+    # Each task solved once per call; a stopped call started at most its
+    # 4 workers' worth of tasks beyond the ones it yielded.
+    assert len(runs) <= 200 + (57 + 4) + (1 + 4) + (0 + 4)
+    assert len(runs) >= 200 + 57 + 1
+    assert threading.active_count() == before
+
+
+def test_solved_in_order_raises_in_turn():
+    def solve(task):
+        if task == 3:
+            raise ValueError("task 3")
+        return task
+
+    got = []
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="task 3"):
+        for value in linalg._solved_in_order(solve, range(10), workers=2):
+            got.append(value)
+    assert got == [0, 1, 2]
+    assert threading.active_count() == before
+
+
 DIAGONAL_ENTRIES = [0.5, -2.0, 0.0, 0.5, 3.0, -2.0, 0.0, 1e-11, -1e-11, 0.5]
 
 
@@ -278,14 +336,28 @@ def test_pair_trace_distances_in_chunks(monkeypatch):
     states = [random_pure_state(dim, rng) for _ in range(3)]
     states += [random_mixed_state(dim, dim, rng) for _ in range(3)]
     first, second = np.triu_indices(len(states), 1)
-    # Room for two differences per stack: 15 pairs take 8 eigvalsh calls.
-    monkeypatch.setattr(linalg, "_STACK_BYTES", 2 * 16 * dim * dim)
+    mats = [s.mat for s in states]
     solves = count_eigensolves(monkeypatch)
-    chunks = list(pair_trace_distances([s.mat for s in states], first, second))
+    # A dense stack holds the fewest matrices whose rows reach _STACK_ROWS:
+    # two differences of 4 rows for 8 rows, three for 9.  15 pairs take 8
+    # or 5 stacks, and one eigensolve per pair either way.
+    for rows, sizes in ((2 * dim, [2] * 7 + [1]), (2 * dim + 1, [3] * 5)):
+        monkeypatch.setattr(linalg, "_STACK_ROWS", rows)
+        solves.clear()
+        chunks = list(pair_trace_distances(mats, first, second))
+        assert [len(c) for c in chunks] == sizes
+        assert len(solves) == 15
+        for (i, j), got in zip(zip(first, second), np.concatenate(chunks)):
+            assert abs(got - trace_distance(states[i], states[j])) <= 1e-12
+    # A stack of diagonals holds at most _STACK_BYTES and needs no solve.
+    diagonals = [rng.dirichlet(np.ones(dim)) for _ in states]
+    monkeypatch.setattr(linalg, "_STACK_BYTES", 2 * 8 * dim)
+    solves.clear()
+    chunks = list(pair_trace_distances(diagonals, first, second))
     assert [len(c) for c in chunks] == [2] * 7 + [1]
-    assert len(solves) == 15
+    assert solves == []
     for (i, j), got in zip(zip(first, second), np.concatenate(chunks)):
-        assert abs(got - trace_distance(states[i], states[j])) <= 1e-12
+        assert got == 0.5 * np.abs(diagonals[i] - diagonals[j]).sum()
     assert list(pair_trace_distances([], first[:0], second[:0])) == []
 
 
