@@ -43,6 +43,7 @@ from .ensemble import (
 )
 from .entropy import binary_entropy, shannon_entropy, von_neumann_entropy
 from .linalg import (
+    PSD_TOL,
     DensityOperator,
     hermitian_eig,
     pair_trace_distances,
@@ -100,54 +101,46 @@ def plus_diameter(aux: AuxiliaryDecomposition) -> float:
     [0, 1].  Exact: every pair is evaluated unless the metric ceiling
     1 - 1e-12 is reached first.
 
-    Pairs of rank-1 positive parts (an entry in aux.plus_vectors) take the
-    closed form sqrt(1 - |<a|b>|^2) from one Gram matrix, with no
-    eigensolve; when there are such entries, a rank-1 diagonal part joins
-    them as its basis vector.  Other pairs of diagonal parts take half the
-    L1 norm of their difference, in stacks.  Every remaining pair's
-    difference is solved in stacks by pair_trace_distances, one eigvalsh
-    call per stack.  The pairs of each stage are generated in blocks of
-    rows, so a scan that stops early never holds all m(m-1)/2 of them.  The
-    ceiling is checked after the Gram stage and after each stack.
+    A part has rank 1 when the second-largest entry of its spectrum is at
+    most PSD_TOL, as for every pure member's.  Pairs of dense rank-1 parts
+    take the closed form sqrt(1 - |<a|b>|^2) from one Gram matrix, with no
+    eigensolve; each part's vector is a column of its matrix, which the
+    Gram diagonal normalizes.  When there are such parts, a rank-1 diagonal
+    part joins them as its basis vector.  Every other pair is solved by
+    pair_trace_distances, which decides its stack kind.  The pairs are
+    generated in blocks of rows, so a scan that stops early never holds all
+    m(m-1)/2 of them.  The ceiling is checked after the Gram stage and after
+    each stack.
     """
     ceiling = 1.0 - 1e-12
     taus = aux.tau_plus
-    vectors = list(aux.plus_vectors)
-    diagonal = np.array([tau.diagonal is not None for tau in taus], dtype=bool)
-    if any(v is not None for v in vectors):
-        for k in np.flatnonzero(diagonal):
-            support = np.flatnonzero(taus[k].diagonal)
-            if support.size == 1:
-                vectors[k] = np.zeros(taus[k].dim, dtype=complex)
-                vectors[k][support[0]] = 1.0
-    pure = np.array([v is not None for v in vectors], dtype=bool)
+    dense = np.array([tau.diagonal is None for tau in taus], dtype=bool)
+    pure = np.zeros(len(taus), dtype=bool)
+    if dense.any():  # the Gram stage needs a dense rank-1 part
+        rank_one = np.array([tau.spectrum[-2] <= PSD_TOL for tau in taus], dtype=bool)
+        pure = rank_one & (dense | (rank_one & dense).any())
     best = 0.0
     if pure.sum() > 1:
-        columns = np.stack([v for v in vectors if v is not None], axis=1)
+        columns = np.zeros((taus[0].dim, pure.sum()), dtype=complex)
+        for column, tau in zip(columns.T, (taus[k] for k in np.flatnonzero(pure))):
+            if tau.diagonal is not None:
+                column[np.argmax(tau.diagonal)] = 1.0
+            else:
+                column[:] = tau.mat[:, np.argmax(tau.mat.diagonal().real)]
         distances = pure_trace_distances(columns)
         best = float(distances[np.triu_indices(len(distances), 1)].max())
         if best >= ceiling:
             return min(best, 1.0)
-    n_diagonal = int(diagonal.sum())
-    # The vector stage needs two diagonal parts, the dense stage a dense one.
-    for by_vector, needed in ((True, n_diagonal > 1), (False, n_diagonal < len(taus))):
-        if not needed:
+    for first, second in _upper_pairs(len(taus)):
+        keep = ~(pure[first] & pure[second])
+        if not keep.any():
             continue
-        mats = None
-        for first, second in _upper_pairs(len(taus)):
-            both_diagonal = diagonal[first] & diagonal[second]
-            keep = ~(pure[first] & pure[second])
-            keep &= both_diagonal if by_vector else ~both_diagonal
-            if not keep.any():
-                continue
-            if mats is None:
-                mats = [tau.diagonal if by_vector else tau.mat for tau in taus]
-            # Closed on an early return: its worker threads are joined first.
-            with closing(pair_trace_distances(mats, first[keep], second[keep])) as stacks:
-                for stack in stacks:
-                    best = max(best, float(stack.max()))
-                    if best >= ceiling:
-                        return min(best, 1.0)
+        # Closed on an early return: its worker threads are joined first.
+        with closing(pair_trace_distances(taus, first[keep], second[keep])) as stacks:
+            for _, distances in stacks:
+                best = max(best, float(distances.max()))
+                if best >= ceiling:
+                    return min(best, 1.0)
     return min(best, 1.0)
 
 

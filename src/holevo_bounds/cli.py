@@ -93,12 +93,12 @@ def ensemble_from_dict(data: dict) -> DiscreteEnsemble:
     if not isinstance(data, dict):
         raise EnsembleFileError("top level must be a JSON object")
     version = data.get("version")
-    if version != ENSEMBLE_FILE_VERSION:
+    if type(version) is not int or version != ENSEMBLE_FILE_VERSION:
         raise EnsembleFileError(
             f"unsupported file version {version!r}, expected {ENSEMBLE_FILE_VERSION}"
         )
     dim = data.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise EnsembleFileError(f"dim must be a positive integer, got {dim!r}")
     members = data.get("members")
     if not isinstance(members, list) or not members:
@@ -113,16 +113,23 @@ def ensemble_from_dict(data: dict) -> DiscreteEnsemble:
         prob = member.get("prob")
         if isinstance(prob, bool) or not isinstance(prob, (int, float)):
             raise EnsembleFileError(f"member {k}: prob must be a number")
-        probs.append(float(prob))
-        raw = member.get("state")
         try:
-            arr = np.asarray(raw, dtype=float)
+            probs.append(float(prob))
+            arr = np.asarray(member.get("state"), dtype=float)
+        except OverflowError:
+            raise EnsembleFileError(f"member {k}: number too large for a float") from None
         except (TypeError, ValueError) as exc:
             raise EnsembleFileError(f"member {k}: malformed state array: {exc}") from None
         if arr.shape != (dim, dim, 2):
             raise EnsembleFileError(
                 f"member {k}: state must be a {dim}x{dim} array of [re, im] "
                 f"pairs, got shape {arr.shape}"
+            )
+        # A state's entries have modulus at most 1: a part beyond 2, or NaN,
+        # cannot be one, and could overflow the arithmetic of the checks.
+        if not np.all(np.abs(arr) <= 2.0):
+            raise EnsembleFileError(
+                f"member {k}: state entries must be finite and of modulus at most 1"
             )
         mat = arr[..., 0] + 1j * arr[..., 1]
         try:

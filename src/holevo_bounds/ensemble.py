@@ -189,12 +189,6 @@ class AuxiliaryDecomposition:
     averages of mu_plus and mu_minus coincide in exact arithmetic; `omega` is
     the computed average of mu_minus and `average_match_residual` the
     trace-norm gap to the average of mu_plus.
-
-    `plus_vectors` runs parallel to tau_plus.  Where the positive part of
-    a dense rho_i - average has rank 1 (exactly one eigenvalue above
-    PSD_TOL, as for every pure member), tau_i^+ is the pure state of the
-    unit vector kept there; elsewhere the entry is None.  An exactly
-    diagonal difference gets None: its tau_i^+ is kept as a diagonal.
     """
 
     probs: np.ndarray
@@ -208,29 +202,17 @@ class AuxiliaryDecomposition:
     mu_minus: DiscreteEnsemble
     omega: DensityOperator
     average_match_residual: float
-    plus_vectors: tuple[np.ndarray | None, ...]
 
     @cached_property
     def minus_gaps(self) -> tuple[float, ...]:
         """Trace-norm gaps ||tau_i^minus - omega||_1, twice the distances of
-        the pairs (tau_i^minus, omega) from pair_trace_distances: an L1 norm
-        when both are diagonal, else one stacked eigensolve.  Computed on
-        first use, then kept."""
-        ops = (*self.tau_minus, self.omega)
+        the pairs (tau_i^minus, omega) from pair_trace_distances.  Computed
+        on first use, then kept."""
         n = len(self.tau_minus)
-        first, second = np.arange(n), np.full(n, n)
-        by_vector = np.array([op.diagonal is not None for op in ops])
-        by_vector = by_vector[:n] & by_vector[n]
         gaps = np.empty(n)
-        for selected, kept_as in ((by_vector, "diagonal"), (~by_vector, "mat")):
-            if not selected.any():
-                continue
-            mats = [
-                getattr(op, kept_as) if k == n or selected[k] else None
-                for k, op in enumerate(ops)
-            ]
-            distances = pair_trace_distances(mats, first[selected], second[selected])
-            gaps[selected] = 2.0 * np.concatenate(list(distances))
+        pairs = pair_trace_distances((*self.tau_minus, self.omega), np.arange(n), np.full(n, n))
+        for positions, distances in pairs:
+            gaps[positions] = 2.0 * distances
         return tuple(float(gap) for gap in gaps)
 
 
@@ -244,8 +226,7 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
 
     Eigensolves: at most m + 4 for m members.  One for mu's average unless
     mu holds it already; one eigh per member, solved one at a time, which
-    gives eps_i, both Jordan parts, the spectra of tau_i^(+/-) and, for a
-    rank-1 positive part, the unit vector kept in `plus_vectors`; one each
+    gives eps_i, both Jordan parts and the spectra of tau_i^(+/-); one each
     for the averages of mu_plus and mu_minus, and one for their residual.
     Exactly diagonal operators take none of these: when every member is
     diagonal, so is every difference, part and average, and each stage is
@@ -254,7 +235,6 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
     eps = np.zeros(mu.size)
     tau_plus: list[DensityOperator] = []
     tau_minus: list[DensityOperator] = []
-    plus_vectors: list[np.ndarray | None] = []
     usable: list[int] = []
     for i, state in enumerate(mu.states):
         system = hermitian_eig(state - mu.average)
@@ -264,13 +244,6 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
         usable.append(i)
         tau_plus.append(plus)
         tau_minus.append(minus)
-        # Eigenvalues ascend and the positive part is nonzero, so the largest
-        # is above PSD_TOL; the part has rank 1 when no other one is.
-        vec = None
-        if system.order is None and system.eigenvalues[-2] <= PSD_TOL:
-            vec = system.eigenvectors[:, -1].copy()  # keeps no view of system
-            vec.setflags(write=False)
-        plus_vectors.append(vec)
         del system  # free before the next member's solve: peak memory
     eps.setflags(write=False)
     eps_av = float(mu.probs @ eps)
@@ -304,5 +277,4 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
         mu_minus=mu_minus,
         omega=mu_minus.average,
         average_match_residual=trace_norm(mu_plus.average - mu_minus.average),
-        plus_vectors=tuple(plus_vectors),
     )

@@ -346,41 +346,64 @@ _WORKERS = min(
 
 
 def pair_trace_distances(
-    mats: Sequence[np.ndarray], first: np.ndarray, second: np.ndarray
-) -> Iterator[np.ndarray]:
+    ops: Sequence[HermitianOperator], first: np.ndarray, second: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Trace distances (1/2)||A_i - A_j||_1 for the index pairs
-    (first[k], second[k]) over `mats`: Hermitian d x d matrices, or the real
-    diagonals of exactly diagonal operators.  Only the indexed entries are
-    read.
+    (first[k], second[k]) over the operators `ops`, yielded a stack at a
+    time as (positions, distances): distances[n] belongs to the pair at
+    position positions[n] of `first` and `second`.  An operator's matrix is
+    read only when it is in a pair that is not of two diagonals.
 
-    The differences are stacked, and each stack's distances are yielded in
-    pair order, so a caller may stop early.  A stack of diagonals holds at
-    most _STACK_BYTES and costs no eigensolve, since a diagonal difference's
-    eigenvalues are its entries; the stacks are computed one at a time, on
-    demand.  A stack of matrices holds the fewest whose rows reach
-    _STACK_ROWS and costs one eigvalsh call, which then runs without the
-    GIL; up to _WORKERS such stacks are solved at once on worker threads,
-    and no thread starts when the pairs fit one stack.  A matrix's
-    eigenvalues do not depend on the stack it is in, so neither do the
-    distances.  When the caller stops or a solve fails, the pending stacks
-    are dropped and the workers joined before control returns to it.
+    Each pair's stack kind is decided here.  A pair of two diagonal
+    operators goes in a stack of at most _STACK_BYTES of diagonal
+    differences, which costs no eigensolve, since a diagonal difference's
+    eigenvalues are its entries; these stacks come first and are computed
+    one at a time, on demand.  Every other pair goes in a stack of the
+    fewest matrix differences whose rows reach _STACK_ROWS, at one eigvalsh
+    call, which then runs without the GIL; up to _WORKERS such stacks are
+    solved at once on worker threads, and no thread starts when the pairs
+    fit one stack.  A matrix's eigenvalues do not depend on the stack it is
+    in, so neither do the distances.  When the caller stops or a solve
+    fails, the pending stacks are dropped and the workers joined before
+    control returns to it.
     """
-    if not len(first):
-        return
-    shape = np.shape(mats[first[0]])
-    dense = len(shape) == 2
-    size = -(-_STACK_ROWS // shape[0]) if dense else max(1, _STACK_BYTES // (8 * shape[0]))
-    stacks = [(first[k:k + size], second[k:k + size]) for k in range(0, len(first), size)]
+    diagonal = np.array([op.diagonal is not None for op in ops], dtype=bool)
+    by_vector = diagonal[first] & diagonal[second]
+    for dense, selected in ((False, by_vector), (True, ~by_vector)):
+        positions = np.flatnonzero(selected)
+        if positions.size:
+            yield from _kind_distances(ops, first, second, positions, dense)
+
+
+def _kind_distances(
+    ops: Sequence[HermitianOperator], first: np.ndarray, second: np.ndarray,
+    positions: np.ndarray, dense: bool,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """pair_trace_distances for the pairs at `positions`, all of one stack
+    kind: matrix differences when `dense`, else diagonal ones."""
+    if dense:
+        # Read on this thread, and only where indexed: a diagonal operator in
+        # a mixed pair builds its mat.
+        read = np.zeros(len(ops), dtype=bool)
+        read[first[positions]] = read[second[positions]] = True
+        arrays = [op.mat if r else None for op, r in zip(ops, read.tolist())]
+    else:
+        arrays = [op.diagonal for op in ops]
+    dim = ops[first[positions[0]]].dim
+    size = -(-_STACK_ROWS // dim) if dense else max(1, _STACK_BYTES // (8 * dim))
+    stacks = [positions[k:k + size] for k in range(0, positions.size, size)]
     workers = min(_WORKERS, len(stacks)) if dense else 1
     # One buffer per stack being filled or solved, allocated on this thread:
     # stacks allocated on the workers raised dense-files' peak RSS by 7%.
-    dtype = complex if dense else float
-    buffers = [np.empty((min(size, len(first)), *shape), dtype) for _ in range(workers)]
+    shape = (min(size, positions.size), *((dim, dim) if dense else (dim,)))
+    buffers = [np.empty(shape, complex if dense else float) for _ in range(workers)]
 
-    def distances(pairs):
+    def distances(stack):
         buffer = buffers.pop()
         try:
-            return _stack_distances(mats, *pairs, buffer[:len(pairs[0])])
+            return stack, _stack_distances(
+                arrays, first[stack], second[stack], buffer[:stack.size]
+            )
         finally:
             buffers.append(buffer)
 

@@ -89,7 +89,6 @@ def _manual_aux(taus_plus, taus_minus, probs, weights):
         mu_minus=mu_minus,
         omega=omega,
         average_match_residual=0.0,
-        plus_vectors=(None,) * len(taus_plus),
     )
 
 
@@ -427,6 +426,11 @@ def _scan_diameter(aux: AuxiliaryDecomposition) -> float:
     )
 
 
+def _is_rank_one(tau: DensityOperator) -> bool:
+    """The second-largest entry of the ascending spectrum is at most PSD_TOL."""
+    return bool(tau.spectrum[-2] <= linalg.PSD_TOL)
+
+
 def _mixed_rank_ensemble(n_pure: int, n_full: int, dim: int, seed: int) -> DiscreteEnsemble:
     rng = np.random.default_rng(seed)
     states = [random_pure_state(dim, rng) for _ in range(n_pure)]
@@ -458,14 +462,14 @@ def test_plus_diameter_matches_exhaustive_scan(mu):
 def test_plus_diameter_qubit_parts_are_rank_one():
     # rho_i - avg is traceless at d = 2, so every positive part is pure.
     aux = build_auxiliary(random_ensemble(6, 2, 11))
-    assert all(vec is not None for vec in aux.plus_vectors)
+    assert all(_is_rank_one(tau) for tau in aux.tau_plus)
 
 
 def test_plus_diameter_runs_both_stages(monkeypatch):
     # 4 pure and 3 full-rank members: the 6 pure pairs come from the Gram
     # matrix and the other 15 from stacked solves, all in one call.
     aux = build_auxiliary(_mixed_rank_ensemble(4, 3, 5, seed=12))
-    assert [vec is not None for vec in aux.plus_vectors] == [True] * 4 + [False] * 3
+    assert [_is_rank_one(tau) for tau in aux.tau_plus] == [True] * 4 + [False] * 3
     calls = count_eigensolves(monkeypatch)
     got = plus_diameter(aux)
     assert len(calls) == 21 - 6
@@ -480,10 +484,14 @@ def test_plus_diameter_orthogonal_stops_at_ceiling(monkeypatch):
 
 
 def test_plus_diameter_without_vectors_solves_every_pair(monkeypatch):
-    aux = dataclasses.replace(build_auxiliary(trine_ensemble()), plus_vectors=(None,) * 3)
+    # Three dense rank-2 parts at d = 3: no Gram stage, one solve per pair.
+    taus = [random_mixed_state(3, 2, seed) for seed in (31, 32, 33)]
+    assert not any(_is_rank_one(tau) for tau in taus)
+    aux = _manual_aux(taus, taus, [1 / 3] * 3, [1 / 3] * 3)
     calls = count_eigensolves(monkeypatch)
-    assert math.isclose(plus_diameter(aux), math.sqrt(3.0) / 2.0, abs_tol=1e-10)
+    got = plus_diameter(aux)
     assert len(calls) == 3
+    assert abs(got - _scan_diameter(aux)) <= 1e-12
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 7, 12])
@@ -573,8 +581,7 @@ def test_worker_stacks_stop_at_ceiling(monkeypatch):
     # one more stack solved and no worker left running.
     mu = _block_supported_ensemble(24, 2, seed=5)
     aux = build_auxiliary(mu)
-    assert all(vec is None and tau.diagonal is None
-               for vec, tau in zip(aux.plus_vectors, aux.tau_plus))
+    assert all(not _is_rank_one(tau) and tau.diagonal is None for tau in aux.tau_plus)
     monkeypatch.setattr(linalg, "_WORKERS", 2)
     threaded = _count_in_order_calls(monkeypatch)
     calls = count_eigensolves(monkeypatch)
@@ -769,7 +776,7 @@ def test_diagonal_mixed_ensemble_reaches_stacked_diameter_stage(monkeypatch):
     # matrix: every pair takes the stacked stage, whose chunks of diagonal
     # differences are L1 norms and cost no eigensolve.
     aux = build_auxiliary(_diagonal_mixed_ensemble(4, 6, 2))
-    assert aux.plus_vectors == (None,) * 4
+    assert not any(_is_rank_one(tau) for tau in aux.tau_plus)
     calls = count_eigensolves(monkeypatch)
     assert plus_diameter(aux) < 1.0
     assert calls == []

@@ -6,6 +6,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holevo_bounds import cli, linalg
 from holevo_bounds.bounds import FeiReport, full_report
@@ -150,6 +152,91 @@ def test_report_rejects_boolean_prob(tmp_path, capsys):
     assert "member 0: prob" in capsys.readouterr().err
 
 
+_PURE_QUBIT = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+
+
+@pytest.mark.parametrize(
+    ("data", "named"),
+    [
+        ({"version": True, "dim": 2, "members": [{"prob": 1, "state": _PURE_QUBIT}]},
+         "version True"),
+        ({"version": 1, "dim": True, "members": [{"prob": 1, "state": _PURE_QUBIT}]},
+         "dim must be a positive integer, got True"),
+        ({"version": 1, "dim": 2, "members": [{"prob": 10**400, "state": _PURE_QUBIT}]},
+         "member 0: number too large"),
+        ({"version": 1, "dim": 2, "members": [
+            {"prob": 1, "state": [[[10**400, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}]},
+         "member 0: number too large"),
+        ({"version": 1, "dim": 2, "members": [
+            {"prob": 1, "state": [[[1.0, 0.0], [1e308, 0.0]], [[1e308, 0.0], [0.0, 0.0]]]}]},
+         "member 0: state entries must be finite"),
+    ],
+    ids=["bool-version", "bool-dim", "huge-prob", "huge-state-entry", "overflowing-entry"],
+)
+def test_file_boundary_rejects_bools_and_huge_integers(tmp_path, capsys, data, named):
+    # JSON true is a Python int, a 401-digit integer overflows float(), and
+    # an entry of 1e308 overflows the Hermiticity check's arithmetic: each is
+    # an input error with one line, not a load as 1, a traceback or a warning.
+    with pytest.raises(EnsembleFileError, match=named):
+        ensemble_from_dict(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["report", str(path)]) == 2
+    assert named in _single_error_line(capsys)
+
+
+# JSON-like values that a file may hold where the schema wants something
+# else: bools, integers too large for a float, NaN and infinities, strings,
+# nulls, and lists and objects of them.
+_NUMBERS = st.one_of(
+    st.floats(-2.5, 2.5), st.integers(-3, 3), st.booleans(),
+    st.sampled_from([10**400, -(10**400), 2**1100]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_JSON = st.recursive(
+    st.one_of(st.none(), st.text(max_size=3), _NUMBERS),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _ensemble_dicts(draw):
+    """A valid file of basis-state members with at most one field, drawn
+    from version, dim, members, prob, label and state, replaced."""
+    dim, size = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    members = []
+    for k in range(size):
+        state = [[[float(i == j == k % dim), 0.0] for j in range(dim)] for i in range(dim)]
+        members.append({"prob": 1.0 / size, "state": state})
+    data = {"version": 1, "dim": dim, "members": members}
+    field = draw(st.sampled_from([None, "version", "dim", "members", "prob", "label", "state"]))
+    if field in ("version", "dim", "members"):
+        data[field] = draw(_JSON)
+    elif field == "state":
+        # d x d arrays of [re, im] pairs of any numbers, or ragged lists.
+        pair = st.lists(_NUMBERS, min_size=2, max_size=2)
+        members[0]["state"] = draw(
+            st.lists(st.lists(pair, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+            | st.lists(st.lists(_NUMBERS, max_size=3), max_size=3)
+            | _JSON
+        )
+    elif field is not None:
+        members[0][field] = draw(_JSON)
+    return data
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_ensemble_dicts())
+def test_file_boundary_fuzz(data):
+    # Whatever a file holds, loading it gives an ensemble or an input error.
+    try:
+        mu = ensemble_from_dict(data)
+    except EnsembleFileError:
+        return
+    assert isinstance(mu, DiscreteEnsemble)
+
+
 def test_ensemble_dict_rejects_malformed_shapes():
     with pytest.raises(EnsembleFileError, match="top level"):
         ensemble_from_dict([1, 2, 3])
@@ -223,6 +310,16 @@ def test_oscillator_curve_unusable_mean_is_input_error(capsys, tmp_path, n_max, 
     assert main([*argv, "--out", str(out)]) == 2
     line = _single_error_line(capsys)
     assert "mean photon number" in line and named in line
+    assert not out.exists()
+
+
+def test_oscillator_curve_past_series_cap_is_input_error(capsys, tmp_path):
+    # At N = 5e4 the closed-form series needs more than its 1,000,000 terms.
+    out = tmp_path / "curve.csv"
+    argv = ["oscillator-curve", "--n-min", "1", "--n-max", "5e4", "--steps", "2"]
+    assert main([*argv, "--out", str(out)]) == 2
+    line = _single_error_line(capsys)
+    assert "mean photon number 50000" in line and "1000000 terms" in line
     assert not out.exists()
 
 

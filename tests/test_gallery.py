@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from holevo_bounds import gallery
 from holevo_bounds.bounds import aux_bound, full_report, shannon_bound
 from holevo_bounds.ensemble import average_state, holevo_quantity, member_epsilons
 from holevo_bounds.entropy import gibbs_entropy
@@ -96,6 +97,15 @@ def test_oscillator_closed_form_rejects_unusable_means(n_mean):
     with pytest.raises(ValueError, match="mean photon number") as excinfo:
         oscillator_closed_form(n_mean)
     assert repr(n_mean) in str(excinfo.value)
+
+
+def test_oscillator_closed_form_names_mean_past_term_cap(monkeypatch):
+    # The series needs about N ln(1 / term_tol) terms.  Past the cap that is
+    # an input error naming N and the cap, not a RuntimeError.
+    monkeypatch.setattr(gallery, "_MAX_SERIES_TERMS", 1000)
+    oscillator_closed_form(10.0)
+    with pytest.raises(ValueError, match=r"mean photon number 100: .*cap of 1000 terms"):
+        oscillator_closed_form(100.0)
 
 
 def test_oscillator_insufficient_cutoff():

@@ -336,7 +336,6 @@ def test_pair_trace_distances_in_chunks(monkeypatch):
     states = [random_pure_state(dim, rng) for _ in range(3)]
     states += [random_mixed_state(dim, dim, rng) for _ in range(3)]
     first, second = np.triu_indices(len(states), 1)
-    mats = [s.mat for s in states]
     solves = count_eigensolves(monkeypatch)
     # A dense stack holds the fewest matrices whose rows reach _STACK_ROWS:
     # two differences of 4 rows for 8 rows, three for 9.  15 pairs take 8
@@ -344,31 +343,62 @@ def test_pair_trace_distances_in_chunks(monkeypatch):
     for rows, sizes in ((2 * dim, [2] * 7 + [1]), (2 * dim + 1, [3] * 5)):
         monkeypatch.setattr(linalg, "_STACK_ROWS", rows)
         solves.clear()
-        chunks = list(pair_trace_distances(mats, first, second))
-        assert [len(c) for c in chunks] == sizes
+        chunks = list(pair_trace_distances(states, first, second))
+        assert [len(d) for _, d in chunks] == sizes
+        assert np.array_equal(np.concatenate([p for p, _ in chunks]), np.arange(15))
         assert len(solves) == 15
-        for (i, j), got in zip(zip(first, second), np.concatenate(chunks)):
+        for (i, j), got in zip(zip(first, second), np.concatenate([d for _, d in chunks])):
             assert abs(got - trace_distance(states[i], states[j])) <= 1e-12
     # A stack of diagonals holds at most _STACK_BYTES and needs no solve.
-    diagonals = [rng.dirichlet(np.ones(dim)) for _ in states]
+    diagonals = [DensityOperator.from_diagonal(rng.dirichlet(np.ones(dim))) for _ in states]
     monkeypatch.setattr(linalg, "_STACK_BYTES", 2 * 8 * dim)
     solves.clear()
     chunks = list(pair_trace_distances(diagonals, first, second))
-    assert [len(c) for c in chunks] == [2] * 7 + [1]
+    assert [len(d) for _, d in chunks] == [2] * 7 + [1]
     assert solves == []
-    for (i, j), got in zip(zip(first, second), np.concatenate(chunks)):
-        assert got == 0.5 * np.abs(diagonals[i] - diagonals[j]).sum()
+    for (i, j), got in zip(zip(first, second), np.concatenate([d for _, d in chunks])):
+        assert got == 0.5 * np.abs(diagonals[i].diagonal - diagonals[j].diagonal).sum()
     assert list(pair_trace_distances([], first[:0], second[:0])) == []
+
+
+def test_pair_trace_distances_mixes_stack_kinds(monkeypatch):
+    # Diagonal-diagonal pairs take vector stacks at no eigensolve; mixed and
+    # dense pairs take dense stacks, one solve each.  Every position is
+    # filled once, whichever stack holds it.
+    rng = np.random.default_rng(41)
+    dim = 5
+    ops = [DensityOperator.from_diagonal(rng.dirichlet(np.ones(dim))) for _ in range(4)]
+    ops += [random_mixed_state(dim, 2, rng), random_pure_state(dim, rng)]
+    ops.insert(2, random_mixed_state(dim, dim, rng))
+    first, second = np.triu_indices(len(ops), 1)
+    order = rng.permutation(first.size)
+    first, second = first[order], second[order]
+    monkeypatch.setattr(linalg, "_STACK_ROWS", 2 * dim)
+    monkeypatch.setattr(linalg, "_STACK_BYTES", 3 * 8 * dim)
+    solves = count_eigensolves(monkeypatch)
+    stacks = list(pair_trace_distances(ops, first, second))
+    both_diagonal = sum(ops[i].diagonal is not None and ops[j].diagonal is not None
+                        for i, j in zip(first, second))
+    assert both_diagonal == 6
+    assert len(solves) == first.size - both_diagonal
+    seen = np.zeros(first.size, dtype=int)
+    for positions, distances in stacks:
+        seen[positions] += 1
+        for k, got in zip(positions, distances):
+            assert abs(got - trace_distance(ops[first[k]], ops[second[k]])) <= 1e-12
+    assert np.all(seen == 1)
 
 
 def test_pair_trace_distances_failure_is_wrapped(monkeypatch):
     def boom(_):
         raise np.linalg.LinAlgError("did not converge")
 
+    rng = np.random.default_rng(43)
+    # Dense states: a pair of diagonals would take the vector stack instead.
+    ops = [random_mixed_state(3, 3, rng), random_pure_state(3, rng)]
     monkeypatch.setattr(np.linalg, "eigvalsh", boom)
-    mats = [np.eye(3) / 3, np.diag([1.0, 0.0, 0.0])]
     with pytest.raises(EigensolverError) as excinfo:
-        next(pair_trace_distances(mats, np.array([0]), np.array([1])))
+        next(pair_trace_distances(ops, np.array([0]), np.array([1])))
     assert excinfo.value.dim == 3
 
 
