@@ -45,7 +45,6 @@ from .entropy import binary_entropy, shannon_entropy, von_neumann_entropy
 from .linalg import (
     PSD_TOL,
     DensityOperator,
-    hermitian_eig,
     pair_trace_distances,
     pure_trace_distances,
 )
@@ -78,12 +77,12 @@ def fei_check(rho: DensityOperator, sigma: DensityOperator) -> FeiReport:
     """Evaluate the entropic inequality for (rho, sigma).
 
     eps is the trace distance and tau_plus/tau_minus the unit-trace positive
-    and negative parts of rho - sigma, from one eigendecomposition.  The slack
+    and negative parts of rho - sigma, from one jordan_split.  The slack
     is nonnegative for all pairs of states, up to floating point.  When
     rho - sigma is numerically zero (the dead zone of normalized_parts) both
     sides collapse to S(rho) and the slack is 0.
     """
-    eps, tau_plus, tau_minus = normalized_parts(hermitian_eig(rho - sigma))
+    eps, tau_plus, tau_minus = normalized_parts(rho - sigma)
     if tau_plus is None:
         s = von_neumann_entropy(rho)
         return FeiReport(eps=eps, lhs=s, rhs=s, slack=0.0)

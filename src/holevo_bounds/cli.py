@@ -12,10 +12,10 @@ Subcommands:
 Exit codes: 0 success, 1 property violation, 2 input error (including an
 input too large for memory, such as an oscillator whose cutoff asks for more
 members than fit), 3 numerical failure (an eigensolver failed or exceeded
-its residual tolerance; `verify` exits 3 when every failed trial failed
-numerically).  All
-stored and checked tolerances are in nats; --log-base 2 rescales display
-output only.
+its residual tolerance).  `verify` records a trial that raises any exception
+and goes on; it exits 1 when some inequality failed, and 3 when every failed
+trial raised instead.  All stored and checked tolerances are in nats;
+--log-base 2 rescales display output only.
 """
 
 from __future__ import annotations
@@ -279,7 +279,8 @@ class SuiteResult:
     """Outcome of a verification suite: per-inequality worst slacks and any
     failed trials.  Each entry of `violations` names its trial, its ensemble
     and its "kind": "violation" when an inequality failed beyond its
-    tolerance, "numerical" when an eigensolver failed (EigensolverError)."""
+    tolerance, "numerical" when an eigensolver failed (EigensolverError),
+    "error" when the trial raised any other exception."""
 
     suite: str
     trials: int
@@ -295,6 +296,13 @@ def _record_failure(
     result.violations.append(
         {"trial": trial, "kind": kind, "detail": detail, "ensemble": ensemble_to_dict(mu)}
     )
+
+
+def _failure_of(exc: Exception) -> tuple[str, str]:
+    """(kind, detail) of a trial that raised `exc`."""
+    if isinstance(exc, EigensolverError):
+        return "numerical", str(exc)
+    return "error", f"{type(exc).__name__}: {exc}"
 
 
 def _min_into(worst: dict, key: str, value: float) -> None:
@@ -325,8 +333,8 @@ def run_fei_suite(trials: int, seed: int) -> SuiteResult:
         sigma = _random_state(dim, rng)
         try:
             check = fei_check(rho, sigma)
-        except EigensolverError as exc:
-            kind, detail = "numerical", str(exc)
+        except Exception as exc:
+            kind, detail = _failure_of(exc)
         else:
             _min_into(result.worst, "slack", check.slack)
             if check.slack >= -1e-8:
@@ -360,8 +368,8 @@ def run_bounds_suite(trials: int, seed: int) -> SuiteResult:
         mu = random_ensemble(m, dim, rng)
         try:
             report = full_report(mu)
-        except EigensolverError as exc:
-            _record_failure(result, trial, "numerical", str(exc), mu)
+        except Exception as exc:
+            _record_failure(result, trial, *_failure_of(exc), mu)
             continue
         problems = []
         for key in BOUND_KEYS:
@@ -423,13 +431,11 @@ def _cmd_verify(args) -> int:
             fh,
             indent=2,
         )
-    numerical = sum(v.get("kind") == "numerical" for v in result.violations)
-    violations = len(result.violations) - numerical
-    counts = [f"{violations} violation(s)"] if violations else []
-    if numerical:
-        counts.append(f"{numerical} numerical failure(s)")
+    kinds = [v.get("kind", "violation") for v in result.violations]
+    labels = {"violation": "violation(s)", "numerical": "numerical failure(s)", "error": "error(s)"}
+    counts = [f"{kinds.count(kind)} {label}" for kind, label in labels.items() if kind in kinds]
     print(f"{' and '.join(counts)} written to {failure_path}", file=sys.stderr)
-    return EXIT_VIOLATION if violations else EXIT_NUMERICAL
+    return EXIT_VIOLATION if "violation" in kinds else EXIT_NUMERICAL
 
 
 @functools.cache

@@ -15,7 +15,7 @@ import numpy as np
 
 from .entropy import as_probability_vector, binary_entropy, von_neumann_entropy
 from .linalg import (
-    PSD_TOL, DensityOperator, EigenSystem, HermitianOperator, hermitian_eig, jordan_split,
+    PSD_TOL, DensityOperator, HermitianOperator, jordan_split,
     pair_trace_distances, trace_distance, trace_norm,
 )
 
@@ -138,24 +138,23 @@ def _h_terms(probs: np.ndarray, eps: np.ndarray, eps_av: float) -> tuple[float, 
 
 
 def normalized_parts(
-    system: EigenSystem,
+    diff: HermitianOperator,
 ) -> tuple[float, DensityOperator | None, DensityOperator | None]:
-    """(eps, tau_plus, tau_minus) for the difference of two states whose
-    eigendecomposition is `system`: eps is its trace distance, clipped to 1,
-    and tau_plus/tau_minus its positive and negative parts, each normalized
-    to unit trace.  Both parts are None in the dead zone, where eps or the
-    trace of either part is at most EPS_ZERO_TOL: the difference is then
-    numerically indistinguishable from zero.  The parts are not re-validated:
-    their spectra are the split eigenvalues of `system` over their traces.
+    """(eps, tau_plus, tau_minus) for `diff`, the difference of two states:
+    eps is its trace distance, clipped to 1, and tau_plus/tau_minus its
+    positive and negative parts, each normalized to unit trace.  Both parts
+    are None in the dead zone, where eps or the trace of either part is at
+    most EPS_ZERO_TOL: the difference is then numerically indistinguishable
+    from zero.  The parts are not re-validated: their spectra are the split
+    eigenvalues of `diff` over their traces.
     """
-    eps = min(0.5 * float(np.abs(system.eigenvalues).sum()), 1.0)
+    w, plus, minus = jordan_split(diff)  # w ascending: the negative part's is reversed
+    eps = min(0.5 * float(np.abs(w).sum()), 1.0)
     if eps <= EPS_ZERO_TOL:
         return eps, None, None
-    plus, minus = jordan_split(system)
     tr_plus, tr_minus = plus.trace(), minus.trace()
     if min(tr_plus, tr_minus) <= EPS_ZERO_TOL:
         return eps, None, None
-    w = system.eigenvalues  # ascending, so the negative part's is reversed
     spec_plus = np.where(w > PSD_TOL, w, 0.0) / tr_plus
     spec_minus = np.where(w < -PSD_TOL, -w, 0.0)[::-1] / tr_minus
     return eps, _normalized(plus, tr_plus, spec_plus), _normalized(minus, tr_minus, spec_minus)
@@ -237,14 +236,12 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
     tau_minus: list[DensityOperator] = []
     usable: list[int] = []
     for i, state in enumerate(mu.states):
-        system = hermitian_eig(state - mu.average)
-        eps[i], plus, minus = normalized_parts(system)
+        eps[i], plus, minus = normalized_parts(state - mu.average)
         if plus is None:
             continue
         usable.append(i)
         tau_plus.append(plus)
         tau_minus.append(minus)
-        del system  # free before the next member's solve: peak memory
     eps.setflags(write=False)
     eps_av = float(mu.probs @ eps)
     if eps_av <= EPS_ZERO_TOL:

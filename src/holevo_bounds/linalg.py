@@ -6,9 +6,13 @@ Hermitian operator into its positive and negative parts.  Matrices are dense
 double-precision arrays; operators are immutable once constructed, so all
 functions in this module are pure and safe to call concurrently.  An exactly
 diagonal operator (every commuting ensemble in its shared basis) is kept as
-its real diagonal: its eigendecomposition, differences, Jordan parts and
-trace distances to other diagonal operators are O(d) vector operations, with
-no LAPACK call and no d x d matrix.
+its real diagonal: its eigenvalues are its sorted entries, its Jordan parts
+the split of its entries by sign, and its differences and trace distances to
+other diagonal operators O(d) vector operations, with no LAPACK call and no
+d x d matrix.  Only that representation decides which path an operator
+takes.  It is set when the operator is built: by the checking constructor,
+by from_diagonal, or as the difference of two diagonals.  A dense operator
+whose entries cancel to a diagonal stays dense and goes to LAPACK.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _materialize(owner, name: str, mat: np.ndarray) -> np.ndarray:
-    """Keep `mat`, the d x d array a diagonal operator or eigensystem builds
+    """Keep `mat`, the d x d array an operator kept as its diagonal builds
     on the first read of its field `name`, frozen on `owner`."""
     object.__setattr__(owner, name, _freeze(mat))
     return mat
@@ -191,43 +195,18 @@ class DensityOperator(HermitianOperator):
 
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
-    """Ascending eigenvalues paired with a unitary matrix of eigenvectors.
-
-    `order` is set when the operator was exactly diagonal: eigenvalue k is
-    its diagonal entry order[k] and eigenvector k the basis vector
-    e_order[k].  Such a system builds its permutation matrix `eigenvectors`
-    on first read and keeps it.  `order` is None for a LAPACK solution.
-    """
+    """Ascending eigenvalues paired with a unitary matrix of eigenvectors."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    order: np.ndarray | None = None
-
-    @classmethod
-    def _diagonal(cls, eigenvalues: np.ndarray, order: np.ndarray) -> "EigenSystem":
-        system = cls.__new__(cls)
-        object.__setattr__(system, "eigenvalues", _freeze(eigenvalues))
-        object.__setattr__(system, "order", _freeze(order))
-        return system
-
-    def __getattr__(self, name):
-        # Reached only for a field not set on the instance: the
-        # `eigenvectors` of a diagonal system.
-        if name != "eigenvectors" or self.order is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        dim = self.order.size
-        v = np.zeros((dim, dim), dtype=complex)
-        v[self.order, np.arange(dim)] = 1.0
-        return _materialize(self, "eigenvectors", v)
 
 
 def _is_diagonal(mat: np.ndarray) -> bool:
     """Every off-diagonal entry is exactly 0: one O(d^2) pass, no copy.
 
-    Such an operator's eigensystem is its sorted diagonal and the standard
-    basis, so it needs no eigensolve.  Any nonzero off-diagonal entry, however
-    small, sends the operator to LAPACK.  A nonzero corner entry settles a
-    dense operator before the pass.
+    The checking constructor keeps such an operator as its diagonal.  Any
+    nonzero off-diagonal entry, however small, keeps it dense.  A nonzero
+    corner entry settles a dense operator before the pass.
     """
     dim = mat.shape[0]
     if dim > 1 and mat[dim - 1, 0] != 0:
@@ -235,34 +214,11 @@ def _is_diagonal(mat: np.ndarray) -> bool:
     return np.count_nonzero(mat) == np.count_nonzero(mat.diagonal())
 
 
-def _exact_diagonal(a: HermitianOperator) -> np.ndarray | None:
-    """The real diagonal of `a` when `a` is exactly diagonal, else None.
-
-    An operator kept as its diagonal answers at once.  A dense one, such as
-    the zero difference of two identical dense states, is scanned by
-    _is_diagonal; an imaginary entry on its diagonal is the one residual the
-    closed form can have, and is checked against RECON_TOL.
-    """
-    if a.diagonal is not None:
-        return a.diagonal
-    if not _is_diagonal(a.mat):
-        return None
-    diag = a.mat.diagonal()
-    _check_residual(float(np.max(np.abs(diag.imag))), a.dim)
-    return diag.real
-
-
-def _diagonal_order(diag: np.ndarray) -> np.ndarray:
-    """Indices that sort the real vector `diag` ascending, ties in place."""
-    return np.argsort(diag, kind="stable")
-
-
 def hermitian_eigenvalues(a: HermitianOperator) -> np.ndarray:
     """Ascending eigenvalues of `a` (values-only fast path); the sorted
-    diagonal when `a` is diagonal."""
-    diag = _exact_diagonal(a)
-    if diag is not None:
-        return diag[_diagonal_order(diag)]
+    diagonal when `a` is kept as one."""
+    if a.diagonal is not None:
+        return np.sort(a.diagonal, kind="stable")
     try:
         return np.linalg.eigvalsh(a.mat)
     except np.linalg.LinAlgError as exc:
@@ -271,28 +227,19 @@ def hermitian_eigenvalues(a: HermitianOperator) -> np.ndarray:
         ) from exc
 
 
-def _check_residual(residual: float, dim: int) -> None:
-    if residual > RECON_TOL:
-        raise EigensolverError(
-            f"eigendecomposition residual {residual:.3e} exceeds "
-            f"{RECON_TOL:.0e} at dim {dim}",
-            dim=dim,
-            residual=residual,
-        )
-
-
 def hermitian_eig(a: HermitianOperator) -> EigenSystem:
     """Full eigendecomposition of `a` with a verified reconstruction.
 
     Raises EigensolverError when LAPACK fails or when the reconstruction
     residual max(||V diag(w) V^dag - A||_max, ||V^dag V - I||_max) exceeds
-    RECON_TOL.  A diagonal `a` is solved in closed form (see EigenSystem.order):
-    V is a permutation, so the residual vanishes.
+    RECON_TOL.  An `a` kept as its diagonal is solved in closed form: its
+    sorted diagonal, and the permutation matrix V that sorts it, so the
+    residual vanishes.
     """
-    diag = _exact_diagonal(a)
-    if diag is not None:
-        order = _diagonal_order(diag)
-        return EigenSystem._diagonal(diag[order], order)
+    if a.diagonal is not None:
+        order = np.argsort(a.diagonal, kind="stable")
+        v = np.eye(a.dim, dtype=complex)[:, order]
+        return EigenSystem(_freeze(a.diagonal[order]), _freeze(v))
     try:
         w, v = np.linalg.eigh(a.mat)
     except np.linalg.LinAlgError as exc:
@@ -301,7 +248,14 @@ def hermitian_eig(a: HermitianOperator) -> EigenSystem:
         ) from exc
     recon_err = float(np.max(np.abs((v * w) @ v.conj().T - a.mat)))
     ortho_err = float(np.max(np.abs(v.conj().T @ v - np.eye(a.dim))))
-    _check_residual(max(recon_err, ortho_err), a.dim)
+    residual = max(recon_err, ortho_err)
+    if residual > RECON_TOL:
+        raise EigensolverError(
+            f"eigendecomposition residual {residual:.3e} exceeds "
+            f"{RECON_TOL:.0e} at dim {a.dim}",
+            dim=a.dim,
+            residual=residual,
+        )
     return EigenSystem(_freeze(w), _freeze(v))
 
 
@@ -464,24 +418,27 @@ def jordan_parts(a: HermitianOperator) -> tuple[HermitianOperator, HermitianOper
     The two parts have orthogonal supports, so A_plus A_minus = 0 and
     Tr A_plus + Tr A_minus = ||A||_1 up to solver noise.
     """
-    return jordan_split(hermitian_eig(a))
+    return jordan_split(a)[1:]
 
 
-def jordan_split(system: EigenSystem) -> tuple[HermitianOperator, HermitianOperator]:
-    """jordan_parts of the operator whose eigendecomposition is `system`,
-    for callers that also need its eigenvalues (one solve serves both).
-    A diagonal system's parts are the sign split of its diagonal, kept as
-    diagonals; LAPACK-path parts are symmetrized to (P + P^dag)/2."""
+def jordan_split(a: HermitianOperator) -> tuple[np.ndarray, HermitianOperator, HermitianOperator]:
+    """(w, A_plus, A_minus): the ascending eigenvalues w of `a` and its
+    jordan_parts, for callers that need both.  An `a` kept as its diagonal
+    is split by the sign of its entries, into parts kept as diagonals, with
+    no eigensystem.  Any other `a` takes one hermitian_eig, and its parts
+    (V w_+/- V^dag) are symmetrized to (P + P^dag)/2."""
+    if a.diagonal is not None:
+        plus, minus = (
+            HermitianOperator._derived(diagonal=np.where(d > PSD_TOL, d, 0.0))
+            for d in (a.diagonal, -a.diagonal)
+        )
+        return hermitian_eigenvalues(a), plus, minus
+    system = hermitian_eig(a)
     parts = []
     for sign in (1.0, -1.0):
         w = sign * system.eigenvalues
-        if system.order is not None:
-            diag = np.empty_like(w)
-            diag[system.order] = np.where(w > PSD_TOL, w, 0.0)
-            parts.append(HermitianOperator._derived(diagonal=diag))
-        else:
-            keep = w > PSD_TOL
-            v = system.eigenvectors[:, keep]
-            part = (v * w[keep]) @ v.conj().T
-            parts.append(HermitianOperator._derived((part + part.conj().T) / 2.0))
-    return parts[0], parts[1]
+        keep = w > PSD_TOL
+        v = system.eigenvectors[:, keep]
+        part = (v * w[keep]) @ v.conj().T
+        parts.append(HermitianOperator._derived((part + part.conj().T) / 2.0))
+    return system.eigenvalues, parts[0], parts[1]

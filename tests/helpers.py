@@ -71,9 +71,8 @@ def count_constructions(monkeypatch) -> list[str]:
 
 def count_materializations(monkeypatch) -> list[tuple[str, int]]:
     """Wrap linalg._materialize, through which an operator kept as its
-    diagonal builds its d x d `mat` (and a diagonal eigensystem its
-    `eigenvectors`), so that every build appends (field name, d) to the
-    returned list."""
+    diagonal builds its d x d `mat`, so that every build appends
+    (field name, d) to the returned list."""
     calls: list[tuple[str, int]] = []
     original = linalg._materialize
 

@@ -532,6 +532,42 @@ def test_verify_numerical_failure_is_recorded_per_trial(
     assert ensemble_from_dict(entry["ensemble"]).size >= 2
 
 
+@pytest.mark.parametrize("error", [ZeroDivisionError, ValueError])
+@pytest.mark.parametrize(
+    "suite, target",
+    [("bounds", "full_report"), ("fei", "fei_check")],
+)
+def test_verify_trial_error_is_recorded_per_trial(
+    tmp_path, capsys, monkeypatch, suite, target, error
+):
+    # Any exception in a trial is recorded with its ensemble and the suite
+    # goes on: it neither escapes main nor reads as an input error.
+    import holevo_bounds.cli as cli
+
+    original = getattr(cli, target)
+    calls = []
+
+    def raises_on_trial_three(*args):
+        calls.append(len(calls))
+        if len(calls) == 4:
+            raise error("boom")
+        return original(*args)
+
+    monkeypatch.setattr(cli, target, raises_on_trial_three)
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", suite, "--trials", "5", "--seed", "7"]) == EXIT_NUMERICAL
+    assert calls == [0, 1, 2, 3, 4]
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"suite {suite}: 5 trials")
+    assert "1 error(s) written to" in captured.err
+    failure = json.loads((tmp_path / f"verify-{suite}-failure.json").read_text())
+    [entry] = failure["violations"]
+    assert entry["trial"] == 3
+    assert entry["kind"] == "error"
+    assert entry["detail"] == f"{error.__name__}: boom"
+    assert ensemble_from_dict(entry["ensemble"]).size >= 2
+
+
 def test_verify_violation_outranks_numerical_failure(tmp_path, capsys, monkeypatch):
     import holevo_bounds.cli as cli
 

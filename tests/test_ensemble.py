@@ -15,10 +15,15 @@ from holevo_bounds.ensemble import (
     holevo_quantity,
     mean_binary_entropy,
     member_epsilons,
+    normalized_parts,
 )
 from holevo_bounds.entropy import relative_entropy, shannon_entropy
-from holevo_bounds.gallery import orthogonal_ensemble, random_ensemble, trine_ensemble
-from holevo_bounds.linalg import DensityOperator, trace_norm
+from holevo_bounds.gallery import (
+    orthogonal_ensemble, random_ensemble, random_mixed_state, trine_ensemble,
+)
+from holevo_bounds.linalg import DensityOperator, HermitianOperator, trace_norm
+
+from helpers import count_eigensolves
 
 LN2 = math.log(2.0)
 
@@ -217,3 +222,32 @@ def test_auxiliary_decomposition_is_plain_data():
     assert isinstance(aux, AuxiliaryDecomposition)
     assert aux.mu_plus.size == aux.mu_minus.size == 3
     assert math.isclose(trace_norm(aux.omega - average_state(aux.mu_minus)), 0.0, abs_tol=1e-15)
+
+
+def test_exactly_diagonal_dense_difference_takes_lapack(monkeypatch):
+    # Dense states whose off-diagonal entries cancel exactly: the difference
+    # is dense, so LAPACK solves it, and it must agree with the same
+    # difference kept as its diagonal.  Identical states give eps = 0.
+    base = DensityOperator(0.5 * random_mixed_state(3, 3, 11).mat + np.eye(3) / 6.0)
+    shifted = DensityOperator(base.mat + np.diag([0.05, -0.02, -0.03]))
+    calls = count_eigensolves(monkeypatch)
+    for rho, sigma in ((shifted, base), (base, base)):
+        diff = rho - sigma
+        assert diff.diagonal is None
+        assert np.count_nonzero(diff.mat - np.diag(diff.mat.diagonal())) == 0
+        del calls[:]
+        got = normalized_parts(diff)
+        assert calls == [3]
+        want = normalized_parts(
+            HermitianOperator._derived(diagonal=diff.mat.diagonal().real.copy())
+        )
+        assert calls == [3]
+        assert abs(got[0] - want[0]) <= 1e-12
+        assert (got[1] is None) == (want[1] is None) == (rho is base)
+        for part, oracle in zip(got[1:], want[1:]):
+            if part is None:
+                continue
+            assert part.diagonal is None and oracle.diagonal is not None
+            assert np.max(np.abs(part.mat - oracle.mat)) <= 1e-12
+            assert np.max(np.abs(part.spectrum - oracle.spectrum)) <= 1e-12
+    assert got[0] == 0.0

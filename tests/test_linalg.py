@@ -1,6 +1,5 @@
 """Tests for the dense Hermitian matrix kernel."""
 
-import dataclasses
 import math
 import sys
 import threading
@@ -241,15 +240,15 @@ def test_diagonal_eigenvectors_are_a_permutation():
     assert set(np.unique(v)) == {0.0, 1.0}
     assert np.array_equal(np.abs(v).sum(axis=0), np.ones(dim))
     assert np.array_equal(np.abs(v).sum(axis=1), np.ones(dim))
-    assert np.array_equal(v[system.order, np.arange(dim)], np.ones(dim))
     assert np.array_equal((v * system.eigenvalues) @ v.conj().T, op.mat)
     assert np.array_equal(v.conj().T @ v, np.eye(dim))
 
 
 def test_diagonal_residual_is_checked():
-    # A Hermitian operator's diagonal is real after symmetrization; an
-    # imaginary diagonal entry is the one residual the closed form can have.
-    # `diagonal = None` marks a dense operator, so its matrix is scanned.
+    # A Hermitian operator's diagonal is real after symmetrization, so only
+    # an unchecked matrix can carry an imaginary diagonal entry.
+    # `diagonal = None` marks it dense, so it goes to LAPACK, which reads the
+    # entry's real part; the reconstruction residual then catches it.
     class Raw:
         mat = np.diag([1.0, 2.0 + 1e-6j, 0.0])
         diagonal = None
@@ -266,18 +265,23 @@ def test_tiny_off_diagonal_entry_takes_lapack(monkeypatch):
     mat[0, 1] = mat[1, 0] = 1e-300
     op = HermitianOperator(mat)
     calls = count_eigensolves(monkeypatch)
-    assert hermitian_eig(op).order is None
+    hermitian_eig(op)
     assert calls == [3]
     hermitian_eigenvalues(op)
     assert calls == [3, 3]
 
 
 def test_diagonal_jordan_split_matches_dense_formula():
-    # The same eigensystem without its permutation goes through the dense
-    # (V w) V^dag formula; the dead-zone entries +-1e-11 join neither part.
-    system = hermitian_eig(HermitianOperator(np.diag(DIAGONAL_ENTRIES)))
-    plus, minus = linalg.jordan_split(system)
-    dense_plus, dense_minus = linalg.jordan_split(dataclasses.replace(system, order=None))
+    # The sign split of an operator kept as its diagonal, against the same
+    # matrix built dense, which LAPACK splits by the (V w) V^dag formula; the
+    # dead-zone entries +-1e-11 join neither part.
+    op = HermitianOperator(np.diag(DIAGONAL_ENTRIES))
+    dense = HermitianOperator._derived(np.diag(DIAGONAL_ENTRIES).astype(complex))
+    assert op.diagonal is not None and dense.diagonal is None
+    w, plus, minus = linalg.jordan_split(op)
+    dense_w, dense_plus, dense_minus = linalg.jordan_split(dense)
+    assert plus.diagonal is not None and dense_plus.diagonal is None
+    assert np.array_equal(w, dense_w)
     assert np.array_equal(plus.mat, dense_plus.mat)
     assert np.array_equal(minus.mat, dense_minus.mat)
     kept = np.where(np.abs(DIAGONAL_ENTRIES) > linalg.PSD_TOL, DIAGONAL_ENTRIES, 0.0)
