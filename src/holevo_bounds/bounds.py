@@ -17,6 +17,7 @@ concavity).
 
 full_report is the one place where these formulas are evaluated; the four
 functions named above return its fields, so each call costs one report.
+Every pair distance behind C and D comes from linalg.pair_trace_distances.
 
 Reports carry measured slacks rather than enforcing the inequalities, so a
 violating instance can still be inspected and serialized by the verification
@@ -42,12 +43,7 @@ from .ensemble import (
     normalized_parts,
 )
 from .entropy import binary_entropy, shannon_entropy, von_neumann_entropy
-from .linalg import (
-    PSD_TOL,
-    DensityOperator,
-    pair_trace_distances,
-    pure_trace_distances,
-)
+from .linalg import DensityOperator, pair_trace_distances
 
 # The bound fields of BoundReport, in report order; each has a slack.
 BOUND_KEYS = (
@@ -100,46 +96,21 @@ def plus_diameter(aux: AuxiliaryDecomposition) -> float:
     [0, 1].  Exact: every pair is evaluated unless the metric ceiling
     1 - 1e-12 is reached first.
 
-    A part has rank 1 when the second-largest entry of its spectrum is at
-    most PSD_TOL, as for every pure member's.  Pairs of dense rank-1 parts
-    take the closed form sqrt(1 - |<a|b>|^2) from one Gram matrix, with no
-    eigensolve; each part's vector is a column of its matrix, which the
-    Gram diagonal normalizes.  When there are such parts, a rank-1 diagonal
-    part joins them as its basis vector.  Every other pair is solved by
-    pair_trace_distances, which decides its stack kind.  The pairs are
-    generated in blocks of rows, so a scan that stops early never holds all
-    m(m-1)/2 of them.  The ceiling is checked after the Gram stage and after
-    each stack.
+    pair_trace_distances decides each pair's method: a pair of rank-1 parts
+    (every pure member's) takes a closed form, and a pair of diagonal parts
+    a vector difference, both at no eigensolve; every other pair takes one.
+    The pairs are generated in blocks of rows, so a scan that stops early
+    never holds all m(m-1)/2 of them.  The ceiling is checked after each
+    stack.
     """
     ceiling = 1.0 - 1e-12
-    taus = aux.tau_plus
-    dense = np.array([tau.diagonal is None for tau in taus], dtype=bool)
-    pure = np.zeros(len(taus), dtype=bool)
-    if dense.any():  # the Gram stage needs a dense rank-1 part
-        rank_one = np.array([tau.spectrum[-2] <= PSD_TOL for tau in taus], dtype=bool)
-        pure = rank_one & (dense | (rank_one & dense).any())
     best = 0.0
-    if pure.sum() > 1:
-        columns = np.zeros((taus[0].dim, pure.sum()), dtype=complex)
-        for column, tau in zip(columns.T, (taus[k] for k in np.flatnonzero(pure))):
-            if tau.diagonal is not None:
-                column[np.argmax(tau.diagonal)] = 1.0
-            else:
-                column[:] = tau.mat[:, np.argmax(tau.mat.diagonal().real)]
-        distances = pure_trace_distances(columns)
-        best = float(distances[np.triu_indices(len(distances), 1)].max())
-        if best >= ceiling:
-            return min(best, 1.0)
-    for first, second in _upper_pairs(len(taus)):
-        keep = ~(pure[first] & pure[second])
-        if not keep.any():
-            continue
-        # Closed on an early return: its worker threads are joined first.
-        with closing(pair_trace_distances(taus, first[keep], second[keep])) as stacks:
-            for _, distances in stacks:
-                best = max(best, float(distances.max()))
-                if best >= ceiling:
-                    return min(best, 1.0)
+    # Closed on an early exit: its worker threads are joined first.
+    with closing(pair_trace_distances(aux.tau_plus, _upper_pairs(len(aux.tau_plus)))) as stacks:
+        for _, distances in stacks:
+            best = max(best, float(distances.max()))
+            if best >= ceiling:
+                break
     return min(best, 1.0)
 
 

@@ -167,27 +167,16 @@ def _normalized(part: HermitianOperator, trace: float, spectrum: np.ndarray) -> 
     return DensityOperator._derived(part.mat / trace, spectrum=spectrum)
 
 
-def distance_weights(probs: np.ndarray, eps: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-    """Weights p_i eps_i / eps_av of the auxiliary ensembles.
-
-    Members with eps_i <= EPS_ZERO_TOL carry zero weight and are dropped;
-    returns (retained original indices, weights renormalized to exact sum 1).
-    """
-    keep = np.flatnonzero(eps > EPS_ZERO_TOL)
-    raw = probs[keep] * eps[keep]
-    return tuple(int(i) for i in keep), raw / raw.sum()
-
-
 @dataclass(frozen=True, eq=False)
 class AuxiliaryDecomposition:
     """Normalized Jordan parts of every rho_i - average, as two ensembles.
 
-    tau_plus/tau_minus/weights cover only the retained members (those with
-    eps_i > EPS_ZERO_TOL); `retained` maps their positions back to original
-    member indices, and `probs`/`eps` keep the full original vectors.  The
-    averages of mu_plus and mu_minus coincide in exact arithmetic; `omega` is
-    the computed average of mu_minus and `average_match_residual` the
-    trace-norm gap to the average of mu_plus.
+    tau_plus/tau_minus/weights cover only the retained members, whose
+    difference lies outside normalized_parts' dead zone; `retained` maps their
+    positions back to original member indices, and `probs`/`eps` keep the
+    full original vectors.  The averages of mu_plus and mu_minus coincide in
+    exact arithmetic; `omega` is the computed average of mu_minus and
+    `average_match_residual` the trace-norm gap to the average of mu_plus.
     """
 
     probs: np.ndarray
@@ -209,8 +198,8 @@ class AuxiliaryDecomposition:
         on first use, then kept."""
         n = len(self.tau_minus)
         gaps = np.empty(n)
-        pairs = pair_trace_distances((*self.tau_minus, self.omega), np.arange(n), np.full(n, n))
-        for positions, distances in pairs:
+        block = (np.arange(n), np.full(n, n))
+        for positions, distances in pair_trace_distances((*self.tau_minus, self.omega), [block]):
             gaps[positions] = 2.0 * distances
         return tuple(float(gap) for gap in gaps)
 
@@ -220,8 +209,10 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
 
     tau_i^+ and tau_i^- are the positive and negative parts of
     rho_i - average, each normalized to unit trace (the trace of either part
-    equals eps_i in exact arithmetic).  Raises DegenerateEnsembleError when
-    eps_av <= EPS_ZERO_TOL.
+    equals eps_i in exact arithmetic).  A member whose difference lies in
+    normalized_parts' dead zone is dropped, and the weights p_i eps_i of the
+    others are renormalized to sum 1.  Raises DegenerateEnsembleError when
+    eps_av <= EPS_ZERO_TOL or every member is dropped.
 
     Eigensolves: at most m + 4 for m members.  One for mu's average unless
     mu holds it already; one eigh per member, solved one at a time, which
@@ -257,16 +248,15 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
             eps=eps,
             eps_av=eps_av,
         )
-    retained, weights = distance_weights(
-        mu.probs, np.where(np.isin(np.arange(mu.size), usable), eps, 0.0)
-    )
+    raw = mu.probs[usable] * eps[usable]
+    weights = raw / raw.sum()
     mu_plus = DiscreteEnsemble(weights, tuple(tau_plus))
     mu_minus = DiscreteEnsemble(weights, tuple(tau_minus))
     return AuxiliaryDecomposition(
         probs=mu.probs,
         eps=eps,
         eps_av=eps_av,
-        retained=retained,
+        retained=tuple(usable),
         weights=weights,
         tau_plus=mu_plus.states,
         tau_minus=mu_minus.states,

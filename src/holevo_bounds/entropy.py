@@ -85,21 +85,28 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
 
     The support of sigma is its eigenspace above PSD_TOL.  If rho places more
     than SUPPORT_TOL of mass outside it, the result is math.inf; otherwise the
-    value is computed on the support and clipped to be nonnegative.
+    value is computed on the support and clipped to be nonnegative.  A sigma
+    kept as its diagonal is read in O(d), with no eigensolve: its eigenvectors
+    are the basis vectors, so the overlaps are rho's diagonal.
     """
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    system = hermitian_eig(sigma)
-    # <v_k| rho |v_k> for every eigenvector of sigma.
-    overlaps = np.einsum(
-        "ji,jk,ki->i", system.eigenvectors.conj(), rho.mat, system.eigenvectors
-    ).real
+    if sigma.diagonal is not None:
+        eigenvalues = sigma.diagonal
+        overlaps = rho.diagonal if rho.diagonal is not None else rho.mat.diagonal().real
+    else:
+        system = hermitian_eig(sigma)
+        eigenvalues = system.eigenvalues
+        # <v_k| rho |v_k> for every eigenvector of sigma.
+        overlaps = np.einsum(
+            "ji,jk,ki->i", system.eigenvectors.conj(), rho.mat, system.eigenvectors
+        ).real
     overlaps = np.clip(overlaps, 0.0, None)
-    support = system.eigenvalues > PSD_TOL
+    support = eigenvalues > PSD_TOL
     outside = float(overlaps[~support].sum())
     if outside > SUPPORT_TOL:
         return math.inf
-    cross = float((overlaps[support] * np.log(system.eigenvalues[support])).sum())
+    cross = float((overlaps[support] * np.log(eigenvalues[support])).sum())
     val = -von_neumann_entropy(rho) - cross
     return val if val > 0.0 else 0.0
 

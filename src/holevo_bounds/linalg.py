@@ -13,13 +13,15 @@ d x d matrix.  Only that representation decides which path an operator
 takes.  It is set when the operator is built: by the checking constructor,
 by from_diagonal, or as the difference of two diagonals.  A dense operator
 whose entries cancel to a diagonal stays dense and goes to LAPACK.
+pair_trace_distances alone picks how a pair of states' distance is computed:
+by such vectors, by the rank-1 closed form, or by a stacked eigensolve.
 """
 
 from __future__ import annotations
 
 import os
 from collections import deque
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -300,50 +302,79 @@ _WORKERS = min(
 
 
 def pair_trace_distances(
-    ops: Sequence[HermitianOperator], first: np.ndarray, second: np.ndarray
+    states: Sequence[DensityOperator], blocks: Iterable[tuple[np.ndarray, np.ndarray]]
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Trace distances (1/2)||A_i - A_j||_1 for the index pairs
-    (first[k], second[k]) over the operators `ops`, yielded a stack at a
-    time as (positions, distances): distances[n] belongs to the pair at
-    position positions[n] of `first` and `second`.  An operator's matrix is
-    read only when it is in a pair that is not of two diagonals.
+    """Trace distances (1/2)||rho_i - rho_j||_1 of the index pairs
+    (first[k], second[k]) of each block (first, second) of `blocks`, yielded
+    a stack at a time as (positions, distances): distances[n] belongs to the
+    pair at position positions[n] of the blocks taken end to end.
 
-    Each pair's stack kind is decided here.  A pair of two diagonal
-    operators goes in a stack of at most _STACK_BYTES of diagonal
-    differences, which costs no eigensolve, since a diagonal difference's
-    eigenvalues are its entries; these stacks come first and are computed
-    one at a time, on demand.  Every other pair goes in a stack of the
-    fewest matrix differences whose rows reach _STACK_ROWS, at one eigvalsh
-    call, which then runs without the GIL; up to _WORKERS such stacks are
-    solved at once on worker threads, and no thread starts when the pairs
-    fit one stack.  A matrix's eigenvalues do not depend on the stack it is
-    in, so neither do the distances.  When the caller stops or a solve
-    fails, the pending stacks are dropped and the workers joined before
-    control returns to it.
+    Each pair's method is decided here, and only here, in this order within
+    a block.  A pair of two diagonal states goes in a stack of at most
+    _STACK_BYTES of diagonal differences, computed one at a time, on demand,
+    at no eigensolve: a diagonal difference's eigenvalues are its entries.
+    A pair of two rank-1 states (the second-largest spectrum entry at most
+    PSD_TOL), not both diagonal, takes the closed form pure_trace_distances
+    at no eigensolve, from one Gram matrix of every rank-1 state's
+    _unit_vector, formed on first use and kept across blocks.  Every other
+    pair goes in a stack of the fewest matrix differences whose rows reach
+    _STACK_ROWS, at one eigvalsh call, which then runs without the GIL; up
+    to _WORKERS such stacks are solved at once on worker threads, and no
+    thread starts when a block's pairs fit one stack.  A state's matrix is
+    read only for the last two kinds.  A matrix's eigenvalues do not depend
+    on its stack, so neither do the distances.  When the caller stops or a
+    solve fails, the pending stacks are dropped and the workers joined
+    before control returns to it.
     """
-    diagonal = np.array([op.diagonal is not None for op in ops], dtype=bool)
-    by_vector = diagonal[first] & diagonal[second]
-    for dense, selected in ((False, by_vector), (True, ~by_vector)):
-        positions = np.flatnonzero(selected)
+    diagonal = np.array([state.diagonal is not None for state in states], dtype=bool)
+    rank_one = np.zeros(len(states), dtype=bool)
+    if not diagonal.all():  # only a pair with a dense state can take the closed form
+        rank_one[:] = [state.spectrum[-2] <= PSD_TOL for state in states]
+    column = np.cumsum(rank_one) - 1  # each rank-1 state's column of the Gram matrix
+    table, start = None, 0
+    for first, second in blocks:
+        by_vector = diagonal[first] & diagonal[second]
+        by_gram = rank_one[first] & rank_one[second] & ~by_vector
+        yield from _kind_distances(states, first, second, np.flatnonzero(by_vector), start, False)
+        positions = np.flatnonzero(by_gram)
         if positions.size:
-            yield from _kind_distances(ops, first, second, positions, dense)
+            if table is None:
+                vectors = [_unit_vector(s) for s, r in zip(states, rank_one.tolist()) if r]
+                table = pure_trace_distances(np.stack(vectors, axis=1))
+            yield start + positions, table[column[first[positions]], column[second[positions]]]
+        dense = np.flatnonzero(~(by_vector | by_gram))
+        yield from _kind_distances(states, first, second, dense, start, True)
+        start += first.size
+
+
+def _unit_vector(state: DensityOperator) -> np.ndarray:
+    """A vector of the rank-1 `state`, up to its norm: its basis vector when
+    it is kept as a diagonal, else the largest-diagonal column of its matrix."""
+    if state.diagonal is None:
+        return state.mat[:, np.argmax(state.mat.diagonal().real)]
+    vector = np.zeros(state.dim, dtype=complex)
+    vector[np.argmax(state.diagonal)] = 1.0
+    return vector
 
 
 def _kind_distances(
-    ops: Sequence[HermitianOperator], first: np.ndarray, second: np.ndarray,
-    positions: np.ndarray, dense: bool,
+    states: Sequence[DensityOperator], first: np.ndarray, second: np.ndarray,
+    positions: np.ndarray, start: int, dense: bool,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """pair_trace_distances for the pairs at `positions`, all of one stack
-    kind: matrix differences when `dense`, else diagonal ones."""
+    """pair_trace_distances for the pairs at `positions` of one block that
+    starts at position `start`, all of one stack kind: matrix differences
+    when `dense`, else diagonal ones."""
+    if not positions.size:
+        return
     if dense:
         # Read on this thread, and only where indexed: a diagonal operator in
         # a mixed pair builds its mat.
-        read = np.zeros(len(ops), dtype=bool)
+        read = np.zeros(len(states), dtype=bool)
         read[first[positions]] = read[second[positions]] = True
-        arrays = [op.mat if r else None for op, r in zip(ops, read.tolist())]
+        arrays = [state.mat if r else None for state, r in zip(states, read.tolist())]
     else:
-        arrays = [op.diagonal for op in ops]
-    dim = ops[first[positions[0]]].dim
+        arrays = [state.diagonal for state in states]
+    dim = states[first[positions[0]]].dim
     size = -(-_STACK_ROWS // dim) if dense else max(1, _STACK_BYTES // (8 * dim))
     stacks = [positions[k:k + size] for k in range(0, positions.size, size)]
     workers = min(_WORKERS, len(stacks)) if dense else 1
@@ -355,7 +386,7 @@ def _kind_distances(
     def distances(stack):
         buffer = buffers.pop()
         try:
-            return stack, _stack_distances(
+            return start + stack, _stack_distances(
                 arrays, first[stack], second[stack], buffer[:stack.size]
             )
         finally:

@@ -507,6 +507,31 @@ def test_upper_pairs_follow_triu_order(m, block):
         assert f[-1] < g[0]  # whole rows: no row spans two blocks
 
 
+def test_multi_block_scan_forms_one_gram_matrix(monkeypatch):
+    # 9 pure and 3 full-rank members: a scan in blocks of about 4 pairs
+    # forms the Gram matrix of the rank-1 parts once, and gives the
+    # single-block diameter bit for bit.
+    aux = build_auxiliary(_mixed_rank_ensemble(9, 3, 6, seed=14))
+    taus = aux.tau_plus
+    assert sum(_is_rank_one(tau) for tau in taus) == 9
+    grams = []
+    original = linalg.pure_trace_distances
+
+    def counted(vectors):
+        grams.append(vectors.shape)
+        return original(vectors)
+
+    monkeypatch.setattr(linalg, "pure_trace_distances", counted)
+    blocks = list(_upper_pairs(len(taus), block=4))
+    assert len(blocks) > 3
+    scanned = max(
+        float(d.max()) for _, d in linalg.pair_trace_distances(taus, iter(blocks))
+    )
+    assert grams == [(6, 9)]
+    assert scanned == plus_diameter(aux)
+    assert len(grams) == 2  # the single-block scan forms its own
+
+
 def test_plus_diameter_never_holds_every_pair_index():
     # 1,000 orthogonal members reach the ceiling in their first stack, so the
     # scan must not build all m(m-1)/2 index pairs (16 bytes each) first.

@@ -11,7 +11,6 @@ from holevo_bounds.ensemble import (
     DiscreteEnsemble,
     average_state,
     build_auxiliary,
-    distance_weights,
     holevo_quantity,
     mean_binary_entropy,
     member_epsilons,
@@ -134,15 +133,6 @@ def test_mean_binary_entropy_values():
     assert mean_binary_entropy(mu) <= 1e-12
 
 
-def test_distance_weights_drop_and_renormalize():
-    probs = np.array([0.25, 0.25, 0.5])
-    eps = np.array([0.3, 0.1, 0.0])
-    retained, weights = distance_weights(probs, eps)
-    assert retained == (0, 1)
-    np.testing.assert_allclose(weights, [0.75, 0.25])
-    assert abs(float(weights.sum()) - 1.0) <= 1e-15
-
-
 def test_build_auxiliary_orthogonal_family():
     # mu_plus recovers the ensemble itself; mu_minus holds the complementary
     # states (m * average - rho_i) / (m - 1).
@@ -185,7 +175,13 @@ def test_build_auxiliary_drops_zero_distance_member():
     mu = _two_state_plus_average_ensemble()
     aux = build_auxiliary(mu)
     assert aux.retained == (0, 1)
+    assert aux.eps[2] <= 1e-12
     assert len(aux.tau_plus) == 2
+    # The retained members' weights p_i eps_i, renormalized to sum 1: equal
+    # here, since both have p_i = 1/4 and the average is their midpoint.
+    raw = aux.probs[:2] * aux.eps[:2]
+    assert np.array_equal(aux.weights, raw / raw.sum())
+    np.testing.assert_allclose(aux.weights, [0.5, 0.5])
     assert math.isclose(float(aux.weights.sum()), 1.0, abs_tol=1e-15)
     # The dropped member contributes nothing: the identity still holds.
     assert aux.average_match_residual <= 1e-9

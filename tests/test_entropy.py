@@ -18,7 +18,7 @@ from holevo_bounds.entropy import (
 )
 from holevo_bounds.linalg import DensityOperator, trace_norm
 
-from helpers import random_hermitian
+from helpers import count_eigensolves, count_materializations, random_hermitian
 
 LN2 = math.log(2.0)
 
@@ -147,6 +147,19 @@ def test_relative_entropy_pinsker():
         sigma = _random_full_rank(dim, rng)
         gap = trace_norm(rho - sigma)
         assert relative_entropy(rho, sigma) >= 0.5 * gap * gap - 1e-9
+
+
+def test_relative_entropy_of_diagonals_builds_nothing(monkeypatch):
+    # sigma kept as its diagonal is read in O(d): no eigensolve, and no d x d
+    # matrix for either state.
+    rng = np.random.default_rng(53)
+    p, q = rng.dirichlet(np.ones(40)), rng.dirichlet(np.ones(40))
+    rho, sigma = DensityOperator.from_diagonal(p), DensityOperator.from_diagonal(q)
+    solves = count_eigensolves(monkeypatch)
+    builds = count_materializations(monkeypatch)
+    got = relative_entropy(rho, sigma)
+    assert solves == [] and builds == []
+    assert abs(got - float((p * (np.log(p) - np.log(q))).sum())) <= 1e-12
 
 
 def test_relative_entropy_against_double_eigenbasis_oracle():

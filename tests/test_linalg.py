@@ -340,29 +340,34 @@ def test_pair_trace_distances_in_chunks(monkeypatch):
     states = [random_pure_state(dim, rng) for _ in range(3)]
     states += [random_mixed_state(dim, dim, rng) for _ in range(3)]
     first, second = np.triu_indices(len(states), 1)
+    pure_pairs = (second < 3).sum()
+    assert pure_pairs == 3
     solves = count_eigensolves(monkeypatch)
-    # A dense stack holds the fewest matrices whose rows reach _STACK_ROWS:
-    # two differences of 4 rows for 8 rows, three for 9.  15 pairs take 8
-    # or 5 stacks, and one eigensolve per pair either way.
-    for rows, sizes in ((2 * dim, [2] * 7 + [1]), (2 * dim + 1, [3] * 5)):
+    # The 3 pairs of pure states take one closed-form stack at no solve.  A
+    # dense stack holds the fewest matrices whose rows reach _STACK_ROWS:
+    # two differences of 4 rows for 8 rows, three for 9.  The other 12 pairs
+    # take 6 or 4 stacks, and one eigensolve per pair either way.
+    for rows, sizes in ((2 * dim, [3] + [2] * 6), (2 * dim + 1, [3] + [3] * 4)):
         monkeypatch.setattr(linalg, "_STACK_ROWS", rows)
         solves.clear()
-        chunks = list(pair_trace_distances(states, first, second))
+        chunks = list(pair_trace_distances(states, [(first, second)]))
         assert [len(d) for _, d in chunks] == sizes
-        assert np.array_equal(np.concatenate([p for p, _ in chunks]), np.arange(15))
-        assert len(solves) == 15
-        for (i, j), got in zip(zip(first, second), np.concatenate([d for _, d in chunks])):
-            assert abs(got - trace_distance(states[i], states[j])) <= 1e-12
+        positions = np.concatenate([p for p, _ in chunks])
+        assert np.array_equal(positions[:3], np.flatnonzero(second < 3))
+        assert np.array_equal(np.sort(positions), np.arange(15))
+        assert len(solves) == 15 - pure_pairs
+        for k, got in zip(positions, np.concatenate([d for _, d in chunks])):
+            assert abs(got - trace_distance(states[first[k]], states[second[k]])) <= 1e-12
     # A stack of diagonals holds at most _STACK_BYTES and needs no solve.
     diagonals = [DensityOperator.from_diagonal(rng.dirichlet(np.ones(dim))) for _ in states]
     monkeypatch.setattr(linalg, "_STACK_BYTES", 2 * 8 * dim)
     solves.clear()
-    chunks = list(pair_trace_distances(diagonals, first, second))
+    chunks = list(pair_trace_distances(diagonals, [(first, second)]))
     assert [len(d) for _, d in chunks] == [2] * 7 + [1]
     assert solves == []
     for (i, j), got in zip(zip(first, second), np.concatenate([d for _, d in chunks])):
         assert got == 0.5 * np.abs(diagonals[i].diagonal - diagonals[j].diagonal).sum()
-    assert list(pair_trace_distances([], first[:0], second[:0])) == []
+    assert list(pair_trace_distances([], [(first[:0], second[:0])])) == []
 
 
 def test_pair_trace_distances_mixes_stack_kinds(monkeypatch):
@@ -380,11 +385,44 @@ def test_pair_trace_distances_mixes_stack_kinds(monkeypatch):
     monkeypatch.setattr(linalg, "_STACK_ROWS", 2 * dim)
     monkeypatch.setattr(linalg, "_STACK_BYTES", 3 * 8 * dim)
     solves = count_eigensolves(monkeypatch)
-    stacks = list(pair_trace_distances(ops, first, second))
+    stacks = list(pair_trace_distances(ops, [(first, second)]))
     both_diagonal = sum(ops[i].diagonal is not None and ops[j].diagonal is not None
                         for i, j in zip(first, second))
     assert both_diagonal == 6
     assert len(solves) == first.size - both_diagonal
+    seen = np.zeros(first.size, dtype=int)
+    for positions, distances in stacks:
+        seen[positions] += 1
+        for k, got in zip(positions, distances):
+            assert abs(got - trace_distance(ops[first[k]], ops[second[k]])) <= 1e-12
+    assert np.all(seen == 1)
+
+
+def test_pair_trace_distances_picks_each_pairs_method(monkeypatch):
+    # Shuffled pairs in two blocks over diagonal rank-1, dense pure and dense
+    # mixed states: a pair of diagonals or of rank-1 states costs no solve,
+    # every other pair one.  No two pure states are equal, where the closed
+    # form's square root would amplify rounding.
+    rng = np.random.default_rng(47)
+    dim = 5
+    ops = [DensityOperator.from_diagonal(np.eye(dim)[k]) for k in (0, 3)]
+    ops += [random_pure_state(dim, rng) for _ in range(3)]
+    ops += [random_mixed_state(dim, rank, rng) for rank in (2, dim)]
+    order = rng.permutation(len(ops))
+    ops = [ops[k] for k in order]
+    first, second = np.triu_indices(len(ops), 1)
+    shuffle = rng.permutation(first.size)
+    first, second = first[shuffle], second[shuffle]
+    diagonal = np.array([op.diagonal is not None for op in ops])
+    rank_one = order < 5
+    free = (diagonal[first] & diagonal[second]) | (rank_one[first] & rank_one[second])
+    assert free.sum() == 10
+    monkeypatch.setattr(linalg, "_STACK_ROWS", 2 * dim)
+    solves = count_eigensolves(monkeypatch)
+    cut = first.size // 2
+    blocks = [(first[:cut], second[:cut]), (first[cut:], second[cut:])]
+    stacks = list(pair_trace_distances(ops, blocks))
+    assert len(solves) == first.size - free.sum()
     seen = np.zeros(first.size, dtype=int)
     for positions, distances in stacks:
         seen[positions] += 1
@@ -402,7 +440,7 @@ def test_pair_trace_distances_failure_is_wrapped(monkeypatch):
     ops = [random_mixed_state(3, 3, rng), random_pure_state(3, rng)]
     monkeypatch.setattr(np.linalg, "eigvalsh", boom)
     with pytest.raises(EigensolverError) as excinfo:
-        next(pair_trace_distances(ops, np.array([0]), np.array([1])))
+        next(pair_trace_distances(ops, [(np.array([0]), np.array([1]))]))
     assert excinfo.value.dim == 3
 
 
