@@ -11,11 +11,11 @@ Subcommands:
 
 Exit codes: 0 success, 1 property violation, 2 input error (including an
 input too large for memory, such as an oscillator whose cutoff asks for more
-members than fit), 3 numerical failure (an eigensolver failed or exceeded
-its residual tolerance).  `verify` records a trial that raises any exception
-and goes on; it exits 1 when some inequality failed, and 3 when every failed
-trial raised instead.  All stored and checked tolerances are in nats;
---log-base 2 rescales display output only.
+members than fit, and an output path that cannot be written), 3 numerical
+failure (an eigensolver failed or exceeded its residual tolerance).  `verify`
+records a trial that raises any exception and goes on; it exits 1 when some
+inequality failed, and 3 when every failed trial raised instead.  All stored
+and checked tolerances are in nats; --log-base 2 rescales display output only.
 """
 
 from __future__ import annotations
@@ -486,7 +486,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (EnsembleFileError, ValueError) as exc:
+    except (EnsembleFileError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError as exc:

@@ -146,24 +146,27 @@ def normalized_parts(
     are None in the dead zone, where eps or the trace of either part is at
     most EPS_ZERO_TOL: the difference is then numerically indistinguishable
     from zero.  The parts are not re-validated: their spectra are the split
-    eigenvalues of `diff` over their traces.
+    eigenvalues of `diff` over their traces, computed by _normalized.
     """
-    w, plus, minus = jordan_split(diff)  # w ascending: the negative part's is reversed
+    w, plus, minus = jordan_split(diff)
     eps = min(0.5 * float(np.abs(w).sum()), 1.0)
     if eps <= EPS_ZERO_TOL:
         return eps, None, None
     tr_plus, tr_minus = plus.trace(), minus.trace()
     if min(tr_plus, tr_minus) <= EPS_ZERO_TOL:
         return eps, None, None
-    spec_plus = np.where(w > PSD_TOL, w, 0.0) / tr_plus
-    spec_minus = np.where(w < -PSD_TOL, -w, 0.0)[::-1] / tr_minus
-    return eps, _normalized(plus, tr_plus, spec_plus), _normalized(minus, tr_minus, spec_minus)
+    # A dense w is ascending, so the negative part's is reversed to stay so.
+    return eps, _normalized(plus, tr_plus, w), _normalized(minus, tr_minus, -w[::-1])
 
 
-def _normalized(part: HermitianOperator, trace: float, spectrum: np.ndarray) -> DensityOperator:
-    """part / trace, in part's representation, with its spectrum handed over."""
+def _normalized(part: HermitianOperator, trace: float, w: np.ndarray) -> DensityOperator:
+    """part / trace, in part's representation, handed its spectrum: for a
+    diagonal part, the one array that is its normalized diagonal; else the
+    entries of w, the part's signed eigenvalues, above PSD_TOL over trace."""
     if part.diagonal is not None:
-        return DensityOperator._derived(diagonal=part.diagonal / trace, spectrum=spectrum)
+        diagonal = part.diagonal / trace
+        return DensityOperator._derived(diagonal=diagonal, spectrum=diagonal)
+    spectrum = np.where(w > PSD_TOL, w, 0.0) / trace
     return DensityOperator._derived(part.mat / trace, spectrum=spectrum)
 
 

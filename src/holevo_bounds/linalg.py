@@ -6,13 +6,14 @@ Hermitian operator into its positive and negative parts.  Matrices are dense
 double-precision arrays; operators are immutable once constructed, so all
 functions in this module are pure and safe to call concurrently.  An exactly
 diagonal operator (every commuting ensemble in its shared basis) is kept as
-its real diagonal: its eigenvalues are its sorted entries, its Jordan parts
-the split of its entries by sign, and its differences and trace distances to
-other diagonal operators O(d) vector operations, with no LAPACK call and no
-d x d matrix.  Only that representation decides which path an operator
-takes.  It is set when the operator is built: by the checking constructor,
-by from_diagonal, or as the difference of two diagonals.  A dense operator
-whose entries cancel to a diagonal stays dense and goes to LAPACK.
+its real diagonal: its eigenvalues are its entries, unsorted (no reader of
+a spectrum depends on its order), its Jordan parts the split of its entries
+by sign, and its differences and trace distances to other diagonal operators
+O(d) vector operations, with no LAPACK call and no d x d matrix.  Only that
+representation decides which path an operator takes.  It is set when the
+operator is built: by the checking constructor, by from_diagonal, or as the
+difference of two diagonals.  A dense operator whose entries cancel to a
+diagonal stays dense and goes to LAPACK.
 pair_trace_distances alone picks how a pair of states' distance is computed:
 by such vectors, by the rank-1 closed form, or by a stacked eigensolve.
 """
@@ -165,9 +166,10 @@ class DensityOperator(HermitianOperator):
 
     Eigenvalues down to -PSD_TOL are accepted (eigensolvers return tiny
     negatives for PSD matrices) and treated as zero by all consumers.
-    `spectrum` keeps the ascending eigenvalues that the positivity check
-    computes, read-only, so consumers such as von_neumann_entropy need no
-    second eigensolve.  A derived state is handed its spectrum by _derived.
+    `spectrum` keeps the eigenvalues that the positivity check computes,
+    read-only, so von_neumann_entropy needs no second eigensolve: ascending
+    when dense, the very `diagonal` array when diagonal, and read in any
+    order.  A derived state is handed its spectrum by _derived.
     """
 
     spectrum: np.ndarray = field(init=False, repr=False)
@@ -175,7 +177,7 @@ class DensityOperator(HermitianOperator):
     def __post_init__(self):
         super().__post_init__()
         object.__setattr__(self, "spectrum", _freeze(hermitian_eigenvalues(self)))
-        smallest = float(self.spectrum[0])
+        smallest = float(self.spectrum.min())
         if smallest < -PSD_TOL:
             raise ValueError(
                 f"state is not positive semidefinite: min eigenvalue {smallest:.3e}"
@@ -217,10 +219,10 @@ def _is_diagonal(mat: np.ndarray) -> bool:
 
 
 def hermitian_eigenvalues(a: HermitianOperator) -> np.ndarray:
-    """Ascending eigenvalues of `a` (values-only fast path); the sorted
-    diagonal when `a` is kept as one."""
+    """Eigenvalues of `a` (values-only fast path): ascending from LAPACK, or,
+    when `a` is kept as its diagonal, that diagonal array itself, unsorted."""
     if a.diagonal is not None:
-        return np.sort(a.diagonal, kind="stable")
+        return a.diagonal
     try:
         return np.linalg.eigvalsh(a.mat)
     except np.linalg.LinAlgError as exc:
@@ -234,14 +236,9 @@ def hermitian_eig(a: HermitianOperator) -> EigenSystem:
 
     Raises EigensolverError when LAPACK fails or when the reconstruction
     residual max(||V diag(w) V^dag - A||_max, ||V^dag V - I||_max) exceeds
-    RECON_TOL.  An `a` kept as its diagonal is solved in closed form: its
-    sorted diagonal, and the permutation matrix V that sorts it, so the
-    residual vanishes.
+    RECON_TOL.  An `a` kept as its diagonal goes to LAPACK through `a.mat`
+    too; the library itself splits such an operator by sign instead.
     """
-    if a.diagonal is not None:
-        order = np.argsort(a.diagonal, kind="stable")
-        v = np.eye(a.dim, dtype=complex)[:, order]
-        return EigenSystem(_freeze(a.diagonal[order]), _freeze(v))
     try:
         w, v = np.linalg.eigh(a.mat)
     except np.linalg.LinAlgError as exc:
@@ -264,8 +261,7 @@ def hermitian_eig(a: HermitianOperator) -> EigenSystem:
 def trace_norm(a: HermitianOperator) -> float:
     """Trace norm ||A||_1, the sum of absolute eigenvalues: the L1 norm of
     the diagonal when `a` is kept as one."""
-    w = a.diagonal if a.diagonal is not None else hermitian_eigenvalues(a)
-    return float(np.abs(w).sum())
+    return float(np.abs(hermitian_eigenvalues(a)).sum())
 
 
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
@@ -313,8 +309,8 @@ def pair_trace_distances(
     a block.  A pair of two diagonal states goes in a stack of at most
     _STACK_BYTES of diagonal differences, computed one at a time, on demand,
     at no eigensolve: a diagonal difference's eigenvalues are its entries.
-    A pair of two rank-1 states (the second-largest spectrum entry at most
-    PSD_TOL), not both diagonal, takes the closed form pure_trace_distances
+    A pair of two rank-1 states (at most one spectrum entry above PSD_TOL),
+    not both diagonal, takes the closed form pure_trace_distances
     at no eigensolve, from one Gram matrix of every rank-1 state's
     _unit_vector, formed on first use and kept across blocks.  Every other
     pair goes in a stack of the fewest matrix differences whose rows reach
@@ -329,7 +325,7 @@ def pair_trace_distances(
     diagonal = np.array([state.diagonal is not None for state in states], dtype=bool)
     rank_one = np.zeros(len(states), dtype=bool)
     if not diagonal.all():  # only a pair with a dense state can take the closed form
-        rank_one[:] = [state.spectrum[-2] <= PSD_TOL for state in states]
+        rank_one[:] = [np.count_nonzero(state.spectrum > PSD_TOL) <= 1 for state in states]
     column = np.cumsum(rank_one) - 1  # each rank-1 state's column of the Gram matrix
     table, start = None, 0
     for first, second in blocks:
@@ -453,17 +449,17 @@ def jordan_parts(a: HermitianOperator) -> tuple[HermitianOperator, HermitianOper
 
 
 def jordan_split(a: HermitianOperator) -> tuple[np.ndarray, HermitianOperator, HermitianOperator]:
-    """(w, A_plus, A_minus): the ascending eigenvalues w of `a` and its
-    jordan_parts, for callers that need both.  An `a` kept as its diagonal
-    is split by the sign of its entries, into parts kept as diagonals, with
-    no eigensystem.  Any other `a` takes one hermitian_eig, and its parts
-    (V w_+/- V^dag) are symmetrized to (P + P^dag)/2."""
+    """(w, A_plus, A_minus): the eigenvalues w of `a` and its jordan_parts,
+    for callers that need both.  An `a` kept as its diagonal is split by the
+    sign of its entries, into parts kept as diagonals, with no eigensystem;
+    w is then that diagonal, unsorted.  Any other `a` takes one hermitian_eig,
+    w is ascending, and its parts V w_+/- V^dag are symmetrized to (P + P^dag)/2."""
     if a.diagonal is not None:
         plus, minus = (
             HermitianOperator._derived(diagonal=np.where(d > PSD_TOL, d, 0.0))
             for d in (a.diagonal, -a.diagonal)
         )
-        return hermitian_eigenvalues(a), plus, minus
+        return a.diagonal, plus, minus
     system = hermitian_eig(a)
     parts = []
     for sign in (1.0, -1.0):

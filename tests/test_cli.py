@@ -323,6 +323,15 @@ def test_oscillator_curve_past_series_cap_is_input_error(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_unwritable_output_path_is_input_error(capsys, tmp_path):
+    out = tmp_path / "missing" / "c.csv"
+    argv = ["oscillator-curve", "--n-min", "1", "--n-max", "2", "--steps", "2"]
+    assert main([*argv, "--out", str(out)]) == 2
+    line = _single_error_line(capsys)
+    assert line.startswith("error: ") and str(out) in line
+    assert not out.parent.exists()
+
+
 def test_out_of_memory_is_input_error(capsys, monkeypatch):
     def too_large(spec):
         raise MemoryError("Unable to allocate 5.42 PiB for an array")

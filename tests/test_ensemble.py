@@ -1,6 +1,7 @@
 """Tests for ensembles, the Holevo quantity, and the auxiliary decomposition."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from holevo_bounds.ensemble import (
 )
 from holevo_bounds.entropy import relative_entropy, shannon_entropy
 from holevo_bounds.gallery import (
-    orthogonal_ensemble, random_ensemble, random_mixed_state, trine_ensemble,
+    OscillatorEnsembleSpec, orthogonal_ensemble, oscillator_ensemble, random_ensemble,
+    random_mixed_state, trine_ensemble,
 )
 from holevo_bounds.linalg import DensityOperator, HermitianOperator, trace_norm
 
@@ -148,6 +150,43 @@ def test_build_auxiliary_orthogonal_family():
             np.testing.assert_allclose(aux.tau_minus[i].mat, expected_minus, atol=1e-10)
 
 
+@pytest.mark.parametrize(
+    "mu",
+    [
+        pytest.param(oscillator_ensemble(OscillatorEnsembleSpec(3.0))[0], id="oscillator-3"),
+        pytest.param(orthogonal_ensemble(16), id="orthogonal-16"),
+    ],
+)
+def test_diagonal_spectrum_is_the_diagonal(mu):
+    # A state kept as its diagonal keeps no second, sorted copy: its spectrum
+    # is the diagonal array, for the members, every tau_i^(+/-) and the
+    # averages of mu and mu^(+/-).
+    aux = build_auxiliary(mu)
+    states = (
+        *mu.states, *aux.tau_plus, *aux.tau_minus,
+        mu.average, aux.mu_plus.average, aux.mu_minus.average,
+    )
+    assert len(states) == 3 * mu.size + 3
+    for state in states:
+        assert state.diagonal is not None and state.spectrum is state.diagonal
+
+
+def test_commuting_member_stage_holds_one_copy_per_state():
+    # oscillator:10 has m = d = 290.  The members and the two auxiliary
+    # ensembles hold 3 m d floats when each state keeps only its diagonal;
+    # a sorted spectrum copy per state would double that.
+    tracemalloc.start()
+    try:
+        mu, _ = oscillator_ensemble(OscillatorEnsembleSpec(10.0))
+        aux = build_auxiliary(mu)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    m, d = mu.size, mu.dim
+    assert (m, d) == (290, 290) and len(aux.tau_plus) == m
+    assert held <= 4 * m * d * 8, f"held {held} bytes, {held / (m * d * 8):.2f} m d floats"
+
+
 def test_build_auxiliary_trine():
     mu = trine_ensemble()
     aux = build_auxiliary(mu)
@@ -245,5 +284,6 @@ def test_exactly_diagonal_dense_difference_takes_lapack(monkeypatch):
                 continue
             assert part.diagonal is None and oracle.diagonal is not None
             assert np.max(np.abs(part.mat - oracle.mat)) <= 1e-12
-            assert np.max(np.abs(part.spectrum - oracle.spectrum)) <= 1e-12
+            assert oracle.spectrum is oracle.diagonal
+            assert np.max(np.abs(part.spectrum - np.sort(oracle.spectrum))) <= 1e-12
     assert got[0] == 0.0
