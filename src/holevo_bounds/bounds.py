@@ -42,7 +42,7 @@ from .ensemble import (
     holevo_quantity,
     normalized_parts,
 )
-from .entropy import binary_entropy, shannon_entropy, von_neumann_entropy
+from .entropy import _entropy_of_weights, binary_entropy, von_neumann_entropy
 from .linalg import DensityOperator, pair_trace_distances
 
 # The bound fields of BoundReport, in report order; each has a slack.
@@ -209,7 +209,7 @@ def full_report(mu: DiscreteEnsemble) -> BoundReport:
     hbar, h_av = _h_terms(aux.probs, aux.eps, eps_av)
     chi_plus = holevo_quantity(aux.mu_plus)
     chi_minus = holevo_quantity(aux.mu_minus)
-    weight_entropy = shannon_entropy(aux.weights)
+    weight_entropy = _entropy_of_weights(aux.weights)
     diameter = plus_diameter(aux)
     pinsker = pinsker_term(aux)
     core = eps_av * (chi_plus - chi_minus)

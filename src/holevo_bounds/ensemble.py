@@ -15,8 +15,8 @@ import numpy as np
 
 from .entropy import as_probability_vector, binary_entropy, von_neumann_entropy
 from .linalg import (
-    PSD_TOL, DensityOperator, HermitianOperator, jordan_split,
-    pair_trace_distances, trace_distance, trace_norm,
+    PSD_TOL, DensityOperator, HermitianOperator, _derived, _eigvalsh, _is_diagonal,
+    jordan_split, pair_trace_distances, trace_distance, trace_norm,
 )
 
 # Member distances at or below this count as exactly zero.
@@ -87,17 +87,20 @@ class DiscreteEnsemble:
 
 
 def average_state(mu: DiscreteEnsemble) -> DensityOperator:
-    """The probability-weighted mixture sum(p_i rho_i); kept as a diagonal
-    when every member is one."""
+    """The mixture sum(p_i rho_i), built unchecked: a diagonal (its own spectrum)
+    when the members or their sum are exactly diagonal, else dense with one eigvalsh."""
     if all(state.diagonal is not None for state in mu.states):
         diag = np.zeros(mu.dim)
         for p, state in zip(mu.probs, mu.states):
             diag += p * state.diagonal
-        return DensityOperator.from_diagonal(diag)
+        return _derived(DensityOperator, diagonal=diag, spectrum=diag)
     acc = np.zeros((mu.dim, mu.dim), dtype=complex)
     for p, state in zip(mu.probs, mu.states):
         acc += p * state.mat
-    return DensityOperator(acc)
+    if _is_diagonal(acc):
+        diag = acc.diagonal().real.copy()
+        return _derived(DensityOperator, mat=acc, diagonal=diag, spectrum=diag)
+    return _derived(DensityOperator, mat=acc, spectrum=_eigvalsh(acc))
 
 
 def holevo_quantity(mu: DiscreteEnsemble) -> float:
@@ -165,9 +168,9 @@ def _normalized(part: HermitianOperator, trace: float, w: np.ndarray) -> Density
     entries of w, the part's signed eigenvalues, above PSD_TOL over trace."""
     if part.diagonal is not None:
         diagonal = part.diagonal / trace
-        return DensityOperator._derived(diagonal=diagonal, spectrum=diagonal)
+        return _derived(DensityOperator, diagonal=diagonal, spectrum=diagonal)
     spectrum = np.where(w > PSD_TOL, w, 0.0) / trace
-    return DensityOperator._derived(part.mat / trace, spectrum=spectrum)
+    return _derived(DensityOperator, mat=part.mat / trace, spectrum=spectrum)
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,7 +218,8 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
     equals eps_i in exact arithmetic).  A member whose difference lies in
     normalized_parts' dead zone is dropped, and the weights p_i eps_i of the
     others are renormalized to sum 1.  Raises DegenerateEnsembleError when
-    eps_av <= EPS_ZERO_TOL or every member is dropped.
+    eps_av <= EPS_ZERO_TOL or every member is dropped.  mu_plus and
+    mu_minus, like their states and averages, are built unchecked.
 
     Eigensolves: at most m + 4 for m members.  One for mu's average unless
     mu holds it already; one eigh per member, solved one at a time, which
@@ -253,8 +257,8 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
         )
     raw = mu.probs[usable] * eps[usable]
     weights = raw / raw.sum()
-    mu_plus = DiscreteEnsemble(weights, tuple(tau_plus))
-    mu_minus = DiscreteEnsemble(weights, tuple(tau_minus))
+    mu_plus = _derived(DiscreteEnsemble, probs=weights, states=tuple(tau_plus))
+    mu_minus = _derived(DiscreteEnsemble, probs=weights, states=tuple(tau_minus))
     return AuxiliaryDecomposition(
         probs=mu.probs,
         eps=eps,

@@ -17,14 +17,15 @@ import numpy as np
 
 from .ensemble import DiscreteEnsemble
 from .entropy import as_probability_vector, binary_entropy, eta, gibbs_entropy
-from .linalg import DensityOperator
+from .linalg import DensityOperator, _derived
 
 _MAX_SERIES_TERMS = 1_000_000
 
 
 def trine_ensemble() -> DiscreteEnsemble:
     """Three equiprobable qubit pure states 120 degrees apart on a great
-    circle; their average is I/2 and their Holevo quantity is ln 2."""
+    circle; their average is I/2 and their Holevo quantity is ln 2.  The
+    rounded states are checked, and |0><0| is kept as a diagonal."""
     half_root3 = math.sqrt(3.0) / 2.0
     vectors = ((1.0, 0.0), (-0.5, half_root3), (-0.5, -half_root3))
     states = tuple(DensityOperator.from_pure(v) for v in vectors)
@@ -34,8 +35,9 @@ def trine_ensemble() -> DiscreteEnsemble:
 
 def _fock_projectors(dim: int) -> tuple[DensityOperator, ...]:
     """The projectors |n><n|, n < dim, kept as diagonals: the rows of one
-    dim x dim allocation, so a family too large for memory fails at once."""
-    return tuple(DensityOperator.from_diagonal(row) for row in np.eye(dim))
+    dim x dim allocation, so a family too large for memory fails at once.
+    Each is exact and built unchecked, its row both diagonal and spectrum."""
+    return tuple(_derived(DensityOperator, diagonal=row, spectrum=row) for row in np.eye(dim))
 
 
 def orthogonal_ensemble(m: int) -> DiscreteEnsemble:
@@ -45,7 +47,7 @@ def orthogonal_ensemble(m: int) -> DiscreteEnsemble:
         raise ValueError(f"need at least one state, got m={m}")
     states = _fock_projectors(m)
     labels = tuple(f"e{k}" for k in range(m))
-    return DiscreteEnsemble(np.full(m, 1.0 / m), states, labels=labels)
+    return _derived(DiscreteEnsemble, probs=np.full(m, 1.0 / m), states=states, labels=labels)
 
 
 @dataclass(frozen=True)
@@ -123,8 +125,7 @@ def oscillator_ensemble(spec: OscillatorEnsembleSpec) -> tuple[DiscreteEnsemble,
     probs = probs / probs.sum()
     states = _fock_projectors(dim)
     labels = tuple(f"n={k}" for k in range(dim))
-    mu = DiscreteEnsemble(probs, states, labels=labels)
-    return mu, float(tail)
+    return _derived(DiscreteEnsemble, probs=probs, states=states, labels=labels), float(tail)
 
 
 def oscillator_closed_form(
@@ -215,7 +216,8 @@ def random_pure_state(dim: int, seed) -> DensityOperator:
 
 
 def random_mixed_state(dim: int, rank: int, seed) -> DensityOperator:
-    """Ginibre-induced state G G^dag / Tr(G G^dag) with G of shape (dim, rank)."""
+    """Ginibre-induced state G G^dag / Tr(G G^dag) with G of shape (dim, rank),
+    through the checking constructor, which symmetrizes the rounded product."""
     if dim < 1:
         raise ValueError(f"dimension must be at least 1, got {dim}")
     if not 1 <= rank <= dim:

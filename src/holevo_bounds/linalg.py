@@ -11,9 +11,10 @@ a spectrum depends on its order), its Jordan parts the split of its entries
 by sign, and its differences and trace distances to other diagonal operators
 O(d) vector operations, with no LAPACK call and no d x d matrix.  Only that
 representation decides which path an operator takes.  It is set when the
-operator is built: by the checking constructor, by from_diagonal, or as the
-difference of two diagonals.  A dense operator whose entries cancel to a
-diagonal stays dense and goes to LAPACK.
+operator is built: by the checking constructor, by from_diagonal, or by
+_derived, which builds every operator, state and ensemble that the library
+computes from checked ones, unchecked.  A dense operator whose entries
+cancel to a diagonal stays dense and goes to LAPACK.
 pair_trace_distances alone picks how a pair of states' distance is computed:
 by such vectors, by the rank-1 closed form, or by a stacked eigensolve.
 """
@@ -59,9 +60,19 @@ def _materialize(owner, name: str, mat: np.ndarray) -> np.ndarray:
     return mat
 
 
+def _derived(cls, **fields):
+    """An instance of the frozen dataclass `cls` with `fields`, which the
+    library computed from checked objects: no __post_init__ runs, and each
+    array, fresh or the library's own, is frozen in place."""
+    obj = cls.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, _freeze(value) if isinstance(value, np.ndarray) else value)
+    return obj
+
+
 def _real_vector(values) -> np.ndarray:
-    """`values` as a fresh or borrowed 1-d float array; raises ValueError
-    unless it is nonempty, real and finite."""
+    """`values` as a fresh 1-d float array, never the caller's; raises
+    ValueError unless it is nonempty, real and finite."""
     arr = np.asarray(values)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"expected a nonempty 1-d diagonal, got shape {arr.shape}")
@@ -69,7 +80,7 @@ def _real_vector(values) -> np.ndarray:
         if np.any(arr.imag != 0):
             raise ValueError("diagonal entries must be real")
         arr = arr.real
-    arr = np.asarray(arr, dtype=float)
+    arr = np.array(arr, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("diagonal entries must be finite")
     return arr
@@ -81,7 +92,7 @@ class HermitianOperator:
 
     Input must be Hermitian to within HERMITICITY_TOL in the max-entry norm
     (file-sourced matrices carry rounding noise); it is then symmetrized to
-    (A + A^dag)/2 and frozen.  _derived builds derived operators unchecked.
+    (A + A^dag)/2 and frozen.  Differences and Jordan parts take _derived.
 
     `diagonal` holds the real diagonal of an exactly diagonal operator, and
     is None for every other one.  The checking constructor sets it when every
@@ -116,23 +127,11 @@ class HermitianOperator:
     def from_diagonal(cls, values):
         """The operator diag(values), kept as its diagonal: checked in O(d)
         by the same __post_init__ as a matrix, for real and finite entries
-        (and, for a DensityOperator, positivity and unit trace).  The values
-        are borrowed and frozen when they already form a float array."""
+        (and, for a DensityOperator, positivity and unit trace), and copied,
+        so the operator owns its diagonal."""
         op = cls.__new__(cls)
         object.__setattr__(op, "diagonal", values)
         op.__post_init__()
-        return op
-
-    @classmethod
-    def _derived(cls, mat: np.ndarray | None = None, **fields):
-        """An operator the library computed from validated ones: `mat`, a fresh
-        and exactly Hermitian complex array, or `diagonal`, a fresh real one,
-        and any other field (such as DensityOperator's `spectrum`) are taken
-        over and frozen, unchecked."""
-        op = cls.__new__(cls)
-        for name, value in {"mat": mat, **fields}.items():
-            if value is not None:
-                object.__setattr__(op, name, _freeze(value))
         return op
 
     def __getattr__(self, name):
@@ -156,8 +155,8 @@ class HermitianOperator:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         if self.diagonal is not None and other.diagonal is not None:
-            return HermitianOperator._derived(diagonal=self.diagonal - other.diagonal)
-        return HermitianOperator._derived(self.mat - other.mat)
+            return _derived(HermitianOperator, diagonal=self.diagonal - other.diagonal)
+        return _derived(HermitianOperator, mat=self.mat - other.mat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,7 +168,7 @@ class DensityOperator(HermitianOperator):
     `spectrum` keeps the eigenvalues that the positivity check computes,
     read-only, so von_neumann_entropy needs no second eigensolve: ascending
     when dense, the very `diagonal` array when diagonal, and read in any
-    order.  A derived state is handed its spectrum by _derived.
+    order.  A state the library derives is built by _derived, with its spectrum.
     """
 
     spectrum: np.ndarray = field(init=False, repr=False)
@@ -208,9 +207,9 @@ class EigenSystem:
 def _is_diagonal(mat: np.ndarray) -> bool:
     """Every off-diagonal entry is exactly 0: one O(d^2) pass, no copy.
 
-    The checking constructor keeps such an operator as its diagonal.  Any
-    nonzero off-diagonal entry, however small, keeps it dense.  A nonzero
-    corner entry settles a dense operator before the pass.
+    The checking constructor and average_state keep such an operator as its
+    diagonal.  Any nonzero off-diagonal entry, however small, keeps it
+    dense.  A nonzero corner entry settles a dense operator before the pass.
     """
     dim = mat.shape[0]
     if dim > 1 and mat[dim - 1, 0] != 0:
@@ -221,14 +220,16 @@ def _is_diagonal(mat: np.ndarray) -> bool:
 def hermitian_eigenvalues(a: HermitianOperator) -> np.ndarray:
     """Eigenvalues of `a` (values-only fast path): ascending from LAPACK, or,
     when `a` is kept as its diagonal, that diagonal array itself, unsorted."""
-    if a.diagonal is not None:
-        return a.diagonal
+    return a.diagonal if a.diagonal is not None else _eigvalsh(a.mat)
+
+
+def _eigvalsh(mats: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh(mats), with LAPACK's failure as EigensolverError."""
     try:
-        return np.linalg.eigvalsh(a.mat)
+        return np.linalg.eigvalsh(mats)
     except np.linalg.LinAlgError as exc:
-        raise EigensolverError(
-            f"eigenvalue computation failed at dim {a.dim}: {exc}", dim=a.dim
-        ) from exc
+        dim, what = mats.shape[-1], "stacked eigenvalue" if mats.ndim > 2 else "eigenvalue"
+        raise EigensolverError(f"{what} computation failed at dim {dim}: {exc}", dim=dim) from exc
 
 
 def hermitian_eig(a: HermitianOperator) -> EigenSystem:
@@ -403,14 +404,7 @@ def _stack_distances(
         np.subtract(mats[i], mats[j], out=stack[k])
     if stack.ndim == 2:
         return 0.5 * np.abs(stack).sum(axis=1)
-    try:
-        w = np.linalg.eigvalsh(stack)
-    except np.linalg.LinAlgError as exc:
-        dim = stack.shape[-1]
-        raise EigensolverError(
-            f"stacked eigenvalue computation failed at dim {dim}: {exc}", dim=dim
-        ) from exc
-    return 0.5 * np.abs(w).sum(axis=1)
+    return 0.5 * np.abs(_eigvalsh(stack)).sum(axis=1)
 
 
 def _solved_in_order(solve: Callable, tasks: Sequence, workers: int) -> Iterator:
@@ -456,7 +450,7 @@ def jordan_split(a: HermitianOperator) -> tuple[np.ndarray, HermitianOperator, H
     w is ascending, and its parts V w_+/- V^dag are symmetrized to (P + P^dag)/2."""
     if a.diagonal is not None:
         plus, minus = (
-            HermitianOperator._derived(diagonal=np.where(d > PSD_TOL, d, 0.0))
+            _derived(HermitianOperator, diagonal=np.where(d > PSD_TOL, d, 0.0))
             for d in (a.diagonal, -a.diagonal)
         )
         return a.diagonal, plus, minus
@@ -467,5 +461,5 @@ def jordan_split(a: HermitianOperator) -> tuple[np.ndarray, HermitianOperator, H
         keep = w > PSD_TOL
         v = system.eigenvectors[:, keep]
         part = (v * w[keep]) @ v.conj().T
-        parts.append(HermitianOperator._derived((part + part.conj().T) / 2.0))
+        parts.append(_derived(HermitianOperator, mat=(part + part.conj().T) / 2.0))
     return system.eigenvalues, parts[0], parts[1]

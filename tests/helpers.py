@@ -54,18 +54,19 @@ def fail_second_stack(monkeypatch) -> list[int]:
 
 
 def count_constructions(monkeypatch) -> list[str]:
-    """Wrap HermitianOperator.__post_init__, the checking constructor, so
-    that every checked construction appends its class name to the returned
-    list.  DensityOperator's check calls it too; operators built by
-    HermitianOperator._derived do not."""
+    """Wrap the checking constructors, HermitianOperator.__post_init__ and
+    DiscreteEnsemble.__post_init__, so that every checked construction
+    appends its class name to the returned list.  DensityOperator's check
+    calls HermitianOperator's too; objects built by linalg._derived call
+    neither."""
     calls: list[str] = []
-    original = HermitianOperator.__post_init__
+    for cls in (HermitianOperator, DiscreteEnsemble):
 
-    def counted(self):
-        calls.append(type(self).__name__)
-        original(self)
+        def counted(self, _original=cls.__post_init__):
+            calls.append(type(self).__name__)
+            _original(self)
 
-    monkeypatch.setattr(HermitianOperator, "__post_init__", counted)
+        monkeypatch.setattr(cls, "__post_init__", counted)
     return calls
 
 

@@ -393,13 +393,22 @@ def test_full_report_eigensolve_budget(monkeypatch, mu, ceiling):
         pytest.param(oscillator_ensemble(OscillatorEnsembleSpec(0.5))[0], id="oscillator-0.5"),
     ],
 )
-def test_full_report_checks_only_the_averages(monkeypatch, mu):
-    # Input is validated once, when mu is built.  A report checks only the
-    # three averages (mu's, mu_plus's and mu_minus's), whose spectra need a
-    # solve anyway; every difference and Jordan part is derived unchecked.
+def test_full_report_makes_no_checked_construction(monkeypatch, mu):
+    # Input is validated once, when mu is built.  Everything a report derives
+    # from it (the averages of mu, mu_plus and mu_minus, every difference and
+    # Jordan part, and the ensembles mu_plus and mu_minus) is built unchecked.
     calls = count_constructions(monkeypatch)
     full_report(mu)
-    assert len(calls) <= 3, calls
+    assert calls == []
+
+
+def test_gallery_families_make_no_checked_construction(monkeypatch):
+    # The basis-state families are exact by construction: building them and
+    # reporting on them checks nothing.
+    calls = count_constructions(monkeypatch)
+    full_report(orthogonal_ensemble(16))
+    full_report(oscillator_ensemble(OscillatorEnsembleSpec(3.0))[0])
+    assert calls == []
 
 
 def test_degenerate_report_reuses_member_distances(monkeypatch):
@@ -849,8 +858,7 @@ def test_diagonal_reports_match_dense_path(monkeypatch, mu):
 )
 def test_commuting_report_builds_no_matrix(monkeypatch, mu):
     # Every member is kept as its diagonal, and so is every operator the
-    # report derives: no d x d matrix, no eigensolve, and only the three
-    # averages are checked.
+    # report derives: no d x d matrix, no eigensolve, and no check.
     assert all(state.diagonal is not None for state in mu.states)
     builds = count_materializations(monkeypatch)
     solves = count_eigensolves(monkeypatch)
@@ -858,7 +866,7 @@ def test_commuting_report_builds_no_matrix(monkeypatch, mu):
     full_report(mu)
     assert builds == []
     assert solves == []
-    assert len(checks) <= 3, checks
+    assert checks == []
 
 
 def _diagonal_pairs():

@@ -237,6 +237,65 @@ def test_file_boundary_fuzz(data):
     assert isinstance(mu, DiscreteEnsemble)
 
 
+# Offsets that keep a member's trace, or the probability sum, inside its
+# 1e-9 tolerance, at either edge or at 1.
+_EDGES = st.sampled_from([-0.9e-9, 0.0, 0.9e-9])
+
+
+@st.composite
+def _edge_ensemble_dicts(draw):
+    """A valid file of diagonal basis states and dense pure states whose
+    traces and probability sum are each drawn from 1 + _EDGES."""
+    dim, size = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    prob = (1.0 + draw(_EDGES)) / size
+    members = []
+    for k in range(size):
+        vec = np.zeros(dim, dtype=complex)
+        if draw(st.booleans()):
+            vec[k % dim] = 1.0
+        else:
+            parts = draw(st.lists(st.integers(-2, 2), min_size=2 * dim, max_size=2 * dim))
+            vec += np.array(parts[:dim]) + 1j * np.array(parts[dim:])
+            if not vec.any():
+                vec[0] = 1.0
+        state = (1.0 + draw(_EDGES)) * np.outer(vec, vec.conj()) / np.vdot(vec, vec).real
+        pairs = np.stack([state.real, state.imag], axis=-1).tolist()
+        members.append({"prob": prob, "state": pairs})
+    return {"version": 1, "dim": dim, "members": members}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_edge_ensemble_dicts())
+def test_tolerance_edge_files_report(data):
+    # Whatever the file boundary accepts, the report takes: the average and
+    # everything else it derives from the members are not checked again.
+    try:
+        mu = ensemble_from_dict(data)
+    except EnsembleFileError:
+        return
+    full_report(mu)
+
+
+def test_report_takes_file_at_tolerance_edges(tmp_path, capsys):
+    # Each state's trace is 1 + 0.9e-9 and the probabilities sum to
+    # 1 + 0.9e-9, both inside their 1e-9 tolerances, so the average's trace
+    # is 1 + 1.8e-9.
+    t = 1.0 + 0.9e-9
+    zero = [0.0, 0.0]
+    data = {
+        "version": 1,
+        "dim": 2,
+        "members": [
+            {"prob": 0.5, "state": [[[t, 0.0], zero], [zero, zero]]},
+            {"prob": 0.5 + 0.9e-9, "state": [[zero, zero], [zero, [t, 0.0]]]},
+        ],
+    }
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(data))
+    report = _report_json(capsys, ["report", str(path)])
+    assert math.isclose(report["chi"], LN2, abs_tol=1e-8)
+
+
 def test_ensemble_dict_rejects_malformed_shapes():
     with pytest.raises(EnsembleFileError, match="top level"):
         ensemble_from_dict([1, 2, 3])
@@ -604,6 +663,18 @@ def test_suite_results_are_structured():
     assert bounds.worst["average_match_residual"] <= 1e-9
     tight = run_tightness_suite()
     assert tight.passed
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "known false violation: at trial 21 eps_av is about 2e-8, and the "
+        "auxiliary averages, which divide by eps_av, amplify rounding to a "
+        "5.0e-9 residual, above AVERAGE_MATCH_TOL"
+    ),
+)
+def test_bounds_suite_seed_with_small_eps_av_passes():
+    assert run_bounds_suite(22, 2475351561).passed
 
 
 def test_report_to_dict_rejects_bad_base():

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from holevo_bounds import linalg
 from holevo_bounds.ensemble import (
     AuxiliaryDecomposition,
     DegenerateEnsembleError,
@@ -274,7 +275,7 @@ def test_exactly_diagonal_dense_difference_takes_lapack(monkeypatch):
         got = normalized_parts(diff)
         assert calls == [3]
         want = normalized_parts(
-            HermitianOperator._derived(diagonal=diff.mat.diagonal().real.copy())
+            linalg._derived(HermitianOperator, diagonal=diff.mat.diagonal().real.copy())
         )
         assert calls == [3]
         assert abs(got[0] - want[0]) <= 1e-12

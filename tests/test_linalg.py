@@ -122,6 +122,19 @@ def test_from_diagonal_checks_its_values():
     assert HermitianOperator(np.array([[1.0, 0.5], [0.5, 1.0]])).diagonal is None
 
 
+def test_from_diagonal_owns_its_values():
+    # The checked state keeps a copy: the caller's array stays writable, and
+    # writing to it afterwards cannot change the state.
+    v = np.array([0.5, 0.5])
+    DensityOperator.from_diagonal(v)
+    assert v.flags.writeable
+    base = np.eye(3)
+    rho = DensityOperator.from_diagonal(base[0])
+    base[0, 0], base[0, 1] = 5.0, -4.0
+    np.testing.assert_array_equal(rho.diagonal, [1.0, 0.0, 0.0])
+    assert rho.spectrum is rho.diagonal and rho.trace() == 1.0
+
+
 def test_eig_diagonal():
     system = hermitian_eig(HermitianOperator(np.diag([1.0, 0.0])))
     np.testing.assert_allclose(system.eigenvalues, [0.0, 1.0])
@@ -161,6 +174,10 @@ def test_eigensolver_failure_is_wrapped(monkeypatch):
     with pytest.raises(EigensolverError) as excinfo:
         hermitian_eig(op)
     assert excinfo.value.dim == 3
+    # The values-only solve of one matrix: no "stacked" in its message.
+    monkeypatch.setattr(np.linalg, "eigvalsh", boom)
+    with pytest.raises(EigensolverError, match="^eigenvalue computation failed at dim 3"):
+        hermitian_eigenvalues(op)
 
 
 def test_solved_in_order_under_thread_switching():
@@ -268,7 +285,7 @@ def test_diagonal_jordan_split_matches_dense_formula():
     # matrix built dense, which LAPACK splits by the (V w) V^dag formula; the
     # dead-zone entries +-1e-11 join neither part.
     op = HermitianOperator(np.diag(DIAGONAL_ENTRIES))
-    dense = HermitianOperator._derived(np.diag(DIAGONAL_ENTRIES).astype(complex))
+    dense = linalg._derived(HermitianOperator, mat=np.diag(DIAGONAL_ENTRIES).astype(complex))
     assert op.diagonal is not None and dense.diagonal is None
     w, plus, minus = linalg.jordan_split(op)
     dense_w, dense_plus, dense_minus = linalg.jordan_split(dense)
