@@ -98,7 +98,8 @@ def plus_diameter(aux: AuxiliaryDecomposition) -> float:
 
     pair_trace_distances decides each pair's method: a pair of rank-1 parts
     (every pure member's) takes a closed form, and a pair of diagonal parts
-    a vector difference, both at no eigensolve; every other pair takes one.
+    a vector difference, gathered from mu_plus.diagonals when the parts
+    are its rows, both at no eigensolve; every other pair takes one.
     The pairs are generated in blocks of rows, so a scan that stops early
     never holds all m(m-1)/2 of them.  The ceiling is checked after each
     stack.
@@ -106,7 +107,8 @@ def plus_diameter(aux: AuxiliaryDecomposition) -> float:
     ceiling = 1.0 - 1e-12
     best = 0.0
     # Closed on an early exit: its worker threads are joined first.
-    with closing(pair_trace_distances(aux.tau_plus, _upper_pairs(len(aux.tau_plus)))) as stacks:
+    pairs = _upper_pairs(len(aux.tau_plus))
+    with closing(pair_trace_distances(aux.tau_plus, pairs, rows=aux.mu_plus.diagonals)) as stacks:
         for _, distances in stacks:
             best = max(best, float(distances.max()))
             if best >= ceiling:

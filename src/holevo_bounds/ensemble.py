@@ -13,10 +13,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .entropy import as_probability_vector, binary_entropy, von_neumann_entropy
+from .entropy import as_probability_vector, binary_entropy, von_neumann_entropy, _row_entropies
 from .linalg import (
-    PSD_TOL, DensityOperator, HermitianOperator, _derived, _eigvalsh, _is_diagonal,
-    jordan_split, pair_trace_distances, trace_distance, trace_norm,
+    PSD_TOL, DensityOperator, HermitianOperator, _derived, _eigvalsh, _freeze, _is_diagonal,
+    _row_blocks, jordan_split, pair_trace_distances, trace_distance, trace_norm,
 )
 
 # Member distances at or below this count as exactly zero.
@@ -85,14 +85,33 @@ class DiscreteEnsemble:
         """average_state(self), built on first use and kept."""
         return average_state(self)
 
+    @cached_property
+    def diagonals(self) -> np.ndarray | None:
+        """The members' diagonals as the rows of one read-only m x d array,
+        or None when any member is dense.  Stacked on first read and kept,
+        unless the ensemble was built from its rows (_from_rows), whose
+        members are then views of them.  Every per-member stage takes its
+        whole-array path exactly when this is not None."""
+        if any(state.diagonal is None for state in self.states):
+            return None
+        return _freeze(np.stack([state.diagonal for state in self.states]))
+
+
+def _from_rows(probs: np.ndarray, rows: np.ndarray, **fields) -> DiscreteEnsemble:
+    """The ensemble, built unchecked, of the diagonal states whose diagonals
+    are the rows of `rows`, kept as its `diagonals`: each member is a view of
+    its row, which is also its spectrum.  `fields` sets the others (labels,
+    or a prebuilt average)."""
+    states = tuple(_derived(DensityOperator, diagonal=row, spectrum=row) for row in rows)
+    return _derived(DiscreteEnsemble, probs=probs, states=states, diagonals=rows, **fields)
+
 
 def average_state(mu: DiscreteEnsemble) -> DensityOperator:
-    """The mixture sum(p_i rho_i), built unchecked: a diagonal (its own spectrum)
-    when the members or their sum are exactly diagonal, else dense with one eigvalsh."""
-    if all(state.diagonal is not None for state in mu.states):
-        diag = np.zeros(mu.dim)
-        for p, state in zip(mu.probs, mu.states):
-            diag += p * state.diagonal
+    """The mixture sum(p_i rho_i), built unchecked: a diagonal (its own
+    spectrum) when the members or their sum are exactly diagonal, else dense
+    with one eigvalsh.  Diagonal members are summed as probs @ diagonals."""
+    if mu.diagonals is not None:
+        diag = mu.probs @ mu.diagonals
         return _derived(DensityOperator, diagonal=diag, spectrum=diag)
     acc = np.zeros((mu.dim, mu.dim), dtype=complex)
     for p, state in zip(mu.probs, mu.states):
@@ -107,10 +126,14 @@ def holevo_quantity(mu: DiscreteEnsemble) -> float:
     """The Holevo quantity S(average) - sum(p_i S(rho_i)), in nats.
 
     Always finite at finite dimension; nonnegative, and bounded by both the
-    Shannon entropy of the probabilities and ln(dim).
+    Shannon entropy of the probabilities and ln(dim).  Diagonal members'
+    entropies are read from their diagonals, a block of rows at a time.
     """
     avg = von_neumann_entropy(mu.average)
-    members = sum(p * von_neumann_entropy(s) for p, s in zip(mu.probs, mu.states))
+    if mu.diagonals is None:
+        members = sum(p * von_neumann_entropy(s) for p, s in zip(mu.probs, mu.states))
+    else:
+        members = mu.probs @ _row_entropies(mu.diagonals)
     val = avg - float(members)
     return val if val > 0.0 else 0.0
 
@@ -205,7 +228,12 @@ class AuxiliaryDecomposition:
         n = len(self.tau_minus)
         gaps = np.empty(n)
         block = (np.arange(n), np.full(n, n))
-        for positions, distances in pair_trace_distances((*self.tau_minus, self.omega), [block]):
+        # build_auxiliary's diagonal stage holds tau_minus's rows and omega's
+        # as one (n+1) x d array, whose rows mu_minus.diagonals are views of.
+        rows = self.mu_minus.diagonals
+        rows = None if rows is None else rows.base
+        states = (*self.tau_minus, self.omega)
+        for positions, distances in pair_trace_distances(states, [block], rows=rows):
             gaps[positions] = 2.0 * distances
         return tuple(float(gap) for gap in gaps)
 
@@ -225,21 +253,28 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
     mu holds it already; one eigh per member, solved one at a time, which
     gives eps_i, both Jordan parts and the spectra of tau_i^(+/-); one each
     for the averages of mu_plus and mu_minus, and one for their residual.
-    Exactly diagonal operators take none of these: when every member is
-    diagonal, so is every difference, part and average, and each stage is
-    O(d) per member on vectors.
+    An ensemble of exactly diagonal members (mu.diagonals is not None) takes
+    none of these and builds no d x d matrix: _diagonal_parts runs the stage
+    on mu.diagonals a block of rows at a time and writes tau_i^+ and tau_i^-
+    as the rows of an n x d and an (n+1) x d array, whose last row is omega.
+    mu_plus and mu_minus keep them as their diagonals.  Besides those two
+    arrays the stage holds one block's temporaries (at most _STACK_BYTES
+    each), and no m x d temporary.
     """
-    eps = np.zeros(mu.size)
-    tau_plus: list[DensityOperator] = []
-    tau_minus: list[DensityOperator] = []
-    usable: list[int] = []
-    for i, state in enumerate(mu.states):
-        eps[i], plus, minus = normalized_parts(state - mu.average)
-        if plus is None:
-            continue
-        usable.append(i)
-        tau_plus.append(plus)
-        tau_minus.append(minus)
+    if mu.diagonals is not None:
+        eps, usable, plus_rows, minus_rows = _diagonal_parts(mu)
+    else:
+        eps = np.zeros(mu.size)
+        tau_plus: list[DensityOperator] = []
+        tau_minus: list[DensityOperator] = []
+        usable: list[int] = []
+        for i, state in enumerate(mu.states):
+            eps[i], plus, minus = normalized_parts(state - mu.average)
+            if plus is None:
+                continue
+            usable.append(i)
+            tau_plus.append(plus)
+            tau_minus.append(minus)
     eps.setflags(write=False)
     eps_av = float(mu.probs @ eps)
     if eps_av <= EPS_ZERO_TOL:
@@ -257,8 +292,18 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
         )
     raw = mu.probs[usable] * eps[usable]
     weights = raw / raw.sum()
-    mu_plus = _derived(DiscreteEnsemble, probs=weights, states=tuple(tau_plus))
-    mu_minus = _derived(DiscreteEnsemble, probs=weights, states=tuple(tau_minus))
+    if mu.diagonals is not None:
+        n = len(usable)
+        # omega, the average of mu_minus, is the row after the tau_i^minus.
+        row = minus_rows[n]
+        row[:] = weights @ minus_rows[:n]
+        omega = _derived(DensityOperator, diagonal=row, spectrum=row)
+        _freeze(minus_rows)
+        mu_plus = _from_rows(weights, plus_rows)
+        mu_minus = _from_rows(weights, minus_rows[:n], average=omega)
+    else:
+        mu_plus = _derived(DiscreteEnsemble, probs=weights, states=tuple(tau_plus))
+        mu_minus = _derived(DiscreteEnsemble, probs=weights, states=tuple(tau_minus))
     return AuxiliaryDecomposition(
         probs=mu.probs,
         eps=eps,
@@ -272,3 +317,43 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
         omega=mu_minus.average,
         average_match_residual=trace_norm(mu_plus.average - mu_minus.average),
     )
+
+
+def _diagonal_parts(mu: DiscreteEnsemble) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
+    """normalized_parts(rho_i - average) for every row of mu.diagonals, by
+    the same operations, as (eps, retained, plus_rows, minus_rows).  Row k
+    of plus_rows and of minus_rows is the diagonal of the k-th retained
+    member's tau^+ and tau^-; minus_rows has one more row, left for omega.
+
+    Each block of _row_blocks is written straight into the two arrays and
+    its dead-zone rows are dropped by compaction in place, so the stage
+    allocates nothing of m x d besides them.  The arrays are shrunk to the
+    retained rows before any view of them is made.
+    """
+    rows, average = mu.diagonals, mu.average.diagonal
+    m, d = rows.shape
+    eps = np.empty(m)
+    keep = np.empty(m, dtype=bool)
+    plus_rows, minus_rows = np.empty((m, d)), np.empty((m + 1, d))
+    n = 0
+    for block in _row_blocks(m, d):
+        chunk = rows[block]
+        plus, minus = plus_rows[n:n + len(chunk)], minus_rows[n:n + len(chunk)]
+        np.subtract(chunk, average, out=plus)
+        eps[block] = np.minimum(0.5 * np.abs(plus).sum(axis=1), 1.0)
+        np.negative(plus, out=minus)
+        for part in (plus, minus):
+            np.copyto(part, 0.0, where=part <= PSD_TOL)
+        traces = plus.sum(axis=1), minus.sum(axis=1)
+        kept = keep[block]
+        np.logical_and(eps[block] > EPS_ZERO_TOL, np.minimum(*traces) > EPS_ZERO_TOL, out=kept)
+        count = int(np.count_nonzero(kept))
+        for part, trace in zip((plus, minus), traces):
+            if count < len(chunk):
+                part[:count] = part[kept]
+            part[:count] /= trace[kept][:, None]
+        n += count
+    del plus, minus  # no view of the arrays may outlive their resize
+    plus_rows.resize((n, d), refcheck=False)
+    minus_rows.resize((n + 1, d), refcheck=False)
+    return eps, np.flatnonzero(keep).tolist(), plus_rows, minus_rows

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .linalg import DensityOperator, PSD_TOL, hermitian_eig
+from .linalg import DensityOperator, PSD_TOL, _row_blocks, hermitian_eig
 
 # Spectrum weights at or below this are treated as exact zeros inside eta.
 ETA_FLOOR = 1e-14
@@ -61,6 +61,17 @@ def _entropy_of_weights(w: np.ndarray) -> float:
         return 0.0
     val = float(-(w * np.log(w)).sum())
     return val if val > 0.0 else 0.0
+
+
+def _row_entropies(rows: np.ndarray) -> np.ndarray:
+    """_entropy_of_weights of every row of the 2-d `rows`, a block of rows at
+    a time; entries at or below ETA_FLOOR are never passed to the log."""
+    out = np.empty(rows.shape[0])
+    for block in _row_blocks(*rows.shape):
+        chunk = rows[block]
+        logs = np.log(chunk, out=np.zeros_like(chunk), where=chunk > ETA_FLOOR)
+        np.sum(np.multiply(chunk, logs, out=logs), axis=1, out=out[block])
+    return np.maximum(-out, 0.0)
 
 
 def shannon_entropy(weights) -> float:

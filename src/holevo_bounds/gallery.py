@@ -15,9 +15,9 @@ from typing import Callable
 
 import numpy as np
 
-from .ensemble import DiscreteEnsemble
+from .ensemble import DiscreteEnsemble, _from_rows
 from .entropy import as_probability_vector, binary_entropy, eta, gibbs_entropy
-from .linalg import DensityOperator, _derived
+from .linalg import DensityOperator
 
 _MAX_SERIES_TERMS = 1_000_000
 
@@ -33,21 +33,16 @@ def trine_ensemble() -> DiscreteEnsemble:
     return DiscreteEnsemble(np.full(3, 1.0 / 3.0), states, labels=labels)
 
 
-def _fock_projectors(dim: int) -> tuple[DensityOperator, ...]:
-    """The projectors |n><n|, n < dim, kept as diagonals: the rows of one
-    dim x dim allocation, so a family too large for memory fails at once.
-    Each is exact and built unchecked, its row both diagonal and spectrum."""
-    return tuple(_derived(DensityOperator, diagonal=row, spectrum=row) for row in np.eye(dim))
-
-
 def orthogonal_ensemble(m: int) -> DiscreteEnsemble:
     """m mutually orthogonal equiprobable pure states (the standard basis of
-    dimension m).  The auxiliary-ensemble bound is exactly tight here."""
+    dimension m).  The auxiliary-ensemble bound is exactly tight here.  The
+    projectors are exact and built unchecked, as the rows of one np.eye(m),
+    which the ensemble keeps as its diagonals: a family too large for
+    memory fails at once."""
     if m < 1:
         raise ValueError(f"need at least one state, got m={m}")
-    states = _fock_projectors(m)
     labels = tuple(f"e{k}" for k in range(m))
-    return _derived(DiscreteEnsemble, probs=np.full(m, 1.0 / m), states=states, labels=labels)
+    return _from_rows(np.full(m, 1.0 / m), np.eye(m), labels=labels)
 
 
 @dataclass(frozen=True)
@@ -107,8 +102,8 @@ def oscillator_ensemble(spec: OscillatorEnsembleSpec) -> tuple[DiscreteEnsemble,
     """Build the truncated oscillator ensemble; returns (ensemble, tail mass).
 
     Probabilities are the geometric weights (1-q) q^n renormalized over
-    {0..cutoff}; states are the Fock projectors |n><n| at dimension cutoff+1.
-    The dropped tail mass is reported, never silently discarded.  Raises
+    {0..cutoff}; states are the Fock projectors |n><n| at dimension cutoff+1,
+    built as orthogonal_ensemble's are.  The dropped tail mass is reported, never silently discarded.  Raises
     ValueError when an explicit cutoff leaves tail mass >= tail_tol.
     """
     q = spec.ratio
@@ -123,9 +118,8 @@ def oscillator_ensemble(spec: OscillatorEnsembleSpec) -> tuple[DiscreteEnsemble,
     levels = np.arange(dim)
     probs = (1.0 - q) * q**levels
     probs = probs / probs.sum()
-    states = _fock_projectors(dim)
     labels = tuple(f"n={k}" for k in range(dim))
-    return _derived(DiscreteEnsemble, probs=probs, states=states, labels=labels), float(tail)
+    return _from_rows(probs, np.eye(dim), labels=labels), float(tail)
 
 
 def oscillator_closed_form(

@@ -14,9 +14,12 @@ representation decides which path an operator takes.  It is set when the
 operator is built: by the checking constructor, by from_diagonal, or by
 _derived, which builds every operator, state and ensemble that the library
 computes from checked ones, unchecked.  A dense operator whose entries
-cancel to a diagonal stays dense and goes to LAPACK.
+cancel to a diagonal stays dense and goes to LAPACK.  States that are the
+members of one diagonal ensemble are handled as the rows of one m x d array
+(DiscreteEnsemble.diagonals), in blocks of _row_blocks.
 pair_trace_distances alone picks how a pair of states' distance is computed:
-by such vectors, by the rank-1 closed form, or by a stacked eigensolve.
+by such vectors, gathered from such an array when the caller holds one, by
+the rank-1 closed form, or by a stacked eigensolve.
 """
 
 from __future__ import annotations
@@ -281,10 +284,10 @@ def pure_trace_distances(vectors: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(1.0 - overlaps, 0.0, 1.0))
 
 
-# Byte cap on one stack of diagonal pair differences (2^13 floats at most).
-# These stacks are solved serially: a larger cap computes more pairs before
-# a caller's early exit (a 1 MB cap cut commuting-examples from 171 to 138
-# ops/s).
+# Byte cap on one stack of diagonal pair differences (2^13 floats at most),
+# and on one block of _row_blocks.  These stacks are solved serially: a
+# larger cap computes more pairs before a caller's early exit (a 1 MB cap
+# cut commuting-examples from 171 to 138 ops/s).
 _STACK_BYTES = 1 << 17
 # Fewest rows (matrices x d) in one stack of dense pair differences: 43
 # matrices, 1.5 MB, at d = 48.  numpy's stacked eigvalsh releases the GIL
@@ -298,18 +301,32 @@ _WORKERS = min(
 )
 
 
+def _row_blocks(count: int, dim: int) -> Iterator[slice]:
+    """Consecutive slices of range(count), each at most _STACK_BYTES of rows
+    of `dim` floats (and at least one row): the blocks in which whole-array
+    stages bound their temporaries."""
+    step = max(1, _STACK_BYTES // (8 * dim))
+    return (slice(start, start + step) for start in range(0, count, step))
+
+
 def pair_trace_distances(
-    states: Sequence[DensityOperator], blocks: Iterable[tuple[np.ndarray, np.ndarray]]
+    states: Sequence[DensityOperator],
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]],
+    *,
+    rows: np.ndarray | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Trace distances (1/2)||rho_i - rho_j||_1 of the index pairs
     (first[k], second[k]) of each block (first, second) of `blocks`, yielded
     a stack at a time as (positions, distances): distances[n] belongs to the
-    pair at position positions[n] of the blocks taken end to end.
+    pair at position positions[n] of the blocks taken end to end.  `rows`,
+    when the caller holds one, is the array whose row k is states[k]'s
+    diagonal, every state then being diagonal.
 
     Each pair's method is decided here, and only here, in this order within
     a block.  A pair of two diagonal states goes in a stack of at most
-    _STACK_BYTES of diagonal differences, computed one at a time, on demand,
-    at no eigensolve: a diagonal difference's eigenvalues are its entries.
+    _STACK_BYTES of diagonal differences, on demand, at no eigensolve: a
+    diagonal difference's eigenvalues are its entries.  From `rows` a stack
+    is filled by one gather; without it, one pair at a time.
     A pair of two rank-1 states (at most one spectrum entry above PSD_TOL),
     not both diagonal, takes the closed form pure_trace_distances
     at no eigensolve, from one Gram matrix of every rank-1 state's
@@ -323,7 +340,10 @@ def pair_trace_distances(
     solve fails, the pending stacks are dropped and the workers joined
     before control returns to it.
     """
-    diagonal = np.array([state.diagonal is not None for state in states], dtype=bool)
+    if rows is None:
+        diagonal = np.array([state.diagonal is not None for state in states], dtype=bool)
+    else:
+        diagonal = np.ones(len(states), dtype=bool)
     rank_one = np.zeros(len(states), dtype=bool)
     if not diagonal.all():  # only a pair with a dense state can take the closed form
         rank_one[:] = [np.count_nonzero(state.spectrum > PSD_TOL) <= 1 for state in states]
@@ -332,7 +352,9 @@ def pair_trace_distances(
     for first, second in blocks:
         by_vector = diagonal[first] & diagonal[second]
         by_gram = rank_one[first] & rank_one[second] & ~by_vector
-        yield from _kind_distances(states, first, second, np.flatnonzero(by_vector), start, False)
+        yield from _kind_distances(
+            states, first, second, np.flatnonzero(by_vector), start, False, rows
+        )
         positions = np.flatnonzero(by_gram)
         if positions.size:
             if table is None:
@@ -356,11 +378,11 @@ def _unit_vector(state: DensityOperator) -> np.ndarray:
 
 def _kind_distances(
     states: Sequence[DensityOperator], first: np.ndarray, second: np.ndarray,
-    positions: np.ndarray, start: int, dense: bool,
+    positions: np.ndarray, start: int, dense: bool, rows: np.ndarray | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """pair_trace_distances for the pairs at `positions` of one block that
     starts at position `start`, all of one stack kind: matrix differences
-    when `dense`, else diagonal ones."""
+    when `dense`, else diagonal ones, gathered from `rows` when given."""
     if not positions.size:
         return
     if dense:
@@ -370,7 +392,7 @@ def _kind_distances(
         read[first[positions]] = read[second[positions]] = True
         arrays = [state.mat if r else None for state, r in zip(states, read.tolist())]
     else:
-        arrays = [state.diagonal for state in states]
+        arrays = rows if rows is not None else [state.diagonal for state in states]
     dim = states[first[positions[0]]].dim
     size = -(-_STACK_ROWS // dim) if dense else max(1, _STACK_BYTES // (8 * dim))
     stacks = [positions[k:k + size] for k in range(0, positions.size, size)]
@@ -396,12 +418,17 @@ def _kind_distances(
 
 
 def _stack_distances(
-    mats: Sequence[np.ndarray], first: np.ndarray, second: np.ndarray, stack: np.ndarray
+    mats: Sequence[np.ndarray] | np.ndarray, first: np.ndarray, second: np.ndarray,
+    stack: np.ndarray,
 ) -> np.ndarray:
     """Half the trace norms of mats[first[k]] - mats[second[k]], computed in
-    `stack`, whose first axis has length len(first)."""
-    for k, (i, j) in enumerate(zip(first, second)):
-        np.subtract(mats[i], mats[j], out=stack[k])
+    `stack`, whose first axis has length len(first): by one gather when
+    `mats` is an array of rows, else one pair at a time."""
+    if isinstance(mats, np.ndarray):
+        np.subtract(mats[first], mats[second], out=stack)
+    else:
+        for k, (i, j) in enumerate(zip(first, second)):
+            np.subtract(mats[i], mats[j], out=stack[k])
     if stack.ndim == 2:
         return 0.5 * np.abs(stack).sum(axis=1)
     return 0.5 * np.abs(_eigvalsh(stack)).sum(axis=1)

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holevo_bounds.bounds import (
     SLACK_KEYS,
@@ -23,6 +25,7 @@ from holevo_bounds.bounds import (
 )
 from holevo_bounds.ensemble import (
     AuxiliaryDecomposition,
+    DegenerateEnsembleError,
     DiscreteEnsemble,
     build_auxiliary,
     holevo_quantity,
@@ -839,14 +842,65 @@ def test_diagonal_reports_match_dense_path(monkeypatch, mu):
     diagonal_calls = len(calls)
     reference = full_report(rotated)
     assert len(calls) - diagonal_calls >= 2 * mu.size
+    _assert_reports_match(report, reference, 1e-10)
+
+
+def _assert_reports_match(report: BoundReport, reference: BoundReport, tol: float) -> None:
+    """Every field and slack of `report` within `tol` of `reference`'s."""
     for field in dataclasses.fields(BoundReport):
         got, want = getattr(report, field.name), getattr(reference, field.name)
         if field.name == "slacks":
             assert list(got) == list(want)
             for key in want:
-                assert abs(got[key] - want[key]) <= 1e-10, key
+                assert abs(got[key] - want[key]) <= tol, key
         else:
-            assert abs(got - want) <= 1e-10, field.name
+            assert abs(got - want) <= tol, field.name
+
+
+@st.composite
+def _diagonal_ensembles(draw) -> DiscreteEnsemble:
+    """Ensembles of m, d in 1..12 diagonal members, whose entries and
+    probabilities are small integers over their sums: zero entries are exact
+    and no difference lies near a tolerance.  Some have a duplicated member,
+    a member equal to the average (inside the dead zone), or only identical
+    members (degenerate)."""
+    m, d = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    counts = st.lists(st.integers(0, 3), min_size=d, max_size=d).filter(any)
+    rows = np.array([draw(counts) for _ in range(m)], dtype=float)
+    rows /= rows.sum(axis=1, keepdims=True)
+    probs = np.array(draw(st.lists(st.integers(1, 4), min_size=m, max_size=m)), dtype=float)
+    probs /= probs.sum()
+    kind = draw(st.sampled_from(["plain", "duplicate", "average", "identical"]))
+    if kind == "duplicate" and m > 1:
+        rows[draw(st.integers(1, m - 1))] = rows[0]
+    elif kind == "average" and m > 1:
+        rows[0] = probs[1:] @ rows[1:] / probs[1:].sum()
+    elif kind == "identical":
+        rows[:] = rows[0]
+    return DiscreteEnsemble(probs, tuple(DensityOperator.from_diagonal(row) for row in rows))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_diagonal_ensembles())
+def test_diagonal_stage_matches_dense_path_on_drawn_ensembles(mu):
+    # The whole-array stage of a diagonal ensemble against the per-member
+    # dense path on its rotation: every report field and D gap, or, on a
+    # degenerate ensemble, the distances the error carries.
+    rotated = _rotated(mu, seed=mu.dim)
+    assert mu.diagonals is not None
+    assert rotated.diagonals is None or mu.dim == 1
+    _assert_reports_match(full_report(mu), full_report(rotated), 1e-10)
+    try:
+        aux = build_auxiliary(mu)
+    except DegenerateEnsembleError as exc:
+        with pytest.raises(DegenerateEnsembleError) as reference:
+            build_auxiliary(rotated)
+        assert abs(exc.eps_av - reference.value.eps_av) <= 1e-10
+        assert np.max(np.abs(exc.eps - reference.value.eps)) <= 1e-10
+        return
+    reference = build_auxiliary(rotated)
+    assert aux.retained == reference.retained
+    assert np.max(np.abs(np.subtract(aux.minus_gaps, reference.minus_gaps))) <= 1e-10
 
 
 @pytest.mark.parametrize(
@@ -867,6 +921,33 @@ def test_commuting_report_builds_no_matrix(monkeypatch, mu):
     assert builds == []
     assert solves == []
     assert checks == []
+
+
+def test_ensembles_get_their_diagonals_three_ways():
+    # The gallery keeps the np.eye whose rows are its members; build_auxiliary
+    # keeps the arrays whose rows are tau_i^(+/-), omega's row after those of
+    # tau_i^-; an ensemble of from_diagonal members stacks its members'
+    # diagonals on first read.  The reports agree bit for bit.
+    for mu in (orthogonal_ensemble(16), oscillator_ensemble(OscillatorEnsembleSpec(3.0))[0]):
+        aux = build_auxiliary(mu)
+        for ensemble in (mu, aux.mu_plus, aux.mu_minus):
+            rows = ensemble.diagonals
+            assert rows.shape == (ensemble.size, ensemble.dim) and not rows.flags.writeable
+            assert all(np.shares_memory(s.diagonal, rows) for s in ensemble.states)
+        assert aux.mu_minus.diagonals.base is aux.omega.diagonal.base
+        assert len(aux.omega.diagonal.base) == len(aux.tau_minus) + 1
+        stacked = DiscreteEnsemble(
+            mu.probs, tuple(DensityOperator.from_diagonal(s.diagonal) for s in mu.states)
+        )
+        assert "diagonals" not in vars(stacked)
+        assert np.array_equal(stacked.diagonals, mu.diagonals)
+        assert not np.shares_memory(stacked.diagonals, stacked.states[0].diagonal)
+        _assert_reports_match(full_report(stacked), full_report(mu), 0.0)
+        assert build_auxiliary(stacked).minus_gaps == aux.minus_gaps
+    # One member of the trine is diagonal and two are dense: it keeps the
+    # per-member path (test_full_report_eigensolve_budget[trine]).
+    trine = trine_ensemble()
+    assert trine.states[0].diagonal is not None and trine.diagonals is None
 
 
 def _diagonal_pairs():

@@ -188,6 +188,24 @@ def test_commuting_member_stage_holds_one_copy_per_state():
     assert held <= 4 * m * d * 8, f"held {held} bytes, {held / (m * d * 8):.2f} m d floats"
 
 
+def test_diagonal_member_stage_allocates_no_m_by_d_temporary():
+    # oscillator:30 has m = d = 843.  The stage writes tau_i^(+/-) straight
+    # into two m x d arrays, a block of rows at a time: its peak is those
+    # two arrays and its blocks.  A stage on the whole m x d array at once
+    # peaks at 3 to 4 m d floats.
+    mu, _ = oscillator_ensemble(OscillatorEnsembleSpec(30.0))
+    mu.average
+    tracemalloc.start()
+    try:
+        aux = build_auxiliary(mu)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    m, d = mu.size, mu.dim
+    assert (m, d) == (843, 843) and len(aux.tau_plus) == m
+    assert peak <= 2.5 * m * d * 8, f"peak {peak} bytes, {peak / (m * d * 8):.2f} m d floats"
+
+
 def test_build_auxiliary_trine():
     mu = trine_ensemble()
     aux = build_auxiliary(mu)
