@@ -38,9 +38,9 @@ from .ensemble import (
     DegenerateEnsembleError,
     DiscreteEnsemble,
     _h_terms,
+    _member_parts,
     build_auxiliary,
     holevo_quantity,
-    normalized_parts,
 )
 from .entropy import _entropy_of_weights, binary_entropy, von_neumann_entropy
 from .linalg import DensityOperator, pair_trace_distances
@@ -73,21 +73,19 @@ def fei_check(rho: DensityOperator, sigma: DensityOperator) -> FeiReport:
     """Evaluate the entropic inequality for (rho, sigma).
 
     eps is the trace distance and tau_plus/tau_minus the unit-trace positive
-    and negative parts of rho - sigma, from one jordan_split.  The slack
-    is nonnegative for all pairs of states, up to floating point.  When
-    rho - sigma is numerically zero (the dead zone of normalized_parts) both
-    sides collapse to S(rho) and the slack is 0.
+    and negative parts of rho - sigma.  Only their spectra are read: the
+    member stage (ensemble._member_parts) of the one member rho about sigma
+    gives them from one eigensolve, with no part rotated back.  The slack
+    is nonnegative for all pairs of states, up to floating point.  In the
+    member stage's dead zone both sides collapse to S(rho), slack 0.
     """
-    eps, tau_plus, tau_minus = normalized_parts(rho - sigma)
-    if tau_plus is None:
+    eps, retained, plus_rows, minus_rows, _ = _member_parts((rho,), sigma)
+    eps = float(eps[0])
+    if not retained:
         s = von_neumann_entropy(rho)
         return FeiReport(eps=eps, lhs=s, rhs=s, slack=0.0)
-    lhs = von_neumann_entropy(rho) + eps * von_neumann_entropy(tau_minus)
-    rhs = (
-        von_neumann_entropy(sigma)
-        + eps * von_neumann_entropy(tau_plus)
-        + binary_entropy(eps)
-    )
+    lhs = von_neumann_entropy(rho) + eps * _entropy_of_weights(minus_rows[0])
+    rhs = von_neumann_entropy(sigma) + eps * _entropy_of_weights(plus_rows[0]) + binary_entropy(eps)
     return FeiReport(eps=eps, lhs=lhs, rhs=rhs, slack=rhs - lhs)
 
 
@@ -149,7 +147,7 @@ def pinsker_term(aux: AuxiliaryDecomposition, *, reweighted: bool = False) -> fl
     read the gaps kept on `aux`, so only the first call solves for them.
     """
     w = aux.weights if reweighted else aux.probs[list(aux.retained)]
-    return 0.5 * sum(float(wi) * gap * gap for wi, gap in zip(w, aux.minus_gaps))
+    return 0.5 * float(w @ np.square(aux.minus_gaps))
 
 
 @dataclass(frozen=True, eq=False)

@@ -131,6 +131,11 @@ def ensemble_from_dict(data: dict) -> DiscreteEnsemble:
             raise EnsembleFileError(
                 f"member {k}: state entries must be finite and of modulus at most 1"
             )
+        # numpy reads JSON true and false as 1 and 0, so only an entry that
+        # reads 0 or 1 can have been one: those few are looked up.
+        flagged = np.argwhere((arr == 0.0) | (arr == 1.0)).tolist()
+        if any(type(member["state"][i][j][c]) is bool for i, j, c in flagged):
+            raise EnsembleFileError(f"member {k}: state entries must be numbers, not booleans")
         mat = arr[..., 0] + 1j * arr[..., 1]
         try:
             states.append(DensityOperator(mat))

@@ -4,6 +4,8 @@ An ensemble pairs a probability vector with density operators of a common
 dimension.  From it we derive the average state, the Holevo quantity, the
 per-member trace distances to the average, and the two auxiliary ensembles
 built from the normalized positive and negative parts of rho_i - average.
+One member stage, _member_parts, computes those parts for diagonal and
+dense members alike, and for bounds.fei_check's single pair.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import numpy as np
 
 from .entropy import as_probability_vector, binary_entropy, von_neumann_entropy, _row_entropies
 from .linalg import (
-    PSD_TOL, DensityOperator, HermitianOperator, _derived, _eigvalsh, _freeze, _is_diagonal,
-    _row_blocks, jordan_split, pair_trace_distances, trace_distance, trace_norm,
+    PSD_TOL, DensityOperator, EigensolverError, _derived, _eigvalsh, _freeze, _is_diagonal,
+    _row_blocks, _spectral_sum, hermitian_eig, pair_trace_distances, trace_distance, trace_norm,
 )
 
 # Member distances at or below this count as exactly zero.
@@ -158,42 +160,10 @@ def mean_binary_entropy(mu: DiscreteEnsemble) -> float:
 
 
 def _h_terms(probs: np.ndarray, eps: np.ndarray, eps_av: float) -> tuple[float, float]:
-    """hbar = sum(p_i h(eps_i)) and its concavity ceiling h(eps_av)."""
-    hbar = float(sum(p * binary_entropy(e) for p, e in zip(probs, eps)))
+    """hbar = sum(p_i h(eps_i)), as probs @ the row entropies of
+    [eps_i, 1 - eps_i], and its concavity ceiling h(eps_av)."""
+    hbar = float(probs @ _row_entropies(np.column_stack((eps, 1.0 - eps))))
     return hbar, binary_entropy(min(eps_av, 1.0))
-
-
-def normalized_parts(
-    diff: HermitianOperator,
-) -> tuple[float, DensityOperator | None, DensityOperator | None]:
-    """(eps, tau_plus, tau_minus) for `diff`, the difference of two states:
-    eps is its trace distance, clipped to 1, and tau_plus/tau_minus its
-    positive and negative parts, each normalized to unit trace.  Both parts
-    are None in the dead zone, where eps or the trace of either part is at
-    most EPS_ZERO_TOL: the difference is then numerically indistinguishable
-    from zero.  The parts are not re-validated: their spectra are the split
-    eigenvalues of `diff` over their traces, computed by _normalized.
-    """
-    w, plus, minus = jordan_split(diff)
-    eps = min(0.5 * float(np.abs(w).sum()), 1.0)
-    if eps <= EPS_ZERO_TOL:
-        return eps, None, None
-    tr_plus, tr_minus = plus.trace(), minus.trace()
-    if min(tr_plus, tr_minus) <= EPS_ZERO_TOL:
-        return eps, None, None
-    # A dense w is ascending, so the negative part's is reversed to stay so.
-    return eps, _normalized(plus, tr_plus, w), _normalized(minus, tr_minus, -w[::-1])
-
-
-def _normalized(part: HermitianOperator, trace: float, w: np.ndarray) -> DensityOperator:
-    """part / trace, in part's representation, handed its spectrum: for a
-    diagonal part, the one array that is its normalized diagonal; else the
-    entries of w, the part's signed eigenvalues, above PSD_TOL over trace."""
-    if part.diagonal is not None:
-        diagonal = part.diagonal / trace
-        return _derived(DensityOperator, diagonal=diagonal, spectrum=diagonal)
-    spectrum = np.where(w > PSD_TOL, w, 0.0) / trace
-    return _derived(DensityOperator, mat=part.mat / trace, spectrum=spectrum)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,7 +171,7 @@ class AuxiliaryDecomposition:
     """Normalized Jordan parts of every rho_i - average, as two ensembles.
 
     tau_plus/tau_minus/weights cover only the retained members, whose
-    difference lies outside normalized_parts' dead zone; `retained` maps their
+    difference lies outside _member_parts' dead zone; `retained` maps their
     positions back to original member indices, and `probs`/`eps` keep the
     full original vectors.  The averages of mu_plus and mu_minus coincide in
     exact arithmetic; `omega` is the computed average of mu_minus and
@@ -244,37 +214,22 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
     tau_i^+ and tau_i^- are the positive and negative parts of
     rho_i - average, each normalized to unit trace (the trace of either part
     equals eps_i in exact arithmetic).  A member whose difference lies in
-    normalized_parts' dead zone is dropped, and the weights p_i eps_i of the
+    _member_parts' dead zone is dropped, and the weights p_i eps_i of the
     others are renormalized to sum 1.  Raises DegenerateEnsembleError when
     eps_av <= EPS_ZERO_TOL or every member is dropped.  mu_plus and
     mu_minus, like their states and averages, are built unchecked.
 
     Eigensolves: at most m + 4 for m members.  One for mu's average unless
-    mu holds it already; one eigh per member, solved one at a time, which
-    gives eps_i, both Jordan parts and the spectra of tau_i^(+/-); one each
-    for the averages of mu_plus and mu_minus, and one for their residual.
-    An ensemble of exactly diagonal members (mu.diagonals is not None) takes
-    none of these and builds no d x d matrix: _diagonal_parts runs the stage
-    on mu.diagonals a block of rows at a time and writes tau_i^+ and tau_i^-
-    as the rows of an n x d and an (n+1) x d array, whose last row is omega.
-    mu_plus and mu_minus keep them as their diagonals.  Besides those two
-    arrays the stage holds one block's temporaries (at most _STACK_BYTES
-    each), and no m x d temporary.
+    mu holds it already; one eigh per member whose difference is dense,
+    which gives eps_i and the spectra of tau_i^(+/-); one each for the
+    averages of mu_plus and mu_minus, and one for their residual.  An
+    ensemble of exactly diagonal members (mu.diagonals is not None) takes
+    none and builds no d x d matrix: its mu_plus and mu_minus keep
+    _member_parts' row arrays as their diagonals, omega the row after
+    tau^-'s.  Besides those two arrays the stage holds one block's
+    temporaries (at most _STACK_BYTES each), and no m x d temporary.
     """
-    if mu.diagonals is not None:
-        eps, usable, plus_rows, minus_rows = _diagonal_parts(mu)
-    else:
-        eps = np.zeros(mu.size)
-        tau_plus: list[DensityOperator] = []
-        tau_minus: list[DensityOperator] = []
-        usable: list[int] = []
-        for i, state in enumerate(mu.states):
-            eps[i], plus, minus = normalized_parts(state - mu.average)
-            if plus is None:
-                continue
-            usable.append(i)
-            tau_plus.append(plus)
-            tau_minus.append(minus)
+    eps, usable, plus_rows, minus_rows, vectors = _member_parts(mu.states, mu.average, mu.diagonals)
     eps.setflags(write=False)
     eps_av = float(mu.probs @ eps)
     if eps_av <= EPS_ZERO_TOL:
@@ -292,8 +247,8 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
         )
     raw = mu.probs[usable] * eps[usable]
     weights = raw / raw.sum()
+    n = len(usable)
     if mu.diagonals is not None:
-        n = len(usable)
         # omega, the average of mu_minus, is the row after the tau_i^minus.
         row = minus_rows[n]
         row[:] = weights @ minus_rows[:n]
@@ -302,8 +257,10 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
         mu_plus = _from_rows(weights, plus_rows)
         mu_minus = _from_rows(weights, minus_rows[:n], average=omega)
     else:
-        mu_plus = _derived(DiscreteEnsemble, probs=weights, states=tuple(tau_plus))
-        mu_minus = _derived(DiscreteEnsemble, probs=weights, states=tuple(tau_minus))
+        mu_plus, mu_minus = (
+            _derived(DiscreteEnsemble, probs=weights, states=_part_states(rows, vectors))
+            for rows in (_freeze(plus_rows), _freeze(minus_rows)[:n])
+        )
     return AuxiliaryDecomposition(
         probs=mu.probs,
         eps=eps,
@@ -319,41 +276,78 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
     )
 
 
-def _diagonal_parts(mu: DiscreteEnsemble) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
-    """normalized_parts(rho_i - average) for every row of mu.diagonals, by
-    the same operations, as (eps, retained, plus_rows, minus_rows).  Row k
-    of plus_rows and of minus_rows is the diagonal of the k-th retained
-    member's tau^+ and tau^-; minus_rows has one more row, left for omega.
+def _member_parts(
+    states: tuple[DensityOperator, ...], centre: DensityOperator, rows: np.ndarray | None = None
+) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray, list[np.ndarray | None]]:
+    """The member stage: the normalized Jordan parts of every state - centre,
+    as (eps, retained, plus_rows, minus_rows, vectors).
 
-    Each block of _row_blocks is written straight into the two arrays and
-    its dead-zone rows are dropped by compaction in place, so the stage
-    allocates nothing of m x d besides them.  The arrays are shrunk to the
-    retained rows before any view of them is made.
+    eps_i is the trace distance, clipped to 1.  A member is dropped in the
+    dead zone, where eps_i or the trace of either part is at most
+    EPS_ZERO_TOL.  Row k of plus_rows and minus_rows is the spectrum of the
+    k-th retained member's tau^+ and tau^-: the signed eigenvalues of its
+    difference, or their negatives, at or below PSD_TOL set to 0, over their
+    sum; minus_rows has one more row, left for omega.  vectors[k] is None
+    for a difference kept as its diagonal (its entries are its eigenvalues),
+    else the eigenvectors of its hermitian_eig, column j for entry j.
+
+    Step 1 fills plus_rows with the signed eigenvalues: in one subtraction
+    from `rows`, the states' stacked diagonals, when given, else a member at
+    a time, naming the member whose eigensolve fails.  Step 2 runs
+    each block of _row_blocks through whole-array operations and compacts
+    the kept rows in place, so nothing of m x d is allocated besides the
+    two arrays, which are shrunk before any view of them is made.  Step 3,
+    _part_states, rotates parts back for the callers that need matrices.
     """
-    rows, average = mu.diagonals, mu.average.diagonal
-    m, d = rows.shape
-    eps = np.empty(m)
-    keep = np.empty(m, dtype=bool)
+    m, d = len(states), centre.dim
+    eps, keep = np.empty(m), np.empty(m, dtype=bool)
     plus_rows, minus_rows = np.empty((m, d)), np.empty((m + 1, d))
+    vectors: list[np.ndarray | None] = [None] * m
+    if rows is not None:
+        np.subtract(rows, centre.diagonal, out=plus_rows)
+    else:
+        for i, state in enumerate(states):
+            diff = state - centre
+            if diff.diagonal is not None:
+                plus_rows[i] = diff.diagonal
+                continue
+            try:
+                system = hermitian_eig(diff)
+            except EigensolverError as exc:
+                raise EigensolverError(
+                    f"member {i}: {exc}", dim=exc.dim, residual=exc.residual
+                ) from exc
+            plus_rows[i], vectors[i] = system.eigenvalues, system.eigenvectors
     n = 0
     for block in _row_blocks(m, d):
-        chunk = rows[block]
-        plus, minus = plus_rows[n:n + len(chunk)], minus_rows[n:n + len(chunk)]
-        np.subtract(chunk, average, out=plus)
-        eps[block] = np.minimum(0.5 * np.abs(plus).sum(axis=1), 1.0)
-        np.negative(plus, out=minus)
-        for part in (plus, minus):
+        chunk = plus_rows[block]
+        minus = minus_rows[n:n + len(chunk)]
+        eps[block] = np.minimum(0.5 * np.abs(chunk).sum(axis=1), 1.0)
+        np.negative(chunk, out=minus)
+        for part in (chunk, minus):
             np.copyto(part, 0.0, where=part <= PSD_TOL)
-        traces = plus.sum(axis=1), minus.sum(axis=1)
+        traces = chunk.sum(axis=1), minus.sum(axis=1)
         kept = keep[block]
         np.logical_and(eps[block] > EPS_ZERO_TOL, np.minimum(*traces) > EPS_ZERO_TOL, out=kept)
         count = int(np.count_nonzero(kept))
-        for part, trace in zip((plus, minus), traces):
+        for part, out, trace in zip((chunk, minus), (plus_rows, minus_rows), traces):
             if count < len(chunk):
-                part[:count] = part[kept]
-            part[:count] /= trace[kept][:, None]
+                part, trace = part[kept], trace[kept]
+            # The rows kept so far end at n <= block.start: numpy buffers an overlap.
+            np.divide(part, trace[:, None], out=out[n:n + count])
         n += count
-    del plus, minus  # no view of the arrays may outlive their resize
+    del chunk, minus, part  # no view of the arrays may outlive their resize
     plus_rows.resize((n, d), refcheck=False)
     minus_rows.resize((n + 1, d), refcheck=False)
-    return eps, np.flatnonzero(keep).tolist(), plus_rows, minus_rows
+    retained = np.flatnonzero(keep).tolist()
+    return eps, retained, plus_rows, minus_rows, [vectors[i] for i in retained]
+
+
+def _part_states(rows: np.ndarray, vectors: list[np.ndarray | None]) -> tuple[DensityOperator, ...]:
+    """The states, built unchecked, whose spectra are the rows of `rows`:
+    diagonal where vectors[k] is None, else _spectral_sum(vectors[k], row)."""
+    return tuple(
+        _derived(DensityOperator, diagonal=row, spectrum=row) if v is None
+        else _derived(DensityOperator, mat=_spectral_sum(v, row), spectrum=row)
+        for row, v in zip(rows, vectors)
+    )

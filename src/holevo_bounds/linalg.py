@@ -19,7 +19,8 @@ members of one diagonal ensemble are handled as the rows of one m x d array
 (DiscreteEnsemble.diagonals), in blocks of _row_blocks.
 pair_trace_distances alone picks how a pair of states' distance is computed:
 by such vectors, gathered from such an array when the caller holds one, by
-the rank-1 closed form, or by a stacked eigensolve.
+the rank-1 closed form, or by a stacked eigensolve.  _spectral_sum alone
+rebuilds a dense Jordan part from its eigenvectors.
 """
 
 from __future__ import annotations
@@ -464,29 +465,29 @@ def jordan_parts(a: HermitianOperator) -> tuple[HermitianOperator, HermitianOper
     The split follows the sign of the eigenvalues; eigenvalues within
     [-PSD_TOL, PSD_TOL] count as exact zeros and contribute to neither part.
     The two parts have orthogonal supports, so A_plus A_minus = 0 and
-    Tr A_plus + Tr A_minus = ||A||_1 up to solver noise.
+    Tr A_plus + Tr A_minus = ||A||_1 up to solver noise.  An `a` kept as its
+    diagonal is split by the sign of its entries, into parts kept as
+    diagonals, with no eigensystem.  Any other `a` takes one hermitian_eig,
+    and its parts are _spectral_sum's of the split eigenvalues.
     """
-    return jordan_split(a)[1:]
-
-
-def jordan_split(a: HermitianOperator) -> tuple[np.ndarray, HermitianOperator, HermitianOperator]:
-    """(w, A_plus, A_minus): the eigenvalues w of `a` and its jordan_parts,
-    for callers that need both.  An `a` kept as its diagonal is split by the
-    sign of its entries, into parts kept as diagonals, with no eigensystem;
-    w is then that diagonal, unsorted.  Any other `a` takes one hermitian_eig,
-    w is ascending, and its parts V w_+/- V^dag are symmetrized to (P + P^dag)/2."""
     if a.diagonal is not None:
-        plus, minus = (
-            _derived(HermitianOperator, diagonal=np.where(d > PSD_TOL, d, 0.0))
-            for d in (a.diagonal, -a.diagonal)
+        return tuple(
+            _derived(HermitianOperator, diagonal=np.where(w > PSD_TOL, w, 0.0))
+            for w in (a.diagonal, -a.diagonal)
         )
-        return a.diagonal, plus, minus
     system = hermitian_eig(a)
-    parts = []
-    for sign in (1.0, -1.0):
-        w = sign * system.eigenvalues
-        keep = w > PSD_TOL
-        v = system.eigenvectors[:, keep]
-        part = (v * w[keep]) @ v.conj().T
-        parts.append(_derived(HermitianOperator, mat=(part + part.conj().T) / 2.0))
-    return system.eigenvalues, parts[0], parts[1]
+    vectors = system.eigenvectors
+    return tuple(
+        _derived(HermitianOperator, mat=_spectral_sum(vectors, np.where(w > PSD_TOL, w, 0.0)))
+        for w in (system.eigenvalues, -system.eigenvalues)
+    )
+
+
+def _spectral_sum(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """V diag(values) V^dag for the nonnegative `values`, from the columns of
+    V = `vectors` at the nonzero values only, so that a part of rank r costs
+    O(d^2 r); symmetrized to (P + P^dag)/2, exactly Hermitian."""
+    support = values > 0.0
+    v = vectors[:, support]
+    part = (v * values[support]) @ v.conj().T
+    return (part + part.conj().T) / 2.0

@@ -1,9 +1,11 @@
 """Tests for the entropic inequality checker and the four Holevo bounds."""
 
 import dataclasses
+import importlib.util
 import math
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -793,8 +795,7 @@ def test_handed_over_spectra_match_fresh_eigvalsh(mu):
     aux = build_auxiliary(mu)
     for tau in aux.tau_plus + aux.tau_minus:
         assert not tau.mat.flags.writeable and not tau.spectrum.flags.writeable
-        spectrum = tau.spectrum if tau.diagonal is None else np.sort(tau.spectrum)
-        assert np.max(np.abs(spectrum - np.linalg.eigvalsh(tau.mat))) <= 1e-12
+        assert np.max(np.abs(np.sort(tau.spectrum) - np.linalg.eigvalsh(tau.mat))) <= 1e-12
         assert abs(tau.spectrum.sum() - 1.0) <= 1e-12
 
 
@@ -979,3 +980,92 @@ def test_diagonal_pairs_match_their_rotations(rho, sigma):
         assert abs(getattr(got, field.name) - getattr(want, field.name)) <= 1e-12, field.name
     got_s, want_s = relative_entropy(*pair.states), relative_entropy(*rotated.states)
     assert got_s == want_s or abs(got_s - want_s) <= 1e-12
+
+
+def _load_checker():
+    """benchmarks/checker.py, the numpy-only reference that shares no code
+    with the package, loaded from its file without importing `benchmarks`."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "checker.py"
+    spec = importlib.util.spec_from_file_location("_benchmark_checker", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+checker = _load_checker()
+
+# The member kinds that a representation or method path keys on.
+_MEMBER_KINDS = ("basis", "diagonal", "pure", "low-rank", "full-rank", "rotated", "repeat")
+
+
+@st.composite
+def _mixed_kind_ensembles(draw) -> DiscreteEnsemble:
+    """Ensembles of 2-7 members at d in 1..6 that mix every member kind a
+    path keys on: diagonal basis states and diagonal mixed states (kept as
+    vectors), dense pure states (the rank-1 Gram closed form), dense
+    low-rank and full-rank Ginibre states, dense rotations of diagonal
+    states by one unitary shared by the ensemble (dense but commuting), and
+    repeats of earlier members.  Probabilities are small integers over
+    their sum, so members tie; some ensembles gain a last member equal to
+    the average of the others, which leaves the average unchanged and so
+    lies in the dead zone."""
+    dim = draw(st.sampled_from((3, 2, 4, 5, 6, 1)))
+    kinds = draw(st.lists(st.sampled_from(_MEMBER_KINDS), min_size=2, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    unitary = np.linalg.qr(g)[0]
+    states = []
+    for kind in kinds:
+        if kind == "repeat" and states:
+            states.append(states[rng.integers(len(states))])
+        elif kind in ("diagonal", "rotated"):
+            entries = rng.integers(0, 3, dim).astype(float)
+            entries[rng.integers(dim)] += 1.0
+            entries /= entries.sum()
+            if kind == "diagonal":
+                states.append(DensityOperator.from_diagonal(entries))
+            else:
+                states.append(DensityOperator((unitary * entries) @ unitary.conj().T))
+        elif kind == "pure":
+            states.append(random_pure_state(dim, rng))
+        elif kind in ("low-rank", "full-rank"):
+            rank = dim if kind == "full-rank" else int(rng.integers(1, max(dim - 1, 1) + 1))
+            states.append(random_mixed_state(dim, rank, rng))
+        else:  # a basis state, or a repeat with nothing to repeat yet
+            states.append(DensityOperator.from_diagonal(np.eye(dim)[rng.integers(dim)]))
+    counts = draw(st.lists(st.integers(1, 3), min_size=len(states), max_size=len(states)))
+    probs = np.array(counts, dtype=float) / sum(counts)
+    if draw(st.booleans()):
+        centre = sum(p * s.mat for p, s in zip(probs, states))
+        states.append(DensityOperator(centre))
+        counts.append(draw(st.integers(1, 3)))
+        probs = np.array(counts, dtype=float) / sum(counts)
+    return DiscreteEnsemble(probs, tuple(states))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_mixed_kind_ensembles(), st.booleans())
+def test_drawn_ensembles_match_independent_checker(mu, worker_stacks):
+    # Every report field and slack against benchmarks/checker's numpy-only
+    # reference on the dense matrices, and degeneracy exactly when the
+    # checker finds no member outside the dead zone.  Half the draws solve
+    # their dense pair stacks one matrix at a time on two worker threads.
+    mats = np.stack([state.mat for state in mu.states])
+    try:
+        reference = checker.reference_report(mu.probs, mats, dense=True)
+    except ValueError:
+        with pytest.raises(DegenerateEnsembleError):
+            build_auxiliary(mu)
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        if worker_stacks:
+            patch.setattr(linalg, "_STACK_ROWS", 1)
+            patch.setattr(linalg, "_WORKERS", 2)
+        report = full_report(mu)
+    for field in dataclasses.fields(BoundReport):
+        if field.name == "slacks":
+            assert list(report.slacks) == list(reference["slacks"])
+            for key, want in reference["slacks"].items():
+                assert abs(report.slacks[key] - want) <= 1e-9, key
+        else:
+            assert abs(getattr(report, field.name) - reference[field.name]) <= 1e-9, field.name

@@ -170,8 +170,18 @@ _PURE_QUBIT = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
         ({"version": 1, "dim": 2, "members": [
             {"prob": 1, "state": [[[1.0, 0.0], [1e308, 0.0]], [[1e308, 0.0], [0.0, 0.0]]]}]},
          "member 0: state entries must be finite"),
+        ({"version": 1, "dim": 2, "members": [{"prob": 1, "state": [
+            [[True, False], [False, False]], [[False, False], [False, False]]]}]},
+         "member 0: state entries must be numbers, not booleans"),
+        ({"version": 1, "dim": 2, "members": [
+            {"prob": 0.5, "state": _PURE_QUBIT},
+            {"prob": 0.5, "state": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [True, 0.0]]]}]},
+         "member 1: state entries must be numbers, not booleans"),
     ],
-    ids=["bool-version", "bool-dim", "huge-prob", "huge-state-entry", "overflowing-entry"],
+    ids=[
+        "bool-version", "bool-dim", "huge-prob", "huge-state-entry", "overflowing-entry",
+        "bool-state", "bool-state-entry",
+    ],
 )
 def test_file_boundary_rejects_bools_and_huge_integers(tmp_path, capsys, data, named):
     # JSON true is a Python int, a 401-digit integer overflows float(), and
@@ -203,16 +213,25 @@ _JSON = st.recursive(
 @st.composite
 def _ensemble_dicts(draw):
     """A valid file of basis-state members with at most one field, drawn
-    from version, dim, members, prob, label and state, replaced."""
+    from version, dim, members, prob, label and state, replaced, or with
+    JSON booleans in place of state entries."""
     dim, size = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     members = []
     for k in range(size):
         state = [[[float(i == j == k % dim), 0.0] for j in range(dim)] for i in range(dim)]
         members.append({"prob": 1.0 / size, "state": state})
     data = {"version": 1, "dim": dim, "members": members}
-    field = draw(st.sampled_from([None, "version", "dim", "members", "prob", "label", "state"]))
+    field = draw(st.sampled_from(
+        [None, "version", "dim", "members", "prob", "label", "state", "boolean"]
+    ))
     if field in ("version", "dim", "members"):
         data[field] = draw(_JSON)
+    elif field == "boolean":
+        # The same basis state with every entry, or one, as a JSON boolean.
+        entries = [(i, j, c) for i in range(dim) for j in range(dim) for c in range(2)]
+        for i, j, c in entries if draw(st.booleans()) else [draw(st.sampled_from(entries))]:
+            pair = members[0]["state"][i][j]
+            pair[c] = bool(pair[c])
     elif field == "state":
         # d x d arrays of [re, im] pairs of any numbers, or ragged lists.
         pair = st.lists(_NUMBERS, min_size=2, max_size=2)
@@ -229,12 +248,23 @@ def _ensemble_dicts(draw):
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(_ensemble_dicts())
 def test_file_boundary_fuzz(data):
-    # Whatever a file holds, loading it gives an ensemble or an input error.
+    # Whatever a file holds, loading it gives an ensemble or an input error,
+    # and a file with a boolean state entry never loads.
     try:
         mu = ensemble_from_dict(data)
     except EnsembleFileError:
         return
     assert isinstance(mu, DiscreteEnsemble)
+    assert not any(_holds_bool(member["state"]) for member in data["members"])
+
+
+def _holds_bool(value) -> bool:
+    """Whether a JSON value is, or holds at any depth, a boolean."""
+    if isinstance(value, list):
+        return any(map(_holds_bool, value))
+    if isinstance(value, dict):
+        return any(map(_holds_bool, value.values()))
+    return isinstance(value, bool)
 
 
 # Offsets that keep a member's trace, or the probability sum, inside its
@@ -454,6 +484,33 @@ def test_solver_failure_exits_numerical(capsys, monkeypatch, solver, residual):
     assert len(lines) == 1
     assert "numerical failure at dim 2" in lines[0]
     assert residual in lines[0]
+
+
+@pytest.mark.parametrize(
+    "solver, reason",
+    [(_failing_eigh, "member 3: eigendecomposition failed at dim 8"),
+     (_inaccurate_eigh, "member 3: eigendecomposition residual 3.")],
+    ids=["lapack-failure", "residual-too-large"],
+)
+def test_member_solver_failure_names_the_member(tmp_path, capsys, monkeypatch, solver, reason):
+    # Only the member stage calls eigh: its fourth call is member 3's.
+    path = tmp_path / "random.json"
+    write_ensemble_file(str(path), random_ensemble(6, 8, 0))
+    mu = load_ensemble_file(str(path))
+    calls = []
+
+    def fourth_call_fails(a, *args, _eigh=np.linalg.eigh, **kwargs):
+        calls.append(a)
+        return (solver if len(calls) == 4 else _eigh)(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", fourth_call_fails)
+    with pytest.raises(EigensolverError, match=reason) as exc:
+        full_report(mu)
+    assert exc.value.dim == 8
+    assert (exc.value.residual is None) == (solver is _failing_eigh)
+    calls.clear()
+    assert main(["report", str(path)]) == EXIT_NUMERICAL
+    assert reason in _single_error_line(capsys)
 
 
 def test_oscillator_curve(tmp_path, capsys):

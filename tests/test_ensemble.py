@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from holevo_bounds import linalg
 from holevo_bounds.ensemble import (
     AuxiliaryDecomposition,
     DegenerateEnsembleError,
@@ -16,14 +15,15 @@ from holevo_bounds.ensemble import (
     holevo_quantity,
     mean_binary_entropy,
     member_epsilons,
-    normalized_parts,
+    _member_parts,
+    _part_states,
 )
 from holevo_bounds.entropy import relative_entropy, shannon_entropy
 from holevo_bounds.gallery import (
     OscillatorEnsembleSpec, orthogonal_ensemble, oscillator_ensemble, random_ensemble,
     random_mixed_state, trine_ensemble,
 )
-from holevo_bounds.linalg import DensityOperator, HermitianOperator, trace_norm
+from holevo_bounds.linalg import DensityOperator, trace_norm
 
 from helpers import count_eigensolves
 
@@ -281,7 +281,8 @@ def test_auxiliary_decomposition_is_plain_data():
 def test_exactly_diagonal_dense_difference_takes_lapack(monkeypatch):
     # Dense states whose off-diagonal entries cancel exactly: the difference
     # is dense, so LAPACK solves it, and it must agree with the same
-    # difference kept as its diagonal.  Identical states give eps = 0.
+    # difference between the two diagonals kept as vectors.  Identical
+    # states give eps = 0.
     base = DensityOperator(0.5 * random_mixed_state(3, 3, 11).mat + np.eye(3) / 6.0)
     shifted = DensityOperator(base.mat + np.diag([0.05, -0.02, -0.03]))
     calls = count_eigensolves(monkeypatch)
@@ -290,19 +291,22 @@ def test_exactly_diagonal_dense_difference_takes_lapack(monkeypatch):
         assert diff.diagonal is None
         assert np.count_nonzero(diff.mat - np.diag(diff.mat.diagonal())) == 0
         del calls[:]
-        got = normalized_parts(diff)
+        got = _member_parts((rho,), sigma)
         assert calls == [3]
-        want = normalized_parts(
-            linalg._derived(HermitianOperator, diagonal=diff.mat.diagonal().real.copy())
-        )
+        rho_d, sigma_d = (DensityOperator.from_diagonal(s.mat.diagonal().real) for s in (rho, sigma))
+        assert np.array_equal((rho_d - sigma_d).diagonal, diff.mat.diagonal().real)
+        want = _member_parts((rho_d,), sigma_d)
         assert calls == [3]
-        assert abs(got[0] - want[0]) <= 1e-12
-        assert (got[1] is None) == (want[1] is None) == (rho is base)
-        for part, oracle in zip(got[1:], want[1:]):
-            if part is None:
-                continue
+        assert abs(got[0][0] - want[0][0]) <= 1e-12
+        assert got[1] == want[1] == ([] if rho is base else [0])
+        if rho is base:
+            continue
+        assert got[4][0] is not None and want[4][0] is None
+        for rows, oracle_rows in zip(got[2:4], want[2:4]):
+            part = _part_states(rows[:1], got[4])[0]
+            oracle = _part_states(oracle_rows[:1], want[4])[0]
             assert part.diagonal is None and oracle.diagonal is not None
             assert np.max(np.abs(part.mat - oracle.mat)) <= 1e-12
             assert oracle.spectrum is oracle.diagonal
-            assert np.max(np.abs(part.spectrum - np.sort(oracle.spectrum))) <= 1e-12
-    assert got[0] == 0.0
+            assert np.max(np.abs(np.sort(part.spectrum) - np.sort(oracle.spectrum))) <= 1e-12
+    assert got[0][0] == 0.0
