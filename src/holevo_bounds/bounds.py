@@ -77,7 +77,7 @@ def fei_check(rho: DensityOperator, sigma: DensityOperator) -> FeiReport:
     member stage (ensemble._member_parts) of the one member rho about sigma
     gives them from one eigensolve, with no part rotated back.  The slack
     is nonnegative for all pairs of states, up to floating point.  In the
-    member stage's dead zone both sides collapse to S(rho), slack 0.
+    dead zone (either part's trace at most EPS_ZERO_TOL) both sides are S(rho), slack 0.
     """
     eps, retained, plus_rows, minus_rows, _ = _member_parts((rho,), sigma)
     eps = float(eps[0])
@@ -96,8 +96,8 @@ def plus_diameter(aux: AuxiliaryDecomposition) -> float:
 
     pair_trace_distances decides each pair's method: a pair of rank-1 parts
     (every pure member's) takes a closed form, and a pair of diagonal parts
-    a vector difference, gathered from mu_plus.diagonals when the parts
-    are its rows, both at no eigensolve; every other pair takes one.
+    a vector difference, gathered from mu_plus.diagonals when it has them,
+    both at no eigensolve; every other pair takes one.
     The pairs are generated in blocks of rows, so a scan that stops early
     never holds all m(m-1)/2 of them.  The ceiling is checked after each
     stack.
@@ -105,8 +105,8 @@ def plus_diameter(aux: AuxiliaryDecomposition) -> float:
     ceiling = 1.0 - 1e-12
     best = 0.0
     # Closed on an early exit: its worker threads are joined first.
-    pairs = _upper_pairs(len(aux.tau_plus))
-    with closing(pair_trace_distances(aux.tau_plus, pairs, rows=aux.mu_plus.diagonals)) as stacks:
+    pairs = _upper_pairs(aux.mu_plus.size)
+    with closing(pair_trace_distances(aux.mu_plus._members, pairs)) as stacks:
         for _, distances in stacks:
             best = max(best, float(distances.max()))
             if best >= ceiling:

@@ -46,7 +46,9 @@ class DegenerateEnsembleError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class DiscreteEnsemble:
-    """A probability vector over same-dimension density operators."""
+    """A probability vector over same-dimension density operators.  One
+    built by _from_rows holds its members as arrays and builds `states` on
+    first read; no report stage reads `states` of a row-backed one."""
 
     probs: np.ndarray
     states: tuple[DensityOperator, ...]
@@ -74,13 +76,27 @@ class DiscreteEnsemble:
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "states", states)
 
+    def __getattr__(self, name):
+        # Reached only for a field not set on the instance: the `states` of an
+        # ensemble built by _from_rows, kept once built.  Its eigenvectors go.
+        if name != "states" or "_vectors" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        states = tuple(
+            _derived(DensityOperator, diagonal=row, spectrum=row) if v is None
+            else _derived(DensityOperator, mat=_spectral_sum(v, row), spectrum=row)
+            for row, v in zip(self._spectra, self._vectors or [None] * self.size)
+        )
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "_vectors", None)
+        return states
+
     @property
     def size(self) -> int:
-        return len(self.states)
+        return self.probs.size
 
     @property
     def dim(self) -> int:
-        return self.states[0].dim
+        return self._spectra.shape[1]
 
     @cached_property
     def average(self) -> DensityOperator:
@@ -91,21 +107,34 @@ class DiscreteEnsemble:
     def diagonals(self) -> np.ndarray | None:
         """The members' diagonals as the rows of one read-only m x d array,
         or None when any member is dense.  Stacked on first read and kept,
-        unless the ensemble was built from its rows (_from_rows), whose
-        members are then views of them.  Every per-member stage takes its
-        whole-array path exactly when this is not None."""
+        unless the ensemble was built from its rows (_from_rows).  Every
+        per-member stage takes its whole-array path exactly when this is not
+        None: _members is then this array, else `states`."""
         if any(state.diagonal is None for state in self.states):
             return None
         return _freeze(np.stack([state.diagonal for state in self.states]))
 
+    @property
+    def _members(self) -> np.ndarray | tuple[DensityOperator, ...]:
+        return self.states if self.diagonals is None else self.diagonals
 
-def _from_rows(probs: np.ndarray, rows: np.ndarray, **fields) -> DiscreteEnsemble:
-    """The ensemble, built unchecked, of the diagonal states whose diagonals
-    are the rows of `rows`, kept as its `diagonals`: each member is a view of
-    its row, which is also its spectrum.  `fields` sets the others (labels,
-    or a prebuilt average)."""
-    states = tuple(_derived(DensityOperator, diagonal=row, spectrum=row) for row in rows)
-    return _derived(DiscreteEnsemble, probs=probs, states=states, diagonals=rows, **fields)
+    @cached_property
+    def _spectra(self) -> np.ndarray:
+        """The members' spectra, in any order, as one read-only m x d array."""
+        rows = self.diagonals
+        return rows if rows is not None else _freeze(np.stack([s.spectrum for s in self.states]))
+
+
+def _from_rows(probs: np.ndarray, rows: np.ndarray, vectors: list | None = None, **fields):
+    """The ensemble, built unchecked, whose member k has the spectrum rows[k]:
+    its diagonal when vectors is None or vectors[k] is, else
+    _spectral_sum(vectors[k], rows[k]), built on first read.  `rows` is kept
+    as its spectra, and as its diagonals when vectors is None.  `fields` sets
+    the others (labels, or a prebuilt average)."""
+    return _derived(
+        DiscreteEnsemble, probs=probs, _spectra=rows, _vectors=vectors,
+        diagonals=rows if vectors is None else None, **fields,
+    )
 
 
 def average_state(mu: DiscreteEnsemble) -> DensityOperator:
@@ -128,15 +157,10 @@ def holevo_quantity(mu: DiscreteEnsemble) -> float:
     """The Holevo quantity S(average) - sum(p_i S(rho_i)), in nats.
 
     Always finite at finite dimension; nonnegative, and bounded by both the
-    Shannon entropy of the probabilities and ln(dim).  Diagonal members'
-    entropies are read from their diagonals, a block of rows at a time.
+    Shannon entropy of the probabilities and ln(dim).  The members'
+    entropies are read from their spectra array, a block of rows at a time.
     """
-    avg = von_neumann_entropy(mu.average)
-    if mu.diagonals is None:
-        members = sum(p * von_neumann_entropy(s) for p, s in zip(mu.probs, mu.states))
-    else:
-        members = mu.probs @ _row_entropies(mu.diagonals)
-    val = avg - float(members)
+    val = von_neumann_entropy(mu.average) - float(mu.probs @ _row_entropies(mu._spectra))
     return val if val > 0.0 else 0.0
 
 
@@ -170,12 +194,12 @@ def _h_terms(probs: np.ndarray, eps: np.ndarray, eps_av: float) -> tuple[float, 
 class AuxiliaryDecomposition:
     """Normalized Jordan parts of every rho_i - average, as two ensembles.
 
-    tau_plus/tau_minus/weights cover only the retained members, whose
-    difference lies outside _member_parts' dead zone; `retained` maps their
-    positions back to original member indices, and `probs`/`eps` keep the
-    full original vectors.  The averages of mu_plus and mu_minus coincide in
-    exact arithmetic; `omega` is the computed average of mu_minus and
-    `average_match_residual` the trace-norm gap to the average of mu_plus.
+    mu_plus/mu_minus/weights cover only the retained members, outside the
+    dead zone (where either part's trace is at most EPS_ZERO_TOL); `retained`
+    maps them back to original member indices, and `probs`/`eps` keep the
+    full original vectors.  tau_plus, tau_minus and omega read the states of
+    mu_plus and mu_minus and the average of mu_minus, which equals mu_plus's
+    in exact arithmetic; `average_match_residual` is their computed gap.
     """
 
     probs: np.ndarray
@@ -183,27 +207,27 @@ class AuxiliaryDecomposition:
     eps_av: float
     retained: tuple[int, ...]
     weights: np.ndarray
-    tau_plus: tuple[DensityOperator, ...]
-    tau_minus: tuple[DensityOperator, ...]
     mu_plus: DiscreteEnsemble
     mu_minus: DiscreteEnsemble
-    omega: DensityOperator
     average_match_residual: float
+
+    tau_plus = property(lambda self: self.mu_plus.states)
+    tau_minus = property(lambda self: self.mu_minus.states)
+    omega = property(lambda self: self.mu_minus.average)
 
     @cached_property
     def minus_gaps(self) -> tuple[float, ...]:
         """Trace-norm gaps ||tau_i^minus - omega||_1, twice the distances of
         the pairs (tau_i^minus, omega) from pair_trace_distances.  Computed
         on first use, then kept."""
-        n = len(self.tau_minus)
+        n = self.mu_minus.size
         gaps = np.empty(n)
         block = (np.arange(n), np.full(n, n))
         # build_auxiliary's diagonal stage holds tau_minus's rows and omega's
         # as one (n+1) x d array, whose rows mu_minus.diagonals are views of.
-        rows = self.mu_minus.diagonals
-        rows = None if rows is None else rows.base
-        states = (*self.tau_minus, self.omega)
-        for positions, distances in pair_trace_distances(states, [block], rows=rows):
+        rows = getattr(self.mu_minus.diagonals, "base", None)
+        members = (*self.tau_minus, self.omega) if rows is None else rows
+        for positions, distances in pair_trace_distances(members, [block]):
             gaps[positions] = 2.0 * distances
         return tuple(float(gap) for gap in gaps)
 
@@ -213,100 +237,90 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
 
     tau_i^+ and tau_i^- are the positive and negative parts of
     rho_i - average, each normalized to unit trace (the trace of either part
-    equals eps_i in exact arithmetic).  A member whose difference lies in
-    _member_parts' dead zone is dropped, and the weights p_i eps_i of the
-    others are renormalized to sum 1.  Raises DegenerateEnsembleError when
-    eps_av <= EPS_ZERO_TOL or every member is dropped.  mu_plus and
-    mu_minus, like their states and averages, are built unchecked.
+    equals eps_i in exact arithmetic).  A member is dropped in the dead
+    zone, where the trace of either part is at most EPS_ZERO_TOL, and the
+    weights p_i eps_i of the others are renormalized to sum 1.  Raises
+    DegenerateEnsembleError when eps_av <= EPS_ZERO_TOL or every member is
+    dropped.  mu_plus and mu_minus are built by _from_rows from
+    _member_parts' rows, their spectra, and build their states on first read.
 
     Eigensolves: at most m + 4 for m members.  One for mu's average unless
     mu holds it already; one eigh per member whose difference is dense,
     which gives eps_i and the spectra of tau_i^(+/-); one each for the
-    averages of mu_plus and mu_minus, and one for their residual.  An
-    ensemble of exactly diagonal members (mu.diagonals is not None) takes
-    none and builds no d x d matrix: its mu_plus and mu_minus keep
-    _member_parts' row arrays as their diagonals, omega the row after
+    averages of mu_plus and mu_minus, and one for their residual.  When
+    every retained part is diagonal (always, when mu.diagonals is not None)
+    the stage takes none and builds no d x d matrix: mu_plus and mu_minus
+    keep _member_parts' row arrays as their diagonals, omega the row after
     tau^-'s.  Besides those two arrays the stage holds one block's
     temporaries (at most _STACK_BYTES each), and no m x d temporary.
     """
-    eps, usable, plus_rows, minus_rows, vectors = _member_parts(mu.states, mu.average, mu.diagonals)
+    eps, usable, plus_rows, minus_rows, vectors = _member_parts(mu._members, mu.average)
     eps.setflags(write=False)
     eps_av = float(mu.probs @ eps)
-    if eps_av <= EPS_ZERO_TOL:
+    if eps_av <= EPS_ZERO_TOL or not usable:
         raise DegenerateEnsembleError(
             f"mean member distance {eps_av:.3e} is below {EPS_ZERO_TOL:.0e}; "
-            "all states equal the average",
-            eps=eps,
-            eps_av=eps_av,
-        )
-    if not usable:
-        raise DegenerateEnsembleError(
-            "every member difference lies inside the eigenvalue dead zone",
+            "all states equal the average" if eps_av <= EPS_ZERO_TOL
+            else "every member difference lies inside the eigenvalue dead zone",
             eps=eps,
             eps_av=eps_av,
         )
     raw = mu.probs[usable] * eps[usable]
     weights = raw / raw.sum()
     n = len(usable)
-    if mu.diagonals is not None:
-        # omega, the average of mu_minus, is the row after the tau_i^minus.
+    omega = {}
+    if all(v is None for v in vectors):
+        # Every part is kept as its diagonal: omega, the average of mu_minus,
+        # is the row after the tau_i^minus.
         row = minus_rows[n]
         row[:] = weights @ minus_rows[:n]
-        omega = _derived(DensityOperator, diagonal=row, spectrum=row)
-        _freeze(minus_rows)
-        mu_plus = _from_rows(weights, plus_rows)
-        mu_minus = _from_rows(weights, minus_rows[:n], average=omega)
-    else:
-        mu_plus, mu_minus = (
-            _derived(DiscreteEnsemble, probs=weights, states=_part_states(rows, vectors))
-            for rows in (_freeze(plus_rows), _freeze(minus_rows)[:n])
-        )
+        vectors, omega = None, {"average": _derived(DensityOperator, diagonal=row, spectrum=row)}
+    mu_plus = _from_rows(weights, plus_rows, vectors)
+    mu_minus = _from_rows(weights, _freeze(minus_rows)[:n], vectors, **omega)
     return AuxiliaryDecomposition(
         probs=mu.probs,
         eps=eps,
         eps_av=eps_av,
         retained=tuple(usable),
         weights=weights,
-        tau_plus=mu_plus.states,
-        tau_minus=mu_minus.states,
         mu_plus=mu_plus,
         mu_minus=mu_minus,
-        omega=mu_minus.average,
         average_match_residual=trace_norm(mu_plus.average - mu_minus.average),
     )
 
 
 def _member_parts(
-    states: tuple[DensityOperator, ...], centre: DensityOperator, rows: np.ndarray | None = None
+    members: np.ndarray | tuple[DensityOperator, ...], centre: DensityOperator
 ) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray, list[np.ndarray | None]]:
-    """The member stage: the normalized Jordan parts of every state - centre,
-    as (eps, retained, plus_rows, minus_rows, vectors).
+    """The member stage: the normalized Jordan parts of every member -
+    centre, as (eps, retained, plus_rows, minus_rows, vectors), for members
+    given as states or as the rows of an m x d array of diagonals.
 
     eps_i is the trace distance, clipped to 1.  A member is dropped in the
-    dead zone, where eps_i or the trace of either part is at most
-    EPS_ZERO_TOL.  Row k of plus_rows and minus_rows is the spectrum of the
-    k-th retained member's tau^+ and tau^-: the signed eigenvalues of its
-    difference, or their negatives, at or below PSD_TOL set to 0, over their
-    sum; minus_rows has one more row, left for omega.  vectors[k] is None
-    for a difference kept as its diagonal (its entries are its eigenvalues),
-    else the eigenvectors of its hermitian_eig, column j for entry j.
+    dead zone, where the trace of either part is at most EPS_ZERO_TOL.  Row
+    k of plus_rows and minus_rows is the spectrum of the k-th retained
+    member's tau^+ and tau^-: the signed eigenvalues of its difference, or
+    their negatives, at or below PSD_TOL set to 0, over their sum;
+    minus_rows has one more row, left for omega.  vectors[k] is None for a
+    difference kept as its diagonal (its entries are its eigenvalues), else
+    the eigenvectors of its hermitian_eig, column j for entry j.
 
     Step 1 fills plus_rows with the signed eigenvalues: in one subtraction
-    from `rows`, the states' stacked diagonals, when given, else a member at
-    a time, naming the member whose eigensolve fails.  Step 2 runs
-    each block of _row_blocks through whole-array operations and compacts
-    the kept rows in place, so nothing of m x d is allocated besides the
-    two arrays, which are shrunk before any view of them is made.  Step 3,
-    _part_states, rotates parts back for the callers that need matrices.
+    from an array of diagonals, else a member at a time, naming the member
+    whose eigensolve fails.  Step 2 runs each block of _row_blocks through
+    whole-array operations and compacts the kept rows in place, so nothing
+    of m x d is allocated besides the two arrays, which are shrunk before
+    any view of them is made.  Step 3, _from_rows, rotates dense parts back
+    when their states are first read.
     """
-    m, d = len(states), centre.dim
+    m, d = len(members), centre.dim
     eps, keep = np.empty(m), np.empty(m, dtype=bool)
     plus_rows, minus_rows = np.empty((m, d)), np.empty((m + 1, d))
     vectors: list[np.ndarray | None] = [None] * m
-    if rows is not None:
-        np.subtract(rows, centre.diagonal, out=plus_rows)
+    if isinstance(members, np.ndarray):
+        np.subtract(members, centre.diagonal, out=plus_rows)
     else:
-        for i, state in enumerate(states):
+        for i, state in enumerate(members):
             diff = state - centre
             if diff.diagonal is not None:
                 plus_rows[i] = diff.diagonal
@@ -328,7 +342,7 @@ def _member_parts(
             np.copyto(part, 0.0, where=part <= PSD_TOL)
         traces = chunk.sum(axis=1), minus.sum(axis=1)
         kept = keep[block]
-        np.logical_and(eps[block] > EPS_ZERO_TOL, np.minimum(*traces) > EPS_ZERO_TOL, out=kept)
+        np.greater(np.minimum(*traces), EPS_ZERO_TOL, out=kept)
         count = int(np.count_nonzero(kept))
         for part, out, trace in zip((chunk, minus), (plus_rows, minus_rows), traces):
             if count < len(chunk):
@@ -341,13 +355,3 @@ def _member_parts(
     minus_rows.resize((n + 1, d), refcheck=False)
     retained = np.flatnonzero(keep).tolist()
     return eps, retained, plus_rows, minus_rows, [vectors[i] for i in retained]
-
-
-def _part_states(rows: np.ndarray, vectors: list[np.ndarray | None]) -> tuple[DensityOperator, ...]:
-    """The states, built unchecked, whose spectra are the rows of `rows`:
-    diagonal where vectors[k] is None, else _spectral_sum(vectors[k], row)."""
-    return tuple(
-        _derived(DensityOperator, diagonal=row, spectrum=row) if v is None
-        else _derived(DensityOperator, mat=_spectral_sum(v, row), spectrum=row)
-        for row, v in zip(rows, vectors)
-    )

@@ -36,9 +36,9 @@ def trine_ensemble() -> DiscreteEnsemble:
 def orthogonal_ensemble(m: int) -> DiscreteEnsemble:
     """m mutually orthogonal equiprobable pure states (the standard basis of
     dimension m).  The auxiliary-ensemble bound is exactly tight here.  The
-    projectors are exact and built unchecked, as the rows of one np.eye(m),
-    which the ensemble keeps as its diagonals: a family too large for
-    memory fails at once."""
+    ensemble holds the exact projectors as the rows of one np.eye(m), its
+    diagonals, and builds no member object until its states are read: a
+    family too large for memory fails at once."""
     if m < 1:
         raise ValueError(f"need at least one state, got m={m}")
     labels = tuple(f"e{k}" for k in range(m))
@@ -103,8 +103,8 @@ def oscillator_ensemble(spec: OscillatorEnsembleSpec) -> tuple[DiscreteEnsemble,
 
     Probabilities are the geometric weights (1-q) q^n renormalized over
     {0..cutoff}; states are the Fock projectors |n><n| at dimension cutoff+1,
-    built as orthogonal_ensemble's are.  The dropped tail mass is reported, never silently discarded.  Raises
-    ValueError when an explicit cutoff leaves tail mass >= tail_tol.
+    held as orthogonal_ensemble's are.  The dropped tail mass is reported.
+    Raises ValueError when an explicit cutoff leaves tail mass >= tail_tol.
     """
     q = spec.ratio
     cutoff = spec.cutoff if spec.cutoff is not None else _auto_cutoff(q, spec.tail_tol)

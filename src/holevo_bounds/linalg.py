@@ -14,13 +14,13 @@ representation decides which path an operator takes.  It is set when the
 operator is built: by the checking constructor, by from_diagonal, or by
 _derived, which builds every operator, state and ensemble that the library
 computes from checked ones, unchecked.  A dense operator whose entries
-cancel to a diagonal stays dense and goes to LAPACK.  States that are the
-members of one diagonal ensemble are handled as the rows of one m x d array
-(DiscreteEnsemble.diagonals), in blocks of _row_blocks.
-pair_trace_distances alone picks how a pair of states' distance is computed:
-by such vectors, gathered from such an array when the caller holds one, by
-the rank-1 closed form, or by a stacked eigensolve.  _spectral_sum alone
-rebuilds a dense Jordan part from its eigenvectors.
+cancel to a diagonal stays dense and goes to LAPACK.  The members of one
+diagonal ensemble are handled as the rows of one m x d array
+(DiscreteEnsemble.diagonals), in blocks of _row_blocks, with no member
+object.  pair_trace_distances alone picks how a pair's distance is
+computed: from such an array by one gather per stack, from diagonal states
+by vectors, by the rank-1 closed form, or by a stacked eigensolve.
+_spectral_sum alone rebuilds a dense Jordan part from its eigenvectors.
 """
 
 from __future__ import annotations
@@ -311,23 +311,20 @@ def _row_blocks(count: int, dim: int) -> Iterator[slice]:
 
 
 def pair_trace_distances(
-    states: Sequence[DensityOperator],
+    members: Sequence[DensityOperator] | np.ndarray,
     blocks: Iterable[tuple[np.ndarray, np.ndarray]],
-    *,
-    rows: np.ndarray | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Trace distances (1/2)||rho_i - rho_j||_1 of the index pairs
     (first[k], second[k]) of each block (first, second) of `blocks`, yielded
     a stack at a time as (positions, distances): distances[n] belongs to the
-    pair at position positions[n] of the blocks taken end to end.  `rows`,
-    when the caller holds one, is the array whose row k is states[k]'s
-    diagonal, every state then being diagonal.
+    pair at position positions[n] of the blocks taken end to end.  `members`
+    is a sequence of states, or an m x d array of diagonal states' diagonals.
 
     Each pair's method is decided here, and only here, in this order within
     a block.  A pair of two diagonal states goes in a stack of at most
     _STACK_BYTES of diagonal differences, on demand, at no eigensolve: a
-    diagonal difference's eigenvalues are its entries.  From `rows` a stack
-    is filled by one gather; without it, one pair at a time.
+    diagonal difference's eigenvalues are its entries.  From an array a
+    stack is filled by one gather; from states, one pair at a time.
     A pair of two rank-1 states (at most one spectrum entry above PSD_TOL),
     not both diagonal, takes the closed form pure_trace_distances
     at no eigensolve, from one Gram matrix of every rank-1 state's
@@ -341,29 +338,27 @@ def pair_trace_distances(
     solve fails, the pending stacks are dropped and the workers joined
     before control returns to it.
     """
-    if rows is None:
-        diagonal = np.array([state.diagonal is not None for state in states], dtype=bool)
+    if isinstance(members, np.ndarray):
+        diagonal = np.ones(len(members), dtype=bool)
     else:
-        diagonal = np.ones(len(states), dtype=bool)
-    rank_one = np.zeros(len(states), dtype=bool)
+        diagonal = np.array([state.diagonal is not None for state in members], dtype=bool)
+    rank_one = np.zeros(len(members), dtype=bool)
     if not diagonal.all():  # only a pair with a dense state can take the closed form
-        rank_one[:] = [np.count_nonzero(state.spectrum > PSD_TOL) <= 1 for state in states]
+        rank_one[:] = [np.count_nonzero(state.spectrum > PSD_TOL) <= 1 for state in members]
     column = np.cumsum(rank_one) - 1  # each rank-1 state's column of the Gram matrix
     table, start = None, 0
     for first, second in blocks:
         by_vector = diagonal[first] & diagonal[second]
         by_gram = rank_one[first] & rank_one[second] & ~by_vector
-        yield from _kind_distances(
-            states, first, second, np.flatnonzero(by_vector), start, False, rows
-        )
+        yield from _kind_distances(members, first, second, np.flatnonzero(by_vector), start, False)
         positions = np.flatnonzero(by_gram)
         if positions.size:
             if table is None:
-                vectors = [_unit_vector(s) for s, r in zip(states, rank_one.tolist()) if r]
+                vectors = [_unit_vector(s) for s, r in zip(members, rank_one.tolist()) if r]
                 table = pure_trace_distances(np.stack(vectors, axis=1))
             yield start + positions, table[column[first[positions]], column[second[positions]]]
         dense = np.flatnonzero(~(by_vector | by_gram))
-        yield from _kind_distances(states, first, second, dense, start, True)
+        yield from _kind_distances(members, first, second, dense, start, True)
         start += first.size
 
 
@@ -378,23 +373,23 @@ def _unit_vector(state: DensityOperator) -> np.ndarray:
 
 
 def _kind_distances(
-    states: Sequence[DensityOperator], first: np.ndarray, second: np.ndarray,
-    positions: np.ndarray, start: int, dense: bool, rows: np.ndarray | None = None,
+    members: Sequence[DensityOperator] | np.ndarray, first: np.ndarray, second: np.ndarray,
+    positions: np.ndarray, start: int, dense: bool,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """pair_trace_distances for the pairs at `positions` of one block that
     starts at position `start`, all of one stack kind: matrix differences
-    when `dense`, else diagonal ones, gathered from `rows` when given."""
+    when `dense`, else diagonal ones, gathered when `members` is an array."""
     if not positions.size:
         return
     if dense:
         # Read on this thread, and only where indexed: a diagonal operator in
         # a mixed pair builds its mat.
-        read = np.zeros(len(states), dtype=bool)
+        read = np.zeros(len(members), dtype=bool)
         read[first[positions]] = read[second[positions]] = True
-        arrays = [state.mat if r else None for state, r in zip(states, read.tolist())]
+        arrays = [state.mat if r else None for state, r in zip(members, read.tolist())]
     else:
-        arrays = rows if rows is not None else [state.diagonal for state in states]
-    dim = states[first[positions[0]]].dim
+        arrays = members if isinstance(members, np.ndarray) else [s.diagonal for s in members]
+    dim = arrays[first[positions[0]]].shape[-1]
     size = -(-_STACK_ROWS // dim) if dense else max(1, _STACK_BYTES // (8 * dim))
     stacks = [positions[k:k + size] for k in range(0, positions.size, size)]
     workers = min(_WORKERS, len(stacks)) if dense else 1

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from holevo_bounds import linalg
+from holevo_bounds import ensemble, linalg
 from holevo_bounds import (
     ContinuousFamilySpec,
     DensityOperator,
@@ -82,6 +82,23 @@ def count_materializations(monkeypatch) -> list[tuple[str, int]]:
         return original(owner, name, mat)
 
     monkeypatch.setattr(linalg, "_materialize", counted)
+    return calls
+
+
+def count_derived(monkeypatch) -> list[str]:
+    """Wrap linalg._derived, the unchecked constructor of every derived
+    operator, state and ensemble, in each module that calls it, so that
+    every call appends the class name it builds to the returned list."""
+    calls: list[str] = []
+    original = linalg._derived
+
+    def counted(cls, **fields):
+        calls.append(cls.__name__)
+        return original(cls, **fields)
+
+    for module in (linalg, ensemble):
+        assert module._derived is original
+        monkeypatch.setattr(module, "_derived", counted)
     return calls
 
 

@@ -26,6 +26,7 @@ from holevo_bounds.bounds import (
     _upper_pairs,
 )
 from holevo_bounds.ensemble import (
+    EPS_ZERO_TOL,
     AuxiliaryDecomposition,
     DegenerateEnsembleError,
     DiscreteEnsemble,
@@ -47,6 +48,7 @@ from holevo_bounds.linalg import DensityOperator, EigensolverError, jordan_parts
 
 from helpers import (
     count_constructions,
+    count_derived,
     count_eigensolves,
     count_materializations,
     cyclic_orbit_ensemble,
@@ -79,20 +81,14 @@ def _manual_aux(taus_plus, taus_minus, probs, weights):
     probs = np.asarray(probs, dtype=float)
     weights = np.asarray(weights, dtype=float)
     mu_minus = DiscreteEnsemble(weights, taus_minus)
-    omega = DensityOperator(
-        sum(w * t.mat for w, t in zip(weights, taus_minus))
-    )
     return AuxiliaryDecomposition(
         probs=probs,
         eps=np.full(probs.size, 0.5),
         eps_av=0.5,
         retained=tuple(range(probs.size)),
         weights=weights,
-        tau_plus=taus_plus,
-        tau_minus=taus_minus,
         mu_plus=DiscreteEnsemble(weights, taus_plus),
         mu_minus=mu_minus,
-        omega=omega,
         average_match_residual=0.0,
     )
 
@@ -924,17 +920,52 @@ def test_commuting_report_builds_no_matrix(monkeypatch, mu):
     assert checks == []
 
 
+@pytest.mark.parametrize(
+    "small, large",
+    [
+        pytest.param(orthogonal_ensemble(16), orthogonal_ensemble(64), id="orthogonal-16-64"),
+        pytest.param(
+            oscillator_ensemble(OscillatorEnsembleSpec(3.0))[0],
+            oscillator_ensemble(OscillatorEnsembleSpec(10.0))[0],
+            id="oscillator-3-10",
+        ),
+    ],
+)
+def test_commuting_report_derives_no_member_object(monkeypatch, small, large):
+    # A row-backed ensemble, its mu+ and its mu- hold their members as
+    # arrays: a report builds the same few derived objects (averages,
+    # ensembles, differences) whatever the number of members.
+    calls = count_derived(monkeypatch)
+    counts = []
+    for mu in (small, large):
+        del calls[:]
+        full_report(mu)
+        counts.append(len(calls))
+    assert large.size > 2 * small.size
+    assert counts[0] == counts[1] < small.size, counts
+
+
 def test_ensembles_get_their_diagonals_three_ways():
     # The gallery keeps the np.eye whose rows are its members; build_auxiliary
     # keeps the arrays whose rows are tau_i^(+/-), omega's row after those of
     # tau_i^-; an ensemble of from_diagonal members stacks its members'
-    # diagonals on first read.  The reports agree bit for bit.
+    # diagonals on first read.  A row-backed ensemble builds its states on
+    # their first read, as read-only views of its rows, and keeps them; aux
+    # reads its tau_i^(+/-) and omega through mu+ and mu-.  The reports agree
+    # bit for bit.
     for mu in (orthogonal_ensemble(16), oscillator_ensemble(OscillatorEnsembleSpec(3.0))[0]):
         aux = build_auxiliary(mu)
         for ensemble in (mu, aux.mu_plus, aux.mu_minus):
             rows = ensemble.diagonals
             assert rows.shape == (ensemble.size, ensemble.dim) and not rows.flags.writeable
-            assert all(np.shares_memory(s.diagonal, rows) for s in ensemble.states)
+            assert "states" not in vars(ensemble)
+            states = ensemble.states
+            assert ensemble.states is states and len(states) == ensemble.size
+            for row, s in zip(rows, states):
+                assert np.shares_memory(s.diagonal, row) and np.array_equal(s.diagonal, row)
+                assert not s.diagonal.flags.writeable and s.spectrum is s.diagonal
+        assert aux.tau_plus is aux.mu_plus.states and aux.tau_minus is aux.mu_minus.states
+        assert aux.omega is aux.mu_minus.average
         assert aux.mu_minus.diagonals.base is aux.omega.diagonal.base
         assert len(aux.omega.diagonal.base) == len(aux.tau_minus) + 1
         stacked = DiscreteEnsemble(
@@ -1006,9 +1037,12 @@ def _mixed_kind_ensembles(draw) -> DiscreteEnsemble:
     low-rank and full-rank Ginibre states, dense rotations of diagonal
     states by one unitary shared by the ensemble (dense but commuting), and
     repeats of earlier members.  Probabilities are small integers over
-    their sum, so members tie; some ensembles gain a last member equal to
+    their sum, so members tie.  Some ensembles gain a last member equal to
     the average of the others, which leaves the average unchanged and so
-    lies in the dead zone."""
+    lies in the dead zone; some gain that average plus a traceless Hermitian
+    perturbation of norm 1e-11, whose distance to the average exceeds
+    EPS_ZERO_TOL while every eigenvalue of its difference lies below
+    PSD_TOL, so that the dead zone drops it by its parts' traces alone."""
     dim = draw(st.sampled_from((3, 2, 4, 5, 6, 1)))
     kinds = draw(st.lists(st.sampled_from(_MEMBER_KINDS), min_size=2, max_size=6))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
@@ -1035,8 +1069,14 @@ def _mixed_kind_ensembles(draw) -> DiscreteEnsemble:
             states.append(DensityOperator.from_diagonal(np.eye(dim)[rng.integers(dim)]))
     counts = draw(st.lists(st.integers(1, 3), min_size=len(states), max_size=len(states)))
     probs = np.array(counts, dtype=float) / sum(counts)
-    if draw(st.booleans()):
+    last = draw(st.sampled_from((None, "average", "near-average")))
+    if last is not None:
         centre = sum(p * s.mat for p, s in zip(probs, states))
+        if last == "near-average":
+            h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            h = h + h.conj().T - np.trace(h + h.conj().T).real / dim * np.eye(dim)
+            norm = np.abs(np.linalg.eigvalsh(h)).max()
+            centre = centre + (1e-11 / norm if norm > 0 else 0.0) * h
         states.append(DensityOperator(centre))
         counts.append(draw(st.integers(1, 3)))
         probs = np.array(counts, dtype=float) / sum(counts)
@@ -1048,12 +1088,16 @@ def _mixed_kind_ensembles(draw) -> DiscreteEnsemble:
 def test_drawn_ensembles_match_independent_checker(mu, worker_stacks):
     # Every report field and slack against benchmarks/checker's numpy-only
     # reference on the dense matrices, and degeneracy exactly when the
-    # checker finds no member outside the dead zone.  Half the draws solve
-    # their dense pair stacks one matrix at a time on two worker threads.
+    # checker finds no member outside the dead zone, or (a test the checker
+    # does not make) a mean member distance at most EPS_ZERO_TOL.  Half the
+    # draws solve their dense pair stacks one matrix at a time on two worker
+    # threads.
     mats = np.stack([state.mat for state in mu.states])
     try:
         reference = checker.reference_report(mu.probs, mats, dense=True)
     except ValueError:
+        reference = None
+    if reference is None or reference["eps_av"] <= EPS_ZERO_TOL:
         with pytest.raises(DegenerateEnsembleError):
             build_auxiliary(mu)
         return

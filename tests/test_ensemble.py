@@ -16,7 +16,7 @@ from holevo_bounds.ensemble import (
     mean_binary_entropy,
     member_epsilons,
     _member_parts,
-    _part_states,
+    _from_rows,
 )
 from holevo_bounds.entropy import relative_entropy, shannon_entropy
 from holevo_bounds.gallery import (
@@ -303,8 +303,8 @@ def test_exactly_diagonal_dense_difference_takes_lapack(monkeypatch):
             continue
         assert got[4][0] is not None and want[4][0] is None
         for rows, oracle_rows in zip(got[2:4], want[2:4]):
-            part = _part_states(rows[:1], got[4])[0]
-            oracle = _part_states(oracle_rows[:1], want[4])[0]
+            part = _from_rows(np.ones(1), rows[:1], got[4]).states[0]
+            oracle = _from_rows(np.ones(1), oracle_rows[:1], want[4]).states[0]
             assert part.diagonal is None and oracle.diagonal is not None
             assert np.max(np.abs(part.mat - oracle.mat)) <= 1e-12
             assert oracle.spectrum is oracle.diagonal
