@@ -74,12 +74,15 @@ def fei_check(rho: DensityOperator, sigma: DensityOperator) -> FeiReport:
 
     eps is the trace distance and tau_plus/tau_minus the unit-trace positive
     and negative parts of rho - sigma.  Only their spectra are read: the
-    member stage (ensemble._member_parts) of the one member rho about sigma
-    gives them from one eigensolve, with no part rotated back.  The slack
+    member stage (ensemble._member_parts) of rho, as a one-row array, about
+    sigma gives them from one eigensolve, with no part rotated back.  The slack
     is nonnegative for all pairs of states, up to floating point.  In the
     dead zone (either part's trace at most EPS_ZERO_TOL) both sides are S(rho), slack 0.
     """
-    eps, retained, plus_rows, minus_rows, _ = _member_parts((rho,), sigma)
+    if rho.dim != sigma.dim:
+        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+    row = rho.mat if rho.diagonal is None or sigma.diagonal is None else rho.diagonal
+    eps, retained, plus_rows, minus_rows, _ = _member_parts(row[None], sigma)
     eps = float(eps[0])
     if not retained:
         s = von_neumann_entropy(rho)
@@ -96,17 +99,16 @@ def plus_diameter(aux: AuxiliaryDecomposition) -> float:
 
     pair_trace_distances decides each pair's method: a pair of rank-1 parts
     (every pure member's) takes a closed form, and a pair of diagonal parts
-    a vector difference, gathered from mu_plus.diagonals when it has them,
-    both at no eigensolve; every other pair takes one.
+    a vector difference, gathered from mu_plus's member array, both at no
+    eigensolve; every other pair takes one.
     The pairs are generated in blocks of rows, so a scan that stops early
     never holds all m(m-1)/2 of them.  The ceiling is checked after each
     stack.
     """
     ceiling = 1.0 - 1e-12
-    best = 0.0
+    best, mu = 0.0, aux.mu_plus
     # Closed on an early exit: its worker threads are joined first.
-    pairs = _upper_pairs(aux.mu_plus.size)
-    with closing(pair_trace_distances(aux.mu_plus._members, pairs)) as stacks:
+    with closing(pair_trace_distances(mu._members, _upper_pairs(mu.size), mu._spectra)) as stacks:
         for _, distances in stacks:
             best = max(best, float(distances.max()))
             if best >= ceiling:

@@ -17,8 +17,9 @@ import numpy as np
 
 from .entropy import as_probability_vector, binary_entropy, von_neumann_entropy, _row_entropies
 from .linalg import (
-    PSD_TOL, DensityOperator, EigensolverError, _derived, _eigvalsh, _freeze, _is_diagonal,
-    _row_blocks, _spectral_sum, hermitian_eig, pair_trace_distances, trace_distance, trace_norm,
+    PSD_TOL, DensityOperator, EigensolverError, HermitianOperator, _derived, _eigvalsh, _freeze,
+    _is_diagonal, _row_blocks, _spectral_sum, hermitian_eig, pair_trace_distances, trace_distance,
+    trace_norm,
 )
 
 # Member distances at or below this count as exactly zero.
@@ -46,9 +47,9 @@ class DegenerateEnsembleError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class DiscreteEnsemble:
-    """A probability vector over same-dimension density operators.  One
-    built by _from_rows holds its members as arrays and builds `states` on
-    first read; no report stage reads `states` of a row-backed one."""
+    """A probability vector over same-dimension density operators.  Report
+    stages read the members as one array, `diagonals` or else `matrices`; one
+    built by _from_rows builds `states` on first read, as views of them."""
 
     probs: np.ndarray
     states: tuple[DensityOperator, ...]
@@ -78,16 +79,11 @@ class DiscreteEnsemble:
 
     def __getattr__(self, name):
         # Reached only for a field not set on the instance: the `states` of an
-        # ensemble built by _from_rows, kept once built.  Its eigenvectors go.
-        if name != "states" or "_vectors" not in vars(self):
+        # ensemble built by _from_rows, kept once built.
+        if name != "states" or "matrices" not in vars(self):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        states = tuple(
-            _derived(DensityOperator, diagonal=row, spectrum=row) if v is None
-            else _derived(DensityOperator, mat=_spectral_sum(v, row), spectrum=row)
-            for row, v in zip(self._spectra, self._vectors or [None] * self.size)
-        )
+        states = tuple(map(_row_state, self._spectra, self._members))
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "_vectors", None)
         return states
 
     @property
@@ -107,16 +103,22 @@ class DiscreteEnsemble:
     def diagonals(self) -> np.ndarray | None:
         """The members' diagonals as the rows of one read-only m x d array,
         or None when any member is dense.  Stacked on first read and kept,
-        unless the ensemble was built from its rows (_from_rows).  Every
-        per-member stage takes its whole-array path exactly when this is not
-        None: _members is then this array, else `states`."""
+        unless the ensemble was built from its arrays (_from_rows)."""
         if any(state.diagonal is None for state in self.states):
             return None
         return _freeze(np.stack([state.diagonal for state in self.states]))
 
+    @cached_property
+    def matrices(self) -> np.ndarray | None:
+        """The members' matrices as one read-only (m, d, d) stack, or None
+        exactly when `diagonals` is not.  Stacked (copied) on first read."""
+        if self.diagonals is not None:
+            return None
+        return _freeze(np.stack([state.mat for state in self.states]))
+
     @property
-    def _members(self) -> np.ndarray | tuple[DensityOperator, ...]:
-        return self.states if self.diagonals is None else self.diagonals
+    def _members(self) -> np.ndarray:
+        return self.matrices if self.diagonals is None else self.diagonals
 
     @cached_property
     def _spectra(self) -> np.ndarray:
@@ -125,28 +127,41 @@ class DiscreteEnsemble:
         return rows if rows is not None else _freeze(np.stack([s.spectrum for s in self.states]))
 
 
-def _from_rows(probs: np.ndarray, rows: np.ndarray, vectors: list | None = None, **fields):
-    """The ensemble, built unchecked, whose member k has the spectrum rows[k]:
-    its diagonal when vectors is None or vectors[k] is, else
-    _spectral_sum(vectors[k], rows[k]), built on first read.  `rows` is kept
-    as its spectra, and as its diagonals when vectors is None.  `fields` sets
-    the others (labels, or a prebuilt average)."""
+def _row_state(row: np.ndarray, member: np.ndarray) -> DensityOperator:
+    """The state, built unchecked, with the spectrum `row` that is `member`:
+    a diagonal, or a matrix, kept as its diagonal too if exactly diagonal."""
+    if member.ndim == 1:
+        return _derived(DensityOperator, diagonal=row, spectrum=row)
+    diagonal = member.diagonal().real if _is_diagonal(member) else None
+    return _derived(DensityOperator, mat=member, diagonal=diagonal, spectrum=row)
+
+
+def _from_rows(probs: np.ndarray, rows: np.ndarray, members: np.ndarray | None = None, **fields):
+    """The ensemble, built unchecked, whose member k has the spectrum rows[k]
+    and is members[k]: a matrix of an (m, d, d) stack, or a diagonal (by
+    default rows[k]).  `fields` sets the others (labels, or an average)."""
+    members = rows if members is None else members
+    dense = members.ndim == 3
     return _derived(
-        DiscreteEnsemble, probs=probs, _spectra=rows, _vectors=vectors,
-        diagonals=rows if vectors is None else None, **fields,
+        DiscreteEnsemble, probs=probs, _spectra=rows, **fields,
+        diagonals=None if dense else members, matrices=members if dense else None,
     )
 
 
 def average_state(mu: DiscreteEnsemble) -> DensityOperator:
     """The mixture sum(p_i rho_i), built unchecked: a diagonal (its own
     spectrum) when the members or their sum are exactly diagonal, else dense
-    with one eigvalsh.  Diagonal members are summed as probs @ diagonals."""
-    if mu.diagonals is not None:
-        diag = mu.probs @ mu.diagonals
+    with one eigvalsh."""
+    return _mixture(mu.probs, mu._members)
+
+
+def _mixture(probs: np.ndarray, members: np.ndarray) -> DensityOperator:
+    """average_state of a member array: probs @ diagonals, or an einsum that
+    sums the matrices in member order."""
+    if members.ndim == 2:
+        diag = probs @ members
         return _derived(DensityOperator, diagonal=diag, spectrum=diag)
-    acc = np.zeros((mu.dim, mu.dim), dtype=complex)
-    for p, state in zip(mu.probs, mu.states):
-        acc += p * state.mat
+    acc = np.einsum("k,kij->ij", probs, members)
     if _is_diagonal(acc):
         diag = acc.diagonal().real.copy()
         return _derived(DensityOperator, mat=acc, diagonal=diag, spectrum=diag)
@@ -218,16 +233,19 @@ class AuxiliaryDecomposition:
     @cached_property
     def minus_gaps(self) -> tuple[float, ...]:
         """Trace-norm gaps ||tau_i^minus - omega||_1, twice the distances of
-        the pairs (tau_i^minus, omega) from pair_trace_distances.  Computed
-        on first use, then kept."""
+        the pairs (tau_i^minus, omega) from pair_trace_distances, with omega
+        in its slot (build_auxiliary).  Computed on first use, then kept."""
         n = self.mu_minus.size
         gaps = np.empty(n)
         block = (np.arange(n), np.full(n, n))
-        # build_auxiliary's diagonal stage holds tau_minus's rows and omega's
-        # as one (n+1) x d array, whose rows mu_minus.diagonals are views of.
-        rows = getattr(self.mu_minus.diagonals, "base", None)
-        members = (*self.tau_minus, self.omega) if rows is None else rows
-        for positions, distances in pair_trace_distances(members, [block]):
+        members, spectra = self.mu_minus._members, self.mu_minus._spectra
+        if members.base is None:  # mu_minus was built from states: no slot
+            omega = self.omega
+            members = np.append(members, [omega.mat if members.ndim == 3 else omega.diagonal], 0)
+            spectra = np.append(spectra, [omega.spectrum], 0)
+        else:
+            members, spectra = members.base, spectra.base
+        for positions, distances in pair_trace_distances(members, [block], spectra):
             gaps[positions] = 2.0 * distances
         return tuple(float(gap) for gap in gaps)
 
@@ -243,6 +261,8 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
     DegenerateEnsembleError when eps_av <= EPS_ZERO_TOL or every member is
     dropped.  mu_plus and mu_minus are built by _from_rows from
     _member_parts' rows, their spectra, and build their states on first read.
+    If any retained part is dense, each is rotated back into a stack, one for
+    each; omega takes the slot after tau^-'s in mu_minus's rows and stack.
 
     Eigensolves: at most m + 4 for m members.  One for mu's average unless
     mu holds it already; one eigh per member whose difference is dense,
@@ -250,9 +270,9 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
     averages of mu_plus and mu_minus, and one for their residual.  When
     every retained part is diagonal (always, when mu.diagonals is not None)
     the stage takes none and builds no d x d matrix: mu_plus and mu_minus
-    keep _member_parts' row arrays as their diagonals, omega the row after
-    tau^-'s.  Besides those two arrays the stage holds one block's
-    temporaries (at most _STACK_BYTES each), and no m x d temporary.
+    keep _member_parts' row arrays as their diagonals.  Besides those two
+    arrays the stage holds one block's temporaries (at most _STACK_BYTES
+    each), and no m x d temporary.
     """
     eps, usable, plus_rows, minus_rows, vectors = _member_parts(mu._members, mu.average)
     eps.setflags(write=False)
@@ -268,15 +288,22 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
     raw = mu.probs[usable] * eps[usable]
     weights = raw / raw.sum()
     n = len(usable)
-    omega = {}
-    if all(v is None for v in vectors):
-        # Every part is kept as its diagonal: omega, the average of mu_minus,
-        # is the row after the tau_i^minus.
-        row = minus_rows[n]
-        row[:] = weights @ minus_rows[:n]
-        vectors, omega = None, {"average": _derived(DensityOperator, diagonal=row, spectrum=row)}
-    mu_plus = _from_rows(weights, plus_rows, vectors)
-    mu_minus = _from_rows(weights, _freeze(minus_rows)[:n], vectors, **omega)
+    plus, minus = plus_rows, minus_rows  # the member arrays of mu_plus and mu_minus
+    if any(v is not None for v in vectors):
+        d = mu.dim
+        plus, minus = np.empty((n, d, d), complex), np.empty((n + 1, d, d), complex)
+        for k, v in enumerate(vectors):
+            for rows, mats in ((plus_rows, plus), (minus_rows, minus)):
+                mats[k] = np.diag(rows[k]) if v is None else _spectral_sum(v, rows[k])
+            vectors[k] = None  # each eigenvector matrix goes once rotated back
+    # omega's arrays are views of its slot, as tau^-'s are of theirs.
+    average = _mixture(weights, minus[:n])
+    minus_rows[n] = average.spectrum
+    if minus is not minus_rows:
+        minus[n] = average.mat
+    omega = _row_state(_freeze(minus_rows)[n], _freeze(minus)[n])
+    mu_plus = _from_rows(weights, plus_rows, plus)
+    mu_minus = _from_rows(weights, minus_rows[:n], minus[:n], average=omega)
     return AuxiliaryDecomposition(
         probs=mu.probs,
         eps=eps,
@@ -285,16 +312,16 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
         weights=weights,
         mu_plus=mu_plus,
         mu_minus=mu_minus,
-        average_match_residual=trace_norm(mu_plus.average - mu_minus.average),
+        average_match_residual=trace_norm(mu_plus.average - omega),
     )
 
 
 def _member_parts(
-    members: np.ndarray | tuple[DensityOperator, ...], centre: DensityOperator
+    members: np.ndarray, centre: DensityOperator
 ) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray, list[np.ndarray | None]]:
     """The member stage: the normalized Jordan parts of every member -
-    centre, as (eps, retained, plus_rows, minus_rows, vectors), for members
-    given as states or as the rows of an m x d array of diagonals.
+    centre, as (eps, retained, plus_rows, minus_rows, vectors), for an
+    ensemble's member array: m x d (about a diagonal centre), or (m, d, d).
 
     eps_i is the trace distance, clipped to 1.  A member is dropped in the
     dead zone, where the trace of either part is at most EPS_ZERO_TOL.  Row
@@ -307,26 +334,26 @@ def _member_parts(
 
     Step 1 fills plus_rows with the signed eigenvalues: in one subtraction
     from an array of diagonals, else a member at a time, naming the member
-    whose eigensolve fails.  Step 2 runs each block of _row_blocks through
-    whole-array operations and compacts the kept rows in place, so nothing
-    of m x d is allocated besides the two arrays, which are shrunk before
-    any view of them is made.  Step 3, _from_rows, rotates dense parts back
-    when their states are first read.
+    whose eigensolve fails.  A stacked member is taken by its entries when
+    it and the centre are exactly diagonal (_is_diagonal), else by one
+    hermitian_eig of its difference.  Step 2 runs each block of _row_blocks
+    through whole-array operations and compacts the kept rows in place, so
+    nothing of m x d is allocated besides the two arrays, which are shrunk
+    before any view of them is made.
     """
     m, d = len(members), centre.dim
     eps, keep = np.empty(m), np.empty(m, dtype=bool)
     plus_rows, minus_rows = np.empty((m, d)), np.empty((m + 1, d))
     vectors: list[np.ndarray | None] = [None] * m
-    if isinstance(members, np.ndarray):
+    if members.ndim == 2:
         np.subtract(members, centre.diagonal, out=plus_rows)
     else:
-        for i, state in enumerate(members):
-            diff = state - centre
-            if diff.diagonal is not None:
-                plus_rows[i] = diff.diagonal
+        for i, mat in enumerate(members):
+            if centre.diagonal is not None and _is_diagonal(mat):
+                np.subtract(mat.diagonal().real, centre.diagonal, out=plus_rows[i])
                 continue
             try:
-                system = hermitian_eig(diff)
+                system = hermitian_eig(_derived(HermitianOperator, mat=mat - centre.mat))
             except EigensolverError as exc:
                 raise EigensolverError(
                     f"member {i}: {exc}", dim=exc.dim, residual=exc.residual

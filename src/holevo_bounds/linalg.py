@@ -9,17 +9,16 @@ diagonal operator (every commuting ensemble in its shared basis) is kept as
 its real diagonal: its eigenvalues are its entries, unsorted (no reader of
 a spectrum depends on its order), its Jordan parts the split of its entries
 by sign, and its differences and trace distances to other diagonal operators
-O(d) vector operations, with no LAPACK call and no d x d matrix.  Only that
-representation decides which path an operator takes.  It is set when the
-operator is built: by the checking constructor, by from_diagonal, or by
-_derived, which builds every operator, state and ensemble that the library
-computes from checked ones, unchecked.  A dense operator whose entries
-cancel to a diagonal stays dense and goes to LAPACK.  The members of one
-diagonal ensemble are handled as the rows of one m x d array
-(DiscreteEnsemble.diagonals), in blocks of _row_blocks, with no member
-object.  pair_trace_distances alone picks how a pair's distance is
-computed: from such an array by one gather per stack, from diagonal states
-by vectors, by the rank-1 closed form, or by a stacked eigensolve.
+O(d) vector operations, with no LAPACK call and no d x d matrix.  That
+representation is set when the operator is built: by the checking
+constructor, by from_diagonal, or by _derived, which builds every derived
+object unchecked.  A dense operator whose entries cancel to a diagonal stays
+dense and goes to LAPACK.  An ensemble's members are one array: the m x d
+array of their diagonals, handled in blocks of _row_blocks, or the
+(m, d, d) stack of their matrices, where a matrix with every off-diagonal
+entry exactly 0 (_is_diagonal) counts as diagonal.  pair_trace_distances
+alone picks how a pair's distance is computed: by a gathered vector
+difference, by the rank-1 closed form, or by a stacked eigensolve.
 _spectral_sum alone rebuilds a dense Jordan part from its eigenvectors.
 """
 
@@ -311,99 +310,87 @@ def _row_blocks(count: int, dim: int) -> Iterator[slice]:
 
 
 def pair_trace_distances(
-    members: Sequence[DensityOperator] | np.ndarray,
-    blocks: Iterable[tuple[np.ndarray, np.ndarray]],
+    members: np.ndarray, blocks: Iterable[tuple[np.ndarray, np.ndarray]], spectra: np.ndarray,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Trace distances (1/2)||rho_i - rho_j||_1 of the index pairs
     (first[k], second[k]) of each block (first, second) of `blocks`, yielded
     a stack at a time as (positions, distances): distances[n] belongs to the
     pair at position positions[n] of the blocks taken end to end.  `members`
-    is a sequence of states, or an m x d array of diagonal states' diagonals.
+    is an ensemble's member array, m x d or (m, d, d), and `spectra` its
+    m x d array of spectra.
 
     Each pair's method is decided here, and only here, in this order within
-    a block.  A pair of two diagonal states goes in a stack of at most
-    _STACK_BYTES of diagonal differences, on demand, at no eigensolve: a
-    diagonal difference's eigenvalues are its entries.  From an array a
-    stack is filled by one gather; from states, one pair at a time.
-    A pair of two rank-1 states (at most one spectrum entry above PSD_TOL),
-    not both diagonal, takes the closed form pure_trace_distances
-    at no eigensolve, from one Gram matrix of every rank-1 state's
-    _unit_vector, formed on first use and kept across blocks.  Every other
-    pair goes in a stack of the fewest matrix differences whose rows reach
-    _STACK_ROWS, at one eigvalsh call, which then runs without the GIL; up
-    to _WORKERS such stacks are solved at once on worker threads, and no
-    thread starts when a block's pairs fit one stack.  A state's matrix is
-    read only for the last two kinds.  A matrix's eigenvalues do not depend
-    on its stack, so neither do the distances.  When the caller stops or a
-    solve fails, the pending stacks are dropped and the workers joined
-    before control returns to it.
+    a block.  A pair of two diagonal members (every row of an m x d array,
+    and each _is_diagonal matrix of a stack) goes in a stack of at most
+    _STACK_BYTES of diagonal differences, gathered from their diagonals, at
+    no eigensolve: a diagonal difference's eigenvalues are its entries.
+    A pair of two rank-1 members (at most one spectrum entry above PSD_TOL),
+    not both diagonal, takes the closed form pure_trace_distances at no
+    eigensolve, from one Gram matrix of every rank-1 member's
+    largest-diagonal column, formed on first use and kept across blocks.
+    Every other pair goes in a stack of the fewest matrix differences whose
+    rows reach _STACK_ROWS, at one eigvalsh call, which then runs without
+    the GIL; up to _WORKERS such stacks are solved at once on worker
+    threads, and no thread starts when a block's pairs fit one stack.  A
+    matrix's eigenvalues do not depend on its stack, so neither do the
+    distances.  When the caller stops or a solve fails, the pending stacks
+    are dropped and the workers joined before control returns to it.
     """
-    if isinstance(members, np.ndarray):
-        diagonal = np.ones(len(members), dtype=bool)
+    if members.ndim == 2:
+        rows, diagonal = members, np.ones(len(members), dtype=bool)
     else:
-        diagonal = np.array([state.diagonal is not None for state in members], dtype=bool)
-    rank_one = np.zeros(len(members), dtype=bool)
-    if not diagonal.all():  # only a pair with a dense state can take the closed form
-        rank_one[:] = [np.count_nonzero(state.spectrum > PSD_TOL) <= 1 for state in members]
-    column = np.cumsum(rank_one) - 1  # each rank-1 state's column of the Gram matrix
+        rows = members.diagonal(axis1=1, axis2=2).real
+        diagonal = np.array([_is_diagonal(mat) for mat in members], dtype=bool)
+    rank_one = np.zeros_like(diagonal)
+    if not diagonal.all():  # only a pair with a dense member can take the closed form
+        rank_one = np.count_nonzero(spectra > PSD_TOL, axis=1) <= 1
+    column = np.cumsum(rank_one) - 1  # each rank-1 member's column of the Gram matrix
     table, start = None, 0
     for first, second in blocks:
         by_vector = diagonal[first] & diagonal[second]
         by_gram = rank_one[first] & rank_one[second] & ~by_vector
-        yield from _kind_distances(members, first, second, np.flatnonzero(by_vector), start, False)
+        yield from _kind_distances(rows, first, second, np.flatnonzero(by_vector), start)
         positions = np.flatnonzero(by_gram)
         if positions.size:
             if table is None:
-                vectors = [_unit_vector(s) for s, r in zip(members, rank_one.tolist()) if r]
-                table = pure_trace_distances(np.stack(vectors, axis=1))
+                pure = np.flatnonzero(rank_one)
+                vectors = members[pure, :, np.argmax(rows[pure], axis=1)]
+                table = pure_trace_distances(np.ascontiguousarray(vectors.T))
             yield start + positions, table[column[first[positions]], column[second[positions]]]
         dense = np.flatnonzero(~(by_vector | by_gram))
-        yield from _kind_distances(members, first, second, dense, start, True)
+        yield from _kind_distances(members, first, second, dense, start)
         start += first.size
 
 
-def _unit_vector(state: DensityOperator) -> np.ndarray:
-    """A vector of the rank-1 `state`, up to its norm: its basis vector when
-    it is kept as a diagonal, else the largest-diagonal column of its matrix."""
-    if state.diagonal is None:
-        return state.mat[:, np.argmax(state.mat.diagonal().real)]
-    vector = np.zeros(state.dim, dtype=complex)
-    vector[np.argmax(state.diagonal)] = 1.0
-    return vector
-
-
 def _kind_distances(
-    members: Sequence[DensityOperator] | np.ndarray, first: np.ndarray, second: np.ndarray,
-    positions: np.ndarray, start: int, dense: bool,
+    arrays: np.ndarray, first: np.ndarray, second: np.ndarray, positions: np.ndarray, start: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """pair_trace_distances for the pairs at `positions` of one block that
     starts at position `start`, all of one stack kind: matrix differences
-    when `dense`, else diagonal ones, gathered when `members` is an array."""
+    when `arrays` is an (m, d, d) stack, filled a pair at a time so that no
+    temporary of a stack's size is made, else diagonal ones, gathered."""
     if not positions.size:
         return
-    if dense:
-        # Read on this thread, and only where indexed: a diagonal operator in
-        # a mixed pair builds its mat.
-        read = np.zeros(len(members), dtype=bool)
-        read[first[positions]] = read[second[positions]] = True
-        arrays = [state.mat if r else None for state, r in zip(members, read.tolist())]
-    else:
-        arrays = members if isinstance(members, np.ndarray) else [s.diagonal for s in members]
-    dim = arrays[first[positions[0]]].shape[-1]
+    dense = arrays.ndim == 3
+    dim = arrays.shape[-1]
     size = -(-_STACK_ROWS // dim) if dense else max(1, _STACK_BYTES // (8 * dim))
     stacks = [positions[k:k + size] for k in range(0, positions.size, size)]
     workers = min(_WORKERS, len(stacks)) if dense else 1
     # One buffer per stack being filled or solved, allocated on this thread:
     # stacks allocated on the workers raised dense-files' peak RSS by 7%.
-    shape = (min(size, positions.size), *((dim, dim) if dense else (dim,)))
+    shape = (min(size, positions.size), *arrays.shape[1:])
     buffers = [np.empty(shape, complex if dense else float) for _ in range(workers)]
 
     def distances(stack):
         buffer = buffers.pop()
         try:
-            return start + stack, _stack_distances(
-                arrays, first[stack], second[stack], buffer[:stack.size]
-            )
+            diffs = buffer[:stack.size]
+            if not dense:
+                np.subtract(arrays[first[stack]], arrays[second[stack]], out=diffs)
+                return start + stack, 0.5 * np.abs(diffs).sum(axis=1)
+            for k, (i, j) in enumerate(zip(first[stack].tolist(), second[stack].tolist())):
+                np.subtract(arrays[i], arrays[j], out=diffs[k])
+            return start + stack, 0.5 * np.abs(_eigvalsh(diffs)).sum(axis=1)
         finally:
             buffers.append(buffer)
 
@@ -411,23 +398,6 @@ def _kind_distances(
         yield from map(distances, stacks)
     else:
         yield from _solved_in_order(distances, stacks, workers)
-
-
-def _stack_distances(
-    mats: Sequence[np.ndarray] | np.ndarray, first: np.ndarray, second: np.ndarray,
-    stack: np.ndarray,
-) -> np.ndarray:
-    """Half the trace norms of mats[first[k]] - mats[second[k]], computed in
-    `stack`, whose first axis has length len(first): by one gather when
-    `mats` is an array of rows, else one pair at a time."""
-    if isinstance(mats, np.ndarray):
-        np.subtract(mats[first], mats[second], out=stack)
-    else:
-        for k, (i, j) in enumerate(zip(first, second)):
-            np.subtract(mats[i], mats[j], out=stack[k])
-    if stack.ndim == 2:
-        return 0.5 * np.abs(stack).sum(axis=1)
-    return 0.5 * np.abs(_eigvalsh(stack)).sum(axis=1)
 
 
 def _solved_in_order(solve: Callable, tasks: Sequence, workers: int) -> Iterator:

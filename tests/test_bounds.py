@@ -535,7 +535,10 @@ def test_multi_block_scan_forms_one_gram_matrix(monkeypatch):
     blocks = list(_upper_pairs(len(taus), block=4))
     assert len(blocks) > 3
     scanned = max(
-        float(d.max()) for _, d in linalg.pair_trace_distances(taus, iter(blocks))
+        float(d.max())
+        for _, d in linalg.pair_trace_distances(
+            aux.mu_plus._members, iter(blocks), aux.mu_plus._spectra
+        )
     )
     assert grams == [(6, 9)]
     assert scanned == plus_diameter(aux)

@@ -342,6 +342,15 @@ def test_pure_trace_distances_match_dense():
     assert math.isclose(pure_trace_distances(trine)[0, 1], expected, abs_tol=1e-15)
 
 
+def _member_arrays(states, blocks):
+    """pair_trace_distances' arguments for `states`, whose member array is
+    held as an ensemble holds it: the m x d array of their diagonals when
+    every state is kept as one, else the (m, d, d) stack of their matrices."""
+    diagonal = all(state.diagonal is not None for state in states)
+    members = np.stack([state.diagonal if diagonal else state.mat for state in states])
+    return members, blocks, np.stack([state.spectrum for state in states])
+
+
 def test_pair_trace_distances_in_chunks(monkeypatch):
     rng = np.random.default_rng(37)
     dim = 4
@@ -358,7 +367,7 @@ def test_pair_trace_distances_in_chunks(monkeypatch):
     for rows, sizes in ((2 * dim, [3] + [2] * 6), (2 * dim + 1, [3] + [3] * 4)):
         monkeypatch.setattr(linalg, "_STACK_ROWS", rows)
         solves.clear()
-        chunks = list(pair_trace_distances(states, [(first, second)]))
+        chunks = list(pair_trace_distances(*_member_arrays(states, [(first, second)])))
         assert [len(d) for _, d in chunks] == sizes
         positions = np.concatenate([p for p, _ in chunks])
         assert np.array_equal(positions[:3], np.flatnonzero(second < 3))
@@ -370,12 +379,13 @@ def test_pair_trace_distances_in_chunks(monkeypatch):
     diagonals = [DensityOperator.from_diagonal(rng.dirichlet(np.ones(dim))) for _ in states]
     monkeypatch.setattr(linalg, "_STACK_BYTES", 2 * 8 * dim)
     solves.clear()
-    chunks = list(pair_trace_distances(diagonals, [(first, second)]))
+    chunks = list(pair_trace_distances(*_member_arrays(diagonals, [(first, second)])))
     assert [len(d) for _, d in chunks] == [2] * 7 + [1]
     assert solves == []
     for (i, j), got in zip(zip(first, second), np.concatenate([d for _, d in chunks])):
         assert got == 0.5 * np.abs(diagonals[i].diagonal - diagonals[j].diagonal).sum()
-    assert list(pair_trace_distances([], [(first[:0], second[:0])])) == []
+    empty = np.empty((0, dim))
+    assert list(pair_trace_distances(empty, [(first[:0], second[:0])], empty)) == []
 
 
 def test_pair_trace_distances_mixes_stack_kinds(monkeypatch):
@@ -393,7 +403,7 @@ def test_pair_trace_distances_mixes_stack_kinds(monkeypatch):
     monkeypatch.setattr(linalg, "_STACK_ROWS", 2 * dim)
     monkeypatch.setattr(linalg, "_STACK_BYTES", 3 * 8 * dim)
     solves = count_eigensolves(monkeypatch)
-    stacks = list(pair_trace_distances(ops, [(first, second)]))
+    stacks = list(pair_trace_distances(*_member_arrays(ops, [(first, second)])))
     both_diagonal = sum(ops[i].diagonal is not None and ops[j].diagonal is not None
                         for i, j in zip(first, second))
     assert both_diagonal == 6
@@ -429,7 +439,7 @@ def test_pair_trace_distances_picks_each_pairs_method(monkeypatch):
     solves = count_eigensolves(monkeypatch)
     cut = first.size // 2
     blocks = [(first[:cut], second[:cut]), (first[cut:], second[cut:])]
-    stacks = list(pair_trace_distances(ops, blocks))
+    stacks = list(pair_trace_distances(*_member_arrays(ops, blocks)))
     assert len(solves) == first.size - free.sum()
     seen = np.zeros(first.size, dtype=int)
     for positions, distances in stacks:
@@ -448,7 +458,7 @@ def test_pair_trace_distances_failure_is_wrapped(monkeypatch):
     ops = [random_mixed_state(3, 3, rng), random_pure_state(3, rng)]
     monkeypatch.setattr(np.linalg, "eigvalsh", boom)
     with pytest.raises(EigensolverError) as excinfo:
-        next(pair_trace_distances(ops, [(np.array([0]), np.array([1]))]))
+        next(pair_trace_distances(*_member_arrays(ops, [(np.array([0]), np.array([1]))])))
     assert excinfo.value.dim == 3
 
 
