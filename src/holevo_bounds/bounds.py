@@ -82,7 +82,7 @@ def fei_check(rho: DensityOperator, sigma: DensityOperator) -> FeiReport:
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     row = rho.mat if rho.diagonal is None or sigma.diagonal is None else rho.diagonal
-    eps, retained, plus_rows, minus_rows, _ = _member_parts(row[None], sigma)
+    eps, retained, plus_rows, minus_rows, *_ = _member_parts(row[None], sigma, rotate=False)
     eps = float(eps[0])
     if not retained:
         s = von_neumann_entropy(rho)
@@ -191,12 +191,16 @@ def full_report(mu: DiscreteEnsemble) -> BoundReport:
     diameter_bound.
 
     Every value comes from one build_auxiliary analysis and the spectra it
-    kept.  Eigensolves for m members: at most 2m + 4 (build_auxiliary's
-    m + 4, and m for D) plus, for the diameter C, one per pair that is
-    neither a pair of rank-1 positive parts nor a pair of diagonal ones, at
-    most m(m-1)/2.  A degenerate ensemble takes one per member after the
+    kept.  Eigensolves for m members, counted per matrix of a stack: at most
+    2m + 4 (build_auxiliary's m + 4, one stacked eigh per block of members,
+    and m for D) plus, for the diameter C, one per pair that is neither a
+    pair of rank-1 positive parts nor a pair of diagonal ones, at most
+    m(m-1)/2.  A degenerate ensemble takes one per member after the
     average.  An ensemble of exactly diagonal members takes none, and builds
-    no d x d matrix.
+    no d x d matrix.  Memory: besides mu, the stacks of mu_plus and mu_minus
+    (2m + 1 matrices), one member block's temporaries while they are built,
+    and then the buffers of the pair stacks of C and D; linalg._stacks
+    sizes all of these.
     """
     chi = holevo_quantity(mu)
     try:

@@ -17,9 +17,8 @@ import numpy as np
 
 from .entropy import as_probability_vector, binary_entropy, von_neumann_entropy, _row_entropies
 from .linalg import (
-    PSD_TOL, DensityOperator, EigensolverError, HermitianOperator, _derived, _eigvalsh, _freeze,
-    _is_diagonal, _row_blocks, _spectral_sum, hermitian_eig, pair_trace_distances, trace_distance,
-    trace_norm,
+    PSD_TOL, DensityOperator, _derived, _eigh, _eigvalsh, _freeze, _is_diagonal, _solved,
+    _spectral_sum, _stacks, pair_trace_distances, trace_norm,
 )
 
 # Member distances at or below this count as exactly zero.
@@ -183,9 +182,34 @@ def member_epsilons(mu: DiscreteEnsemble) -> tuple[np.ndarray, float]:
     """Trace distances of the members to the average, and their mean.
 
     Returns (eps, eps_av) with eps_i = (1/2)||rho_i - average||_1 clipped to
-    [0, 1] and eps_av = sum(p_i eps_i).
+    [0, 1] and eps_av = sum(p_i eps_i).  Read from the member array: by a
+    row subtraction from diagonals, else by one stacked eigvalsh per stack
+    of _stacks of matrices - average, with a member taken by its entries
+    when it and the average are exactly diagonal (_by_entries).  Each eps_i
+    is the trace_distance of member i to the average, bit for bit.
     """
-    eps = np.clip([trace_distance(s, mu.average) for s in mu.states], 0.0, 1.0)
+    members, centre = mu._members, mu.average
+    m, d = mu.size, mu.dim
+    norms = np.empty(m)
+    if members.ndim == 2:
+        for block in _stacks(m, d)[0]:
+            norms[block] = np.abs(members[block] - centre.diagonal).sum(axis=1)
+    else:
+        solved, flat = np.arange(m), _by_entries(members, centre)
+        if flat is not None:
+            rows = members.diagonal(axis1=1, axis2=2).real[flat]
+            norms[flat] = np.abs(rows - centre.diagonal).sum(axis=1)
+            solved = solved[~flat]
+
+        def solve(index):
+            diffs = members[index]
+            diffs -= centre.mat
+            return index, np.abs(_eigvalsh(diffs)).sum(axis=1)
+
+        plan, workers = _stacks(solved.size, d, "eigvalsh")
+        for index, values in _solved(solve, [solved[stack] for stack in plan], workers):
+            norms[index] = values
+    eps = np.clip(0.5 * norms, 0.0, 1.0)
     eps.setflags(write=False)
     return eps, float(mu.probs @ eps)
 
@@ -261,20 +285,25 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
     DegenerateEnsembleError when eps_av <= EPS_ZERO_TOL or every member is
     dropped.  mu_plus and mu_minus are built by _from_rows from
     _member_parts' rows, their spectra, and build their states on first read.
-    If any retained part is dense, each is rotated back into a stack, one for
-    each; omega takes the slot after tau^-'s in mu_minus's rows and stack.
+    If any retained part is dense, _member_parts has rotated each back into
+    a stack, one for each; omega takes the slot after tau^-'s in mu_minus's
+    rows and stack.
 
-    Eigensolves: at most m + 4 for m members.  One for mu's average unless
-    mu holds it already; one eigh per member whose difference is dense,
-    which gives eps_i and the spectra of tau_i^(+/-); one each for the
-    averages of mu_plus and mu_minus, and one for their residual.  When
-    every retained part is diagonal (always, when mu.diagonals is not None)
-    the stage takes none and builds no d x d matrix: mu_plus and mu_minus
-    keep _member_parts' row arrays as their diagonals.  Besides those two
-    arrays the stage holds one block's temporaries (at most _STACK_BYTES
-    each), and no m x d temporary.
+    Eigensolves: at most m + 4 for m members, counted per matrix of a
+    stack.  One for mu's average unless mu holds it already; one per member
+    whose difference is dense, which gives eps_i and the spectra of
+    tau_i^(+/-), solved a block of members at a time, one stacked eigh per
+    block; one each for the averages of mu_plus and mu_minus, and one for
+    their residual.  When every retained part is diagonal (always, when
+    mu.diagonals is not None) the stage takes none and builds no d x d
+    matrix: mu_plus and mu_minus keep _member_parts' row arrays as their
+    diagonals.  Besides those two arrays, and the two stacks of dense parts
+    with the kept members' eigenvectors before them, the stage holds one
+    block's temporaries at a time (at most _STACK_BYTES for a block of
+    rows, about five of _BLOCK_BYTES for a block of matrices, on each of the
+    _WORKERS threads when _stacks threads them), and no m x d temporary.
     """
-    eps, usable, plus_rows, minus_rows, vectors = _member_parts(mu._members, mu.average)
+    eps, usable, plus_rows, minus_rows, plus, minus = _member_parts(mu._members, mu.average)
     eps.setflags(write=False)
     eps_av = float(mu.probs @ eps)
     if eps_av <= EPS_ZERO_TOL or not usable:
@@ -288,14 +317,8 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
     raw = mu.probs[usable] * eps[usable]
     weights = raw / raw.sum()
     n = len(usable)
-    plus, minus = plus_rows, minus_rows  # the member arrays of mu_plus and mu_minus
-    if any(v is not None for v in vectors):
-        d = mu.dim
-        plus, minus = np.empty((n, d, d), complex), np.empty((n + 1, d, d), complex)
-        for k, v in enumerate(vectors):
-            for rows, mats in ((plus_rows, plus), (minus_rows, minus)):
-                mats[k] = np.diag(rows[k]) if v is None else _spectral_sum(v, rows[k])
-            vectors[k] = None  # each eigenvector matrix goes once rotated back
+    if plus is None:  # every retained part is diagonal
+        plus, minus = plus_rows, minus_rows
     # omega's arrays are views of its slot, as tau^-'s are of theirs.
     average = _mixture(weights, minus[:n])
     minus_rows[n] = average.spectrum
@@ -316,11 +339,19 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
     )
 
 
-def _member_parts(
-    members: np.ndarray, centre: DensityOperator
-) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray, list[np.ndarray | None]]:
+def _by_entries(members: np.ndarray, centre: DensityOperator) -> np.ndarray | None:
+    """Which matrices of the (m, d, d) stack `members` have a difference from
+    `centre` read from its entries, with no eigensolve: those exactly
+    diagonal (_is_diagonal) when the centre is too.  None when the centre is
+    dense, and every member's difference takes one."""
+    if centre.diagonal is None:
+        return None
+    return np.fromiter(map(_is_diagonal, members), bool, len(members))
+
+
+def _member_parts(members: np.ndarray, centre: DensityOperator, rotate: bool = True) -> tuple:
     """The member stage: the normalized Jordan parts of every member -
-    centre, as (eps, retained, plus_rows, minus_rows, vectors), for an
+    centre, as (eps, retained, plus_rows, minus_rows, plus, minus), for an
     ensemble's member array: m x d (about a diagonal centre), or (m, d, d).
 
     eps_i is the trace distance, clipped to 1.  A member is dropped in the
@@ -328,57 +359,87 @@ def _member_parts(
     k of plus_rows and minus_rows is the spectrum of the k-th retained
     member's tau^+ and tau^-: the signed eigenvalues of its difference, or
     their negatives, at or below PSD_TOL set to 0, over their sum;
-    minus_rows has one more row, left for omega.  vectors[k] is None for a
-    difference kept as its diagonal (its entries are its eigenvalues), else
-    the eigenvectors of its hermitian_eig, column j for entry j.
+    minus_rows has one more row, left for omega.  plus and minus are the
+    same parts rotated back, an (n, d, d) and an (n + 1, d, d) stack whose
+    last slot is left for omega, when `rotate` is set and any retained part
+    is dense; else both are None (fei_check reads the spectra only).
 
-    Step 1 fills plus_rows with the signed eigenvalues: in one subtraction
-    from an array of diagonals, else a member at a time, naming the member
-    whose eigensolve fails.  A stacked member is taken by its entries when
-    it and the centre are exactly diagonal (_is_diagonal), else by one
-    hermitian_eig of its difference.  Step 2 runs each block of _row_blocks
-    through whole-array operations and compacts the kept rows in place, so
-    nothing of m x d is allocated besides the two arrays, which are shrunk
-    before any view of them is made.
+    Step 1 gives the signed eigenvalues: in one subtraction from an array of
+    diagonals, else, for each block of _stacks(m, d, "eigh"), from one
+    stacked _eigh of the block's differences, which names the member whose
+    solve fails.  A stacked member is taken by its entries when it and the
+    centre are exactly diagonal (_by_entries); its eigenvectors are the
+    basis.  Step 2 runs each block through whole-array operations and
+    compacts the kept rows in place; a block's differences and residual
+    temporaries go before the next block is solved, and only its kept
+    eigenvectors are kept.  Nothing of m x d is allocated besides the row
+    arrays, which are shrunk to n before any view of them is made.  Step 3
+    allocates the two stacks and rotates each block's kept parts back into
+    their slots, one _spectral_sum per block and stack, dropping the block's
+    eigenvectors once done.  Allocated before the solves, the stacks raised
+    the dense-files benchmark's peak RSS from 67.8 to 69.7 MB, and this
+    order read 66.7 MB (in-process replays of seeds 21, 52 and 77, with
+    blocks of at most 128 KB).
     """
     m, d = len(members), centre.dim
     eps, keep = np.empty(m), np.empty(m, dtype=bool)
     plus_rows, minus_rows = np.empty((m, d)), np.empty((m + 1, d))
-    vectors: list[np.ndarray | None] = [None] * m
+    flat, rotated = None, []  # rotated: (first row, eigenvectors) of each block's kept parts
     if members.ndim == 2:
         np.subtract(members, centre.diagonal, out=plus_rows)
+        blocks = ((block, None) for block in _stacks(m, d)[0])
     else:
-        for i, mat in enumerate(members):
-            if centre.diagonal is not None and _is_diagonal(mat):
-                np.subtract(mat.diagonal().real, centre.diagonal, out=plus_rows[i])
-                continue
-            try:
-                system = hermitian_eig(_derived(HermitianOperator, mat=mat - centre.mat))
-            except EigensolverError as exc:
-                raise EigensolverError(
-                    f"member {i}: {exc}", dim=exc.dim, residual=exc.residual
-                ) from exc
-            plus_rows[i], vectors[i] = system.eigenvalues, system.eigenvectors
+        flat = _by_entries(members, centre)
+        if flat is not None:
+            plus_rows[flat] = members.diagonal(axis1=1, axis2=2).real[flat] - centre.diagonal
+
+        def solve(block):
+            if flat is None:
+                return block, _eigh(members[block] - centre.mat, range(m)[block])
+            solved = ~flat[block]
+            index = np.flatnonzero(solved) + block.start
+            values, vectors = _eigh(members[index] - centre.mat, index)
+            if not rotate:
+                return block, (values, None)
+            # A part taken by its entries rotates back by the identity.
+            basis = np.empty((solved.size, d, d), complex)
+            basis[...] = np.eye(d)
+            basis[solved] = vectors
+            return block, (values, basis)
+
+        blocks = _solved(solve, *_stacks(m, d, "eigh"))
     n = 0
-    for block in _row_blocks(m, d):
+    for block, system in blocks:
         chunk = plus_rows[block]
-        minus = minus_rows[n:n + len(chunk)]
+        if system is not None:
+            chunk[slice(None) if flat is None else ~flat[block]] = system[0]
+        negated = minus_rows[n:n + len(chunk)]
         eps[block] = np.minimum(0.5 * np.abs(chunk).sum(axis=1), 1.0)
-        np.negative(chunk, out=minus)
-        for part in (chunk, minus):
+        np.negative(chunk, out=negated)
+        for part in (chunk, negated):
             np.copyto(part, 0.0, where=part <= PSD_TOL)
-        traces = chunk.sum(axis=1), minus.sum(axis=1)
+        traces = chunk.sum(axis=1), negated.sum(axis=1)
         kept = keep[block]
         np.greater(np.minimum(*traces), EPS_ZERO_TOL, out=kept)
         count = int(np.count_nonzero(kept))
-        for part, out, trace in zip((chunk, minus), (plus_rows, minus_rows), traces):
+        for part, out, trace in zip((chunk, negated), (plus_rows, minus_rows), traces):
             if count < len(chunk):
                 part, trace = part[kept], trace[kept]
             # The rows kept so far end at n <= block.start: numpy buffers an overlap.
             np.divide(part, trace[:, None], out=out[n:n + count])
+        if rotate and system is not None and count:
+            rotated.append((n, system[1] if count == len(chunk) else system[1][kept]))
         n += count
-    del chunk, minus, part  # no view of the arrays may outlive their resize
+        system = None  # the block's solve temporaries go before the next block is solved
+    del chunk, negated, part  # no view of the arrays may outlive their resize
     plus_rows.resize((n, d), refcheck=False)
     minus_rows.resize((n + 1, d), refcheck=False)
-    retained = np.flatnonzero(keep).tolist()
-    return eps, retained, plus_rows, minus_rows, [vectors[i] for i in retained]
+    plus = minus = None
+    if rotated and (flat is None or (keep & ~flat).any()):
+        plus, minus = np.empty((n, d, d), complex), np.empty((n + 1, d, d), complex)
+        while rotated:  # each block's eigenvectors go once its parts are rotated back
+            first, vectors = rotated.pop()
+            stop = first + len(vectors)
+            for rows, mats in ((plus_rows, plus), (minus_rows, minus)):
+                _spectral_sum(vectors, rows[first:stop], out=mats[first:stop])
+    return eps, np.flatnonzero(keep).tolist(), plus_rows, minus_rows, plus, minus

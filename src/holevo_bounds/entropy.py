@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .linalg import DensityOperator, PSD_TOL, _row_blocks, hermitian_eig
+from .linalg import DensityOperator, PSD_TOL, _stacks, hermitian_eig
 
 # Spectrum weights at or below this are treated as exact zeros inside eta.
 ETA_FLOOR = 1e-14
@@ -67,7 +67,7 @@ def _row_entropies(rows: np.ndarray) -> np.ndarray:
     """_entropy_of_weights of every row of the 2-d `rows`, a block of rows at
     a time; entries at or below ETA_FLOOR are never passed to the log."""
     out = np.empty(rows.shape[0])
-    for block in _row_blocks(*rows.shape):
+    for block in _stacks(*rows.shape)[0]:
         chunk = rows[block]
         logs = np.log(chunk, out=np.zeros_like(chunk), where=chunk > ETA_FLOOR)
         np.sum(np.multiply(chunk, logs, out=logs), axis=1, out=out[block])

@@ -14,12 +14,16 @@ representation is set when the operator is built: by the checking
 constructor, by from_diagonal, or by _derived, which builds every derived
 object unchecked.  A dense operator whose entries cancel to a diagonal stays
 dense and goes to LAPACK.  An ensemble's members are one array: the m x d
-array of their diagonals, handled in blocks of _row_blocks, or the
-(m, d, d) stack of their matrices, where a matrix with every off-diagonal
-entry exactly 0 (_is_diagonal) counts as diagonal.  pair_trace_distances
-alone picks how a pair's distance is computed: by a gathered vector
-difference, by the rank-1 closed form, or by a stacked eigensolve.
-_spectral_sum alone rebuilds a dense Jordan part from its eigenvectors.
+array of their diagonals, or the (m, d, d) stack of their matrices, where a
+matrix with every off-diagonal entry exactly 0 (_is_diagonal) counts as
+diagonal.  Every stage that takes members a stack at a time (the member
+stage, stacked _eigh and _spectral_sum; member_epsilons; the pair
+distances of C and D's gaps; the row blocks of whole-array stages) is
+sized and threaded by one stack planner, _stacks, and runs its stacks
+through _solved.  pair_trace_distances alone picks how a pair's distance
+is computed: by a gathered vector difference, by the rank-1 closed form, or
+by a stacked eigensolve.  _spectral_sum alone rebuilds dense Jordan parts
+from their eigenvectors.
 """
 
 from __future__ import annotations
@@ -243,23 +247,53 @@ def hermitian_eig(a: HermitianOperator) -> EigenSystem:
     RECON_TOL.  An `a` kept as its diagonal goes to LAPACK through `a.mat`
     too; the library itself splits such an operator by sign instead.
     """
+    w, v = _eigh(a.mat[None])
+    return EigenSystem(_freeze(w[0]), _freeze(v[0]))
+
+
+def _eigh(mats: np.ndarray, members: Sequence[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """hermitian_eig of every matrix of the (n, d, d) stack `mats` at one
+    np.linalg.eigh call: the stacked (w, v), each matrix's two residuals
+    checked as stacked arrays.  The EigensolverError of the first matrix k
+    that fails begins "member {members[k]}: " when `members` is given.  When
+    LAPACK fails on a stack of several, its matrices are solved again one at
+    a time to find that matrix."""
+    dim = mats.shape[-1]
     try:
-        w, v = np.linalg.eigh(a.mat)
+        w, v = np.linalg.eigh(mats)
     except np.linalg.LinAlgError as exc:
+        k, error = 0, exc
+        if len(mats) > 1:  # numpy does not say which matrix of a stack failed
+            k = None
+            for index, mat in enumerate(mats):
+                try:
+                    np.linalg.eigh(mat)
+                except np.linalg.LinAlgError as one:
+                    k, error = index, one
+                    break
         raise EigensolverError(
-            f"eigendecomposition failed at dim {a.dim}: {exc}", dim=a.dim
+            f"{_member(members, k)}eigendecomposition failed at dim {dim}: {error}", dim=dim
         ) from exc
-    recon_err = float(np.max(np.abs((v * w) @ v.conj().T - a.mat)))
-    ortho_err = float(np.max(np.abs(v.conj().T @ v - np.eye(a.dim))))
-    residual = max(recon_err, ortho_err)
-    if residual > RECON_TOL:
+    vh = v.conj().swapaxes(-1, -2)
+    recon = np.abs((v * w[:, None, :]) @ vh - mats).max(axis=(1, 2))
+    ortho = np.abs(vh @ v - np.eye(dim)).max(axis=(1, 2))
+    residuals = np.maximum(recon, ortho)
+    if residuals.max(initial=0.0) > RECON_TOL:  # an empty stack has none
+        k = int(np.argmax(residuals > RECON_TOL))
+        residual = float(residuals[k])
         raise EigensolverError(
-            f"eigendecomposition residual {residual:.3e} exceeds "
-            f"{RECON_TOL:.0e} at dim {a.dim}",
-            dim=a.dim,
+            f"{_member(members, k)}eigendecomposition residual {residual:.3e} exceeds "
+            f"{RECON_TOL:.0e} at dim {dim}",
+            dim=dim,
             residual=residual,
         )
-    return EigenSystem(_freeze(w), _freeze(v))
+    return w, v
+
+
+def _member(members: Sequence[int] | None, k: int | None) -> str:
+    """The prefix that names matrix k of a stack as the member members[k]:
+    none when the stack has no member names or no single matrix failed."""
+    return "" if members is None or k is None else f"member {members[k]}: "
 
 
 def trace_norm(a: HermitianOperator) -> float:
@@ -284,29 +318,61 @@ def pure_trace_distances(vectors: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(1.0 - overlaps, 0.0, 1.0))
 
 
-# Byte cap on one stack of diagonal pair differences (2^13 floats at most),
-# and on one block of _row_blocks.  These stacks are solved serially: a
-# larger cap computes more pairs before a caller's early exit (a 1 MB cap
-# cut commuting-examples from 171 to 138 ops/s).
+# Byte cap on one stack of rows of floats (2^14 floats at most): the diagonal
+# pair differences and the row blocks of whole-array stages.  These stacks
+# are solved serially: a larger cap computes more pairs before a caller's
+# early exit (a 1 MB cap cut commuting-examples from 171 to 138 ops/s).
 _STACK_BYTES = 1 << 17
-# Fewest rows (matrices x d) in one stack of dense pair differences: 43
-# matrices, 1.5 MB, at d = 48.  numpy's stacked eigvalsh releases the GIL
-# only from about 500 rows, and on the dense-files benchmark inputs stacks
-# of 1024 rows gained less than 2048 and slowed the (12, 16) files.
+# Byte cap on one block of the member stage's d x d complex differences
+# (2^12 entries at most, one matrix at least).  Each matrix of a block keeps
+# about five temporaries of its size (eigenvectors, residual products,
+# rotated parts).  On the dense-files benchmark (seed 51, 30 reports) the
+# peak RSS read 66.9-67.0 MB with this cap, 67.5 MB at 128 KB and 70-72 MB
+# at 256-512 KB, against 66.8-67.1 MB for one eigh per member; blocks of up
+# to 128 KB ran as fast as this cap, and blocks of 512 KB or more slower.
+_BLOCK_BYTES = 1 << 16
+# Fewest rows (matrices x d) in one stack of matrices solved for eigenvalues
+# only: 43 matrices, 1.5 MB, at d = 48.  numpy's stacked solvers release the
+# GIL only from about 500 rows, and on the dense-files benchmark inputs
+# stacks of 1024 rows gained less than 2048 and slowed the (12, 16) files.
 _STACK_ROWS = 2048
-# Dense stacks solved at once, each on a worker thread: two, or one when
-# this process may use only one CPU.
+# Stacks solved at once, each on a worker thread: two, or one when this
+# process may use only one CPU.
 _WORKERS = min(
     2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
 
 
-def _row_blocks(count: int, dim: int) -> Iterator[slice]:
-    """Consecutive slices of range(count), each at most _STACK_BYTES of rows
-    of `dim` floats (and at least one row): the blocks in which whole-array
-    stages bound their temporaries."""
-    step = max(1, _STACK_BYTES // (8 * dim))
-    return (slice(start, start + step) for start in range(0, count, step))
+def _stacks(count: int, dim: int, solver: str | None = None) -> tuple[list[slice], int]:
+    """The one stack planner: how every stage that takes an ensemble's
+    members a stack at a time (the member stage, member_epsilons, the pair
+    distances of C and D's gaps, and the row blocks of whole-array stages)
+    sizes its stacks and threads them.  Returns consecutive slices of
+    range(count), one per stack, and the number of threads to solve them on.
+
+    A stack holds at least one item.  Rows of `dim` floats (solver None) go
+    at most _STACK_BYTES to a stack; d x d complex matrices for "eigh", at
+    most _BLOCK_BYTES; for "eigvalsh", which keeps one buffer per stack,
+    the fewest matrices whose rows reach _STACK_ROWS.  Stacks of matrices
+    that reach _STACK_ROWS rows, when there are two or more, are solved on
+    up to _WORKERS threads (through _solved_in_order); every other plan on
+    the calling thread.
+    """
+    if solver == "eigvalsh":
+        size = -(-_STACK_ROWS // dim)
+    elif solver == "eigh":
+        size = max(1, _BLOCK_BYTES // (16 * dim * dim))
+    else:
+        size = max(1, _STACK_BYTES // (8 * dim))
+    stacks = [slice(start, start + size) for start in range(0, count, size)]
+    threaded = solver is not None and size * dim >= _STACK_ROWS
+    return stacks, min(_WORKERS, len(stacks)) if threaded else 1
+
+
+def _solved(solve: Callable, tasks: Sequence, workers: int) -> Iterator:
+    """solve(task) for each of `tasks` in order, as _stacks planned them: on
+    the calling thread, or through _solved_in_order."""
+    return map(solve, tasks) if workers < 2 else _solved_in_order(solve, tasks, workers)
 
 
 def pair_trace_distances(
@@ -372,13 +438,11 @@ def _kind_distances(
     if not positions.size:
         return
     dense = arrays.ndim == 3
-    dim = arrays.shape[-1]
-    size = -(-_STACK_ROWS // dim) if dense else max(1, _STACK_BYTES // (8 * dim))
-    stacks = [positions[k:k + size] for k in range(0, positions.size, size)]
-    workers = min(_WORKERS, len(stacks)) if dense else 1
+    plan, workers = _stacks(positions.size, arrays.shape[-1], "eigvalsh" if dense else None)
+    stacks = [positions[stack] for stack in plan]
     # One buffer per stack being filled or solved, allocated on this thread:
     # stacks allocated on the workers raised dense-files' peak RSS by 7%.
-    shape = (min(size, positions.size), *arrays.shape[1:])
+    shape = (stacks[0].size, *arrays.shape[1:])
     buffers = [np.empty(shape, complex if dense else float) for _ in range(workers)]
 
     def distances(stack):
@@ -394,10 +458,7 @@ def _kind_distances(
         finally:
             buffers.append(buffer)
 
-    if workers < 2:
-        yield from map(distances, stacks)
-    else:
-        yield from _solved_in_order(distances, stacks, workers)
+    yield from _solved(distances, stacks, workers)
 
 
 def _solved_in_order(solve: Callable, tasks: Sequence, workers: int) -> Iterator:
@@ -448,11 +509,14 @@ def jordan_parts(a: HermitianOperator) -> tuple[HermitianOperator, HermitianOper
     )
 
 
-def _spectral_sum(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """V diag(values) V^dag for the nonnegative `values`, from the columns of
-    V = `vectors` at the nonzero values only, so that a part of rank r costs
-    O(d^2 r); symmetrized to (P + P^dag)/2, exactly Hermitian."""
-    support = values > 0.0
-    v = vectors[:, support]
-    part = (v * values[support]) @ v.conj().T
-    return (part + part.conj().T) / 2.0
+def _spectral_sum(
+    vectors: np.ndarray, values: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """V diag(values) V^dag for each eigenvector matrix V of `vectors`, a
+    d x d matrix or an (n, d, d) stack, and its row of nonnegative `values`,
+    written to `out` when given; symmetrized to (P + P^dag)/2, exactly
+    Hermitian.  Every column of V takes part, so a stack is one matmul."""
+    part = np.matmul(vectors * values[..., None, :], vectors.conj().swapaxes(-1, -2), out=out)
+    part += part.conj().swapaxes(-1, -2)
+    part *= 0.5
+    return part

@@ -125,6 +125,22 @@ def cyclic_orbit_ensemble(dim: int, seed) -> DiscreteEnsemble:
     return DiscreteEnsemble(np.full(dim, 1.0 / dim), tuple(states))
 
 
+def diagonal_average_ensemble(dim: int, seed) -> DiscreteEnsemble:
+    """A dense ensemble whose average is exactly diagonal: a state whose only
+    off-diagonal entries are (0, 1) and (1, 0), its mirror Z rho Z under
+    Z = diag(1, -1, 1, ...) at the same probability, which cancels them in
+    the average, and two exactly diagonal members."""
+    rng = np.random.default_rng(seed)
+    mat = np.diag(rng.dirichlet(np.ones(dim))).astype(complex)
+    mat[0, 1] = 0.5 * math.sqrt(mat[0, 0].real * mat[1, 1].real) * cmath.exp(2j * rng.random())
+    mat[1, 0] = mat[0, 1].conjugate()
+    mirror = mat.copy()
+    mirror[0, 1], mirror[1, 0] = -mat[0, 1], -mat[1, 0]
+    states = [DensityOperator(mat), DensityOperator(mirror)]
+    states += [DensityOperator.from_diagonal(rng.dirichlet(np.ones(dim))) for _ in range(2)]
+    return DiscreteEnsemble(np.array([0.3, 0.3, 0.25, 0.15]), tuple(states))
+
+
 def great_circle_spec(n_points: int) -> ContinuousFamilySpec:
     """Uniform quadrature over the equator of the qubit Bloch sphere."""
     angles = tuple(2.0 * math.pi * k / n_points for k in range(n_points))

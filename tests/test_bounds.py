@@ -32,6 +32,7 @@ from holevo_bounds.ensemble import (
     DiscreteEnsemble,
     build_auxiliary,
     holevo_quantity,
+    member_epsilons,
 )
 from holevo_bounds.gallery import (
     OscillatorEnsembleSpec,
@@ -52,6 +53,7 @@ from helpers import (
     count_eigensolves,
     count_materializations,
     cyclic_orbit_ensemble,
+    diagonal_average_ensemble,
     fail_second_stack,
 )
 
@@ -663,6 +665,80 @@ def test_worker_failure_is_an_eigensolver_error(monkeypatch):
     assert len(stacked) < 69
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_member_failure_in_a_later_block_names_the_member(monkeypatch, workers):
+    # Member stage blocks of two matrices: member 5's slice of the third
+    # stacked eigh gets eigenvectors scaled by 1.5, so its residual is
+    # ||2.25 V^dag V - I||_max = 1.25.  Two workers solve the blocks on
+    # threads, and are joined before the error reaches the caller.
+    mu = random_ensemble(6, 8, 0)
+    target = mu.matrices[5] - mu.average.mat
+    monkeypatch.setattr(linalg, "_BLOCK_BYTES", 2 * 16 * 8 * 8)
+    monkeypatch.setattr(linalg, "_STACK_ROWS", 1)
+    monkeypatch.setattr(linalg, "_WORKERS", workers)
+    threaded = _count_in_order_calls(monkeypatch)
+    stacks = []
+
+    def member_five_inaccurate(a, *args, _eigh=np.linalg.eigh, **kwargs):
+        stacks.append(len(a))
+        w, v = _eigh(a, *args, **kwargs)
+        for k, mat in enumerate(a):
+            if np.array_equal(mat, target):
+                v[k] *= 1.5
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", member_five_inaccurate)
+    before = threading.active_count()
+    pattern = r"^member 5: eigendecomposition residual 1\.250e\+00"
+    with pytest.raises(EigensolverError, match=pattern) as exc:
+        build_auxiliary(mu)
+    assert threading.active_count() == before
+    assert stacks == [2, 2, 2]
+    assert threaded == ([] if workers == 1 else [2])
+    assert exc.value.dim == 8
+    assert exc.value.residual == pytest.approx(1.25, abs=1e-12)
+
+
+def _report_values(mu: DiscreteEnsemble) -> tuple:
+    """Every BoundReport field and every D gap of `mu`."""
+    report = full_report(mu)
+    fields = [getattr(report, field.name) for field in dataclasses.fields(report)]
+    return fields, build_auxiliary(mu).minus_gaps
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        pytest.param(random_ensemble(20, 32, 1), id="random-20-32-1"),
+        pytest.param(trine_ensemble(), id="trine"),
+        pytest.param(diagonal_average_ensemble(4, 0), id="diagonal-average"),
+    ],
+)
+def test_member_blocks_match_default_blocking(monkeypatch, mu):
+    # Member stage blocks of one matrix, or of a size that splits m
+    # unevenly, solved on one worker or on two, give every report field, D
+    # gap and member distance of the default blocking (four matrices a block
+    # at d = 32, one block at smaller d) bit for bit, and so does fei_check
+    # on a pair of dense members.  The
+    # diagonal-average ensemble's exactly diagonal members are read from
+    # their entries, and rotate back into the stacks by the identity.
+    m, d = mu.size, mu.dim
+    pair = tuple(state for state in mu.states if state.diagonal is None)[:2]
+    expected = _report_values(mu), fei_check(*pair), member_epsilons(mu)[0]
+    monkeypatch.setattr(linalg, "_STACK_ROWS", 1)
+    for matrices in (1, 2 if m % 2 else 3):
+        assert matrices == 1 or m % matrices
+        monkeypatch.setattr(linalg, "_BLOCK_BYTES", matrices * 16 * d * d)
+        for workers in (1, 2):
+            monkeypatch.setattr(linalg, "_WORKERS", workers)
+            threaded = _count_in_order_calls(monkeypatch)
+            build_auxiliary(mu)
+            assert threaded == ([] if workers == 1 else [2])
+            values, fei, eps = _report_values(mu), fei_check(*pair), member_epsilons(mu)[0]
+            assert values == expected[0] and fei == expected[1]
+            assert np.array_equal(eps, expected[2])
+
+
 def _fresh_entropy(mat: np.ndarray) -> float:
     w = np.linalg.eigvalsh(mat)
     w = w[w > 1e-14]
@@ -1093,8 +1169,8 @@ def test_drawn_ensembles_match_independent_checker(mu, worker_stacks):
     # reference on the dense matrices, and degeneracy exactly when the
     # checker finds no member outside the dead zone, or (a test the checker
     # does not make) a mean member distance at most EPS_ZERO_TOL.  Half the
-    # draws solve their dense pair stacks one matrix at a time on two worker
-    # threads.
+    # draws solve their member stage blocks and dense pair stacks one matrix
+    # at a time on two worker threads.
     mats = np.stack([state.mat for state in mu.states])
     try:
         reference = checker.reference_report(mu.probs, mats, dense=True)
@@ -1107,6 +1183,7 @@ def test_drawn_ensembles_match_independent_checker(mu, worker_stacks):
     with pytest.MonkeyPatch.context() as patch:
         if worker_stacks:
             patch.setattr(linalg, "_STACK_ROWS", 1)
+            patch.setattr(linalg, "_BLOCK_BYTES", 1)
             patch.setattr(linalg, "_WORKERS", 2)
         report = full_report(mu)
     for field in dataclasses.fields(BoundReport):

@@ -493,22 +493,29 @@ def test_solver_failure_exits_numerical(capsys, monkeypatch, solver, residual):
     ids=["lapack-failure", "residual-too-large"],
 )
 def test_member_solver_failure_names_the_member(tmp_path, capsys, monkeypatch, solver, reason):
-    # Only the member stage calls eigh: its fourth call is member 3's.
+    # Only the member stage calls eigh, on stacks of member differences: the
+    # fault hits member 3's slice of its stack, and member 3 alone when a
+    # failed stack is solved again one matrix at a time.
     path = tmp_path / "random.json"
     write_ensemble_file(str(path), random_ensemble(6, 8, 0))
     mu = load_ensemble_file(str(path))
-    calls = []
+    target = mu.matrices[3] - mu.average.mat
+    hits = []
 
-    def fourth_call_fails(a, *args, _eigh=np.linalg.eigh, **kwargs):
-        calls.append(a)
-        return (solver if len(calls) == 4 else _eigh)(a, *args, **kwargs)
+    def member_three_fails(a, *args, _eigh=np.linalg.eigh, **kwargs):
+        w, v = _eigh(a, *args, **kwargs)
+        for k, mat in enumerate(np.reshape(a, (-1, 8, 8))):
+            if np.array_equal(mat, target):
+                hits.append(np.ndim(a))
+                w.reshape(-1, 8)[k], v.reshape(-1, 8, 8)[k] = solver(mat)
+        return w, v
 
-    monkeypatch.setattr(np.linalg, "eigh", fourth_call_fails)
+    monkeypatch.setattr(np.linalg, "eigh", member_three_fails)
     with pytest.raises(EigensolverError, match=reason) as exc:
         full_report(mu)
     assert exc.value.dim == 8
     assert (exc.value.residual is None) == (solver is _failing_eigh)
-    calls.clear()
+    assert hits == ([3, 2] if solver is _failing_eigh else [3])
     assert main(["report", str(path)]) == EXIT_NUMERICAL
     assert reason in _single_error_line(capsys)
 

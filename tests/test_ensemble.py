@@ -25,9 +25,9 @@ from holevo_bounds.gallery import (
     OscillatorEnsembleSpec, orthogonal_ensemble, oscillator_ensemble, random_ensemble,
     random_mixed_state, trine_ensemble,
 )
-from holevo_bounds.linalg import DensityOperator, _is_diagonal, _spectral_sum, trace_norm
+from holevo_bounds.linalg import DensityOperator, _is_diagonal, trace_distance, trace_norm
 
-from helpers import count_eigensolves
+from helpers import count_eigensolves, diagonal_average_ensemble
 
 LN2 = math.log(2.0)
 
@@ -128,6 +128,42 @@ def test_member_epsilons_identical_states():
     eps, eps_av = member_epsilons(mu)
     assert np.all(eps <= 1e-13)
     assert eps_av <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        pytest.param(random_ensemble(6, 8, 0), id="random-6-8-0"),
+        pytest.param(random_ensemble(20, 32, 1), id="random-20-32-1"),
+        pytest.param(trine_ensemble(), id="trine"),
+        pytest.param(orthogonal_ensemble(8), id="orthogonal-8"),
+        pytest.param(oscillator_ensemble(OscillatorEnsembleSpec(3.0))[0], id="oscillator-3"),
+        pytest.param(diagonal_average_ensemble(4, 0), id="diagonal-average"),
+    ],
+)
+def test_member_epsilons_match_each_trace_distance(mu):
+    # Read from the member array, each distance is the trace_distance of its
+    # state to the average, bit for bit: a diagonal member of a dense stack
+    # about a diagonal average is read from its entries, as trace_distance
+    # reads it.
+    eps, eps_av = member_epsilons(mu)
+    want = np.clip([trace_distance(state, mu.average) for state in mu.states], 0.0, 1.0)
+    assert np.array_equal(eps, want) and not eps.flags.writeable
+    assert eps_av == float(mu.probs @ want)
+
+
+def test_member_epsilons_reads_the_member_array(monkeypatch):
+    # One eigensolve per member of a dense ensemble (its average built
+    # first), and no state object built on an ensemble backed by rows.
+    mu = random_ensemble(6, 8, 0)
+    mu.average
+    calls = count_eigensolves(monkeypatch)
+    member_epsilons(mu)
+    assert calls == [8] * 6
+    commuting = orthogonal_ensemble(64)
+    member_epsilons(commuting)
+    assert calls == [8] * 6
+    assert "states" not in vars(commuting)
 
 
 def test_mean_binary_entropy_values():
@@ -347,10 +383,10 @@ def test_exactly_diagonal_dense_difference_takes_lapack(monkeypatch):
         assert got[1] == want[1] == ([] if rho is base else [0])
         if rho is base:
             continue
-        assert got[4][0] is not None and want[4][0] is None
-        for rows, oracle_rows in zip(got[2:4], want[2:4]):
-            mats = _spectral_sum(got[4][0], rows[0])[None]
-            part = _from_rows(np.ones(1), rows[:1], mats).states[0]
+        # The dense difference is rotated back into stacks; the diagonal one is not.
+        assert got[4] is not None and want[4] is None and want[5] is None
+        for rows, oracle_rows, mats in zip(got[2:4], want[2:4], got[4:6]):
+            part = _from_rows(np.ones(1), rows[:1], mats[:1]).states[0]
             oracle = _from_rows(np.ones(1), oracle_rows[:1]).states[0]
             # The dense part's eigenvectors permute the basis, so the part is
             # exactly diagonal, and kept as its diagonal too.
