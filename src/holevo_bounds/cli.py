@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import BOUND_KEYS, BoundReport, fei_check, full_report
-from .ensemble import AVERAGE_MATCH_TOL, DiscreteEnsemble
+from .ensemble import AVERAGE_MATCH_TOL, DiscreteEnsemble, _from_rows
+from .entropy import as_probability_vector
 from .gallery import (
     OscillatorEnsembleSpec,
     orthogonal_ensemble,
@@ -41,7 +42,7 @@ from .gallery import (
     random_ensemble,
     trine_ensemble,
 )
-from .linalg import DensityOperator, EigensolverError
+from .linalg import DensityOperator, EigensolverError, _check_states
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -73,23 +74,33 @@ class EnsembleFileError(ValueError):
 
 def ensemble_to_dict(mu: DiscreteEnsemble) -> dict:
     """Serialize an ensemble to the JSON file schema (complex entries as
-    [re, im] pairs)."""
-    members = []
-    for k, (p, state) in enumerate(zip(mu.probs, mu.states)):
-        entry = {
-            "prob": float(p),
-            "state": [
-                [[float(z.real), float(z.imag)] for z in row] for row in state.mat
-            ],
-        }
+    [re, im] pairs), from its member array, one member at a time: no member
+    object is built."""
+    members, dim = mu._members, mu.dim
+    pairs, diagonal = np.zeros((dim, dim, 2)), np.arange(dim)
+    out = []
+    for k, (p, member) in enumerate(zip(mu.probs.tolist(), members)):
+        if members.ndim == 3:
+            pairs[..., 0], pairs[..., 1] = member.real, member.imag
+        else:  # the off-diagonal pairs stay [0.0, 0.0]
+            pairs[diagonal, diagonal, 0] = member
+        entry = {"prob": p, "state": pairs.tolist()}
         if mu.labels is not None:
             entry["label"] = mu.labels[k]
-        members.append(entry)
-    return {"version": ENSEMBLE_FILE_VERSION, "dim": mu.dim, "members": members}
+        out.append(entry)
+    return {"version": ENSEMBLE_FILE_VERSION, "dim": dim, "members": out}
 
 
 def ensemble_from_dict(data: dict) -> DiscreteEnsemble:
-    """Parse and validate the ensemble file schema into a DiscreteEnsemble."""
+    """Parse and validate the ensemble file schema into a DiscreteEnsemble.
+
+    The members' matrices are written into one (m, d, d) stack as they are
+    parsed, and the stack is checked as one (linalg._check_states): it is
+    the ensemble's `matrices`, or, when every member is exactly diagonal,
+    gives its m x d `diagonals`.  The first faulty member is named, with
+    its first failed check, as if each member were checked in turn: a fault
+    found while parsing member j comes after the state checks of the
+    members before it."""
     if not isinstance(data, dict):
         raise EnsembleFileError("top level must be a JSON object")
     version = data.get("version")
@@ -104,52 +115,75 @@ def ensemble_from_dict(data: dict) -> DiscreteEnsemble:
     if not isinstance(members, list) or not members:
         raise EnsembleFileError("members must be a nonempty list")
     probs = []
-    states = []
     labels = []
     have_labels = False
+    stack = None  # allocated once the first state has its shape
     for k, member in enumerate(members):
-        if not isinstance(member, dict):
-            raise EnsembleFileError(f"member {k} must be an object")
-        prob = member.get("prob")
-        if isinstance(prob, bool) or not isinstance(prob, (int, float)):
-            raise EnsembleFileError(f"member {k}: prob must be a number")
         try:
-            probs.append(float(prob))
-            arr = np.asarray(member.get("state"), dtype=float)
-        except OverflowError:
-            raise EnsembleFileError(f"member {k}: number too large for a float") from None
-        except (TypeError, ValueError) as exc:
-            raise EnsembleFileError(f"member {k}: malformed state array: {exc}") from None
-        if arr.shape != (dim, dim, 2):
-            raise EnsembleFileError(
-                f"member {k}: state must be a {dim}x{dim} array of [re, im] "
-                f"pairs, got shape {arr.shape}"
-            )
-        # A state's entries have modulus at most 1: a part beyond 2, or NaN,
-        # cannot be one, and could overflow the arithmetic of the checks.
-        if not np.all(np.abs(arr) <= 2.0):
-            raise EnsembleFileError(
-                f"member {k}: state entries must be finite and of modulus at most 1"
-            )
-        # numpy reads JSON true and false as 1 and 0, so only an entry that
-        # reads 0 or 1 can have been one: those few are looked up.
-        flagged = np.argwhere((arr == 0.0) | (arr == 1.0)).tolist()
-        if any(type(member["state"][i][j][c]) is bool for i, j, c in flagged):
-            raise EnsembleFileError(f"member {k}: state entries must be numbers, not booleans")
-        mat = arr[..., 0] + 1j * arr[..., 1]
-        try:
-            states.append(DensityOperator(mat))
-        except ValueError as exc:
-            raise EnsembleFileError(f"member {k}: {exc}") from None
+            prob, arr = _parse_member(k, member, dim)
+        except EnsembleFileError:
+            if k:  # a state fault of a member before k is the first fault
+                _checked_states(stack[:k])
+            raise
+        if stack is None:
+            stack = np.empty((len(members), dim, dim), dtype=complex)
+        np.add(arr[..., 0], 1j * arr[..., 1], out=stack[k])
+        probs.append(prob)
         label = member.get("label")
         if label is not None:
             have_labels = True
         labels.append(str(label) if label is not None else f"member-{k}")
+    spectra, flat = _checked_states(stack)
     try:
-        return DiscreteEnsemble(
-            np.array(probs), tuple(states), labels=tuple(labels) if have_labels else None
-        )
+        probs = as_probability_vector(np.array(probs))
+    except ValueError as exc:
+        raise EnsembleFileError(str(exc)) from None
+    labels = tuple(labels) if have_labels else None
+    # An all-diagonal ensemble keeps its diagonals, its spectra, as one m x d array.
+    return _from_rows(probs, spectra, None if all(flat) else stack, labels=labels)
+
+
+def _parse_member(k: int, member, dim: int) -> tuple[float, np.ndarray]:
+    """The prob and the d x d x 2 float array of [re, im] pairs of member k
+    of an ensemble file; raises EnsembleFileError, naming member k, for
+    every fault the state checks do not see."""
+    if not isinstance(member, dict):
+        raise EnsembleFileError(f"member {k} must be an object")
+    prob = member.get("prob")
+    if isinstance(prob, bool) or not isinstance(prob, (int, float)):
+        raise EnsembleFileError(f"member {k}: prob must be a number")
+    try:
+        prob = float(prob)
+        arr = np.asarray(member.get("state"), dtype=float)
+    except OverflowError:
+        raise EnsembleFileError(f"member {k}: number too large for a float") from None
     except (TypeError, ValueError) as exc:
+        raise EnsembleFileError(f"member {k}: malformed state array: {exc}") from None
+    if arr.shape != (dim, dim, 2):
+        raise EnsembleFileError(
+            f"member {k}: state must be a {dim}x{dim} array of [re, im] "
+            f"pairs, got shape {arr.shape}"
+        )
+    # A state's entries have modulus at most 1: a part beyond 2, or NaN,
+    # cannot be one, and could overflow the arithmetic of the checks.
+    if not np.all(np.abs(arr) <= 2.0):
+        raise EnsembleFileError(
+            f"member {k}: state entries must be finite and of modulus at most 1"
+        )
+    # numpy reads JSON true and false as 1 and 0, so only an entry that
+    # reads 0 or 1 can have been one: those few are looked up.
+    flagged = np.argwhere((arr == 0.0) | (arr == 1.0)).tolist()
+    if any(type(member["state"][i][j][c]) is bool for i, j, c in flagged):
+        raise EnsembleFileError(f"member {k}: state entries must be numbers, not booleans")
+    return prob, arr
+
+
+def _checked_states(stack: np.ndarray) -> tuple[np.ndarray, list[bool]]:
+    """linalg._check_states of a file's stack of member matrices, its
+    ValueError as an EnsembleFileError that names the member."""
+    try:
+        return _check_states(stack, range(len(stack)))
+    except ValueError as exc:
         raise EnsembleFileError(str(exc)) from None
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .ensemble import DiscreteEnsemble, _from_rows
 from .entropy import as_probability_vector, binary_entropy, eta, gibbs_entropy
-from .linalg import DensityOperator
+from .linalg import DensityOperator, _check_states
 
 _MAX_SERIES_TERMS = 1_000_000
 
@@ -224,10 +224,21 @@ def random_mixed_state(dim: int, rank: int, seed) -> DensityOperator:
 
 def random_ensemble(m: int, dim: int, seed) -> DiscreteEnsemble:
     """m full-rank Ginibre states with flat-Dirichlet probabilities;
-    deterministic for a fixed integer seed."""
+    deterministic for a fixed integer seed.  The states are those of m
+    calls of random_mixed_state(dim, dim, rng), from the same draws, formed
+    as one (m, dim, dim) stack and checked as one (linalg._check_states):
+    the ensemble holds the stack and builds no member object until its
+    states are read."""
     if m < 1:
         raise ValueError(f"need at least one state, got m={m}")
+    if dim < 1:
+        raise ValueError(f"dimension must be at least 1, got {dim}")
     rng = np.random.default_rng(seed)
-    probs = rng.dirichlet(np.ones(m))
-    states = tuple(random_mixed_state(dim, dim, rng) for _ in range(m))
-    return DiscreteEnsemble(probs, states)
+    probs = as_probability_vector(rng.dirichlet(np.ones(m)))
+    draws = rng.standard_normal((m, 2, dim, dim))  # each member's real, then imaginary part
+    g = draws[:, 0] + 1j * draws[:, 1]
+    del draws
+    mats = g @ g.conj().swapaxes(1, 2)
+    mats /= mats.trace(axis1=1, axis2=2).real[:, None, None]
+    spectra, _ = _check_states(mats, range(m))
+    return _from_rows(probs, spectra, mats)

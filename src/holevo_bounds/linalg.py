@@ -23,7 +23,10 @@ sized and threaded by one stack planner, _stacks, and runs its stacks
 through _solved.  pair_trace_distances alone picks how a pair's distance
 is computed: by a gathered vector difference, by the rank-1 closed form, or
 by a stacked eigensolve.  _spectral_sum alone rebuilds dense Jordan parts
-from their eigenvectors.
+from their eigenvectors.  Checked states enter as one stack too:
+_check_states runs DensityOperator's checks on a whole (m, d, d) stack,
+which a loaded file and a random ensemble hand to the ensemble as its
+matrices, and a DensityOperator built from a matrix is its one-matrix case.
 """
 
 from __future__ import annotations
@@ -114,18 +117,10 @@ class HermitianOperator:
         if self.diagonal is not None:  # from_diagonal: O(d), and no matrix
             object.__setattr__(self, "diagonal", _freeze(_real_vector(self.diagonal)))
             return
-        mat = np.asarray(self.mat, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-        if mat.shape[0] < 1:
-            raise ValueError("matrix dimension must be at least 1")
-        deviation = float(np.max(np.abs(mat - mat.conj().T)))
-        if not deviation <= HERMITICITY_TOL:
-            raise ValueError(
-                f"matrix is not Hermitian: max |A - A^dag| = {deviation:.3e} "
-                f"exceeds {HERMITICITY_TOL:.0e}"
-            )
-        mat = (mat + mat.conj().T) / 2.0
+        mat = _square(self.mat)
+        fault = _symmetrize(mat[None])[1]
+        if fault is not None:
+            raise fault
         if _is_diagonal(mat):
             object.__setattr__(self, "diagonal", _freeze(mat.diagonal().real.copy()))
         object.__setattr__(self, "mat", _freeze(mat))
@@ -175,22 +170,25 @@ class DensityOperator(HermitianOperator):
     `spectrum` keeps the eigenvalues that the positivity check computes,
     read-only, so von_neumann_entropy needs no second eigensolve: ascending
     when dense, the very `diagonal` array when diagonal, and read in any
-    order.  A state the library derives is built by _derived, with its spectrum.
+    order.  The checks are those of _check_states, on a one-matrix stack.  A
+    state the library derives is built by _derived, with its spectrum.
     """
 
     spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "spectrum", _freeze(hermitian_eigenvalues(self)))
-        smallest = float(self.spectrum.min())
-        if smallest < -PSD_TOL:
-            raise ValueError(
-                f"state is not positive semidefinite: min eigenvalue {smallest:.3e}"
-            )
-        tr = self.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"state trace {tr!r} is not 1 within {TRACE_TOL:.0e}")
+        if self.diagonal is not None:  # from_diagonal
+            super().__post_init__()
+            _raise_first_fault(self.diagonal[None], [float(self.diagonal.sum())])
+            spectrum = self.diagonal
+        else:  # _check_states of a one-matrix stack
+            mat = _square(self.mat)
+            spectra, flat = _check_states(mat[None])
+            spectrum = spectra[0]
+            if flat[0]:
+                object.__setattr__(self, "diagonal", spectrum)
+            object.__setattr__(self, "mat", _freeze(mat))
+        object.__setattr__(self, "spectrum", _freeze(spectrum))
 
     @classmethod
     def from_pure(cls, amplitudes) -> "DensityOperator":
@@ -294,6 +292,134 @@ def _member(members: Sequence[int] | None, k: int | None) -> str:
     """The prefix that names matrix k of a stack as the member members[k]:
     none when the stack has no member names or no single matrix failed."""
     return "" if members is None or k is None else f"member {members[k]}: "
+
+
+def _square(mat) -> np.ndarray:
+    """`mat` as a fresh complex array, never the caller's; raises ValueError
+    unless it is a square matrix of dimension at least 1."""
+    mat = np.array(mat, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    if mat.shape[0] < 1:
+        raise ValueError("matrix dimension must be at least 1")
+    return mat
+
+
+def _symmetrize(
+    mats: np.ndarray, members: Sequence[int] | None = None
+) -> tuple[int, ValueError | None]:
+    """Check that each matrix A of the (m, d, d) complex stack `mats` is
+    Hermitian within HERMITICITY_TOL in the max-entry norm, and replace it,
+    in place, by (A + A^dag)/2, exactly Hermitian; a block of _stacks(m, d,
+    "eigh") at a time, so no temporary holds more than one block.  Returns
+    (stop, fault): the first matrix that is not Hermitian and its
+    ValueError (named as _member names it), which ends the pass there, or
+    (m, None)."""
+    count, dim = len(mats), mats.shape[-1]
+    # One matrix is its own block: no plan to make, and no view to take.
+    for block in _stacks(count, dim, "eigh")[0] if count > 1 else (slice(0, 1),):
+        part = mats[block] if count > 1 else mats
+        adjoint = part.conj().swapaxes(1, 2)
+        deviation = np.abs(part - adjoint)
+        if not deviation.max() <= HERMITICITY_TOL:  # NaN fails too
+            worst = deviation.max(axis=(1, 2))
+            k = int(np.argmin(worst <= HERMITICITY_TOL))
+            stop = block.start + k
+            part[:k] += adjoint[:k]
+            part[:k] /= 2.0
+            return stop, ValueError(
+                f"{_member(members, stop)}matrix is not Hermitian: max |A - A^dag| = "
+                f"{worst[k]:.3e} exceeds {HERMITICITY_TOL:.0e}"
+            )
+        part += adjoint
+        part /= 2.0
+    return count, None
+
+
+def _check_states(
+    mats: np.ndarray, members: Sequence[int] | None = None
+) -> tuple[np.ndarray, list[bool]]:
+    """DensityOperator's checks, in its order and at its tolerances, on every
+    matrix of the (m, d, d) complex stack `mats`, which they symmetrize in
+    place (_symmetrize): Hermiticity, then each matrix's eigenvalues, then
+    positivity within PSD_TOL, then unit trace within TRACE_TOL.  Returns
+    (spectra, flat): the m x d array of spectra, and a list of which
+    matrices are exactly diagonal (_is_diagonal).  A diagonal matrix's
+    spectrum is its diagonal, at no eigensolve; every other's is ascending,
+    from one stacked eigvalsh of those matrices.
+
+    Raises the error of the first matrix k that fails a check, with its
+    first failed check's message, which begins "member {members[k]}: " when
+    `members` is given: a ValueError, or an EigensolverError when LAPACK
+    fails on it.  When LAPACK fails on the stack, its matrices are solved
+    again one at a time to find that matrix."""
+    stop, fault = _symmetrize(mats, members)
+    if not stop:
+        raise fault
+    checked = mats[:stop] if stop < len(mats) else mats
+    if mats.shape[-1] > 1 and all(checked[:, -1, 0].tolist()):  # nonzero corners: all dense
+        flat = [False] * stop
+    else:
+        flat = [_is_diagonal(checked[k]) for k in range(stop)]
+    index = range(stop)  # the matrices solved
+    if any(flat):  # a diagonal matrix's spectrum and trace are its diagonal's
+        rows = checked.diagonal(axis1=1, axis2=2).real
+        spectra, traces = rows.copy(), rows.sum(axis=1)
+        index = () if all(flat) else np.flatnonzero(np.logical_not(flat))
+    if len(index):
+        solved = checked if len(index) == stop else checked[index]
+        dense_traces = solved.trace(axis1=1, axis2=2).real
+        try:
+            values = np.linalg.eigvalsh(solved)
+        except np.linalg.LinAlgError:  # numpy does not say which matrix of a stack failed
+            values = np.zeros(solved.shape[:2])
+            for k, mat in enumerate(solved):
+                try:
+                    values[k] = np.linalg.eigvalsh(mat)
+                except np.linalg.LinAlgError as exc:
+                    stop, dim = int(index[k]), mats.shape[-1]
+                    fault = EigensolverError(
+                        f"{_member(members, stop)}eigenvalue computation failed at dim {dim}: "
+                        f"{exc}",
+                        dim=dim,
+                    )
+                    break
+        if solved is checked:
+            spectra, traces = values, dense_traces
+        else:
+            spectra[index], traces[index] = values, dense_traces
+    if stop < len(spectra):
+        spectra, traces = spectra[:stop], traces[:stop]
+    traces = traces.tolist()
+    # |trace - 1| is largest at the smallest or the largest trace.  A NaN
+    # that min, max or the first test meets fails this test, and takes
+    # _raise_first_fault, which passes it as the checks of one state do.
+    if fault is not None or not (
+        spectra.min() >= -PSD_TOL
+        and abs(min(traces) - 1.0) <= TRACE_TOL
+        and abs(max(traces) - 1.0) <= TRACE_TOL
+    ):
+        _raise_first_fault(spectra, traces, members, fault)
+    return spectra, flat
+
+
+def _raise_first_fault(spectra: np.ndarray, traces, members=None, fault=None):
+    """Raise the ValueError of the first state, given by the rows of its
+    spectrum and its trace, that is not positive semidefinite within
+    PSD_TOL, else whose trace is not 1 within TRACE_TOL; if there is none,
+    raise `fault`, the error of the matrix after them, when given."""
+    for k, (low, trace) in enumerate(zip(spectra.min(axis=1).tolist(), traces)):
+        if low < -PSD_TOL:
+            raise ValueError(
+                f"{_member(members, k)}state is not positive semidefinite: "
+                f"min eigenvalue {low:.3e}"
+            )
+        if abs(trace - 1.0) > TRACE_TOL:
+            raise ValueError(
+                f"{_member(members, k)}state trace {trace!r} is not 1 within {TRACE_TOL:.0e}"
+            )
+    if fault is not None:
+        raise fault
 
 
 def trace_norm(a: HermitianOperator) -> float:

@@ -54,16 +54,18 @@ def fail_second_stack(monkeypatch) -> list[int]:
 
 
 def count_constructions(monkeypatch) -> list[str]:
-    """Wrap the checking constructors, HermitianOperator.__post_init__ and
-    DiscreteEnsemble.__post_init__, so that every checked construction
-    appends its class name to the returned list.  DensityOperator's check
-    calls HermitianOperator's too; objects built by linalg._derived call
-    neither."""
+    """Wrap the checking constructors, the __post_init__ of
+    HermitianOperator, DensityOperator and DiscreteEnsemble, so that every
+    checked construction appends its class name to the returned list, once:
+    a DensityOperator built from its diagonal runs HermitianOperator's too,
+    which appends nothing then.  Objects built by linalg._derived call
+    none of them."""
     calls: list[str] = []
-    for cls in (HermitianOperator, DiscreteEnsemble):
+    for cls in (HermitianOperator, DensityOperator, DiscreteEnsemble):
 
-        def counted(self, _original=cls.__post_init__):
-            calls.append(type(self).__name__)
+        def counted(self, _original=cls.__post_init__, _cls=cls):
+            if type(self) is _cls:
+                calls.append(_cls.__name__)
             _original(self)
 
         monkeypatch.setattr(cls, "__post_init__", counted)

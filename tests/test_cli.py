@@ -25,10 +25,10 @@ from holevo_bounds.cli import (
     write_ensemble_file,
 )
 from holevo_bounds.ensemble import DiscreteEnsemble
-from holevo_bounds.gallery import random_ensemble, trine_ensemble
+from holevo_bounds.gallery import orthogonal_ensemble, random_ensemble, trine_ensemble
 from holevo_bounds.linalg import DensityOperator, EigensolverError
 
-from helpers import fail_second_stack
+from helpers import count_eigensolves, fail_second_stack
 
 LN2 = math.log(2.0)
 
@@ -213,8 +213,10 @@ _JSON = st.recursive(
 @st.composite
 def _ensemble_dicts(draw):
     """A valid file of basis-state members with at most one field, drawn
-    from version, dim, members, prob, label and state, replaced, or with
-    JSON booleans in place of state entries."""
+    from version, dim, members, prob, label and state, replaced, with JSON
+    booleans in place of state entries, or with one of three state faults
+    at a drawn member: Hermitian only to 2e-10, an eigenvalue of -1e-9, or
+    a trace of 1 +- 2e-9.  Returns (data, the member a state fault is at)."""
     dim, size = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     members = []
     for k in range(size):
@@ -222,8 +224,10 @@ def _ensemble_dicts(draw):
         members.append({"prob": 1.0 / size, "state": state})
     data = {"version": 1, "dim": dim, "members": members}
     field = draw(st.sampled_from(
-        [None, "version", "dim", "members", "prob", "label", "state", "boolean"]
+        [None, "version", "dim", "members", "prob", "label", "state", "boolean",
+         "hermitian", "negative", "trace"]
     ))
+    faulty = None
     if field in ("version", "dim", "members"):
         data[field] = draw(_JSON)
     elif field == "boolean":
@@ -240,20 +244,35 @@ def _ensemble_dicts(draw):
             | st.lists(st.lists(_NUMBERS, max_size=3), max_size=3)
             | _JSON
         )
+    elif field in ("hermitian", "negative", "trace"):
+        faulty = draw(st.integers(0, size - 1))
+        state, one = members[faulty]["state"], faulty % dim
+        if field == "hermitian":  # an off-diagonal entry, or the imaginary part at d = 1
+            state[0][dim - 1][0 if dim > 1 else 1] = 2e-10
+        elif field == "negative":  # the spectrum {1 + 1e-9, -1e-9}, or {-1e-9} at d = 1
+            state[one][one][0] = 1.0 + 1e-9 if dim > 1 else -1e-9
+            other = (one + 1) % dim
+            state[other][other][0] = -1e-9
+        else:
+            state[one][one][0] = 1.0 + draw(st.sampled_from([2e-9, -2e-9]))
     elif field is not None:
         members[0][field] = draw(_JSON)
-    return data
+    return data, faulty
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(_ensemble_dicts())
-def test_file_boundary_fuzz(data):
+def test_file_boundary_fuzz(drawn):
     # Whatever a file holds, loading it gives an ensemble or an input error,
-    # and a file with a boolean state entry never loads.
+    # a file with a boolean state entry never loads, and a file with one
+    # state fault is an input error that names its member.
+    data, faulty = drawn
     try:
         mu = ensemble_from_dict(data)
-    except EnsembleFileError:
+    except EnsembleFileError as exc:
+        assert faulty is None or str(exc).startswith(f"member {faulty}: ")
         return
+    assert faulty is None
     assert isinstance(mu, DiscreteEnsemble)
     assert not any(_holds_bool(member["state"]) for member in data["members"])
 
@@ -518,6 +537,189 @@ def test_member_solver_failure_names_the_member(tmp_path, capsys, monkeypatch, s
     assert hits == ([3, 2] if solver is _failing_eigh else [3])
     assert main(["report", str(path)]) == EXIT_NUMERICAL
     assert reason in _single_error_line(capsys)
+
+
+def _qutrit_file(mats) -> dict:
+    """An equiprobable ensemble file of the given 3 x 3 complex matrices."""
+    members = [
+        {"prob": 1.0 / len(mats), "state": np.stack([m.real, m.imag], axis=-1).tolist()}
+        for m in mats
+    ]
+    return {"version": 1, "dim": 3, "members": members}
+
+
+def _qutrit_states() -> list[np.ndarray]:
+    """Two dense states, a diagonal one and a dense pure one, at d = 3."""
+    psi = np.array([1.0, 1.0j, -1.0]) / np.sqrt(3.0)
+    phi = np.array([2.0, 0.0, 1.0 - 1.0j]) / np.sqrt(6.0)
+    return [
+        0.5 * np.outer(psi, psi.conj()) + np.eye(3) / 6.0,
+        np.outer(phi, phi.conj()),
+        np.diag([0.2, 0.3, 0.5]).astype(complex),
+        np.full((3, 3), 1.0 / 3.0, dtype=complex),
+    ]
+
+
+_ROTATION = np.linalg.qr(np.array([[1, 2j, 0], [1, -1, 1j], [0, 1, 2]], dtype=complex))[0]
+# Each fault alone makes a state fail exactly one check.
+_STATE_FAULTS = {
+    "non-hermitian": lambda mat: mat + np.array([[0, 2e-10, 0], [0, 0, 0], [0, 0, 0]]),
+    "negative": lambda mat: (
+        np.diag([0.5 + 1e-9, 0.5, -1e-9]).astype(complex)
+        if np.count_nonzero(mat - np.diag(mat.diagonal())) == 0
+        else _ROTATION @ np.diag([1.0 + 1e-9, 0.0, -1e-9]) @ _ROTATION.conj().T
+    ),
+    "trace": lambda mat: mat * (1.0 + 2e-9),
+    "low-trace": lambda mat: mat * (1.0 - 2e-9),
+}
+_HERMITIAN = "matrix is not Hermitian: max |A - A^dag| = 2.000e-10 exceeds 1e-10"
+_NEGATIVE = "state is not positive semidefinite: min eigenvalue -1.000e-09"
+
+
+def _faulty_file(faults: dict, edits=()) -> dict:
+    """_qutrit_file with the state fault faults[k] at each member k, then
+    each edit(data) applied to the file's JSON."""
+    mats = _qutrit_states()
+    for k, fault in faults.items():
+        mats[k] = _STATE_FAULTS[fault](mats[k])
+    data = _qutrit_file(mats)
+    for edit in edits:
+        edit(data["members"])
+    return data
+
+
+def _set(k, key, value):
+    return lambda members: members[k].__setitem__(key, value)
+
+
+def _set_entry(k, i, j, c, value):
+    return lambda members: members[k]["state"][i][j].__setitem__(c, value)
+
+
+@pytest.mark.parametrize(
+    ("data", "message"),
+    [
+        *[
+            pytest.param(_faulty_file({k: fault}), f"member {k}: {message}", id=f"{fault}-{k}")
+            for fault, message in (("non-hermitian", _HERMITIAN), ("negative", _NEGATIVE))
+            for k in (1, 2, 3)
+        ],
+        pytest.param(_faulty_file({1: "trace"}),
+                     "member 1: state trace 1.0000000020000002 is not 1 within 1e-09",
+                     id="trace-1"),
+        pytest.param(_faulty_file({2: "trace"}),
+                     "member 2: state trace 1.000000002 is not 1 within 1e-09", id="trace-2"),
+        pytest.param(_faulty_file({3: "trace"}),
+                     "member 3: state trace 1.000000002 is not 1 within 1e-09", id="trace-3"),
+        pytest.param(_faulty_file({2: "low-trace"}),
+                     "member 2: state trace 0.9999999980000001 is not 1 within 1e-09", id="low-trace-2"),
+        # Two faults: the state fault at i comes before the fault found while
+        # parsing member j > i, as each member was checked in turn.
+        pytest.param(
+            _faulty_file({1: "trace"}, [_set(3, "state", [[[1.0, 0.0]] * 3] * 2)]),
+            "member 1: state trace 1.0000000020000002 is not 1 within 1e-09",
+            id="trace-1-shape-3",
+        ),
+        pytest.param(_faulty_file({1: "negative"}, [_set_entry(2, 0, 1, 1, False)]),
+                     f"member 1: {_NEGATIVE}", id="negative-1-boolean-2"),
+        pytest.param(_faulty_file({2: "non-hermitian"}, [_set(3, "prob", "x")]),
+                     f"member 2: {_HERMITIAN}", id="non-hermitian-2-prob-3"),
+        pytest.param(_faulty_file({0: "negative", 2: "non-hermitian"}),
+                     f"member 0: {_NEGATIVE}", id="negative-0-non-hermitian-2"),
+        pytest.param(_faulty_file({3: "trace"}, [_set_entry(1, 0, 0, 0, True)]),
+                     "member 1: state entries must be numbers, not booleans",
+                     id="boolean-1-trace-3"),
+    ],
+)
+def test_state_faults_name_the_first_faulty_member(tmp_path, capsys, data, message):
+    # The stacked check raises the message that checking the members one at
+    # a time raised, for the same member: the lowest-index faulty one, with
+    # its first failed check.
+    with pytest.raises(EnsembleFileError) as exc:
+        ensemble_from_dict(data)
+    assert str(exc.value) == message
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["report", str(path)]) == 2
+    assert _single_error_line(capsys) == f"error: {message}"
+
+
+def test_member_eigensolver_failure_at_load_names_the_member(tmp_path, capsys, monkeypatch):
+    # LAPACK fails on the loaded stack, whose matrices are then solved one at
+    # a time: only member 2's solve fails, and the error names it.
+    mats = _qutrit_states()
+    mats[2] = mats[1].T  # dense, as every member here but the diagonal one
+    path = tmp_path / "members.json"
+    path.write_text(json.dumps(_qutrit_file(mats)))
+    target = load_ensemble_file(str(path)).matrices[2]
+    shapes = []
+
+    def member_two_fails(a, *args, _eigvalsh=np.linalg.eigvalsh, **kwargs):
+        shapes.append(np.shape(a))
+        if any(np.array_equal(mat, target) for mat in np.reshape(a, (-1, 3, 3))):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return _eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", member_two_fails)
+    with pytest.raises(EigensolverError) as exc:
+        load_ensemble_file(str(path))
+    assert str(exc.value) == (
+        "member 2: eigenvalue computation failed at dim 3: Eigenvalues did not converge"
+    )
+    assert exc.value.dim == 3 and exc.value.residual is None
+    assert shapes == [(4, 3, 3), (3, 3), (3, 3), (3, 3)]
+    assert main(["report", str(path)]) == EXIT_NUMERICAL
+    assert _single_error_line(capsys) == (
+        "numerical failure at dim 3 (residual unknown): member 2: eigenvalue computation "
+        "failed at dim 3: Eigenvalues did not converge"
+    )
+
+
+def test_loaded_file_is_one_checked_stack(tmp_path, monkeypatch):
+    # A dense file loads as its checked stack: the states are views of it,
+    # with no second copy, and the load solves each member once.  An
+    # all-diagonal file loads as its m x d diagonals at no solve; a mixed
+    # file solves exactly its dense members.
+    dense = tmp_path / "dense.json"
+    write_ensemble_file(str(dense), random_ensemble(5, 4, 2))
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps(_qutrit_file(_qutrit_states())))
+    diagonal = tmp_path / "diagonal.json"
+    write_ensemble_file(str(diagonal), orthogonal_ensemble(6))
+    solves = count_eigensolves(monkeypatch)
+    mu = load_ensemble_file(str(dense))
+    assert solves == [4] * 5
+    assert "matrices" in vars(mu) and "states" not in vars(mu)
+    assert all(np.shares_memory(mu.matrices[k], mu.states[k].mat) for k in range(5))
+    solves.clear()
+    mu = load_ensemble_file(str(mixed))
+    assert solves == [3] * 3 and mu.diagonals is None and mu.matrices.shape == (4, 3, 3)
+    assert [state.diagonal is not None for state in mu.states] == [False, False, True, False]
+    solves.clear()
+    mu = load_ensemble_file(str(diagonal))
+    assert solves == [] and mu.matrices is None
+    assert np.array_equal(mu.diagonals, np.eye(6)) and mu.diagonals is mu._spectra
+
+
+def test_ensemble_to_dict_reads_the_member_array(tmp_path):
+    # Serializing reads the member array, a stack or diagonals, and builds
+    # no member object; the file is byte for byte the one written from
+    # the states' matrices, one [re, im] pair per entry.
+    def from_states(mu):
+        members = []
+        for k, (p, state) in enumerate(zip(mu.probs, mu.states)):
+            rows = [[[float(z.real), float(z.imag)] for z in row] for row in state.mat]
+            members.append({"prob": float(p), "state": rows})
+            if mu.labels is not None:
+                members[-1]["label"] = mu.labels[k]
+        return {"version": 1, "dim": mu.dim, "members": members}
+
+    for mu in (random_ensemble(4, 3, 9), orthogonal_ensemble(5), trine_ensemble()):
+        built = "states" in vars(mu)
+        path = tmp_path / "mu.json"
+        write_ensemble_file(str(path), mu)
+        assert ("states" in vars(mu)) == built
+        assert path.read_text() == json.dumps(from_states(mu)) + "\n"
 
 
 def test_oscillator_curve(tmp_path, capsys):

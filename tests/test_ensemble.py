@@ -245,18 +245,24 @@ def test_diagonal_member_stage_allocates_no_m_by_d_temporary():
 
 
 def test_dense_ensembles_are_one_stack(tmp_path):
-    # A dense ensemble, built from states or loaded from a file, stacks its
-    # matrices once; mu+ and mu- hold theirs as stacks whose slices are
-    # their states' matrices, and mu-'s has omega in the slot after tau^-'s.
+    # A dense ensemble built from states stacks their matrices once, on
+    # first read; one drawn by random_ensemble or loaded from a file enters
+    # as its checked stack, whose slices its states' matrices are.  mu+ and
+    # mu- hold theirs as stacks whose slices are their states' matrices,
+    # and mu-'s has omega in the slot after tau^-'s.
     commuting = orthogonal_ensemble(4)
     assert commuting.matrices is None and commuting.diagonals is not None
     write_ensemble_file(tmp_path / "dense.json", random_ensemble(5, 4, 2))
     loaded = load_ensemble_file(tmp_path / "dense.json")
-    for mu in (random_ensemble(6, 8, 0), trine_ensemble(), loaded):
+    for mu, from_states in ((random_ensemble(6, 8, 0), False), (trine_ensemble(), True),
+                            (loaded, False)):
         m, d = mu.size, mu.dim
-        assert mu.diagonals is None and "matrices" not in vars(mu)
+        assert ("states" in vars(mu)) == from_states
+        assert mu.diagonals is None and ("matrices" in vars(mu)) != from_states
         assert mu.matrices.shape == (m, d, d) and not mu.matrices.flags.writeable
         assert all(np.array_equal(mat, s.mat) for mat, s in zip(mu.matrices, mu.states))
+        shared = [np.shares_memory(mat, s.mat) for mat, s in zip(mu.matrices, mu.states)]
+        assert shared == [not from_states] * m
         aux = build_auxiliary(mu)
         for part in (aux.mu_plus, aux.mu_minus):
             assert part.diagonals is None and not part.matrices.flags.writeable

@@ -255,6 +255,22 @@ def test_random_ensemble_seed_determinism():
     assert not np.array_equal(first.probs, third.probs)
 
 
+@pytest.mark.parametrize("m, dim", [(1, 1), (2, 3), (6, 8), (12, 16)])
+def test_random_ensemble_is_its_members_drawn_one_at_a_time(m, dim):
+    # One draw of every member at once is the stream of m random_mixed_state
+    # calls: the same probabilities, matrices and spectra, element for
+    # element, and the generator left at the same draw.
+    rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+    mu = random_ensemble(m, dim, rng)
+    probs = reference.dirichlet(np.ones(m))
+    states = [random_mixed_state(dim, dim, reference) for _ in range(m)]
+    assert "states" not in vars(mu) and mu.diagonals is None
+    assert np.array_equal(mu.probs, probs)
+    assert np.array_equal(mu.matrices, np.stack([state.mat for state in states]))
+    assert np.array_equal(mu._spectra, np.stack([state.spectrum for state in states]))
+    assert rng.random() == reference.random()
+
+
 def test_random_generators_accept_shared_generator():
     rng = np.random.default_rng(9)
     a = random_pure_state(3, rng)

@@ -178,6 +178,27 @@ def test_eigensolver_failure_is_wrapped(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", boom)
     with pytest.raises(EigensolverError, match="^eigenvalue computation failed at dim 3"):
         hermitian_eigenvalues(op)
+    # The check of a state names no member either.
+    with pytest.raises(EigensolverError, match="^eigenvalue computation failed at dim 3"):
+        DensityOperator(op.mat / 3.0)
+
+
+def test_failed_state_stack_is_solved_one_matrix_at_a_time(monkeypatch):
+    # LAPACK fails on the stack but on none of its matrices alone: the checks
+    # pass with each matrix's own spectrum, as when they are checked in turn.
+    states = [random_mixed_state(4, rank, 11 + rank) for rank in (1, 2, 4)]
+    mats = np.stack([state.mat for state in states])
+    original = np.linalg.eigvalsh
+
+    def stacks_fail(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", stacks_fail)
+    spectra, flat = linalg._check_states(mats, range(3))
+    assert flat == [False] * 3
+    assert np.array_equal(spectra, np.stack([state.spectrum for state in states]))
 
 
 def test_solved_in_order_under_thread_switching():
@@ -507,3 +528,27 @@ def test_jordan_random_properties():
         assert hermitian_eigenvalues(minus)[0] >= -1e-12
         assert abs(plus.trace() + minus.trace() - trace_norm(a)) <= 1e-10
         assert np.max(np.abs(plus.mat @ minus.mat)) <= 1e-10
+
+
+def test_state_stack_is_checked_block_by_block(monkeypatch):
+    # Blocks of two matrices: each matrix is symmetrized and solved exactly
+    # as a DensityOperator built from it alone, and a fault in a later block
+    # is named after the faults of the blocks before it.
+    monkeypatch.setattr(linalg, "_BLOCK_BYTES", 2 * 16 * 3 * 3)
+    rng = np.random.default_rng(4)
+    mats = np.stack([random_mixed_state(3, 1 + k % 3, rng).mat for k in range(5)])
+    mats[:, 0, 1] += 1e-12  # Hermitian only within HERMITICITY_TOL
+    mats[2] = np.diag([0.25, 0.25, 0.5])
+    states = [DensityOperator(mat) for mat in mats]
+    stack = mats.copy()
+    spectra, flat = linalg._check_states(stack, range(5))
+    assert flat == [False, False, True, False, False]
+    assert np.array_equal(stack, np.stack([state.mat for state in states]))
+    assert np.array_equal(spectra, np.stack([state.spectrum for state in states]))
+    faulty = mats.copy()
+    faulty[3, 0, 1] += 1e-9
+    with pytest.raises(ValueError, match="^member 3: matrix is not Hermitian"):
+        linalg._check_states(faulty.copy(), range(5))
+    faulty[1] *= 1.0 + 2e-9
+    with pytest.raises(ValueError, match="^member 1: state trace"):
+        linalg._check_states(faulty, range(5))
