@@ -12,7 +12,9 @@ from .bounds import (
     count_bound,
     diameter_bound,
     fei_check,
+    fei_checks,
     full_report,
+    full_reports,
     pinsker_term,
     plus_diameter,
     shannon_bound,
@@ -82,7 +84,9 @@ __all__ = [
     "discretize_continuous",
     "eta",
     "fei_check",
+    "fei_checks",
     "full_report",
+    "full_reports",
     "gibbs_entropy",
     "hermitian_eig",
     "hermitian_eigenvalues",

@@ -15,9 +15,11 @@ Pinsker-style spread of the negative parts around their barycenter.  Each
 bound also has a variant with hbar replaced by h(eps_av) (never smaller, by
 concavity).
 
-full_report is the one place where these formulas are evaluated; the four
-functions named above return its fields, so each call costs one report.
-Every pair distance behind C and D comes from linalg.pair_trace_distances.
+full_reports is the one place where these formulas are evaluated, once per
+group of ensembles of one dimension; full_report is its batch of one, and
+the four functions named above return its fields, so each call costs one
+report.  Every pair distance behind C and D takes the method that
+linalg._pair_methods gives it.
 
 Reports carry measured slacks rather than enforcing the inequalities, so a
 violating instance can still be inspected and serialized by the verification
@@ -29,6 +31,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from contextlib import closing
+from functools import cache
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -37,13 +40,14 @@ from .ensemble import (
     AuxiliaryDecomposition,
     DegenerateEnsembleError,
     DiscreteEnsemble,
+    _auxiliaries,
     _h_terms,
+    _holevo_quantities,
     _member_parts,
-    build_auxiliary,
-    holevo_quantity,
+    _minus_gaps,
 )
 from .entropy import _entropy_of_weights, binary_entropy, von_neumann_entropy
-from .linalg import DensityOperator, pair_trace_distances
+from .linalg import DensityOperator, _one_stack, _pooled_pair_distances, pair_trace_distances
 
 # The bound fields of BoundReport, in report order; each has a slack.
 BOUND_KEYS = (
@@ -70,7 +74,8 @@ class FeiReport:
 
 
 def fei_check(rho: DensityOperator, sigma: DensityOperator) -> FeiReport:
-    """Evaluate the entropic inequality for (rho, sigma).
+    """Evaluate the entropic inequality for (rho, sigma): fei_checks of one
+    pair.
 
     eps is the trace distance and tau_plus/tau_minus the unit-trace positive
     and negative parts of rho - sigma.  Only their spectra are read: the
@@ -79,23 +84,50 @@ def fei_check(rho: DensityOperator, sigma: DensityOperator) -> FeiReport:
     is nonnegative for all pairs of states, up to floating point.  In the
     dead zone (either part's trace at most EPS_ZERO_TOL) both sides are S(rho), slack 0.
     """
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    row = rho.mat if rho.diagonal is None or sigma.diagonal is None else rho.diagonal
-    eps, retained, plus_rows, minus_rows, *_ = _member_parts(row[None], sigma, rotate=False)
-    eps = float(eps[0])
-    if not retained:
-        s = von_neumann_entropy(rho)
-        return FeiReport(eps=eps, lhs=s, rhs=s, slack=0.0)
-    lhs = von_neumann_entropy(rho) + eps * _entropy_of_weights(minus_rows[0])
-    rhs = von_neumann_entropy(sigma) + eps * _entropy_of_weights(plus_rows[0]) + binary_entropy(eps)
-    return FeiReport(eps=eps, lhs=lhs, rhs=rhs, slack=rhs - lhs)
+    return fei_checks([(rho, sigma)])[0]
+
+
+def fei_checks(pairs) -> list[FeiReport]:
+    """fei_check of each (rho, sigma) of `pairs`, with one member stage per
+    group of pairs of one dimension, taken as rows when rho and sigma are
+    both diagonal and as matrices otherwise: the rhos, one row each, each
+    about its own sigma (_member_parts' segments), so the dense differences
+    of a group are solved in stacks of _stacks(n, d, "eigh").  Each value is
+    that of its pair alone.  Raises ValueError for a pair of two dimensions,
+    before anything is solved."""
+    groups: dict[tuple[int, bool], list[int]] = {}
+    for k, (rho, sigma) in enumerate(pairs):
+        if rho.dim != sigma.dim:
+            raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
+        rows = rho.diagonal is not None and sigma.diagonal is not None
+        groups.setdefault((rho.dim, rows), []).append(k)
+    out = [None] * len(pairs)
+    for (_, rows), index in groups.items():
+        members = np.stack([pairs[k][0].diagonal if rows else pairs[k][0].mat for k in index])
+        centres = [pairs[k][1] for k in index]
+        eps, kept, plus_rows, minus_rows, *_ = _member_parts(
+            members, centres, np.arange(len(index)), rotate=False
+        )
+        retained = np.zeros(len(index), dtype=bool)
+        retained[kept] = True
+        rank = (np.cumsum(retained) - 1).tolist()  # each retained pair's row of plus_rows
+        for j, k in enumerate(index):
+            rho, sigma = pairs[k]
+            eps_j, s = float(eps[j]), von_neumann_entropy(rho)
+            if not retained[j]:
+                out[k] = FeiReport(eps=eps_j, lhs=s, rhs=s, slack=0.0)
+                continue
+            lhs = s + eps_j * _entropy_of_weights(minus_rows[rank[j] + j])
+            rhs = (von_neumann_entropy(sigma) + eps_j * _entropy_of_weights(plus_rows[rank[j]])
+                   + binary_entropy(eps_j))
+            out[k] = FeiReport(eps=eps_j, lhs=lhs, rhs=rhs, slack=rhs - lhs)
+    return out
 
 
 def plus_diameter(aux: AuxiliaryDecomposition) -> float:
     """Largest pairwise trace distance among the positive-part states; in
     [0, 1].  Exact: every pair is evaluated unless the metric ceiling
-    1 - 1e-12 is reached first.
+    1 - 1e-12 is reached first.  _diameters of one ensemble.
 
     pair_trace_distances decides each pair's method: a pair of rank-1 parts
     (every pure member's) takes a closed form, and a pair of diagonal parts
@@ -105,15 +137,49 @@ def plus_diameter(aux: AuxiliaryDecomposition) -> float:
     never holds all m(m-1)/2 of them.  The ceiling is checked after each
     stack.
     """
+    return _diameters([aux])[0]
+
+
+def _diameters(auxes) -> list[float]:
+    """plus_diameter of each of `auxes`, of one dimension.  In a batch, the
+    ensembles whose m(m-1)/2 pairs fit one block of _upper_pairs and one
+    stack of each kind (linalg._one_stack) are scanned together, their member arrays
+    of each kind joined (linalg._pooled_pair_distances): a scan of one of
+    them would check the ceiling after its diagonal pairs, its Gram pairs
+    and its one dense stack, in that order, and so does the pooled pass,
+    so each solves the same pairs and gets the same C.  Every other
+    ensemble, and one alone, is scanned by itself, with the ceiling checked
+    after each stack."""
     ceiling = 1.0 - 1e-12
-    best, mu = 0.0, aux.mu_plus
-    # Closed on an early exit: its worker threads are joined first.
-    with closing(pair_trace_distances(mu._members, _upper_pairs(mu.size), mu._spectra)) as stacks:
-        for _, distances in stacks:
-            best = max(best, float(distances.max()))
-            if best >= ceiling:
-                break
-    return min(best, 1.0)
+    best, pools = [0.0] * len(auxes), {}  # pools: the pooled ensembles of each member kind
+    pooled = len(auxes) > 1 and cache(  # one ensemble has none to pool with
+        lambda m: m * (m - 1) // 2 <= _PAIR_BLOCK and _one_stack(m * (m - 1) // 2, dim)
+    )
+    dim = auxes[0].mu_plus.dim if auxes else 0
+    for t, aux in enumerate(auxes):
+        mu = aux.mu_plus
+        if pooled and pooled(mu.size):
+            pools.setdefault(mu._members.ndim, []).append(t)
+            continue
+        # Closed on an early exit: its worker threads are joined first.
+        scan = pair_trace_distances(mu._members, _upper_pairs(mu.size), mu._spectra)
+        with closing(scan) as stacks:
+            for _, distances in stacks:
+                best[t] = max(best[t], float(distances.max()))
+                if best[t] >= ceiling:
+                    break
+    pairs = cache(lambda m: next(_upper_pairs(m), (np.arange(0),) * 2))  # one block's
+    for index in pools.values():
+        mus = [auxes[t].mu_plus for t in index]
+        distances = _pooled_pair_distances(
+            [(mu._members, mu._spectra, *pairs(mu.size)) for mu in mus], ceiling
+        )
+        owner = np.repeat(np.arange(len(index)), [len(pairs(mu.size)[0]) for mu in mus])
+        scans = np.zeros(len(index))
+        np.fmax.at(scans, owner, distances)  # a pair its scan did not reach is NaN
+        for t, value in zip(index, scans.tolist()):
+            best[t] = value
+    return [min(value, 1.0) for value in best]
 
 
 # Fewest pairs in a block of _upper_pairs, the last excepted: 2^15 pairs,
@@ -182,7 +248,8 @@ class BoundReport:
 
 
 def full_report(mu: DiscreteEnsemble) -> BoundReport:
-    """Evaluate chi and every bound on `mu` once.
+    """Evaluate chi and every bound on `mu` once: full_reports of one
+    ensemble.
 
     A degenerate ensemble (every member difference is numerically zero)
     yields 0 for every field but chi, eps_av, hbar and h_of_eps_av.  Slack
@@ -200,23 +267,71 @@ def full_report(mu: DiscreteEnsemble) -> BoundReport:
     no d x d matrix.  Memory: besides mu, the stacks of mu_plus and mu_minus
     (2m + 1 matrices), one member block's temporaries while they are built,
     and then the buffers of the pair stacks of C and D; linalg._stacks
-    sizes all of these.
+    sizes all of these.  A batch of one joins no arrays: each stage reads
+    mu's own.
     """
-    chi = holevo_quantity(mu)
-    try:
-        aux = build_auxiliary(mu)
-    except DegenerateEnsembleError as exc:
-        eps_av = exc.eps_av
-        hbar, h_av = _h_terms(mu.probs, exc.eps, eps_av)
-        kept = {"chi": chi, "eps_av": eps_av, "hbar": hbar, "h_of_eps_av": h_av}
-        zeros = {f.name: 0.0 for f in fields(BoundReport) if f.name not in kept}
-        return BoundReport(**zeros | kept | {"slacks": dict.fromkeys(SLACK_KEYS, 0.0)})
+    return full_reports([mu])[0]
+
+
+def full_reports(ensembles) -> list[BoundReport]:
+    """full_report of each of `ensembles`, in one pass per group of
+    ensembles of one dimension and member kind (rows or matrices).
+
+    Each stage runs once per group, over the group's arrays end to end: the
+    averages, the member stage (_auxiliaries), chi of mu, mu_plus and mu_minus
+    (_holevo_quantities), the dense pairs of C (_diameters) and the gaps of
+    D (_minus_gaps); the dense matrices of a stage are solved in the stacks
+    that linalg._stacks plans.  A matrix's eigenvalues do not depend on its
+    stack, and every per-ensemble value is reduced from that ensemble's own
+    rows in its own order, so each report equals full_report of its
+    ensemble alone, bit for bit, with the same eigensolves: the batch's
+    count is the sum of its ensembles' counts.  Memory, one group at a
+    time: its member arrays once more, joined, its part stacks, and, for C
+    and D, the part arrays of its ensembles small enough to pool, joined
+    again; a batch of one joins nothing.  The first error raised stops the
+    batch; evaluate its ensembles one at a time to find which one raised it.
+    """
+    if len(ensembles) == 1:
+        return _group_reports(ensembles)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, mu in enumerate(ensembles):
+        groups.setdefault((mu.dim, mu._members.ndim), []).append(k)
+    reports = [None] * len(ensembles)
+    for index in groups.values():
+        for k, report in zip(index, _group_reports([ensembles[k] for k in index])):
+            reports[k] = report
+    return reports
+
+
+def _group_reports(mus) -> list[BoundReport]:
+    """full_reports of ensembles of one dimension and member kind."""
+    chis = _holevo_quantities(mus)
+    auxes = _auxiliaries(mus)
+    live = [aux for aux in auxes if not isinstance(aux, DegenerateEnsembleError)]
+    chi_plus = _holevo_quantities([aux.mu_plus for aux in live])
+    chi_minus = _holevo_quantities([aux.mu_minus for aux in live])
+    diameters = _diameters(live)
+    for aux, gaps in zip(live, _minus_gaps(live)):
+        object.__setattr__(aux, "minus_gaps", gaps)
+    # A DegenerateEnsembleError carries the member distances too.
+    h_terms = _h_terms([(mu.probs, aux.eps, aux.eps_av) for mu, aux in zip(mus, auxes)])
+    values = iter(zip(live, chi_plus, chi_minus, diameters))
+    return [
+        _degenerate_report(chi, aux.eps_av, *h) if isinstance(aux, DegenerateEnsembleError)
+        else _report(mu, chi, *h, *next(values))
+        for mu, chi, aux, h in zip(mus, chis, auxes, h_terms)
+    ]
+
+
+def _degenerate_report(chi: float, eps_av: float, hbar: float, h_av: float) -> BoundReport:
+    kept = {"chi": chi, "eps_av": eps_av, "hbar": hbar, "h_of_eps_av": h_av}
+    zeros = {f.name: 0.0 for f in fields(BoundReport) if f.name not in kept}
+    return BoundReport(**zeros | kept | {"slacks": dict.fromkeys(SLACK_KEYS, 0.0)})
+
+
+def _report(mu, chi, hbar, h_av, aux, chi_plus, chi_minus, diameter) -> BoundReport:
     eps_av = aux.eps_av
-    hbar, h_av = _h_terms(aux.probs, aux.eps, eps_av)
-    chi_plus = holevo_quantity(aux.mu_plus)
-    chi_minus = holevo_quantity(aux.mu_minus)
     weight_entropy = _entropy_of_weights(aux.weights)
-    diameter = plus_diameter(aux)
     pinsker = pinsker_term(aux)
     core = eps_av * (chi_plus - chi_minus)
     lead = eps_av * weight_entropy

@@ -29,20 +29,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import BOUND_KEYS, BoundReport, fei_check, full_report
+from .bounds import BOUND_KEYS, BoundReport, fei_checks, full_report, full_reports
 from .ensemble import AVERAGE_MATCH_TOL, DiscreteEnsemble, _from_rows
 from .entropy import as_probability_vector
 from .gallery import (
     OscillatorEnsembleSpec,
+    _ginibre,
+    _pure,
+    _random_members,
     orthogonal_ensemble,
     oscillator_closed_form,
     oscillator_ensemble,
-    random_mixed_state,
-    random_pure_state,
-    random_ensemble,
     trine_ensemble,
 )
-from .linalg import DensityOperator, EigensolverError, _check_states
+from .linalg import DensityOperator, EigensolverError, _check_states, _derived, _each_alone
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -352,35 +352,84 @@ def _max_into(worst: dict, key: str, value: float) -> None:
     worst[key] = max(worst.get(key, -math.inf), value)
 
 
-def _random_state(dim: int, rng: np.random.Generator) -> DensityOperator:
+def _random_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """The unchecked matrix of a random state: pure, or mixed of a random
+    rank, from the draws of random_pure_state or random_mixed_state."""
     if rng.integers(2) == 0:
-        return random_pure_state(dim, rng)
-    rank = int(rng.integers(1, dim + 1))
-    return random_mixed_state(dim, rank, rng)
+        return _pure(dim, rng)
+    return _ginibre(1, dim, int(rng.integers(1, dim + 1)), rng)[0]
+
+
+def _checked_stacks(stacks: list[np.ndarray], named: bool) -> list[tuple]:
+    """linalg._check_states of each unchecked (m, d, d) stack of `stacks`, as
+    one joined stack per dimension: (matrices, spectra, flat) of each, the
+    arrays views of the joined ones.  If a joined check raises, each stack
+    is checked alone, in order (its members named when `named`), so the
+    first faulty stack raises its own error, as when each was checked as it
+    was drawn."""
+    out, groups = [None] * len(stacks), {}
+    for t, stack in enumerate(stacks):
+        groups.setdefault(stack.shape[-1], []).append(t)
+    try:
+        for index in groups.values():
+            joined = np.concatenate([stacks[t] for t in index])
+            spectra, flat = _check_states(joined)
+            start = 0
+            for t in index:
+                stop = start + len(stacks[t])
+                out[t] = joined[start:stop], spectra[start:stop], flat[start:stop]
+                start = stop
+    except (ValueError, EigensolverError):
+        for t, stack in enumerate(stacks):
+            out[t] = stack, *_check_states(stack, range(len(stack)) if named else None)
+    return out
+
+
+def _batched(solve, items: list) -> list:
+    """solve(items), for a batch function such as full_reports; if the batch
+    raises, solve([item]) of each item alone (linalg._each_alone), which
+    gives each item its result or the exception it raised, as when the
+    trials ran one at a time."""
+    try:
+        return solve(items)
+    except Exception:
+        alone = _each_alone(lambda item: solve([item])[0], items)
+        return [result if error is None else error for result, error in alone]
 
 
 def run_fei_suite(trials: int, seed: int) -> SuiteResult:
     """Entropic-inequality suite: random state pairs (mixture of pure and
-    mixed, dims 2..8) must give slack >= -1e-8."""
+    mixed, dims 2..8) must give slack >= -1e-8.
+
+    Every pair is drawn first, in the random stream of drawing and checking
+    one pair per trial; the states are checked as one stack per dimension
+    (_checked_stacks) and the pairs evaluated in one batch (fei_checks).  A
+    batch that raises is evaluated again one pair at a time (_batched), so a
+    trial that raises is recorded with its own kind and detail."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     result = SuiteResult(suite="fei", trials=trials, passed=True)
-    for trial in range(trials):
+    mats = []
+    for _ in range(trials):
         dim = int(rng.integers(2, 9))
-        rho = _random_state(dim, rng)
-        sigma = _random_state(dim, rng)
-        try:
-            check = fei_check(rho, sigma)
-        except Exception as exc:
-            kind, detail = _failure_of(exc)
+        mats += [_random_matrix(dim, rng), _random_matrix(dim, rng)]
+    checked = _checked_stacks([mat[None] for mat in mats], named=False)
+    del mats  # the states hold the checked copies
+    states = [  # each as DensityOperator(mat) builds it
+        _derived(DensityOperator, mat=mat, diagonal=row if flat else None, spectrum=row)
+        for (mat,), (row,), (flat,) in checked
+    ]
+    pairs = list(zip(states[::2], states[1::2]))
+    for trial, (pair, check) in enumerate(zip(pairs, _batched(fei_checks, pairs))):
+        if isinstance(check, Exception):
+            kind, detail = _failure_of(check)
         else:
             _min_into(result.worst, "slack", check.slack)
             if check.slack >= -1e-8:
                 continue
             kind, detail = "violation", f"slack {check.slack:.3e} below -1e-08"
-        pair = DiscreteEnsemble(np.array([0.5, 0.5]), (rho, sigma))
-        _record_failure(result, trial, kind, detail, pair)
+        _record_failure(result, trial, kind, detail, DiscreteEnsemble(np.array([0.5, 0.5]), pair))
     return result
 
 
@@ -396,19 +445,30 @@ _ORDERINGS = (
 def run_bounds_suite(trials: int, seed: int) -> SuiteResult:
     """Soundness suite on random ensembles (m in 2..6, dim in 2..8):
     every bound >= chi - 1e-8, the bound orderings hold, and the two
-    auxiliary-ensemble averages coincide to AVERAGE_MATCH_TOL in trace norm."""
+    auxiliary-ensemble averages coincide to AVERAGE_MATCH_TOL in trace norm.
+
+    Every ensemble is drawn first, in the random stream of random_ensemble
+    called once per trial; their members are checked as one stack per
+    dimension (_checked_stacks), and they are reported in one batch
+    (full_reports).  A batch that raises is reported again one ensemble at
+    a time (_batched), so a trial that raises is recorded with its own kind
+    and detail."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     result = SuiteResult(suite="bounds", trials=trials, passed=True)
-    for trial in range(trials):
+    probs, stacks = [], []
+    for _ in range(trials):
         m = int(rng.integers(2, 7))
-        dim = int(rng.integers(2, 9))
-        mu = random_ensemble(m, dim, rng)
-        try:
-            report = full_report(mu)
-        except Exception as exc:
-            _record_failure(result, trial, *_failure_of(exc), mu)
+        draw = _random_members(m, int(rng.integers(2, 9)), rng)
+        probs.append(draw[0])
+        stacks.append(draw[1])
+    checked = _checked_stacks(stacks, named=True)
+    del stacks, draw  # the ensembles hold the checked copies
+    ensembles = [_from_rows(p, rows, mats) for p, (mats, rows, _) in zip(probs, checked)]
+    for trial, (mu, report) in enumerate(zip(ensembles, _batched(full_reports, ensembles))):
+        if isinstance(report, Exception):
+            _record_failure(result, trial, *_failure_of(report), mu)
             continue
         problems = []
         for key in BOUND_KEYS:
@@ -436,9 +496,8 @@ def run_tightness_suite(trials: int = 7, seed: int = 0) -> SuiteResult:
     pure ensemble must satisfy |aux_bound - chi| <= 1e-9.  `trials` and
     `seed` are accepted for interface uniformity; the family is fixed."""
     result = SuiteResult(suite="tightness", trials=7, passed=True)
-    for m in range(2, 9):
-        mu = orthogonal_ensemble(m)
-        report = full_report(mu)
+    ensembles = [orthogonal_ensemble(m) for m in range(2, 9)]
+    for m, mu, report in zip(range(2, 9), ensembles, full_reports(ensembles)):
         gap = abs(report.aux_bound - report.chi)
         _max_into(result.worst, "abs(aux_bound - chi)", gap)
         if gap > 1e-9:

@@ -5,20 +5,23 @@ dimension.  From it we derive the average state, the Holevo quantity, the
 per-member trace distances to the average, and the two auxiliary ensembles
 built from the normalized positive and negative parts of rho_i - average.
 One member stage, _member_parts, computes those parts for diagonal and
-dense members alike, and for bounds.fei_check's single pair.
+dense members alike, for any number of ensembles at once, each a segment
+of rows about its own average, and for bounds.fei_checks' pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cache, cached_property
+from itertools import accumulate
 
 import numpy as np
 
 from .entropy import as_probability_vector, binary_entropy, von_neumann_entropy, _row_entropies
 from .linalg import (
-    PSD_TOL, DensityOperator, _derived, _eigh, _eigvalsh, _freeze, _is_diagonal, _solved,
-    _spectral_sum, _stacks, pair_trace_distances, trace_norm,
+    PSD_TOL, DensityOperator, _derived, _eigh, _eigvalsh, _freeze, _is_diagonal, _joined,
+    _one_stack, _pooled_pair_distances, _solved, _spectral_sum, _stacked_eigvalsh, _stacks,
+    pair_trace_distances,
 )
 
 # Member distances at or below this count as exactly zero.
@@ -151,20 +154,41 @@ def average_state(mu: DiscreteEnsemble) -> DensityOperator:
     """The mixture sum(p_i rho_i), built unchecked: a diagonal (its own
     spectrum) when the members or their sum are exactly diagonal, else dense
     with one eigvalsh."""
-    return _mixture(mu.probs, mu._members)
+    return _mixtures([(mu.probs, mu._members)])[0]
 
 
-def _mixture(probs: np.ndarray, members: np.ndarray) -> DensityOperator:
-    """average_state of a member array: probs @ diagonals, or an einsum that
-    sums the matrices in member order."""
-    if members.ndim == 2:
-        diag = probs @ members
-        return _derived(DensityOperator, diagonal=diag, spectrum=diag)
-    acc = np.einsum("k,kij->ij", probs, members)
-    if _is_diagonal(acc):
-        diag = acc.diagonal().real.copy()
-        return _derived(DensityOperator, mat=acc, diagonal=diag, spectrum=diag)
-    return _derived(DensityOperator, mat=acc, spectrum=_eigvalsh(acc))
+def _mixtures(items) -> list[DensityOperator]:
+    """average_state of each (probs, members) of `items`, of one dimension:
+    probs @ diagonals, or an einsum that sums the matrices in member order,
+    one item at a time; the dense sums are solved together
+    (_stacked_eigvalsh)."""
+    out, dense = [], []
+    for probs, members in items:
+        if members.ndim == 2:
+            diag = probs @ members
+            out.append(_derived(DensityOperator, diagonal=diag, spectrum=diag))
+            continue
+        acc = np.einsum("k,kij->ij", probs, members)
+        if _is_diagonal(acc):
+            diag = acc.diagonal().real.copy()
+            out.append(_derived(DensityOperator, mat=acc, diagonal=diag, spectrum=diag))
+        else:
+            dense.append(len(out))
+            out.append(acc)
+    if dense:
+        for k, spectrum in zip(dense, _stacked_eigvalsh([out[k] for k in dense])):
+            out[k] = _derived(DensityOperator, mat=out[k], spectrum=spectrum)
+    return out
+
+
+def _averages(mus) -> None:
+    """Give each ensemble of `mus`, of one dimension, its average, unless it
+    holds it already: built by _mixtures, with the dense ones solved
+    together."""
+    missing = [mu for mu in mus if "average" not in vars(mu)]
+    if missing:
+        for mu, average in zip(missing, _mixtures([(mu.probs, mu._members) for mu in missing])):
+            object.__setattr__(mu, "average", average)
 
 
 def holevo_quantity(mu: DiscreteEnsemble) -> float:
@@ -174,8 +198,23 @@ def holevo_quantity(mu: DiscreteEnsemble) -> float:
     Shannon entropy of the probabilities and ln(dim).  The members'
     entropies are read from their spectra array, a block of rows at a time.
     """
-    val = von_neumann_entropy(mu.average) - float(mu.probs @ _row_entropies(mu._spectra))
-    return val if val > 0.0 else 0.0
+    return _holevo_quantities([mu])[0]
+
+
+def _holevo_quantities(mus) -> list[float]:
+    """holevo_quantity of each ensemble of `mus`, of one dimension: the
+    averages built together (_averages), and the members' entropies from
+    one pass over their spectra, end to end."""
+    if not mus:
+        return []
+    _averages(mus)
+    entropies = _row_entropies(_joined([mu._spectra for mu in mus]))
+    out, start = [], 0
+    for mu in mus:
+        val = von_neumann_entropy(mu.average) - float(mu.probs @ entropies[start:start + mu.size])
+        out.append(val if val > 0.0 else 0.0)
+        start += mu.size
+    return out
 
 
 def member_epsilons(mu: DiscreteEnsemble) -> tuple[np.ndarray, float]:
@@ -195,8 +234,9 @@ def member_epsilons(mu: DiscreteEnsemble) -> tuple[np.ndarray, float]:
         for block in _stacks(m, d)[0]:
             norms[block] = np.abs(members[block] - centre.diagonal).sum(axis=1)
     else:
-        solved, flat = np.arange(m), _by_entries(members, centre)
-        if flat is not None:
+        solved = np.arange(m)
+        if centre.diagonal is not None:
+            flat = _by_entries(members)
             rows = members.diagonal(axis1=1, axis2=2).real[flat]
             norms[flat] = np.abs(rows - centre.diagonal).sum(axis=1)
             solved = solved[~flat]
@@ -219,14 +259,21 @@ def mean_binary_entropy(mu: DiscreteEnsemble) -> float:
 
     By concavity of h this never exceeds h(eps_av).
     """
-    return _h_terms(mu.probs, *member_epsilons(mu))[0]
+    return _h_terms([(mu.probs, *member_epsilons(mu))])[0][0]
 
 
-def _h_terms(probs: np.ndarray, eps: np.ndarray, eps_av: float) -> tuple[float, float]:
-    """hbar = sum(p_i h(eps_i)), as probs @ the row entropies of
-    [eps_i, 1 - eps_i], and its concavity ceiling h(eps_av)."""
-    hbar = float(probs @ _row_entropies(np.column_stack((eps, 1.0 - eps))))
-    return hbar, binary_entropy(min(eps_av, 1.0))
+def _h_terms(items) -> list[tuple[float, float]]:
+    """(hbar, h(eps_av)) of each (probs, eps, eps_av) of `items`: hbar =
+    sum(p_i h(eps_i)), as probs @ the row entropies of [eps_i, 1 - eps_i],
+    from one pass over every item's rows, and its concavity ceiling."""
+    eps = _joined([item[1] for item in items])
+    entropies = _row_entropies(np.column_stack((eps, 1.0 - eps)))
+    out, start = [], 0
+    for probs, eps, eps_av in items:
+        hbar = float(probs @ entropies[start:start + len(eps)])
+        out.append((hbar, binary_entropy(min(eps_av, 1.0))))
+        start += len(eps)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,6 +296,9 @@ class AuxiliaryDecomposition:
     mu_plus: DiscreteEnsemble
     mu_minus: DiscreteEnsemble
     average_match_residual: float
+    # mu_minus's members and spectra with omega in the slot after them, as
+    # D reads them; None when mu_minus was built from its states.
+    _minus_slots: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     tau_plus = property(lambda self: self.mu_plus.states)
     tau_minus = property(lambda self: self.mu_minus.states)
@@ -256,22 +306,42 @@ class AuxiliaryDecomposition:
 
     @cached_property
     def minus_gaps(self) -> tuple[float, ...]:
-        """Trace-norm gaps ||tau_i^minus - omega||_1, twice the distances of
-        the pairs (tau_i^minus, omega) from pair_trace_distances, with omega
-        in its slot (build_auxiliary).  Computed on first use, then kept."""
-        n = self.mu_minus.size
-        gaps = np.empty(n)
-        block = (np.arange(n), np.full(n, n))
-        members, spectra = self.mu_minus._members, self.mu_minus._spectra
-        if members.base is None:  # mu_minus was built from states: no slot
-            omega = self.omega
+        """Trace-norm gaps ||tau_i^minus - omega||_1 (_minus_gaps).  Computed
+        on first use, then kept; a batch of reports sets them together."""
+        return _minus_gaps([self])[0]
+
+
+def _minus_gaps(auxes) -> list[tuple[float, ...]]:
+    """minus_gaps of each of `auxes`, of one dimension: twice the distances
+    of the pairs (tau_i^minus, omega), with omega in its slot
+    (build_auxiliary), or appended to a copy when mu_minus was built from
+    its states.  In a batch, the ensembles whose gaps fit one stack of each
+    kind (linalg._one_stack) are evaluated in one pass per member kind
+    (linalg._pooled_pair_distances); every other, and one alone, by
+    pair_trace_distances."""
+    gaps, pools = [None] * len(auxes), {}  # pools: the pooled ensembles of each member kind
+    pooled = len(auxes) > 1 and cache(lambda n: _one_stack(n, auxes[0].mu_minus.dim))
+    for t, aux in enumerate(auxes):
+        n = aux.mu_minus.size
+        if aux._minus_slots is None:
+            omega, members, spectra = aux.omega, aux.mu_minus._members, aux.mu_minus._spectra
             members = np.append(members, [omega.mat if members.ndim == 3 else omega.diagonal], 0)
             spectra = np.append(spectra, [omega.spectrum], 0)
         else:
-            members, spectra = members.base, spectra.base
-        for positions, distances in pair_trace_distances(members, [block], spectra):
-            gaps[positions] = 2.0 * distances
-        return tuple(float(gap) for gap in gaps)
+            members, spectra = aux._minus_slots
+        task = (members, spectra, np.arange(n), np.full(n, n))
+        if pooled and pooled(n):
+            pools.setdefault(members.ndim, []).append((t, task))
+            continue
+        gaps[t] = np.empty(n)
+        for positions, distances in pair_trace_distances(members, [task[2:]], spectra):
+            gaps[t][positions] = 2.0 * distances
+    for pool in pools.values():
+        distances = 2.0 * _pooled_pair_distances([task for _, task in pool])
+        ends = accumulate(len(task[2]) for _, task in pool)
+        for (t, task), stop in zip(pool, ends):
+            gaps[t] = distances[stop - len(task[2]):stop]
+    return [tuple(row.tolist()) for row in gaps]
 
 
 def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
@@ -287,7 +357,7 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
     _member_parts' rows, their spectra, and build their states on first read.
     If any retained part is dense, _member_parts has rotated each back into
     a stack, one for each; omega takes the slot after tau^-'s in mu_minus's
-    rows and stack.
+    rows and stack.  This is _auxiliaries of a batch of one.
 
     Eigensolves: at most m + 4 for m members, counted per matrix of a
     stack.  One for mu's average unless mu holds it already; one per member
@@ -303,105 +373,176 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
     rows, about five of _BLOCK_BYTES for a block of matrices, on each of the
     _WORKERS threads when _stacks threads them), and no m x d temporary.
     """
-    eps, usable, plus_rows, minus_rows, plus, minus = _member_parts(mu._members, mu.average)
-    eps.setflags(write=False)
-    eps_av = float(mu.probs @ eps)
-    if eps_av <= EPS_ZERO_TOL or not usable:
-        raise DegenerateEnsembleError(
-            f"mean member distance {eps_av:.3e} is below {EPS_ZERO_TOL:.0e}; "
-            "all states equal the average" if eps_av <= EPS_ZERO_TOL
-            else "every member difference lies inside the eigenvalue dead zone",
-            eps=eps,
-            eps_av=eps_av,
-        )
-    raw = mu.probs[usable] * eps[usable]
-    weights = raw / raw.sum()
-    n = len(usable)
-    if plus is None:  # every retained part is diagonal
-        plus, minus = plus_rows, minus_rows
-    # omega's arrays are views of its slot, as tau^-'s are of theirs.
-    average = _mixture(weights, minus[:n])
-    minus_rows[n] = average.spectrum
-    if minus is not minus_rows:
-        minus[n] = average.mat
-    omega = _row_state(_freeze(minus_rows)[n], _freeze(minus)[n])
-    mu_plus = _from_rows(weights, plus_rows, plus)
-    mu_minus = _from_rows(weights, minus_rows[:n], minus[:n], average=omega)
-    return AuxiliaryDecomposition(
-        probs=mu.probs,
-        eps=eps,
-        eps_av=eps_av,
-        retained=tuple(usable),
-        weights=weights,
-        mu_plus=mu_plus,
-        mu_minus=mu_minus,
-        average_match_residual=trace_norm(mu_plus.average - omega),
+    aux = _auxiliaries([mu])[0]
+    if isinstance(aux, DegenerateEnsembleError):
+        raise aux
+    return aux
+
+
+def _auxiliaries(mus) -> list:
+    """build_auxiliary of each ensemble of `mus`, of one dimension and all
+    with member rows or all with member matrices, each stage run once over
+    all of them: their averages (_averages), one member stage over their
+    member arrays end to end (_member_parts, one segment each), and the
+    averages of mu_plus and mu_minus and their residuals, the dense ones
+    solved as one stack each.  Eigensolves and values are those of each
+    ensemble alone: its scalars (eps_av, the weights) are reduced from its
+    own rows, in its own order.  Returns, per ensemble, its
+    AuxiliaryDecomposition, or its DegenerateEnsembleError, not raised."""
+    _averages(mus)
+    starts = [0, *accumulate(mu.size for mu in mus)]
+    eps, kept, plus_rows, minus_rows, plus, minus, solved = _member_parts(
+        _joined([mu._members for mu in mus]), [mu.average for mu in mus], starts[:-1]
     )
+    eps.setflags(write=False)
+    # Each ensemble's first kept row.
+    first = [0, len(kept)] if len(mus) == 1 else np.searchsorted(kept, starts).tolist()
+    out, live = [None] * len(mus), []
+    for e, mu in enumerate(mus):
+        lo, hi = first[e], first[e + 1]
+        eps_e = eps[starts[e]:starts[e + 1]]
+        eps_av = float(mu.probs @ eps_e)
+        if eps_av <= EPS_ZERO_TOL or lo == hi:
+            out[e] = DegenerateEnsembleError(
+                f"mean member distance {eps_av:.3e} is below {EPS_ZERO_TOL:.0e}; "
+                "all states equal the average" if eps_av <= EPS_ZERO_TOL
+                else "every member difference lies inside the eigenvalue dead zone",
+                eps=eps_e,
+                eps_av=eps_av,
+            )
+            continue
+        usable = (kept[lo:hi] - starts[e] if e else kept[lo:hi]).tolist()
+        raw = mu.probs[usable] * eps_e[usable]
+        # An ensemble whose every retained part is diagonal keeps their rows.
+        dense = plus is not None and bool(solved[starts[e]:starts[e + 1]].any())
+        # Its tau^+ and tau^- members, omega's slot after the latter, and their rows.
+        slots = slice(lo + e, hi + e + 1)
+        arrays = ((plus if dense else plus_rows)[lo:hi], plus_rows[lo:hi],
+                  (minus if dense else minus_rows)[slots], minus_rows[slots])
+        live.append((e, usable, eps_e, eps_av, raw / raw.sum(), *arrays))
+    pluses = _mixtures([(w, taus) for *_, w, taus, _, _, _ in live])
+    # omega's arrays are views of its slot, as tau^-'s are of theirs.
+    omegas = _mixtures([(w, slot[:-1]) for *_, w, _, _, slot, _ in live])
+    for (*_, slot, rows), omega in zip(live, omegas):
+        rows[-1] = omega.spectrum
+        if slot.ndim == 3:
+            slot[-1] = omega.mat
+    _freeze(minus_rows)
+    if minus is not None:
+        _freeze(minus)
+    omegas = [_row_state(rows[-1], slot[-1]) for *_, slot, rows in live]
+    residuals = _trace_norms([average - omega for average, omega in zip(pluses, omegas)])
+    for entry, average, omega, residual in zip(live, pluses, omegas, residuals):
+        e, usable, eps_e, eps_av, weights, taus, rows, slot, slot_rows = entry
+        out[e] = AuxiliaryDecomposition(
+            probs=mus[e].probs,
+            eps=eps_e,
+            eps_av=eps_av,
+            retained=tuple(usable),
+            weights=weights,
+            mu_plus=_from_rows(weights, rows, taus, average=average),
+            mu_minus=_from_rows(weights, slot_rows[:-1], slot[:-1], average=omega),
+            average_match_residual=residual,
+            _minus_slots=(slot, slot_rows),
+        )
+    return out
 
 
-def _by_entries(members: np.ndarray, centre: DensityOperator) -> np.ndarray | None:
+def _trace_norms(ops) -> list[float]:
+    """trace_norm of each Hermitian operator of `ops`, of one dimension: the
+    dense ones solved together (_stacked_eigvalsh)."""
+    out = [float(np.abs(op.diagonal).sum()) if op.diagonal is not None else None for op in ops]
+    dense = [k for k, value in enumerate(out) if value is None]
+    if dense:
+        for k, values in zip(dense, _stacked_eigvalsh([ops[k].mat for k in dense])):
+            out[k] = float(np.abs(values).sum())
+    return out
+
+
+def _by_entries(members: np.ndarray, centred: np.ndarray | None = None) -> np.ndarray:
     """Which matrices of the (m, d, d) stack `members` have a difference from
-    `centre` read from its entries, with no eigensolve: those exactly
-    diagonal (_is_diagonal) when the centre is too.  None when the centre is
-    dense, and every member's difference takes one."""
-    if centre.diagonal is None:
-        return None
-    return np.fromiter(map(_is_diagonal, members), bool, len(members))
+    their centre read from its entries, with no eigensolve: those exactly
+    diagonal (_is_diagonal) whose centre is too, as the m booleans `centred`
+    say (by default every centre is).  Its callers skip it when no centre is
+    diagonal, and every member's difference takes one."""
+    if centred is None:
+        return np.fromiter(map(_is_diagonal, members), bool, len(members))
+    pairs = zip(centred.tolist(), members)
+    return np.fromiter((c and _is_diagonal(mat) for c, mat in pairs), bool, len(members))
 
 
-def _member_parts(members: np.ndarray, centre: DensityOperator, rotate: bool = True) -> tuple:
-    """The member stage: the normalized Jordan parts of every member -
-    centre, as (eps, retained, plus_rows, minus_rows, plus, minus), for an
-    ensemble's member array: m x d (about a diagonal centre), or (m, d, d).
+def _member_parts(members: np.ndarray, centres, starts=(0,), rotate: bool = True) -> tuple:
+    """The member stage: the normalized Jordan parts of every member minus
+    its centre, as (eps, kept, plus_rows, minus_rows, plus, minus, solved),
+    for a member array, m x d (about diagonal centres), or (m, d, d), that
+    holds k segments: rows starts[e] up to the next start (the last up to m)
+    take the state centres[e] as their centre.  An ensemble is one segment
+    about its average; a batch of ensembles of one dimension and kind (or
+    fei_checks' pairs, one row each) is their arrays end to end.
 
     eps_i is the trace distance, clipped to 1.  A member is dropped in the
-    dead zone, where the trace of either part is at most EPS_ZERO_TOL.  Row
-    k of plus_rows and minus_rows is the spectrum of the k-th retained
-    member's tau^+ and tau^-: the signed eigenvalues of its difference, or
-    their negatives, at or below PSD_TOL set to 0, over their sum;
-    minus_rows has one more row, left for omega.  plus and minus are the
-    same parts rotated back, an (n, d, d) and an (n + 1, d, d) stack whose
-    last slot is left for omega, when `rotate` is set and any retained part
-    is dense; else both are None (fei_check reads the spectra only).
+    dead zone, where the trace of either part is at most EPS_ZERO_TOL; kept
+    lists the n other rows, ascending.  Row q of plus_rows is the spectrum of
+    the q-th kept member's tau^+: the signed eigenvalues of its difference,
+    at or below PSD_TOL set to 0, over their sum.  minus_rows holds tau^-'s
+    (the negated eigenvalues) the same way, with one more row per segment:
+    the q-th kept member, of segment e, sits at row q + e, and its segment's
+    last kept row is followed by a slot left for omega.  plus and minus are
+    the same parts rotated back, an (n, d, d) and an (n + k, d, d) stack laid
+    out as the rows, when `rotate` is set and any kept part is dense; else
+    both are None (fei_checks reads the spectra only).  solved says which
+    members are kept and were taken by a solve (None for member rows).
 
     Step 1 gives the signed eigenvalues: in one subtraction from an array of
     diagonals, else, for each block of _stacks(m, d, "eigh"), from one
-    stacked _eigh of the block's differences, which names the member whose
-    solve fails.  A stacked member is taken by its entries when it and the
-    centre are exactly diagonal (_by_entries); its eigenvectors are the
-    basis.  Step 2 runs each block through whole-array operations and
-    compacts the kept rows in place; a block's differences and residual
-    temporaries go before the next block is solved, and only its kept
-    eigenvectors are kept.  Nothing of m x d is allocated besides the row
-    arrays, which are shrunk to n before any view of them is made.  Step 3
-    allocates the two stacks and rotates each block's kept parts back into
-    their slots, one _spectral_sum per block and stack, dropping the block's
-    eigenvectors once done.  Allocated before the solves, the stacks raised
-    the dense-files benchmark's peak RSS from 67.8 to 69.7 MB, and this
-    order read 66.7 MB (in-process replays of seeds 21, 52 and 77, with
-    blocks of at most 128 KB).
+    stacked _eigh of the block's differences, which names the member (its
+    index in its segment) whose solve fails.  A stacked member is taken by
+    its entries when it and its centre are exactly diagonal (_by_entries);
+    its eigenvectors are the basis.  Step 2 runs each block through
+    whole-array operations and compacts the kept rows in place; a block's
+    differences and residual temporaries go before the next block is
+    solved, and only its kept eigenvectors are kept.  Nothing of m x d is
+    allocated besides the row arrays, which are shrunk before any view of
+    them is made.  Step 3 allocates the two stacks and rotates each block's
+    kept parts back into their slots, one _spectral_sum per block and stack,
+    dropping the block's eigenvectors once done.  The stacks are allocated
+    after the solves, which keeps the dense-files benchmark's peak RSS down.
     """
-    m, d = len(members), centre.dim
+    m, k, d = len(members), len(centres), centres[0].dim
+    # Each row's segment and its index in it; one segment needs neither.
+    owner = None if k == 1 else np.repeat(np.arange(k), np.diff([*starts, m]))
+    local = None if k == 1 else np.arange(m) - np.asarray(starts)[owner]
     eps, keep = np.empty(m), np.empty(m, dtype=bool)
-    plus_rows, minus_rows = np.empty((m, d)), np.empty((m + 1, d))
-    flat, rotated = None, []  # rotated: (first row, eigenvectors) of each block's kept parts
+    plus_rows, minus_rows = np.empty((m, d)), np.empty((m + k, d))
+    # rotated: (first row, rows of minus_rows, eigenvectors) of each block's kept parts
+    flat, rotated = None, []
+
+    def centre_rows(rows):  # the diagonals of the centres of `rows`, all diagonal
+        if k == 1:
+            return centres[0].diagonal
+        diagonals = [np.zeros(d) if c.diagonal is None else c.diagonal for c in centres]
+        return np.stack(diagonals)[owner[rows]]
+
     if members.ndim == 2:
-        np.subtract(members, centre.diagonal, out=plus_rows)
+        np.subtract(members, centre_rows(slice(None)), out=plus_rows)
         blocks = ((block, None) for block in _stacks(m, d)[0])
     else:
-        flat = _by_entries(members, centre)
-        if flat is not None:
-            plus_rows[flat] = members.diagonal(axis1=1, axis2=2).real[flat] - centre.diagonal
+        centred = [c.diagonal is not None for c in centres]
+        if any(centred):
+            flat = _by_entries(members, None if all(centred) else np.array(centred)[owner])
+            plus_rows[flat] = members.diagonal(axis1=1, axis2=2).real[flat] - centre_rows(flat)
+        mats = []  # the centres' matrices, read on the first solve
 
         def solve(block):
-            if flat is None:
-                return block, _eigh(members[block] - centre.mat, range(m)[block])
-            solved = ~flat[block]
-            index = np.flatnonzero(solved) + block.start
-            values, vectors = _eigh(members[index] - centre.mat, index)
-            if not rotate:
-                return block, (values, None)
+            if not mats:
+                mats.append(centres[0].mat if k == 1 else np.stack([c.mat for c in centres]))
+            index = range(m)[block] if flat is None else np.flatnonzero(~flat[block]) + block.start
+            centre = mats[0] if k == 1 else mats[0][owner[index]]
+            values, vectors = _eigh(members[index] - centre, index if k == 1 else local[index])
+            if flat is None or not rotate:
+                return block, (values, vectors if rotate else None)
             # A part taken by its entries rotates back by the identity.
+            solved = ~flat[block]
             basis = np.empty((solved.size, d, d), complex)
             basis[...] = np.eye(d)
             basis[solved] = vectors
@@ -413,7 +554,9 @@ def _member_parts(members: np.ndarray, centre: DensityOperator, rotate: bool = T
         chunk = plus_rows[block]
         if system is not None:
             chunk[slice(None) if flat is None else ~flat[block]] = system[0]
-        negated = minus_rows[n:n + len(chunk)]
+        # Scratch rows for tau^-: the rows kept so far end before n + owner[block.start].
+        first = n if owner is None else n + owner[block.start]
+        negated = minus_rows[first:first + len(chunk)]
         eps[block] = np.minimum(0.5 * np.abs(chunk).sum(axis=1), 1.0)
         np.negative(chunk, out=negated)
         for part in (chunk, negated):
@@ -422,24 +565,34 @@ def _member_parts(members: np.ndarray, centre: DensityOperator, rotate: bool = T
         kept = keep[block]
         np.greater(np.minimum(*traces), EPS_ZERO_TOL, out=kept)
         count = int(np.count_nonzero(kept))
-        for part, out, trace in zip((chunk, negated), (plus_rows, minus_rows), traces):
-            if count < len(chunk):
-                part, trace = part[kept], trace[kept]
-            # The rows kept so far end at n <= block.start: numpy buffers an overlap.
-            np.divide(part, trace[:, None], out=out[n:n + count])
+        if count < len(chunk):
+            chunk, negated, traces = chunk[kept], negated[kept], [t[kept] for t in traces]
+        # The rows kept so far end at n <= block.start: numpy buffers an overlap.
+        np.divide(chunk, traces[0][:, None], out=plus_rows[n:n + count])
+        if owner is None:
+            slots = slice(n, n + count)  # the kept rows' rows of minus_rows
+            np.divide(negated, traces[1][:, None], out=minus_rows[slots])
+        else:
+            slots = n + np.arange(count) + owner[block][kept]
+            minus_rows[slots] = negated / traces[1][:, None]
         if rotate and system is not None and count:
-            rotated.append((n, system[1] if count == len(chunk) else system[1][kept]))
+            vectors = system[1] if count == len(kept) else system[1][kept]
+            rotated.append((n, slots, vectors))
         n += count
         system = None  # the block's solve temporaries go before the next block is solved
     del chunk, negated, part  # no view of the arrays may outlive their resize
     plus_rows.resize((n, d), refcheck=False)
-    minus_rows.resize((n + 1, d), refcheck=False)
+    minus_rows.resize((n + k, d), refcheck=False)
+    solved = None if members.ndim == 2 else keep if flat is None else keep & ~flat
     plus = minus = None
-    if rotated and (flat is None or (keep & ~flat).any()):
-        plus, minus = np.empty((n, d, d), complex), np.empty((n + 1, d, d), complex)
+    if rotated and solved.any():
+        plus, minus = np.empty((n, d, d), complex), np.empty((n + k, d, d), complex)
         while rotated:  # each block's eigenvectors go once its parts are rotated back
-            first, vectors = rotated.pop()
+            first, slots, vectors = rotated.pop()
             stop = first + len(vectors)
-            for rows, mats in ((plus_rows, plus), (minus_rows, minus)):
-                _spectral_sum(vectors, rows[first:stop], out=mats[first:stop])
-    return eps, np.flatnonzero(keep).tolist(), plus_rows, minus_rows, plus, minus
+            _spectral_sum(vectors, plus_rows[first:stop], out=plus[first:stop])
+            if isinstance(slots, slice):
+                _spectral_sum(vectors, minus_rows[slots], out=minus[slots])
+            else:
+                minus[slots] = _spectral_sum(vectors, minus_rows[slots])
+    return eps, np.flatnonzero(keep), plus_rows, minus_rows, plus, minus, solved

@@ -17,7 +17,7 @@ import numpy as np
 
 from .ensemble import DiscreteEnsemble, _from_rows
 from .entropy import as_probability_vector, binary_entropy, eta, gibbs_entropy
-from .linalg import DensityOperator, _check_states
+from .linalg import DensityOperator, _check_states, _projector, _stacks
 
 _MAX_SERIES_TERMS = 1_000_000
 
@@ -204,9 +204,12 @@ def random_pure_state(dim: int, seed) -> DensityOperator:
     including an existing Generator for sequential draws."""
     if dim < 1:
         raise ValueError(f"dimension must be at least 1, got {dim}")
-    rng = np.random.default_rng(seed)
-    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return DensityOperator.from_pure(vec)
+    return DensityOperator(_pure(dim, np.random.default_rng(seed)))
+
+
+def _pure(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """The unchecked matrix of random_pure_state(dim, rng), from its draws."""
+    return _projector(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
 
 
 def random_mixed_state(dim: int, rank: int, seed) -> DensityOperator:
@@ -216,29 +219,42 @@ def random_mixed_state(dim: int, rank: int, seed) -> DensityOperator:
         raise ValueError(f"dimension must be at least 1, got {dim}")
     if not 1 <= rank <= dim:
         raise ValueError(f"rank must be in [1, {dim}], got {rank}")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    mat = g @ g.conj().T
-    return DensityOperator(mat / mat.trace().real)
+    return DensityOperator(_ginibre(1, dim, rank, np.random.default_rng(seed))[0])
+
+
+def _ginibre(count: int, dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
+    """The unchecked matrices of count calls of random_mixed_state(dim, rank,
+    rng), from the same draws (each G's real part, then its imaginary part),
+    as one (count, dim, dim) stack: drawn and formed a block of
+    _stacks(count, dim, "eigh") at a time, so no temporary outgrows a
+    block."""
+    mats = np.empty((count, dim, dim), dtype=complex)
+    for block in _stacks(count, dim, "eigh")[0]:
+        part = mats[block]
+        draws = rng.standard_normal((len(part), 2, dim, rank))
+        g = draws[:, 0] + 1j * draws[:, 1]
+        np.matmul(g, g.conj().swapaxes(1, 2), out=part)
+        part /= part.trace(axis1=1, axis2=2).real[:, None, None]
+    return mats
 
 
 def random_ensemble(m: int, dim: int, seed) -> DiscreteEnsemble:
     """m full-rank Ginibre states with flat-Dirichlet probabilities;
     deterministic for a fixed integer seed.  The states are those of m
     calls of random_mixed_state(dim, dim, rng), from the same draws, formed
-    as one (m, dim, dim) stack and checked as one (linalg._check_states):
-    the ensemble holds the stack and builds no member object until its
-    states are read."""
+    as one (m, dim, dim) stack a block at a time (_ginibre) and checked as
+    one (linalg._check_states): the ensemble holds the stack and builds no
+    member object until its states are read."""
     if m < 1:
         raise ValueError(f"need at least one state, got m={m}")
     if dim < 1:
         raise ValueError(f"dimension must be at least 1, got {dim}")
-    rng = np.random.default_rng(seed)
-    probs = as_probability_vector(rng.dirichlet(np.ones(m)))
-    draws = rng.standard_normal((m, 2, dim, dim))  # each member's real, then imaginary part
-    g = draws[:, 0] + 1j * draws[:, 1]
-    del draws
-    mats = g @ g.conj().swapaxes(1, 2)
-    mats /= mats.trace(axis1=1, axis2=2).real[:, None, None]
+    probs, mats = _random_members(m, dim, np.random.default_rng(seed))
     spectra, _ = _check_states(mats, range(m))
     return _from_rows(probs, spectra, mats)
+
+
+def _random_members(m: int, dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The probabilities and the unchecked member matrices of
+    random_ensemble(m, dim, rng), from its draws."""
+    return as_probability_vector(rng.dirichlet(np.ones(m))), _ginibre(m, dim, dim, rng)

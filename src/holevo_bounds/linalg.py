@@ -20,9 +20,12 @@ diagonal.  Every stage that takes members a stack at a time (the member
 stage, stacked _eigh and _spectral_sum; member_epsilons; the pair
 distances of C and D's gaps; the row blocks of whole-array stages) is
 sized and threaded by one stack planner, _stacks, and runs its stacks
-through _solved.  pair_trace_distances alone picks how a pair's distance
-is computed: by a gathered vector difference, by the rank-1 closed form, or
-by a stacked eigensolve.  _spectral_sum alone rebuilds dense Jordan parts
+through _solved, and every LAPACK failure goes through _lapack, which
+names the matrix of a stack that fails alone.  _pair_methods alone picks
+how a pair's distance is computed: by a gathered vector difference, by the
+rank-1 closed form, or by a stacked eigensolve; pair_trace_distances scans
+one array's pairs, and _pooled_pair_distances those of a batch's small
+arrays in one pass.  _spectral_sum alone rebuilds dense Jordan parts
 from their eigenvectors.  Checked states enter as one stack too:
 _check_states runs DensityOperator's checks on a whole (m, d, d) stack,
 which a loaded file and a random ensemble hand to the ensemble as its
@@ -35,6 +38,7 @@ import os
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -51,10 +55,14 @@ TRACE_TOL = 1e-9
 class EigensolverError(RuntimeError):
     """Eigendecomposition failed, or its residual exceeded tolerance."""
 
-    def __init__(self, message: str, *, dim: int, residual: float | None = None):
+    def __init__(
+        self, message: str, *, dim: int, residual: float | None = None, index: int | None = None
+    ):
         super().__init__(message)
         self.dim = dim
         self.residual = residual
+        # The position in its stack of the matrix that failed alone (_lapack).
+        self.index = index
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -193,12 +201,18 @@ class DensityOperator(HermitianOperator):
     @classmethod
     def from_pure(cls, amplitudes) -> "DensityOperator":
         """Projector onto the normalized state vector `amplitudes`."""
-        vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            raise ValueError("state vector must be nonzero")
-        vec = vec / norm
-        return cls(np.outer(vec, vec.conj()))
+        return cls(_projector(amplitudes))
+
+
+def _projector(amplitudes) -> np.ndarray:
+    """The matrix of the projector onto the normalized vector `amplitudes`,
+    unchecked; raises ValueError for a zero vector."""
+    vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        raise ValueError("state vector must be nonzero")
+    vec = vec / norm
+    return np.outer(vec, vec.conj())
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,13 +242,58 @@ def hermitian_eigenvalues(a: HermitianOperator) -> np.ndarray:
     return a.diagonal if a.diagonal is not None else _eigvalsh(a.mat)
 
 
-def _eigvalsh(mats: np.ndarray) -> np.ndarray:
-    """np.linalg.eigvalsh(mats), with LAPACK's failure as EigensolverError."""
+def _eigvalsh(mats: np.ndarray, name: Callable[[int], str] | None = None) -> np.ndarray:
+    """np.linalg.eigvalsh(mats), with LAPACK's failure as EigensolverError
+    (_lapack), which names matrix k of a stack as name(k) names it."""
+    return _lapack(np.linalg.eigvalsh, mats, name)
+
+
+def _lapack(solver: Callable, mats: np.ndarray, name=None, *, alone: bool = False):
+    """solver(mats), for np.linalg.eigvalsh or eigh, with LAPACK's failure as
+    an EigensolverError: the one handler of a failed solve.  numpy does not
+    say which matrix of a stack failed, so when `name` or `alone` is given a
+    failed stack is solved again one matrix at a time (_each_alone).  The
+    error of the first matrix k that fails alone begins "{name(k)}: " and
+    keeps k as its `index`; when none fails alone, the stack's own error is
+    raised, naming none.  With `alone` (the checks of states, which pass or
+    fail as when taken in turn) nothing is raised: it returns (values,
+    fault), the single solves stacked, rows from k on left 0, and the error
+    of matrix k, or None when none failed."""
     try:
-        return np.linalg.eigvalsh(mats)
+        values = solver(mats)
+        return (values, None) if alone else values
     except np.linalg.LinAlgError as exc:
-        dim, what = mats.shape[-1], "stacked eigenvalue" if mats.ndim > 2 else "eigenvalue"
-        raise EigensolverError(f"{what} computation failed at dim {dim}: {exc}", dim=dim) from exc
+        dim, eigenvalues = mats.shape[-1], solver is np.linalg.eigvalsh
+        what = "eigenvalue computation" if eigenvalues else "eigendecomposition"
+        if mats.ndim > 2 and (name is not None or alone):
+            values = np.zeros(mats.shape[:2])
+            for k, (result, error) in enumerate(_each_alone(solver, mats, np.linalg.LinAlgError)):
+                if error is not None:
+                    prefix = "" if name is None else f"{name(k)}: "
+                    fault = EigensolverError(
+                        f"{prefix}{what} failed at dim {dim}: {error}", dim=dim, index=k
+                    )
+                    if alone:
+                        return values, fault
+                    raise fault from exc
+                if alone:
+                    values[k] = result
+            if alone:
+                return values, None
+        stacked = "stacked " if eigenvalues and mats.ndim > 2 else ""
+        raise EigensolverError(f"{stacked}{what} failed at dim {dim}: {exc}", dim=dim) from exc
+
+
+def _each_alone(solve: Callable, items: Iterable, errors=Exception) -> Iterator[tuple]:
+    """solve(item) for each of `items` alone, in order, yielded as (result,
+    None), or as (None, exc) when it raises one of `errors`: how a failed
+    stack finds its failing matrix (_lapack), and a failed batch of reports
+    its failing ensembles."""
+    for item in items:
+        try:
+            yield solve(item), None
+        except errors as exc:
+            yield None, exc
 
 
 def hermitian_eig(a: HermitianOperator) -> EigenSystem:
@@ -253,25 +312,11 @@ def _eigh(mats: np.ndarray, members: Sequence[int] | None = None) -> tuple[np.nd
     """hermitian_eig of every matrix of the (n, d, d) stack `mats` at one
     np.linalg.eigh call: the stacked (w, v), each matrix's two residuals
     checked as stacked arrays.  The EigensolverError of the first matrix k
-    that fails begins "member {members[k]}: " when `members` is given.  When
-    LAPACK fails on a stack of several, its matrices are solved again one at
-    a time to find that matrix."""
+    that fails begins "member {members[k]}: " when `members` is given; when
+    LAPACK fails on the stack, _lapack finds that matrix."""
     dim = mats.shape[-1]
-    try:
-        w, v = np.linalg.eigh(mats)
-    except np.linalg.LinAlgError as exc:
-        k, error = 0, exc
-        if len(mats) > 1:  # numpy does not say which matrix of a stack failed
-            k = None
-            for index, mat in enumerate(mats):
-                try:
-                    np.linalg.eigh(mat)
-                except np.linalg.LinAlgError as one:
-                    k, error = index, one
-                    break
-        raise EigensolverError(
-            f"{_member(members, k)}eigendecomposition failed at dim {dim}: {error}", dim=dim
-        ) from exc
+    name = None if members is None else lambda k: f"member {members[k]}"
+    w, v = _lapack(np.linalg.eigh, mats, name)
     vh = v.conj().swapaxes(-1, -2)
     recon = np.abs((v * w[:, None, :]) @ vh - mats).max(axis=(1, 2))
     ortho = np.abs(vh @ v - np.eye(dim)).max(axis=(1, 2))
@@ -351,8 +396,8 @@ def _check_states(
     Raises the error of the first matrix k that fails a check, with its
     first failed check's message, which begins "member {members[k]}: " when
     `members` is given: a ValueError, or an EigensolverError when LAPACK
-    fails on it.  When LAPACK fails on the stack, its matrices are solved
-    again one at a time to find that matrix."""
+    fails on it; when LAPACK fails on the stack, _lapack finds that matrix,
+    and when none fails alone the checks go on with their single solves."""
     stop, fault = _symmetrize(mats, members)
     if not stop:
         raise fault
@@ -369,21 +414,10 @@ def _check_states(
     if len(index):
         solved = checked if len(index) == stop else checked[index]
         dense_traces = solved.trace(axis1=1, axis2=2).real
-        try:
-            values = np.linalg.eigvalsh(solved)
-        except np.linalg.LinAlgError:  # numpy does not say which matrix of a stack failed
-            values = np.zeros(solved.shape[:2])
-            for k, mat in enumerate(solved):
-                try:
-                    values[k] = np.linalg.eigvalsh(mat)
-                except np.linalg.LinAlgError as exc:
-                    stop, dim = int(index[k]), mats.shape[-1]
-                    fault = EigensolverError(
-                        f"{_member(members, stop)}eigenvalue computation failed at dim {dim}: "
-                        f"{exc}",
-                        dim=dim,
-                    )
-                    break
+        name = None if members is None else lambda k: f"member {members[index[k]]}"
+        values, failed = _lapack(np.linalg.eigvalsh, solved, name, alone=True)
+        if failed is not None:  # the matrices before it are checked first
+            stop, fault = int(index[failed.index]), failed
         if solved is checked:
             spectra, traces = values, dense_traces
         else:
@@ -495,6 +529,31 @@ def _stacks(count: int, dim: int, solver: str | None = None) -> tuple[list[slice
     return stacks, min(_WORKERS, len(stacks)) if threaded else 1
 
 
+def _joined(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The arrays end to end along their first axis: the one array itself,
+    with no copy, when there is one."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _one_stack(pairs: int, dim: int) -> bool:
+    """Whether `pairs` pairs at `dim` fit one stack of diagonal differences
+    and one of matrix differences: an ensemble's pairs that a batch of
+    reports pools with others' (_pooled_pair_distances)."""
+    return all(len(_stacks(pairs, dim, kind)[0]) <= 1 for kind in (None, "eigvalsh"))
+
+
+def _stacked_eigvalsh(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """_eigvalsh of each d x d matrix of `mats`: one matrix alone, as the
+    report of one ensemble solves it, else stacked in the stacks that
+    _stacks plans, on its threads."""
+    if len(mats) == 1:
+        return [_eigvalsh(mats[0])]
+    stack = np.stack(mats)
+    plan, workers = _stacks(len(stack), stack.shape[-1], "eigvalsh")
+    return [row for values in _solved(lambda part: _eigvalsh(stack[part]), plan, workers)
+            for row in values]
+
+
 def _solved(solve: Callable, tasks: Sequence, workers: int) -> Iterator:
     """solve(task) for each of `tasks` in order, as _stacks planned them: on
     the calling thread, or through _solved_in_order."""
@@ -511,80 +570,153 @@ def pair_trace_distances(
     is an ensemble's member array, m x d or (m, d, d), and `spectra` its
     m x d array of spectra.
 
-    Each pair's method is decided here, and only here, in this order within
-    a block.  A pair of two diagonal members (every row of an m x d array,
+    Each pair's method is decided by _pair_methods, in this order within a
+    block.  A pair of two diagonal members (every row of an m x d array,
     and each _is_diagonal matrix of a stack) goes in a stack of at most
     _STACK_BYTES of diagonal differences, gathered from their diagonals, at
     no eigensolve: a diagonal difference's eigenvalues are its entries.
     A pair of two rank-1 members (at most one spectrum entry above PSD_TOL),
     not both diagonal, takes the closed form pure_trace_distances at no
     eigensolve, from one Gram matrix of every rank-1 member's
-    largest-diagonal column, formed on first use and kept across blocks.
-    Every other pair goes in a stack of the fewest matrix differences whose
-    rows reach _STACK_ROWS, at one eigvalsh call, which then runs without
-    the GIL; up to _WORKERS such stacks are solved at once on worker
-    threads, and no thread starts when a block's pairs fit one stack.  A
-    matrix's eigenvalues do not depend on its stack, so neither do the
-    distances.  When the caller stops or a solve fails, the pending stacks
-    are dropped and the workers joined before control returns to it.
+    largest-diagonal column (_gram_table), formed on first use and kept
+    across blocks.  Every other pair goes in a stack of the fewest matrix
+    differences whose rows reach _STACK_ROWS, at one eigvalsh call, which
+    then runs without the GIL; up to _WORKERS such stacks are solved at once
+    on worker threads, and no thread starts when a block's pairs fit one
+    stack.  A matrix's eigenvalues do not depend on its stack, so neither do
+    the distances.  When the caller stops or a solve fails, the pending
+    stacks are dropped and the workers joined before control returns to it;
+    a pair that fails alone is named "pair (i, j)".
     """
-    if members.ndim == 2:
-        rows, diagonal = members, np.ones(len(members), dtype=bool)
-    else:
-        rows = members.diagonal(axis1=1, axis2=2).real
-        diagonal = np.array([_is_diagonal(mat) for mat in members], dtype=bool)
-    rank_one = np.zeros_like(diagonal)
-    if not diagonal.all():  # only a pair with a dense member can take the closed form
-        rank_one = np.count_nonzero(spectra > PSD_TOL, axis=1) <= 1
-    column = np.cumsum(rank_one) - 1  # each rank-1 member's column of the Gram matrix
+    rows, diagonal, rank_one = _pair_flags(members, spectra)
     table, start = None, 0
     for first, second in blocks:
-        by_vector = diagonal[first] & diagonal[second]
-        by_gram = rank_one[first] & rank_one[second] & ~by_vector
-        yield from _kind_distances(rows, first, second, np.flatnonzero(by_vector), start)
-        positions = np.flatnonzero(by_gram)
-        if positions.size:
-            if table is None:
-                pure = np.flatnonzero(rank_one)
-                vectors = members[pure, :, np.argmax(rows[pure], axis=1)]
-                table = pure_trace_distances(np.ascontiguousarray(vectors.T))
-            yield start + positions, table[column[first[positions]], column[second[positions]]]
-        dense = np.flatnonzero(~(by_vector | by_gram))
-        yield from _kind_distances(members, first, second, dense, start)
+        vector, gram, dense = _pair_methods(diagonal, rank_one, first, second)
+        if vector.size:
+            for stack, distances in _kind_distances(rows, first[vector], second[vector]):
+                yield start + vector[stack], distances
+        if gram.size:
+            if table is None:  # each rank-1 member's column of the Gram matrix, and the matrix
+                column, table = np.cumsum(rank_one) - 1, _gram_table(members, rows, rank_one)
+            yield start + gram, table[column[first[gram]], column[second[gram]]]
+        if dense.size:
+            for stack, distances in _kind_distances(members, first[dense], second[dense]):
+                yield start + dense[stack], distances
         start += first.size
 
 
-def _kind_distances(
-    arrays: np.ndarray, first: np.ndarray, second: np.ndarray, positions: np.ndarray, start: int,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """pair_trace_distances for the pairs at `positions` of one block that
-    starts at position `start`, all of one stack kind: matrix differences
+def _pooled_pair_distances(tasks: list, ceiling: float | None = None) -> np.ndarray:
+    """The trace distances of the pairs of many small member arrays, one
+    pass for all: each task (members, spectra, first, second) is an
+    ensemble's member array, of one dimension and kind, and one block of
+    its pairs.  The arrays are joined end to end, each pair takes the
+    method that pair_trace_distances gives it in its own array, with one
+    Gram matrix per task, and the dense pairs of every task are solved in
+    shared stacks, so each distance equals its scan's, bit for bit.  With a
+    `ceiling`, a task's Gram pairs are skipped once its diagonal pairs reach
+    it, and its dense pairs once those or its Gram pairs do, as its scan
+    would stop there: those pairs are NaN.  Returns the distances of the
+    tasks' pairs, taken end to end."""
+    members = _joined([task[0] for task in tasks])
+    spectra = _joined([task[1] for task in tasks])
+    starts = [0, *accumulate(len(task[0]) for task in tasks)]
+    counts = [len(task[2]) for task in tasks]
+    owner = np.repeat(np.arange(len(tasks)), counts)
+    shift = np.repeat(starts[:-1], counts)
+    first = np.concatenate([task[2] for task in tasks]) + shift
+    second = np.concatenate([task[3] for task in tasks]) + shift
+    rows, diagonal, rank_one = _pair_flags(members, spectra)
+    vector, gram, dense = _pair_methods(diagonal, rank_one, first, second)
+    out = np.full(first.size, np.nan)
+    if vector.size:
+        for stack, distances in _kind_distances(rows, first[vector], second[vector]):
+            out[vector[stack]] = distances
+    best = np.zeros(len(tasks))
+    if ceiling is not None:
+        np.maximum.at(best, owner[vector], out[vector])
+        gram = gram[best[owner[gram]] < ceiling]
+    # A task's Gram pairs are a run of `gram`: its table is its own.
+    for run in np.split(gram, np.flatnonzero(np.diff(owner[gram])) + 1) if gram.size else ():
+        lo, hi = starts[owner[run[0]]], starts[owner[run[0]] + 1]
+        column = np.cumsum(rank_one[lo:hi]) - 1
+        table = _gram_table(members[lo:hi], rows[lo:hi], rank_one[lo:hi])
+        out[run] = table[column[first[run] - lo], column[second[run] - lo]]
+    if ceiling is not None:
+        np.maximum.at(best, owner[gram], out[gram])
+        dense = dense[best[owner[dense]] < ceiling]
+    if dense.size:
+        for stack, distances in _kind_distances(members, first[dense], second[dense]):
+            out[dense[stack]] = distances
+    return out
+
+
+def _pair_flags(members: np.ndarray, spectra: np.ndarray) -> tuple:
+    """(rows, diagonal, rank_one) of a member array: each member's diagonal,
+    whether it is diagonal (each _is_diagonal matrix of a stack; None for
+    an m x d array, all of whose rows are), and whether it has rank 1, read
+    from its spectrum, only when some member is dense: only a pair with a
+    dense member can take the closed form."""
+    if members.ndim == 2:
+        return members, None, None
+    rows = members.diagonal(axis1=1, axis2=2).real
+    diagonal = np.array([_is_diagonal(mat) for mat in members], dtype=bool)
+    rank_one = np.zeros_like(diagonal)
+    if not diagonal.all():
+        rank_one = np.count_nonzero(spectra > PSD_TOL, axis=1) <= 1
+    return rows, diagonal, rank_one
+
+
+def _pair_methods(diagonal, rank_one, first, second) -> tuple:
+    """The one place that decides each pair's method: the positions of the
+    pairs (first[k], second[k]) taken as a vector difference (both
+    diagonal), by the rank-1 closed form (both rank 1, not both diagonal),
+    and by an eigensolve (every other)."""
+    if diagonal is None:  # pairs of rows
+        return np.arange(len(first)), np.arange(0), np.arange(0)
+    by_vector = diagonal[first] & diagonal[second]
+    by_gram = rank_one[first] & rank_one[second] & ~by_vector
+    dense = ~(by_vector | by_gram)
+    return np.flatnonzero(by_vector), np.flatnonzero(by_gram), np.flatnonzero(dense)
+
+
+def _gram_table(members: np.ndarray, rows: np.ndarray, rank_one: np.ndarray) -> np.ndarray:
+    """pure_trace_distances of every rank-1 member of a stack, in order, from
+    its largest-diagonal column."""
+    pure = np.flatnonzero(rank_one)
+    vectors = members[pure, :, np.argmax(rows[pure], axis=1)]
+    return pure_trace_distances(np.ascontiguousarray(vectors.T))
+
+
+def _kind_distances(arrays: np.ndarray, first: np.ndarray, second: np.ndarray) -> Iterator:
+    """Trace distances of the pairs (first[k], second[k]) of rows of one
+    array, at least one pair, all of one stack kind: matrix differences
     when `arrays` is an (m, d, d) stack, filled a pair at a time so that no
-    temporary of a stack's size is made, else diagonal ones, gathered."""
-    if not positions.size:
-        return
+    temporary of a stack's size is made, else diagonal ones, gathered.
+    Yields (stack, distances), stack a slice of the pairs; a pair that
+    fails alone is named by its rows."""
     dense = arrays.ndim == 3
-    plan, workers = _stacks(positions.size, arrays.shape[-1], "eigvalsh" if dense else None)
-    stacks = [positions[stack] for stack in plan]
+    plan, workers = _stacks(first.size, arrays.shape[-1], "eigvalsh" if dense else None)
     # One buffer per stack being filled or solved, allocated on this thread:
     # stacks allocated on the workers raised dense-files' peak RSS by 7%.
-    shape = (stacks[0].size, *arrays.shape[1:])
+    shape = (min(plan[0].stop, first.size), *arrays.shape[1:])
     buffers = [np.empty(shape, complex if dense else float) for _ in range(workers)]
 
     def distances(stack):
         buffer = buffers.pop()
         try:
-            diffs = buffer[:stack.size]
+            diffs = buffer[:len(first[stack])]
             if not dense:
                 np.subtract(arrays[first[stack]], arrays[second[stack]], out=diffs)
-                return start + stack, 0.5 * np.abs(diffs).sum(axis=1)
-            for k, (i, j) in enumerate(zip(first[stack].tolist(), second[stack].tolist())):
-                np.subtract(arrays[i], arrays[j], out=diffs[k])
-            return start + stack, 0.5 * np.abs(_eigvalsh(diffs)).sum(axis=1)
+                return stack, 0.5 * np.abs(diffs).sum(axis=1)
+            i, j = first[stack].tolist(), second[stack].tolist()
+            for k, (a, b) in enumerate(zip(i, j)):
+                np.subtract(arrays[a], arrays[b], out=diffs[k])
+            values = _eigvalsh(diffs, lambda k: f"pair ({i[k]}, {j[k]})")
+            return stack, 0.5 * np.abs(values).sum(axis=1)
         finally:
             buffers.append(buffer)
 
-    yield from _solved(distances, stacks, workers)
+    yield from _solved(distances, plan, workers)
 
 
 def _solved_in_order(solve: Callable, tasks: Sequence, workers: int) -> Iterator:

@@ -2,9 +2,13 @@
 
 Tier-1 runs the default profile: each test keeps its own draw count, and a
 test that sets none takes Hypothesis's default.  The `oracle` profile runs
-those tests at 1,500 draws; it is meant for the independent-checker oracle:
+those tests at 1,500 draws; it is meant for the independent-checker oracle
+and for batched reports against their ensembles reported alone:
 
-    python -m pytest tests/test_bounds.py -k independent_checker --hypothesis-profile oracle
+    python -m pytest tests/test_bounds.py --hypothesis-profile oracle
+        -k "independent_checker or batched_reports_match_one_at_a_time"
+
+(one command; CI's end-to-end job runs it).
 """
 
 from hypothesis import settings

@@ -20,6 +20,7 @@ from holevo_bounds.bounds import (
     diameter_bound,
     fei_check,
     full_report,
+    full_reports,
     pinsker_term,
     plus_diameter,
     shannon_bound,
@@ -45,7 +46,13 @@ from holevo_bounds.gallery import (
 )
 from holevo_bounds.entropy import binary_entropy, relative_entropy, shannon_entropy
 from holevo_bounds import linalg
-from holevo_bounds.linalg import DensityOperator, EigensolverError, jordan_parts, trace_distance
+from holevo_bounds.linalg import (
+    DensityOperator,
+    EigensolverError,
+    jordan_parts,
+    pair_trace_distances,
+    trace_distance,
+)
 
 from helpers import (
     count_constructions,
@@ -1193,3 +1200,122 @@ def test_drawn_ensembles_match_independent_checker(mu, worker_stacks):
                 assert abs(report.slacks[key] - want) <= 1e-9, key
         else:
             assert abs(getattr(report, field.name) - reference[field.name]) <= 1e-9, field.name
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(_mixed_kind_ensembles(), min_size=1, max_size=6))
+def test_batched_reports_match_one_at_a_time(mus):
+    # full_reports groups the ensembles by dimension and member kind and runs
+    # each stage once per group, over their arrays end to end.  Every field
+    # equals that of each ensemble's report alone, degenerate and dead-zone
+    # ensembles included, and the batch solves as many matrices as its
+    # ensembles alone.
+    for mu in mus:
+        mu.average  # built before anything is counted
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_eigensolves(patch)
+        batch = full_reports(mus)
+        batched = len(calls)
+        del calls[:]
+        alone = [full_report(mu) for mu in mus]
+        assert len(calls) == batched
+    # Within 1e-12, and in fact bit for bit: every value is reduced from its
+    # own ensemble's rows in its own order.
+    for report, want in zip(batch, alone):
+        assert _fields(report) == _fields(want)
+
+
+def test_failed_pair_stack_names_its_pair(monkeypatch):
+    # LAPACK fails on one pair difference of C's stack and on one of D's,
+    # in the stack and alone: the stack is solved again one matrix at a
+    # time, and the error names the pair.
+    aux = build_auxiliary(random_ensemble(6, 8, 0))
+    plus, (minus, _) = aux.mu_plus.matrices, aux._minus_slots
+    n = aux.mu_minus.size
+    targets = [plus[1] - plus[3], minus[2] - minus[n]]
+    original = np.linalg.eigvalsh
+
+    def pair_fails(a, *args, **kwargs):
+        for mat in np.reshape(a, (-1, 8, 8)):
+            if any(np.array_equal(mat, target) for target in targets):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", pair_fails)
+    pattern = r"^pair \(1, 3\): eigenvalue computation failed at dim 8"
+    with pytest.raises(EigensolverError, match=pattern):
+        plus_diameter(aux)
+    with pytest.raises(EigensolverError, match=rf"^pair \(2, {n}\): eigenvalue computation failed"):
+        aux.minus_gaps
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batch_pools_each_kind_of_part_arrays(seed):
+    # A dense ensemble whose two dense members lie in the dead zone (their
+    # off-diagonal entries cancel in the average and are below PSD_TOL)
+    # keeps its retained parts as rows, while the other ensemble of its
+    # batch keeps stacks: each stage takes each ensemble's own kind, and C
+    # and D pool the two kinds apart, each report as its ensemble's alone.
+    rng = np.random.default_rng(seed)
+    diagonals, probs = rng.dirichlet(np.ones(3), size=5), rng.dirichlet(np.ones(5))
+    centre = np.diag(probs @ diagonals).astype(complex)
+    off = np.zeros((3, 3), dtype=complex)
+    off[0, 2] = off[2, 0] = 1e-11
+    states = [DensityOperator.from_diagonal(row) for row in diagonals]
+    states += [DensityOperator(centre + off), DensityOperator(centre - off)]
+    rows = DiscreteEnsemble(np.append(0.8 * probs, [0.1, 0.1]), tuple(states))
+    assert rows.matrices is not None and build_auxiliary(rows).mu_plus.matrices is None
+    mus = [random_ensemble(3, 3, seed), rows]
+    for report, mu in zip(full_reports(mus), mus):
+        assert _fields(report) == _fields(full_report(mu))
+
+
+def test_pooled_pairs_match_each_scan():
+    # Pure members' positive parts have rank 1, so their pairs take the Gram
+    # closed form; an entry of a Gram matrix depends on the matrix's size in
+    # its last bits, so each array of a pooled pass keeps its own table.
+    # Every distance of the pooled pass is its own scan's, bit for bit.
+    mus = [_haar_pure_ensemble(m, 8, seed) for seed, m in enumerate((9, 12, 4, 11))]
+    mus += [random_ensemble(5, 8, 1), diagonal_average_ensemble(8, 2)]
+    parts = [build_auxiliary(mu).mu_plus for mu in mus]
+    tasks = [(mu._members, mu._spectra, *np.triu_indices(mu.size, 1)) for mu in parts]
+    alone = []
+    for members, spectra, first, second in tasks:
+        distances = np.empty(first.size)
+        for positions, values in pair_trace_distances(members, [(first, second)], spectra):
+            distances[positions] = values
+        alone.append(distances)
+    assert np.array_equal(linalg._pooled_pair_distances(tasks), np.concatenate(alone))
+
+
+def test_batched_diameter_stops_where_its_scan_stops(monkeypatch):
+    # Two basis states whose positive parts are orthogonal put C at 1 in
+    # their diagonal pairs, so the scan of this ensemble alone stops before
+    # its Gram and dense pairs: in a batch, the pooled pass skips them too,
+    # solving the same matrices and giving the same C.
+    psi = np.array([1.0, 1.0j, 0.0]) / math.sqrt(2.0)
+    mirror = np.array([1.0, -1.0j, 0.0]) / math.sqrt(2.0)
+    states = (DensityOperator.from_diagonal([1.0, 0.0, 0.0]),
+              DensityOperator.from_diagonal([0.0, 0.0, 1.0]),
+              DensityOperator.from_pure(psi), DensityOperator.from_pure(mirror),
+              DensityOperator(np.eye(3) / 3.0))
+    stops = DiscreteEnsemble(np.full(5, 0.2), states)
+    mus = [random_ensemble(4, 3, 5), stops, random_ensemble(3, 3, 6)]
+    for mu in mus:
+        mu.average
+    calls = count_eigensolves(monkeypatch)
+    batch = full_reports(mus)
+    batched = len(calls)
+    del calls[:]
+    alone = [full_report(mu) for mu in mus]
+    assert len(calls) == batched
+    assert batch[1].plus_diameter == 1.0
+    for report, want in zip(batch, alone):
+        assert _fields(report) == _fields(want)
+
+
+def _fields(report: BoundReport) -> list:
+    """Every field of a report, its slacks in order."""
+    return [getattr(report, f.name) for f in dataclasses.fields(report) if f.name != "slacks"] + [
+        *report.slacks.items()
+    ]

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holevo_bounds import cli, linalg
-from holevo_bounds.bounds import FeiReport, full_report
+from holevo_bounds import bounds, cli, linalg
+from holevo_bounds.bounds import BOUND_KEYS, FeiReport, fei_check, full_report
 from holevo_bounds.cli import (
     EXIT_NUMERICAL,
     EnsembleFileError,
@@ -25,7 +25,13 @@ from holevo_bounds.cli import (
     write_ensemble_file,
 )
 from holevo_bounds.ensemble import DiscreteEnsemble
-from holevo_bounds.gallery import orthogonal_ensemble, random_ensemble, trine_ensemble
+from holevo_bounds.gallery import (
+    orthogonal_ensemble,
+    random_ensemble,
+    random_mixed_state,
+    random_pure_state,
+    trine_ensemble,
+)
 from holevo_bounds.linalg import DensityOperator, EigensolverError
 
 from helpers import count_eigensolves, fail_second_stack
@@ -820,10 +826,10 @@ def test_verify_violation_exit_code_and_failure_file(tmp_path, capsys, monkeypat
 def test_verify_failure_message_counts_every_violation(tmp_path, capsys, monkeypatch):
     import holevo_bounds.cli as cli
 
-    def broken_fei_check(rho, sigma):
-        return FeiReport(eps=0.5, lhs=1.0, rhs=0.0, slack=-1.0)
+    def broken_fei_checks(pairs):
+        return [FeiReport(eps=0.5, lhs=1.0, rhs=0.0, slack=-1.0) for _ in pairs]
 
-    monkeypatch.setattr(cli, "fei_check", broken_fei_check)
+    monkeypatch.setattr(cli, "fei_checks", broken_fei_checks)
     monkeypatch.chdir(tmp_path)
     assert main(["verify", "fei", "--trials", "3", "--seed", "5"]) == 1
     err = capsys.readouterr().err
@@ -832,28 +838,84 @@ def test_verify_failure_message_counts_every_violation(tmp_path, capsys, monkeyp
     assert [v["trial"] for v in failure["violations"]] == [0, 1, 2]
 
 
-@pytest.mark.parametrize(
-    "suite, target",
-    [("bounds", "full_report"), ("fei", "fei_check")],
-)
+def _suite_draws(suite: str, seed: int, trials: int) -> list:
+    """What `verify suite --seed seed` draws, one trial at a time, in its
+    random stream: each trial's ensemble for bounds, its (rho, sigma) for fei."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(trials):
+        if suite == "bounds":
+            m = int(rng.integers(2, 7))
+            draws.append(random_ensemble(m, int(rng.integers(2, 9)), rng))
+            continue
+        dim, pair = int(rng.integers(2, 9)), []
+        for _ in range(2):
+            if rng.integers(2) == 0:
+                pair.append(random_pure_state(dim, rng))
+            else:
+                pair.append(random_mixed_state(dim, int(rng.integers(1, dim + 1)), rng))
+        draws.append(tuple(pair))
+    return draws
+
+
+def _trial_differences(suite: str, draw) -> np.ndarray:
+    """The matrices that a trial's member stage hands to eigh: each member
+    minus the average, or rho - sigma."""
+    if suite == "bounds":
+        return draw.matrices - draw.average.mat
+    return (draw[0].mat - draw[1].mat)[None]
+
+
+def _eigh_fails_on(monkeypatch, targets: np.ndarray, error: Exception) -> None:
+    """Make np.linalg.eigh raise `error` on any input that holds one of the
+    d x d matrices `targets`, in a stack or alone."""
+    original = np.linalg.eigh
+
+    def fails(a, *args, **kwargs):
+        if np.shape(a)[-1] == targets.shape[-1]:
+            for mat in np.reshape(a, (-1, *targets.shape[1:])):
+                if any(np.array_equal(mat, target) for target in targets):
+                    raise error
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", fails)
+
+
+def _worst_without(suite: str, alone: str, draws: list, skip: int) -> dict:
+    """The worst values a suite reports from its trials but `skip`, each
+    trial evaluated alone by the function named `alone`, which evaluates a
+    trial when its round's batch raises."""
+    evaluate, worst = getattr(bounds, alone), {}
+    for trial, draw in enumerate(draws):
+        if trial == skip:
+            continue
+        if suite == "fei":
+            cli._min_into(worst, "slack", evaluate(*draw).slack)
+            continue
+        report = evaluate(draw)
+        for key in BOUND_KEYS:
+            cli._min_into(worst, f"slack.{key}", report.slacks[key])
+        for small, large, _ in cli._ORDERINGS:
+            gap = getattr(report, large) - getattr(report, small)
+            cli._min_into(worst, f"order.{small}<={large}", gap)
+        cli._max_into(worst, "average_match_residual", report.average_match_residual)
+    return worst
+
+
+@pytest.mark.parametrize("suite, alone", [("bounds", "full_report"), ("fei", "fei_check")])
 def test_verify_numerical_failure_is_recorded_per_trial(
-    tmp_path, capsys, monkeypatch, suite, target
+    tmp_path, capsys, monkeypatch, suite, alone
 ):
-    import holevo_bounds.cli as cli
-
-    original = getattr(cli, target)
-    calls = []
-
-    def fails_on_trial_one(*args):
-        calls.append(len(calls))
-        if len(calls) == 2:
-            raise EigensolverError("eigendecomposition failed at dim 4: boom", dim=4)
-        return original(*args)
-
-    monkeypatch.setattr(cli, target, fails_on_trial_one)
+    # LAPACK fails on trial 1's member differences only, in the round's
+    # stacked member stage and again when trial 1 is reported alone: the
+    # batch is reported again one trial at a time, trial 1 is recorded, and
+    # the other trials still feed the worst values.
+    draws = _suite_draws(suite, 7, 5)
+    expected = _worst_without(suite, alone, draws, 1)
+    error = np.linalg.LinAlgError("boom")
+    _eigh_fails_on(monkeypatch, _trial_differences(suite, draws[1]), error)
     monkeypatch.chdir(tmp_path)
     assert main(["verify", suite, "--trials", "5", "--seed", "7"]) == EXIT_NUMERICAL
-    assert calls == [0, 1, 2, 3, 4]
     captured = capsys.readouterr()
     assert captured.out.startswith(f"suite {suite}: 5 trials")
     assert "1 numerical failure(s) written to" in captured.err
@@ -864,33 +926,22 @@ def test_verify_numerical_failure_is_recorded_per_trial(
     assert entry["kind"] == "numerical"
     assert "boom" in entry["detail"]
     assert ensemble_from_dict(entry["ensemble"]).size >= 2
+    assert cli._SUITES[suite](5, 7).worst == expected
 
 
 @pytest.mark.parametrize("error", [ZeroDivisionError, ValueError])
-@pytest.mark.parametrize(
-    "suite, target",
-    [("bounds", "full_report"), ("fei", "fei_check")],
-)
+@pytest.mark.parametrize("suite, alone", [("bounds", "full_report"), ("fei", "fei_check")])
 def test_verify_trial_error_is_recorded_per_trial(
-    tmp_path, capsys, monkeypatch, suite, target, error
+    tmp_path, capsys, monkeypatch, suite, alone, error
 ):
     # Any exception in a trial is recorded with its ensemble and the suite
-    # goes on: it neither escapes main nor reads as an input error.
-    import holevo_bounds.cli as cli
-
-    original = getattr(cli, target)
-    calls = []
-
-    def raises_on_trial_three(*args):
-        calls.append(len(calls))
-        if len(calls) == 4:
-            raise error("boom")
-        return original(*args)
-
-    monkeypatch.setattr(cli, target, raises_on_trial_three)
+    # goes on: it neither escapes main nor reads as an input error.  Here
+    # eigh raises it on trial 3's member differences only.
+    draws = _suite_draws(suite, 7, 5)
+    expected = _worst_without(suite, alone, draws, 3)
+    _eigh_fails_on(monkeypatch, _trial_differences(suite, draws[3]), error("boom"))
     monkeypatch.chdir(tmp_path)
     assert main(["verify", suite, "--trials", "5", "--seed", "7"]) == EXIT_NUMERICAL
-    assert calls == [0, 1, 2, 3, 4]
     captured = capsys.readouterr()
     assert captured.out.startswith(f"suite {suite}: 5 trials")
     assert "1 error(s) written to" in captured.err
@@ -900,6 +951,7 @@ def test_verify_trial_error_is_recorded_per_trial(
     assert entry["kind"] == "error"
     assert entry["detail"] == f"{error.__name__}: boom"
     assert ensemble_from_dict(entry["ensemble"]).size >= 2
+    assert cli._SUITES[suite](5, 7).worst == expected
 
 
 def test_verify_violation_outranks_numerical_failure(tmp_path, capsys, monkeypatch):
@@ -907,18 +959,85 @@ def test_verify_violation_outranks_numerical_failure(tmp_path, capsys, monkeypat
 
     calls = []
 
-    def numerical_then_violation(rho, sigma):
-        calls.append(len(calls))
-        if len(calls) == 1:
+    def numerical_then_violation(pairs):
+        # The round's batch raises, and so does trial 0 alone.
+        calls.append(len(pairs))
+        if len(calls) <= 2:
             raise EigensolverError("eigendecomposition failed at dim 2: boom", dim=2)
-        return FeiReport(eps=0.5, lhs=1.0, rhs=0.0, slack=-1.0)
+        return [FeiReport(eps=0.5, lhs=1.0, rhs=0.0, slack=-1.0) for _ in pairs]
 
-    monkeypatch.setattr(cli, "fei_check", numerical_then_violation)
+    monkeypatch.setattr(cli, "fei_checks", numerical_then_violation)
     monkeypatch.chdir(tmp_path)
     assert main(["verify", "fei", "--trials", "2", "--seed", "5"]) == 1
+    assert calls == [2, 1, 1]
     assert "1 violation(s) and 1 numerical failure(s)" in capsys.readouterr().err
     failure = json.loads((tmp_path / "verify-fei-failure.json").read_text())
     assert [v["kind"] for v in failure["violations"]] == ["numerical", "violation"]
+
+
+def _one_trial_at_a_time(suite: str, trials: int, seed: int) -> cli.SuiteResult:
+    """The reference for a batched round: each trial drawn, checked and
+    reported alone, in the round's random stream, as the suites did before
+    they batched their rounds."""
+    result = cli.SuiteResult(suite=suite, trials=trials, passed=True)
+    for trial, draw in enumerate(_suite_draws(suite, seed, trials)):
+        if suite == "fei":
+            slack = fei_check(*draw).slack
+            cli._min_into(result.worst, "slack", slack)
+            if slack < -1e-8:
+                pair = DiscreteEnsemble(np.array([0.5, 0.5]), draw)
+                detail = f"slack {slack:.3e} below -1e-08"
+                cli._record_failure(result, trial, "violation", detail, pair)
+            continue
+        report, problems = full_report(draw), []
+        for key in BOUND_KEYS:
+            slack = report.slacks[key]
+            cli._min_into(result.worst, f"slack.{key}", slack)
+            if slack < -1e-8:
+                problems.append(f"{key} slack {slack:.3e} below -1e-08")
+        for small, large, tol in cli._ORDERINGS:
+            gap = getattr(report, large) - getattr(report, small)
+            cli._min_into(result.worst, f"order.{small}<={large}", gap)
+            if gap < -tol:
+                problems.append(f"{small} exceeds {large} by {-gap:.3e}")
+        residual = report.average_match_residual
+        cli._max_into(result.worst, "average_match_residual", residual)
+        if residual > cli.AVERAGE_MATCH_TOL:
+            problems.append(f"auxiliary averages differ by {residual:.3e}")
+        if problems:
+            cli._record_failure(result, trial, "violation", "; ".join(problems), draw)
+    return result
+
+
+@pytest.mark.parametrize("suite", ["bounds", "fei"])
+@pytest.mark.parametrize("trials, seed", [(100, 0), (100, 1), (22, 2475351561)])
+def test_batched_suites_match_one_trial_at_a_time(suite, trials, seed):
+    # A round draws every trial first, checks each dimension's states as one
+    # stack and reports them in one batch; its worst values and failure
+    # records equal those of its trials taken one at a time, exactly.
+    batched = cli._SUITES[suite](trials, seed)
+    reference = _one_trial_at_a_time(suite, trials, seed)
+    assert batched.worst == reference.worst
+    assert batched.violations == reference.violations
+    assert batched.passed == reference.passed
+    if suite == "bounds" and seed == 2475351561:
+        [entry] = batched.violations
+        assert (entry["trial"], entry["detail"]) == (21, "auxiliary averages differ by 5.027e-09")
+
+
+def test_failed_batch_is_reported_one_ensemble_at_a_time(monkeypatch):
+    # The second stacked eigvalsh of a batch, the averages of its mu_plus,
+    # fails; the batch raises, and reported one ensemble at a time (whose
+    # averages are single solves) every ensemble gets its own report.
+    mus = [random_ensemble(m, 4, seed) for seed, m in enumerate((3, 5, 2, 4))]
+    expected = [full_report(random_ensemble(m, 4, seed)) for seed, m in enumerate((3, 5, 2, 4))]
+    stacked = fail_second_stack(monkeypatch)
+    with pytest.raises(EigensolverError, match="^stacked eigenvalue computation failed at dim 4"):
+        cli.full_reports(mus)
+    assert stacked == [4, 4]
+    reports = cli._batched(cli.full_reports, mus)
+    for report, want in zip(reports, expected):
+        assert report.slacks == want.slacks and report.chi == want.chi
 
 
 def test_suite_results_are_structured():

@@ -379,14 +379,14 @@ def test_exactly_diagonal_dense_difference_takes_lapack(monkeypatch):
         assert diff.diagonal is None
         assert np.count_nonzero(diff.mat - np.diag(diff.mat.diagonal())) == 0
         del calls[:]
-        got = _member_parts(rho.mat[None], sigma)
+        got = _member_parts(rho.mat[None], [sigma])
         assert calls == [3]
         rho_d, sigma_d = (DensityOperator.from_diagonal(s.mat.diagonal().real) for s in (rho, sigma))
         assert np.array_equal((rho_d - sigma_d).diagonal, diff.mat.diagonal().real)
-        want = _member_parts(rho_d.diagonal[None], sigma_d)
+        want = _member_parts(rho_d.diagonal[None], [sigma_d])
         assert calls == [3]
         assert abs(got[0][0] - want[0][0]) <= 1e-12
-        assert got[1] == want[1] == ([] if rho is base else [0])
+        assert got[1].tolist() == want[1].tolist() == ([] if rho is base else [0])
         if rho is base:
             continue
         # The dense difference is rotated back into stacks; the diagonal one is not.

@@ -552,3 +552,26 @@ def test_state_stack_is_checked_block_by_block(monkeypatch):
     faulty[1] *= 1.0 + 2e-9
     with pytest.raises(ValueError, match="^member 1: state trace"):
         linalg._check_states(faulty, range(5))
+
+
+def test_state_fault_before_a_failed_solve_is_named_first(monkeypatch):
+    # LAPACK fails on member 2 alone, and member 1 is not positive: checked
+    # in turn, member 1 fails first, so the single solves before the failed
+    # one are checked before its error is raised.
+    rng = np.random.default_rng(5)
+    mats = np.stack([random_mixed_state(3, 3, rng).mat for _ in range(4)])
+    mats[1] = np.diag([0.5 + 1e-9, 0.5, -1e-9]).astype(complex) + 1e-3 * (1 - np.eye(3))
+    target = mats[2].copy()
+    original = np.linalg.eigvalsh
+
+    def member_two_fails(a, *args, **kwargs):
+        if any(np.array_equal(mat, target) for mat in np.reshape(a, (-1, 3, 3))):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", member_two_fails)
+    with pytest.raises(ValueError, match="^member 1: state is not positive semidefinite"):
+        linalg._check_states(mats.copy(), range(4))
+    mats[1] = np.eye(3) / 3.0
+    with pytest.raises(EigensolverError, match="^member 2: eigenvalue computation failed"):
+        linalg._check_states(mats, range(4))
