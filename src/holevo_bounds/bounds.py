@@ -45,6 +45,7 @@ from .ensemble import (
     _holevo_quantities,
     _member_parts,
     _minus_gaps,
+    _pools,
 )
 from .entropy import _entropy_of_weights, binary_entropy, von_neumann_entropy
 from .linalg import DensityOperator, _one_stack, _pooled_pair_distances, pair_trace_distances
@@ -141,26 +142,22 @@ def plus_diameter(aux: AuxiliaryDecomposition) -> float:
 
 
 def _diameters(auxes) -> list[float]:
-    """plus_diameter of each of `auxes`, of one dimension.  In a batch, the
-    ensembles whose m(m-1)/2 pairs fit one block of _upper_pairs and one
-    stack of each kind (linalg._one_stack) are scanned together, their member arrays
-    of each kind joined (linalg._pooled_pair_distances): a scan of one of
-    them would check the ceiling after its diagonal pairs, its Gram pairs
-    and its one dense stack, in that order, and so does the pooled pass,
-    so each solves the same pairs and gets the same C.  Every other
-    ensemble, and one alone, is scanned by itself, with the ceiling checked
-    after each stack."""
+    """plus_diameter of each of `auxes`, of one dimension.  The ensembles
+    that _pools pools, whose m(m-1)/2 pairs fit one block of _upper_pairs
+    and one stack of each kind (linalg._one_stack), are scanned together,
+    their member arrays joined (linalg._pooled_pair_distances): a scan of
+    one of them would check the ceiling after its diagonal pairs, its Gram
+    pairs and its one dense stack, in that order, and so does the pooled
+    pass, so each solves the same pairs and gets the same C.  Every other
+    ensemble is scanned by itself, with the ceiling checked after each
+    stack."""
     ceiling = 1.0 - 1e-12
-    best, pools = [0.0] * len(auxes), {}  # pools: the pooled ensembles of each member kind
-    pooled = len(auxes) > 1 and cache(  # one ensemble has none to pool with
-        lambda m: m * (m - 1) // 2 <= _PAIR_BLOCK and _one_stack(m * (m - 1) // 2, dim)
-    )
+    best = [0.0] * len(auxes)
     dim = auxes[0].mu_plus.dim if auxes else 0
-    for t, aux in enumerate(auxes):
-        mu = aux.mu_plus
-        if pooled and pooled(mu.size):
-            pools.setdefault(mu._members.ndim, []).append(t)
-            continue
+    fits = lambda m: m * (m - 1) // 2 <= _PAIR_BLOCK and _one_stack(m * (m - 1) // 2, dim)
+    alone, pools = _pools([aux.mu_plus for aux in auxes], fits)
+    for t in alone:
+        mu = auxes[t].mu_plus
         # Closed on an early exit: its worker threads are joined first.
         scan = pair_trace_distances(mu._members, _upper_pairs(mu.size), mu._spectra)
         with closing(scan) as stacks:
@@ -169,7 +166,7 @@ def _diameters(auxes) -> list[float]:
                 if best[t] >= ceiling:
                     break
     pairs = cache(lambda m: next(_upper_pairs(m), (np.arange(0),) * 2))  # one block's
-    for index in pools.values():
+    for index in pools:
         mus = [auxes[t].mu_plus for t in index]
         distances = _pooled_pair_distances(
             [(mu._members, mu._spectra, *pairs(mu.size)) for mu in mus], ceiling
@@ -291,8 +288,6 @@ def full_reports(ensembles) -> list[BoundReport]:
     again; a batch of one joins nothing.  The first error raised stops the
     batch; evaluate its ensembles one at a time to find which one raised it.
     """
-    if len(ensembles) == 1:
-        return _group_reports(ensembles)
     groups: dict[tuple[int, int], list[int]] = {}
     for k, mu in enumerate(ensembles):
         groups.setdefault((mu.dim, mu._members.ndim), []).append(k)

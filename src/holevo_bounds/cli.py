@@ -25,6 +25,7 @@ import functools
 import json
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +43,9 @@ from .gallery import (
     oscillator_ensemble,
     trine_ensemble,
 )
-from .linalg import DensityOperator, EigensolverError, _check_states, _derived, _each_alone
+from .linalg import (
+    DensityOperator, EigensolverError, _check_states, _derived, _each_alone, _joined,
+)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -360,28 +363,47 @@ def _random_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
     return _ginibre(1, dim, int(rng.integers(1, dim + 1)), rng)[0]
 
 
+# Trials drawn, checked and evaluated at a time by run_fei_suite and
+# run_bounds_suite: a chunk's states, stacks and reports are all that a run
+# holds at once, whatever its trial count.
+_CHUNK = 100
+
+
+def _chunks(trials: int) -> Iterator[range]:
+    """The trial numbers of a run, a chunk of _CHUNK at a time."""
+    return (range(start, min(start + _CHUNK, trials)) for start in range(0, trials, _CHUNK))
+
+
 def _checked_stacks(stacks: list[np.ndarray], named: bool) -> list[tuple]:
-    """linalg._check_states of each unchecked (m, d, d) stack of `stacks`, as
-    one joined stack per dimension: (matrices, spectra, flat) of each, the
-    arrays views of the joined ones.  If a joined check raises, each stack
-    is checked alone, in order (its members named when `named`), so the
-    first faulty stack raises its own error, as when each was checked as it
-    was drawn."""
+    """linalg._check_states of each unchecked (m, d, d) stack of `stacks`:
+    (matrices, spectra, flat) of each, checked as one joined stack per
+    dimension (_check_joined).  If that raises, each stack is checked alone
+    (_batched) and the first faulty one's error is raised, its members named
+    when `named`, as when each was checked as it was drawn."""
+    out = _batched(functools.partial(_check_joined, named=named), stacks)
+    for item in out:
+        if isinstance(item, Exception):
+            raise item
+    return out
+
+
+def _check_joined(stacks: list[np.ndarray], named: bool) -> list[tuple]:
+    """_checked_stacks' batch: the stacks of each dimension joined and
+    checked as one, with (matrices, spectra, flat) of each stack as views of
+    the joined arrays.  A stack alone is checked in place, its members named
+    when `named`."""
     out, groups = [None] * len(stacks), {}
     for t, stack in enumerate(stacks):
         groups.setdefault(stack.shape[-1], []).append(t)
-    try:
-        for index in groups.values():
-            joined = np.concatenate([stacks[t] for t in index])
-            spectra, flat = _check_states(joined)
-            start = 0
-            for t in index:
-                stop = start + len(stacks[t])
-                out[t] = joined[start:stop], spectra[start:stop], flat[start:stop]
-                start = stop
-    except (ValueError, EigensolverError):
-        for t, stack in enumerate(stacks):
-            out[t] = stack, *_check_states(stack, range(len(stack)) if named else None)
+    for index in groups.values():
+        joined = _joined([stacks[t] for t in index])
+        alone = named and len(index) == 1
+        spectra, flat = _check_states(joined, range(len(joined)) if alone else None)
+        start = 0
+        for t in index:
+            stop = start + len(stacks[t])
+            out[t] = joined[start:stop], spectra[start:stop], flat[start:stop]
+            start = stop
     return out
 
 
@@ -401,35 +423,39 @@ def run_fei_suite(trials: int, seed: int) -> SuiteResult:
     """Entropic-inequality suite: random state pairs (mixture of pure and
     mixed, dims 2..8) must give slack >= -1e-8.
 
-    Every pair is drawn first, in the random stream of drawing and checking
-    one pair per trial; the states are checked as one stack per dimension
-    (_checked_stacks) and the pairs evaluated in one batch (fei_checks).  A
-    batch that raises is evaluated again one pair at a time (_batched), so a
-    trial that raises is recorded with its own kind and detail."""
+    The pairs are drawn a chunk of _CHUNK trials at a time, in the random
+    stream of drawing and checking one pair per trial; a chunk's states are
+    checked as one stack per dimension (_checked_stacks) and its pairs
+    evaluated in one batch (fei_checks).  A batch that raises is evaluated
+    again one pair at a time (_batched), so a trial that raises is recorded
+    with its own kind and detail."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     result = SuiteResult(suite="fei", trials=trials, passed=True)
-    mats = []
-    for _ in range(trials):
-        dim = int(rng.integers(2, 9))
-        mats += [_random_matrix(dim, rng), _random_matrix(dim, rng)]
-    checked = _checked_stacks([mat[None] for mat in mats], named=False)
-    del mats  # the states hold the checked copies
-    states = [  # each as DensityOperator(mat) builds it
-        _derived(DensityOperator, mat=mat, diagonal=row if flat else None, spectrum=row)
-        for (mat,), (row,), (flat,) in checked
-    ]
-    pairs = list(zip(states[::2], states[1::2]))
-    for trial, (pair, check) in enumerate(zip(pairs, _batched(fei_checks, pairs))):
-        if isinstance(check, Exception):
-            kind, detail = _failure_of(check)
-        else:
-            _min_into(result.worst, "slack", check.slack)
-            if check.slack >= -1e-8:
-                continue
-            kind, detail = "violation", f"slack {check.slack:.3e} below -1e-08"
-        _record_failure(result, trial, kind, detail, DiscreteEnsemble(np.array([0.5, 0.5]), pair))
+    for chunk in _chunks(trials):
+        mats = []
+        for _ in chunk:
+            dim = int(rng.integers(2, 9))
+            mats += [_random_matrix(dim, rng), _random_matrix(dim, rng)]
+        checked = _checked_stacks([mat[None] for mat in mats], named=False)
+        del mats  # the states hold the checked copies
+        states = [  # each as DensityOperator(mat) builds it
+            _derived(DensityOperator, mat=mat, diagonal=row if flat else None, spectrum=row)
+            for (mat,), (row,), (flat,) in checked
+        ]
+        pairs = list(zip(states[::2], states[1::2]))
+        for trial, pair, check in zip(chunk, pairs, _batched(fei_checks, pairs)):
+            if isinstance(check, Exception):
+                kind, detail = _failure_of(check)
+            else:
+                _min_into(result.worst, "slack", check.slack)
+                if check.slack >= -1e-8:
+                    continue
+                kind, detail = "violation", f"slack {check.slack:.3e} below -1e-08"
+            pair = DiscreteEnsemble(np.array([0.5, 0.5]), pair)
+            _record_failure(result, trial, kind, detail, pair)
+        del checked, states, pairs  # the chunk's states go before the next is drawn
     return result
 
 
@@ -447,48 +473,55 @@ def run_bounds_suite(trials: int, seed: int) -> SuiteResult:
     every bound >= chi - 1e-8, the bound orderings hold, and the two
     auxiliary-ensemble averages coincide to AVERAGE_MATCH_TOL in trace norm.
 
-    Every ensemble is drawn first, in the random stream of random_ensemble
-    called once per trial; their members are checked as one stack per
-    dimension (_checked_stacks), and they are reported in one batch
-    (full_reports).  A batch that raises is reported again one ensemble at
-    a time (_batched), so a trial that raises is recorded with its own kind
-    and detail."""
+    The ensembles are drawn a chunk of _CHUNK trials at a time, in the
+    random stream of random_ensemble called once per trial; a chunk's
+    members are checked as one stack per dimension (_checked_stacks), and
+    its ensembles reported in one batch (full_reports).  A batch that raises
+    is reported again one ensemble at a time (_batched), so a trial that
+    raises is recorded with its own kind and detail."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     result = SuiteResult(suite="bounds", trials=trials, passed=True)
-    probs, stacks = [], []
-    for _ in range(trials):
-        m = int(rng.integers(2, 7))
-        draw = _random_members(m, int(rng.integers(2, 9)), rng)
-        probs.append(draw[0])
-        stacks.append(draw[1])
-    checked = _checked_stacks(stacks, named=True)
-    del stacks, draw  # the ensembles hold the checked copies
-    ensembles = [_from_rows(p, rows, mats) for p, (mats, rows, _) in zip(probs, checked)]
-    for trial, (mu, report) in enumerate(zip(ensembles, _batched(full_reports, ensembles))):
-        if isinstance(report, Exception):
-            _record_failure(result, trial, *_failure_of(report), mu)
-            continue
-        problems = []
-        for key in BOUND_KEYS:
-            slack = report.slacks[key]
-            _min_into(result.worst, f"slack.{key}", slack)
-            if slack < -1e-8:
-                problems.append(f"{key} slack {slack:.3e} below -1e-08")
-        for small, large, tol in _ORDERINGS:
-            gap = getattr(report, large) - getattr(report, small)
-            _min_into(result.worst, f"order.{small}<={large}", gap)
-            if gap < -tol:
-                problems.append(f"{small} exceeds {large} by {-gap:.3e}")
-        _max_into(result.worst, "average_match_residual", report.average_match_residual)
-        if report.average_match_residual > AVERAGE_MATCH_TOL:
-            problems.append(
-                f"auxiliary averages differ by {report.average_match_residual:.3e}"
-            )
-        if problems:
-            _record_failure(result, trial, "violation", "; ".join(problems), mu)
+    for chunk in _chunks(trials):
+        probs, stacks = [], []
+        for _ in chunk:
+            m = int(rng.integers(2, 7))
+            draw = _random_members(m, int(rng.integers(2, 9)), rng)
+            probs.append(draw[0])
+            stacks.append(draw[1])
+        checked = _checked_stacks(stacks, named=True)
+        del stacks, draw  # the ensembles hold the checked copies
+        ensembles = [_from_rows(p, rows, mats) for p, (mats, rows, _) in zip(probs, checked)]
+        for trial, mu, report in zip(chunk, ensembles, _batched(full_reports, ensembles)):
+            if isinstance(report, Exception):
+                _record_failure(result, trial, *_failure_of(report), mu)
+            else:
+                _check_report(result, trial, mu, report)
+        del checked, ensembles  # the chunk's ensembles go before the next is drawn
     return result
+
+
+def _check_report(result: SuiteResult, trial: int, mu: DiscreteEnsemble, report) -> None:
+    """Fold one trial's report into run_bounds_suite's result."""
+    problems = []
+    for key in BOUND_KEYS:
+        slack = report.slacks[key]
+        _min_into(result.worst, f"slack.{key}", slack)
+        if slack < -1e-8:
+            problems.append(f"{key} slack {slack:.3e} below -1e-08")
+    for small, large, tol in _ORDERINGS:
+        gap = getattr(report, large) - getattr(report, small)
+        _min_into(result.worst, f"order.{small}<={large}", gap)
+        if gap < -tol:
+            problems.append(f"{small} exceeds {large} by {-gap:.3e}")
+    _max_into(result.worst, "average_match_residual", report.average_match_residual)
+    if report.average_match_residual > AVERAGE_MATCH_TOL:
+        problems.append(
+            f"auxiliary averages differ by {report.average_match_residual:.3e}"
+        )
+    if problems:
+        _record_failure(result, trial, "violation", "; ".join(problems), mu)
 
 
 def run_tightness_suite(trials: int = 7, seed: int = 0) -> SuiteResult:

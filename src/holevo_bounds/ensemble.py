@@ -12,7 +12,7 @@ of rows about its own average, and for bounds.fei_checks' pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -315,13 +315,11 @@ def _minus_gaps(auxes) -> list[tuple[float, ...]]:
     """minus_gaps of each of `auxes`, of one dimension: twice the distances
     of the pairs (tau_i^minus, omega), with omega in its slot
     (build_auxiliary), or appended to a copy when mu_minus was built from
-    its states.  In a batch, the ensembles whose gaps fit one stack of each
-    kind (linalg._one_stack) are evaluated in one pass per member kind
-    (linalg._pooled_pair_distances); every other, and one alone, by
-    pair_trace_distances."""
-    gaps, pools = [None] * len(auxes), {}  # pools: the pooled ensembles of each member kind
-    pooled = len(auxes) > 1 and cache(lambda n: _one_stack(n, auxes[0].mu_minus.dim))
-    for t, aux in enumerate(auxes):
+    its states.  The ensembles that _pools pools, whose gaps fit one stack
+    of each kind (linalg._one_stack), are evaluated in one pass per pool
+    (linalg._pooled_pair_distances); every other by pair_trace_distances."""
+    tasks = []  # each ensemble's (members, spectra, first, second)
+    for aux in auxes:
         n = aux.mu_minus.size
         if aux._minus_slots is None:
             omega, members, spectra = aux.omega, aux.mu_minus._members, aux.mu_minus._spectra
@@ -329,19 +327,39 @@ def _minus_gaps(auxes) -> list[tuple[float, ...]]:
             spectra = np.append(spectra, [omega.spectrum], 0)
         else:
             members, spectra = aux._minus_slots
-        task = (members, spectra, np.arange(n), np.full(n, n))
-        if pooled and pooled(n):
-            pools.setdefault(members.ndim, []).append((t, task))
-            continue
-        gaps[t] = np.empty(n)
-        for positions, distances in pair_trace_distances(members, [task[2:]], spectra):
+        tasks.append((members, spectra, np.arange(n), np.full(n, n)))
+    dim = auxes[0].mu_minus.dim if auxes else 0
+    alone, pools = _pools([aux.mu_minus for aux in auxes], lambda n: _one_stack(n, dim))
+    gaps = [None] * len(auxes)
+    for t in alone:
+        members, spectra, *pairs = tasks[t]
+        gaps[t] = np.empty(len(pairs[0]))
+        for positions, distances in pair_trace_distances(members, [pairs], spectra):
             gaps[t][positions] = 2.0 * distances
-    for pool in pools.values():
-        distances = 2.0 * _pooled_pair_distances([task for _, task in pool])
-        ends = accumulate(len(task[2]) for _, task in pool)
-        for (t, task), stop in zip(pool, ends):
-            gaps[t] = distances[stop - len(task[2]):stop]
+    for pool in pools:
+        distances = 2.0 * _pooled_pair_distances([tasks[t] for t in pool])
+        stops = accumulate(len(tasks[t][2]) for t in pool)
+        for t, stop in zip(pool, stops):
+            gaps[t] = distances[stop - len(tasks[t][2]):stop]
     return [tuple(row.tolist()) for row in gaps]
+
+
+def _pools(parts, fits) -> tuple[list[int], list[list[int]]]:
+    """How a batch evaluates the pairs of C or D of its part ensembles
+    `parts` (each ensemble's mu_plus or mu_minus, of one dimension): the
+    indices of those scanned alone, and the pools, lists of indices whose
+    pairs linalg._pooled_pair_distances takes in one pass.  A pool holds
+    two or more ensembles of one member kind whose size fits(size) accepts;
+    every other ensemble is scanned alone, where one ensemble's pairs cost
+    less than in a pooled pass."""
+    alone, kinds = [], {}
+    for t, mu in enumerate(parts):
+        if fits(mu.size):
+            kinds.setdefault(mu._members.ndim, []).append(t)
+        else:
+            alone.append(t)
+    alone += [index[0] for index in kinds.values() if len(index) == 1]
+    return alone, [index for index in kinds.values() if len(index) > 1]
 
 
 def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
@@ -395,8 +413,7 @@ def _auxiliaries(mus) -> list:
         _joined([mu._members for mu in mus]), [mu.average for mu in mus], starts[:-1]
     )
     eps.setflags(write=False)
-    # Each ensemble's first kept row.
-    first = [0, len(kept)] if len(mus) == 1 else np.searchsorted(kept, starts).tolist()
+    first = np.searchsorted(kept, starts).tolist()  # each ensemble's first kept row
     out, live = [None] * len(mus), []
     for e, mu in enumerate(mus):
         lo, hi = first[e], first[e + 1]
@@ -411,7 +428,7 @@ def _auxiliaries(mus) -> list:
                 eps_av=eps_av,
             )
             continue
-        usable = (kept[lo:hi] - starts[e] if e else kept[lo:hi]).tolist()
+        usable = (kept[lo:hi] - starts[e]).tolist()
         raw = mu.probs[usable] * eps_e[usable]
         # An ensemble whose every retained part is diagonal keeps their rows.
         dense = plus is not None and bool(solved[starts[e]:starts[e + 1]].any())
@@ -499,46 +516,50 @@ def _member_parts(members: np.ndarray, centres, starts=(0,), rotate: bool = True
     index in its segment) whose solve fails.  A stacked member is taken by
     its entries when it and its centre are exactly diagonal (_by_entries);
     its eigenvectors are the basis.  Step 2 runs each block through
-    whole-array operations and compacts the kept rows in place; a block's
-    differences and residual temporaries go before the next block is
-    solved, and only its kept eigenvectors are kept.  Nothing of m x d is
-    allocated besides the row arrays, which are shrunk before any view of
-    them is made.  Step 3 allocates the two stacks and rotates each block's
-    kept parts back into their slots, one _spectral_sum per block and stack,
-    dropping the block's eigenvectors once done.  The stacks are allocated
-    after the solves, which keeps the dense-files benchmark's peak RSS down.
+    whole-array operations and compacts the kept rows in place, to the
+    front of plus_rows and minus_rows; a block's differences and residual
+    temporaries go before the next block is solved, and only its kept
+    eigenvectors are kept.  Nothing of m x d is allocated besides the row
+    arrays, which are shrunk before any view of them is made.  Step 3
+    allocates the two stacks and rotates each block's kept parts back into
+    the same rows, one _spectral_sum per block and stack, dropping the
+    block's eigenvectors once done.  The stacks are allocated after the
+    solves, which keeps the dense-files benchmark's peak RSS down.  Last,
+    segment e's rows of minus_rows and minus move down by e, the last
+    segment first, which opens each omega slot: one slice copy per segment
+    after the first, none for one segment.
     """
     m, k, d = len(members), len(centres), centres[0].dim
-    # Each row's segment and its index in it; one segment needs neither.
-    owner = None if k == 1 else np.repeat(np.arange(k), np.diff([*starts, m]))
-    local = None if k == 1 else np.arange(m) - np.asarray(starts)[owner]
     eps, keep = np.empty(m), np.empty(m, dtype=bool)
     plus_rows, minus_rows = np.empty((m, d)), np.empty((m + k, d))
-    # rotated: (first row, rows of minus_rows, eigenvectors) of each block's kept parts
+    # rotated: (first row, eigenvectors) of each block's kept parts
     flat, rotated = None, []
-
-    def centre_rows(rows):  # the diagonals of the centres of `rows`, all diagonal
-        if k == 1:
-            return centres[0].diagonal
-        diagonals = [np.zeros(d) if c.diagonal is None else c.diagonal for c in centres]
-        return np.stack(diagonals)[owner[rows]]
-
+    stops = [*starts[1:], m]
     if members.ndim == 2:
-        np.subtract(members, centre_rows(slice(None)), out=plus_rows)
+        for centre, first, stop in zip(centres, starts, stops):
+            np.subtract(members[first:stop], centre.diagonal, out=plus_rows[first:stop])
         blocks = ((block, None) for block in _stacks(m, d)[0])
     else:
+        owner = np.repeat(np.arange(k), [stop - first for first, stop in zip(starts, stops)])
         centred = [c.diagonal is not None for c in centres]
         if any(centred):
             flat = _by_entries(members, None if all(centred) else np.array(centred)[owner])
-            plus_rows[flat] = members.diagonal(axis1=1, axis2=2).real[flat] - centre_rows(flat)
+            diagonals = np.array([c.diagonal if c.diagonal is not None else np.zeros(d)
+                                  for c in centres])
+            rows = members.diagonal(axis1=1, axis2=2).real[flat]
+            plus_rows[flat] = rows - diagonals[owner[flat]]
         mats = []  # the centres' matrices, read on the first solve
 
         def solve(block):
             if not mats:
-                mats.append(centres[0].mat if k == 1 else np.stack([c.mat for c in centres]))
-            index = range(m)[block] if flat is None else np.flatnonzero(~flat[block]) + block.start
-            centre = mats[0] if k == 1 else mats[0][owner[index]]
-            values, vectors = _eigh(members[index] - centre, index if k == 1 else local[index])
+                mats.append(np.array([c.mat for c in centres]))
+            index = block if flat is None else np.flatnonzero(~flat[block]) + block.start
+
+            def name(j):  # a member's name is its row in its segment
+                row = np.arange(m)[index][j]
+                return f"member {row - starts[owner[row]]}"
+
+            values, vectors = _eigh(members[index] - mats[0][owner[index]], name)
             if flat is None or not rotate:
                 return block, (values, vectors if rotate else None)
             # A part taken by its entries rotates back by the identity.
@@ -549,14 +570,12 @@ def _member_parts(members: np.ndarray, centres, starts=(0,), rotate: bool = True
             return block, (values, basis)
 
         blocks = _solved(solve, *_stacks(m, d, "eigh"))
-    n = 0
+    n = 0  # the rows kept so far, compacted to the front of plus_rows and minus_rows
     for block, system in blocks:
         chunk = plus_rows[block]
         if system is not None:
             chunk[slice(None) if flat is None else ~flat[block]] = system[0]
-        # Scratch rows for tau^-: the rows kept so far end before n + owner[block.start].
-        first = n if owner is None else n + owner[block.start]
-        negated = minus_rows[first:first + len(chunk)]
+        negated = minus_rows[n:n + len(chunk)]  # scratch rows for tau^-
         eps[block] = np.minimum(0.5 * np.abs(chunk).sum(axis=1), 1.0)
         np.negative(chunk, out=negated)
         for part in (chunk, negated):
@@ -567,17 +586,11 @@ def _member_parts(members: np.ndarray, centres, starts=(0,), rotate: bool = True
         count = int(np.count_nonzero(kept))
         if count < len(chunk):
             chunk, negated, traces = chunk[kept], negated[kept], [t[kept] for t in traces]
-        # The rows kept so far end at n <= block.start: numpy buffers an overlap.
+        # n <= block.start: numpy buffers an overlap.
         np.divide(chunk, traces[0][:, None], out=plus_rows[n:n + count])
-        if owner is None:
-            slots = slice(n, n + count)  # the kept rows' rows of minus_rows
-            np.divide(negated, traces[1][:, None], out=minus_rows[slots])
-        else:
-            slots = n + np.arange(count) + owner[block][kept]
-            minus_rows[slots] = negated / traces[1][:, None]
+        np.divide(negated, traces[1][:, None], out=minus_rows[n:n + count])
         if rotate and system is not None and count:
-            vectors = system[1] if count == len(kept) else system[1][kept]
-            rotated.append((n, slots, vectors))
+            rotated.append((n, system[1] if count == len(kept) else system[1][kept]))
         n += count
         system = None  # the block's solve temporaries go before the next block is solved
     del chunk, negated, part  # no view of the arrays may outlive their resize
@@ -588,11 +601,16 @@ def _member_parts(members: np.ndarray, centres, starts=(0,), rotate: bool = True
     if rotated and solved.any():
         plus, minus = np.empty((n, d, d), complex), np.empty((n + k, d, d), complex)
         while rotated:  # each block's eigenvectors go once its parts are rotated back
-            first, slots, vectors = rotated.pop()
-            stop = first + len(vectors)
-            _spectral_sum(vectors, plus_rows[first:stop], out=plus[first:stop])
-            if isinstance(slots, slice):
-                _spectral_sum(vectors, minus_rows[slots], out=minus[slots])
-            else:
-                minus[slots] = _spectral_sum(vectors, minus_rows[slots])
-    return eps, np.flatnonzero(keep), plus_rows, minus_rows, plus, minus, solved
+            first, vectors = rotated.pop()
+            rows = slice(first, first + len(vectors))
+            _spectral_sum(vectors, plus_rows[rows], out=plus[rows])
+            _spectral_sum(vectors, minus_rows[rows], out=minus[rows])
+    kept = np.flatnonzero(keep)
+    first = np.searchsorted(kept, starts).tolist()
+    # Segment e's tau^- rows move down by e, last segment first, which
+    # leaves a slot for omega after each segment's rows.
+    for e in range(k - 1, 0, -1):
+        rows = slice(first[e], first[e + 1] if e + 1 < k else n)
+        for array in (minus_rows,) if minus is None else (minus_rows, minus):
+            array[rows.start + e:rows.stop + e] = array[rows]
+    return eps, kept, plus_rows, minus_rows, plus, minus, solved

@@ -20,16 +20,17 @@ diagonal.  Every stage that takes members a stack at a time (the member
 stage, stacked _eigh and _spectral_sum; member_epsilons; the pair
 distances of C and D's gaps; the row blocks of whole-array stages) is
 sized and threaded by one stack planner, _stacks, and runs its stacks
-through _solved, and every LAPACK failure goes through _lapack, which
-names the matrix of a stack that fails alone.  _pair_methods alone picks
-how a pair's distance is computed: by a gathered vector difference, by the
-rank-1 closed form, or by a stacked eigensolve; pair_trace_distances scans
-one array's pairs, and _pooled_pair_distances those of a batch's small
-arrays in one pass.  _spectral_sum alone rebuilds dense Jordan parts
-from their eigenvectors.  Checked states enter as one stack too:
-_check_states runs DensityOperator's checks on a whole (m, d, d) stack,
-which a loaded file and a random ensemble hand to the ensemble as its
-matrices, and a DensityOperator built from a matrix is its one-matrix case.
+through _solved; a stack on which LAPACK fails is solved again one matrix
+at a time (_each_alone) to name the matrix that fails alone.
+_pair_methods alone picks how a pair's distance is computed: by a
+gathered vector difference, by the rank-1 closed form, or by a stacked
+eigensolve; pair_trace_distances scans one array's pairs, and
+_pooled_pair_distances those of a batch's small arrays in one pass.
+_spectral_sum alone rebuilds dense Jordan parts from their eigenvectors.
+Checked states enter as one stack too: _check_states runs
+DensityOperator's checks on a whole (m, d, d) stack, which a loaded file
+and a random ensemble hand to the ensemble as its matrices, and a
+DensityOperator built from a matrix is its one-matrix case.
 """
 
 from __future__ import annotations
@@ -55,14 +56,10 @@ TRACE_TOL = 1e-9
 class EigensolverError(RuntimeError):
     """Eigendecomposition failed, or its residual exceeded tolerance."""
 
-    def __init__(
-        self, message: str, *, dim: int, residual: float | None = None, index: int | None = None
-    ):
+    def __init__(self, message: str, *, dim: int, residual: float | None = None):
         super().__init__(message)
         self.dim = dim
         self.residual = residual
-        # The position in its stack of the matrix that failed alone (_lapack).
-        self.index = index
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -248,38 +245,25 @@ def _eigvalsh(mats: np.ndarray, name: Callable[[int], str] | None = None) -> np.
     return _lapack(np.linalg.eigvalsh, mats, name)
 
 
-def _lapack(solver: Callable, mats: np.ndarray, name=None, *, alone: bool = False):
+def _lapack(solver: Callable, mats: np.ndarray, name=None):
     """solver(mats), for np.linalg.eigvalsh or eigh, with LAPACK's failure as
     an EigensolverError: the one handler of a failed solve.  numpy does not
-    say which matrix of a stack failed, so when `name` or `alone` is given a
-    failed stack is solved again one matrix at a time (_each_alone).  The
-    error of the first matrix k that fails alone begins "{name(k)}: " and
-    keeps k as its `index`; when none fails alone, the stack's own error is
-    raised, naming none.  With `alone` (the checks of states, which pass or
-    fail as when taken in turn) nothing is raised: it returns (values,
-    fault), the single solves stacked, rows from k on left 0, and the error
-    of matrix k, or None when none failed."""
+    say which matrix of a stack failed, so when `name` is given a failed
+    stack is solved again one matrix at a time (_each_alone), and the error
+    of the first matrix k that fails alone begins "{name(k)}: "; when none
+    fails alone, or no `name` is given, the stack's own error is raised,
+    naming none."""
     try:
-        values = solver(mats)
-        return (values, None) if alone else values
+        return solver(mats)
     except np.linalg.LinAlgError as exc:
         dim, eigenvalues = mats.shape[-1], solver is np.linalg.eigvalsh
         what = "eigenvalue computation" if eigenvalues else "eigendecomposition"
-        if mats.ndim > 2 and (name is not None or alone):
-            values = np.zeros(mats.shape[:2])
-            for k, (result, error) in enumerate(_each_alone(solver, mats, np.linalg.LinAlgError)):
+        if mats.ndim > 2 and name is not None:
+            for k, (_, error) in enumerate(_each_alone(solver, mats, np.linalg.LinAlgError)):
                 if error is not None:
-                    prefix = "" if name is None else f"{name(k)}: "
-                    fault = EigensolverError(
-                        f"{prefix}{what} failed at dim {dim}: {error}", dim=dim, index=k
-                    )
-                    if alone:
-                        return values, fault
-                    raise fault from exc
-                if alone:
-                    values[k] = result
-            if alone:
-                return values, None
+                    raise EigensolverError(
+                        f"{name(k)}: {what} failed at dim {dim}: {error}", dim=dim
+                    ) from exc
         stacked = "stacked " if eigenvalues and mats.ndim > 2 else ""
         raise EigensolverError(f"{stacked}{what} failed at dim {dim}: {exc}", dim=dim) from exc
 
@@ -287,8 +271,8 @@ def _lapack(solver: Callable, mats: np.ndarray, name=None, *, alone: bool = Fals
 def _each_alone(solve: Callable, items: Iterable, errors=Exception) -> Iterator[tuple]:
     """solve(item) for each of `items` alone, in order, yielded as (result,
     None), or as (None, exc) when it raises one of `errors`: how a failed
-    stack finds its failing matrix (_lapack), and a failed batch of reports
-    its failing ensembles."""
+    stack finds its failing matrix (_lapack, _check_states), and a failed
+    batch of reports or checks its failing items (cli._batched)."""
     for item in items:
         try:
             yield solve(item), None
@@ -308,14 +292,13 @@ def hermitian_eig(a: HermitianOperator) -> EigenSystem:
     return EigenSystem(_freeze(w[0]), _freeze(v[0]))
 
 
-def _eigh(mats: np.ndarray, members: Sequence[int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _eigh(mats: np.ndarray, name: Callable[[int], str] | None = None) -> tuple:
     """hermitian_eig of every matrix of the (n, d, d) stack `mats` at one
     np.linalg.eigh call: the stacked (w, v), each matrix's two residuals
     checked as stacked arrays.  The EigensolverError of the first matrix k
-    that fails begins "member {members[k]}: " when `members` is given; when
-    LAPACK fails on the stack, _lapack finds that matrix."""
+    that fails begins "{name(k)}: " when `name` is given; when LAPACK fails
+    on the stack, _lapack finds that matrix."""
     dim = mats.shape[-1]
-    name = None if members is None else lambda k: f"member {members[k]}"
     w, v = _lapack(np.linalg.eigh, mats, name)
     vh = v.conj().swapaxes(-1, -2)
     recon = np.abs((v * w[:, None, :]) @ vh - mats).max(axis=(1, 2))
@@ -323,9 +306,9 @@ def _eigh(mats: np.ndarray, members: Sequence[int] | None = None) -> tuple[np.nd
     residuals = np.maximum(recon, ortho)
     if residuals.max(initial=0.0) > RECON_TOL:  # an empty stack has none
         k = int(np.argmax(residuals > RECON_TOL))
-        residual = float(residuals[k])
+        residual, prefix = float(residuals[k]), "" if name is None else f"{name(k)}: "
         raise EigensolverError(
-            f"{_member(members, k)}eigendecomposition residual {residual:.3e} exceeds "
+            f"{prefix}eigendecomposition residual {residual:.3e} exceeds "
             f"{RECON_TOL:.0e} at dim {dim}",
             dim=dim,
             residual=residual,
@@ -396,8 +379,10 @@ def _check_states(
     Raises the error of the first matrix k that fails a check, with its
     first failed check's message, which begins "member {members[k]}: " when
     `members` is given: a ValueError, or an EigensolverError when LAPACK
-    fails on it; when LAPACK fails on the stack, _lapack finds that matrix,
-    and when none fails alone the checks go on with their single solves."""
+    fails on it.  When LAPACK fails on the stack, its matrices are solved
+    again one at a time (_each_alone) up to the first that fails alone, and
+    the matrices before that one are checked first; when none fails alone
+    the checks go on with the single solves."""
     stop, fault = _symmetrize(mats, members)
     if not stop:
         raise fault
@@ -414,10 +399,16 @@ def _check_states(
     if len(index):
         solved = checked if len(index) == stop else checked[index]
         dense_traces = solved.trace(axis1=1, axis2=2).real
-        name = None if members is None else lambda k: f"member {members[index[k]]}"
-        values, failed = _lapack(np.linalg.eigvalsh, solved, name, alone=True)
-        if failed is not None:  # the matrices before it are checked first
-            stop, fault = int(index[failed.index]), failed
+        try:
+            values = _eigvalsh(solved)
+        except EigensolverError:  # solved one at a time up to the first that fails
+            values = np.zeros(solved.shape[:2])
+            for k, (result, error) in enumerate(_each_alone(_eigvalsh, solved, EigensolverError)):
+                if error is not None:
+                    stop = int(index[k])
+                    fault = EigensolverError(f"{_member(members, stop)}{error}", dim=error.dim)
+                    break
+                values[k] = result
         if solved is checked:
             spectra, traces = values, dense_traces
         else:
@@ -518,15 +509,19 @@ def _stacks(count: int, dim: int, solver: str | None = None) -> tuple[list[slice
     up to _WORKERS threads (through _solved_in_order); every other plan on
     the calling thread.
     """
-    if solver == "eigvalsh":
-        size = -(-_STACK_ROWS // dim)
-    elif solver == "eigh":
-        size = max(1, _BLOCK_BYTES // (16 * dim * dim))
-    else:
-        size = max(1, _STACK_BYTES // (8 * dim))
+    size = _stack_size(dim, solver)
     stacks = [slice(start, start + size) for start in range(0, count, size)]
     threaded = solver is not None and size * dim >= _STACK_ROWS
     return stacks, min(_WORKERS, len(stacks)) if threaded else 1
+
+
+def _stack_size(dim: int, solver: str | None = None) -> int:
+    """The items of one stack of _stacks' plan."""
+    if solver == "eigvalsh":
+        return -(-_STACK_ROWS // dim)
+    if solver == "eigh":
+        return max(1, _BLOCK_BYTES // (16 * dim * dim))
+    return max(1, _STACK_BYTES // (8 * dim))
 
 
 def _joined(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -539,16 +534,13 @@ def _one_stack(pairs: int, dim: int) -> bool:
     """Whether `pairs` pairs at `dim` fit one stack of diagonal differences
     and one of matrix differences: an ensemble's pairs that a batch of
     reports pools with others' (_pooled_pair_distances)."""
-    return all(len(_stacks(pairs, dim, kind)[0]) <= 1 for kind in (None, "eigvalsh"))
+    return pairs <= min(_stack_size(dim), _stack_size(dim, "eigvalsh"))
 
 
 def _stacked_eigvalsh(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """_eigvalsh of each d x d matrix of `mats`: one matrix alone, as the
-    report of one ensemble solves it, else stacked in the stacks that
-    _stacks plans, on its threads."""
-    if len(mats) == 1:
-        return [_eigvalsh(mats[0])]
-    stack = np.stack(mats)
+    """_eigvalsh of each d x d matrix of `mats`, stacked in the stacks that
+    _stacks plans, on its threads; one matrix is its own stack, a view."""
+    stack = _joined([mat[None] for mat in mats])
     plan, workers = _stacks(len(stack), stack.shape[-1], "eigvalsh")
     return [row for values in _solved(lambda part: _eigvalsh(stack[part]), plan, workers)
             for row in values]

@@ -45,7 +45,7 @@ from holevo_bounds.gallery import (
     trine_ensemble,
 )
 from holevo_bounds.entropy import binary_entropy, relative_entropy, shannon_entropy
-from holevo_bounds import linalg
+from holevo_bounds import bounds, ensemble, linalg
 from holevo_bounds.linalg import (
     DensityOperator,
     EigensolverError,
@@ -1206,10 +1206,11 @@ def test_drawn_ensembles_match_independent_checker(mu, worker_stacks):
 @given(st.lists(_mixed_kind_ensembles(), min_size=1, max_size=6))
 def test_batched_reports_match_one_at_a_time(mus):
     # full_reports groups the ensembles by dimension and member kind and runs
-    # each stage once per group, over their arrays end to end.  Every field
-    # equals that of each ensemble's report alone, degenerate and dead-zone
-    # ensembles included, and the batch solves as many matrices as its
-    # ensembles alone.
+    # each stage once per group, over their arrays end to end, pooling the
+    # pairs of C and D of its small ensembles.  Every field equals that of
+    # each ensemble's report alone with its pairs scanned by themselves,
+    # degenerate and dead-zone ensembles included, and the batch solves as
+    # many matrices as its ensembles alone.
     for mu in mus:
         mu.average  # built before anything is counted
     with pytest.MonkeyPatch.context() as patch:
@@ -1217,6 +1218,7 @@ def test_batched_reports_match_one_at_a_time(mus):
         batch = full_reports(mus)
         batched = len(calls)
         del calls[:]
+        _scan_alone(patch)
         alone = [full_report(mu) for mu in mus]
         assert len(calls) == batched
     # Within 1e-12, and in fact bit for bit: every value is reduced from its
@@ -1247,6 +1249,26 @@ def test_failed_pair_stack_names_its_pair(monkeypatch):
         plus_diameter(aux)
     with pytest.raises(EigensolverError, match=rf"^pair \(2, {n}\): eigenvalue computation failed"):
         aux.minus_gaps
+
+
+def test_failed_member_solve_in_a_batch_names_its_member(monkeypatch):
+    # LAPACK fails on member 2 of the second ensemble of a batch, in the
+    # batch's stacked member stage and alone: the error names the member by
+    # its index in its own ensemble.
+    mus = [random_ensemble(4, 3, 1), random_ensemble(5, 3, 2)]
+    for mu in mus:
+        mu.average
+    target = mus[1].matrices[2] - mus[1].average.mat
+    original = np.linalg.eigh
+
+    def member_fails(a, *args, **kwargs):
+        if any(np.array_equal(mat, target) for mat in np.reshape(a, (-1, 3, 3))):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", member_fails)
+    with pytest.raises(EigensolverError, match="^member 2: eigendecomposition failed at dim 3"):
+        full_reports(mus)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -1307,11 +1329,56 @@ def test_batched_diameter_stops_where_its_scan_stops(monkeypatch):
     batch = full_reports(mus)
     batched = len(calls)
     del calls[:]
-    alone = [full_report(mu) for mu in mus]
+    with monkeypatch.context() as patch:
+        _scan_alone(patch)
+        alone = [full_report(mu) for mu in mus]
     assert len(calls) == batched
     assert batch[1].plus_diameter == 1.0
     for report, want in zip(batch, alone):
         assert _fields(report) == _fields(want)
+
+
+def test_batched_diameter_skips_gram_pairs_past_the_ceiling(monkeypatch):
+    # Positive parts whose one diagonal pair ends in [1 - 1e-12, 1): the scan
+    # stops after its diagonal stack, before a Gram pair at distance 1 (two
+    # orthogonal pure states off the diagonal) and the pairs of a dense
+    # rank-2 part.  The pooled pass skips those too, so C stays below 1.
+    psi = np.array([1.0, 1.0j, 0.0]) / math.sqrt(2.0)
+    mirror = np.array([1.0, -1.0j, 0.0]) / math.sqrt(2.0)
+    near = 1.0 - 1e-13
+    parts = (DensityOperator.from_diagonal([1.0, 0.0, 0.0]),
+             DensityOperator.from_diagonal([1.0 - near, 0.0, near]),
+             DensityOperator.from_pure(psi), DensityOperator.from_pure(mirror),
+             DensityOperator(0.5 * DensityOperator.from_pure(psi).mat + np.diag([0, 0, 0.5])))
+    mu = DiscreteEnsemble(np.full(5, 0.2), parts)
+    every = pair_trace_distances(mu._members, _upper_pairs(mu.size), mu._spectra)
+    assert max(float(distances.max()) for _, distances in every) >= 1.0
+    auxes = [build_auxiliary(random_ensemble(4, 3, 5)), _PlusParts(mu),
+             build_auxiliary(random_ensemble(3, 3, 6))]
+    calls = count_eigensolves(monkeypatch)
+    batch = bounds._diameters(auxes)
+    batched = len(calls)
+    del calls[:]
+    with monkeypatch.context() as patch:
+        _scan_alone(patch)
+        alone = [bounds._diameters([aux])[0] for aux in auxes]
+    assert len(calls) == batched
+    assert batch == alone
+    assert 1.0 - 1e-12 <= batch[1] < 1.0
+
+
+@dataclasses.dataclass
+class _PlusParts:
+    """The one field of an AuxiliaryDecomposition that C reads."""
+
+    mu_plus: DiscreteEnsemble
+
+
+def _scan_alone(patch) -> None:
+    """Scan the pairs of C and D of every ensemble by itself: a batch then
+    pools none of them (linalg._pooled_pair_distances)."""
+    for module in (bounds, ensemble):
+        patch.setattr(module, "_one_stack", lambda pairs, dim: False)
 
 
 def _fields(report: BoundReport) -> list:

@@ -3,6 +3,7 @@
 import json
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1011,10 +1012,13 @@ def _one_trial_at_a_time(suite: str, trials: int, seed: int) -> cli.SuiteResult:
 
 @pytest.mark.parametrize("suite", ["bounds", "fei"])
 @pytest.mark.parametrize("trials, seed", [(100, 0), (100, 1), (22, 2475351561)])
-def test_batched_suites_match_one_trial_at_a_time(suite, trials, seed):
-    # A round draws every trial first, checks each dimension's states as one
-    # stack and reports them in one batch; its worst values and failure
-    # records equal those of its trials taken one at a time, exactly.
+@pytest.mark.parametrize("chunk", [100, 10])
+def test_batched_suites_match_one_trial_at_a_time(monkeypatch, suite, trials, seed, chunk):
+    # A run draws a chunk of trials, checks each dimension's states as one
+    # stack and reports them in one batch, chunk after chunk in one random
+    # stream; its worst values and failure records equal those of its
+    # trials taken one at a time, exactly, with chunks of 10 too.
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
     batched = cli._SUITES[suite](trials, seed)
     reference = _one_trial_at_a_time(suite, trials, seed)
     assert batched.worst == reference.worst
@@ -1027,17 +1031,58 @@ def test_batched_suites_match_one_trial_at_a_time(suite, trials, seed):
 
 def test_failed_batch_is_reported_one_ensemble_at_a_time(monkeypatch):
     # The second stacked eigvalsh of a batch, the averages of its mu_plus,
-    # fails; the batch raises, and reported one ensemble at a time (whose
-    # averages are single solves) every ensemble gets its own report.
+    # fails; the batch raises, and reported one ensemble at a time (past the
+    # failing call) every ensemble gets its own report.
     mus = [random_ensemble(m, 4, seed) for seed, m in enumerate((3, 5, 2, 4))]
     expected = [full_report(random_ensemble(m, 4, seed)) for seed, m in enumerate((3, 5, 2, 4))]
     stacked = fail_second_stack(monkeypatch)
     with pytest.raises(EigensolverError, match="^stacked eigenvalue computation failed at dim 4"):
         cli.full_reports(mus)
     assert stacked == [4, 4]
+    stacked = fail_second_stack(monkeypatch)  # the batch fails again, at its mu_minus averages
     reports = cli._batched(cli.full_reports, mus)
+    assert stacked[:2] == [4, 4] and len(stacked) > 2  # then each ensemble's own stacks
     for report, want in zip(reports, expected):
         assert report.slacks == want.slacks and report.chi == want.chi
+
+
+def test_drawn_state_fault_stops_the_run_as_its_draw_does(monkeypatch):
+    # LAPACK fails on member 1 of trial 3's drawn ensemble, in the chunk's
+    # joined check and alone: the run raises the error that drawing that
+    # ensemble alone raises, as when each trial was checked as it was drawn.
+    target = _suite_draws("bounds", 7, 5)[3].matrices[1]
+    original = np.linalg.eigvalsh
+
+    def member_fails(a, *args, **kwargs):
+        if np.shape(a)[-1] == len(target):
+            if any(np.array_equal(mat, target) for mat in np.reshape(a, (-1, *target.shape))):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", member_fails)
+    pattern = rf"^member 1: eigenvalue computation failed at dim {len(target)}"
+    with pytest.raises(EigensolverError, match=pattern):
+        _suite_draws("bounds", 7, 5)
+    with pytest.raises(EigensolverError, match=pattern):
+        run_bounds_suite(5, 7)
+
+
+@pytest.mark.parametrize("suite", ["fei", "bounds"])
+def test_suite_run_holds_one_chunk_at_a_time(suite):
+    # A run draws, checks and reports a chunk of cli._CHUNK trials at a
+    # time, and lets each chunk go before drawing the next, so the traced
+    # peak of a 1,000-trial run is about that of its first chunk alone.
+    run = cli._SUITES[suite]
+    run(cli._CHUNK, 3)  # first-use allocations, outside the measure
+    peaks = []
+    for count in (cli._CHUNK, 1000):
+        tracemalloc.start()
+        try:
+            run(count, 3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_suite_results_are_structured():
