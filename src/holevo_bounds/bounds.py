@@ -18,8 +18,10 @@ concavity).
 full_reports is the one place where these formulas are evaluated, once per
 group of ensembles of one dimension; full_report is its batch of one, and
 the four functions named above return its fields, so each call costs one
-report.  Every pair distance behind C and D takes the method that
-linalg._pair_methods gives it.
+report.  Every pair distance behind C and D comes from
+linalg.pair_trace_distances, one pass per group and member kind, which
+gives each pair the method linalg._pair_methods gives it and stops each
+ensemble's scan of C where its report alone stops it.
 
 Reports carry measured slacks rather than enforcing the inequalities, so a
 violating instance can still be inspected and serialized by the verification
@@ -30,8 +32,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from contextlib import closing
-from functools import cache
+from itertools import accumulate
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -45,10 +46,9 @@ from .ensemble import (
     _holevo_quantities,
     _member_parts,
     _minus_gaps,
-    _pools,
 )
 from .entropy import _entropy_of_weights, binary_entropy, von_neumann_entropy
-from .linalg import DensityOperator, _one_stack, _pooled_pair_distances, pair_trace_distances
+from .linalg import DensityOperator, _kinds, pair_trace_distances
 
 # The bound fields of BoundReport, in report order; each has a slack.
 BOUND_KEYS = (
@@ -128,55 +128,29 @@ def fei_checks(pairs) -> list[FeiReport]:
 def plus_diameter(aux: AuxiliaryDecomposition) -> float:
     """Largest pairwise trace distance among the positive-part states; in
     [0, 1].  Exact: every pair is evaluated unless the metric ceiling
-    1 - 1e-12 is reached first.  _diameters of one ensemble.
-
-    pair_trace_distances decides each pair's method: a pair of rank-1 parts
-    (every pure member's) takes a closed form, and a pair of diagonal parts
-    a vector difference, gathered from mu_plus's member array, both at no
-    eigensolve; every other pair takes one.
-    The pairs are generated in blocks of rows, so a scan that stops early
-    never holds all m(m-1)/2 of them.  The ceiling is checked after each
-    stack.
+    linalg._CEILING (1 - 1e-12) is reached first.  _diameters of one
+    ensemble: pair_trace_distances decides each pair's method and where the
+    scan stops.  The pairs are generated in blocks of rows, so a scan that
+    stops early never holds all m(m-1)/2 of them.
     """
     return _diameters([aux])[0]
 
 
 def _diameters(auxes) -> list[float]:
-    """plus_diameter of each of `auxes`, of one dimension.  The ensembles
-    that _pools pools, whose m(m-1)/2 pairs fit one block of _upper_pairs
-    and one stack of each kind (linalg._one_stack), are scanned together,
-    their member arrays joined (linalg._pooled_pair_distances): a scan of
-    one of them would check the ceiling after its diagonal pairs, its Gram
-    pairs and its one dense stack, in that order, and so does the pooled
-    pass, so each solves the same pairs and gets the same C.  Every other
-    ensemble is scanned by itself, with the ceiling checked after each
-    stack."""
-    ceiling = 1.0 - 1e-12
+    """plus_diameter of each of `auxes`, of one dimension: one
+    pair_trace_distances pass with running maxima per member kind of the
+    mu_plus arrays (_kinds), over their pairs in _upper_pairs' blocks."""
     best = [0.0] * len(auxes)
-    dim = auxes[0].mu_plus.dim if auxes else 0
-    fits = lambda m: m * (m - 1) // 2 <= _PAIR_BLOCK and _one_stack(m * (m - 1) // 2, dim)
-    alone, pools = _pools([aux.mu_plus for aux in auxes], fits)
-    for t in alone:
-        mu = auxes[t].mu_plus
-        # Closed on an early exit: its worker threads are joined first.
-        scan = pair_trace_distances(mu._members, _upper_pairs(mu.size), mu._spectra)
-        with closing(scan) as stacks:
-            for _, distances in stacks:
-                best[t] = max(best[t], float(distances.max()))
-                if best[t] >= ceiling:
-                    break
-    pairs = cache(lambda m: next(_upper_pairs(m), (np.arange(0),) * 2))  # one block's
-    for index in pools:
-        mus = [auxes[t].mu_plus for t in index]
-        distances = _pooled_pair_distances(
-            [(mu._members, mu._spectra, *pairs(mu.size)) for mu in mus], ceiling
-        )
-        owner = np.repeat(np.arange(len(index)), [len(pairs(mu.size)[0]) for mu in mus])
-        scans = np.zeros(len(index))
-        np.fmax.at(scans, owner, distances)  # a pair its scan did not reach is NaN
-        for t, value in zip(index, scans.tolist()):
-            best[t] = value
-    return [min(value, 1.0) for value in best]
+    for index in _kinds([aux.mu_plus._members for aux in auxes]):
+        mus, maxima = [auxes[t].mu_plus for t in index], [0.0] * len(index)
+        starts = accumulate((mu.size for mu in mus), initial=0)
+        arrays = [(mu._members, mu._spectra, _upper_pairs(mu.size, offset=start))
+                  for mu, start in zip(mus, starts)]
+        for _ in pair_trace_distances(arrays, maxima):
+            pass  # the scan raises maxima[k] to the C of mus[k]
+        for t, value in zip(index, maxima):
+            best[t] = min(value, 1.0)
+    return best
 
 
 # Fewest pairs in a block of _upper_pairs, the last excepted: 2^15 pairs,
@@ -184,10 +158,12 @@ def _diameters(auxes) -> list[float]:
 _PAIR_BLOCK = 1 << 15
 
 
-def _upper_pairs(m: int, block: int = _PAIR_BLOCK) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The index pairs (i, j), 0 <= i < j < m, in np.triu_indices(m, 1)
-    order, as blocks of whole rows i with at least `block` pairs each (the
-    last block may hold fewer)."""
+def _upper_pairs(
+    m: int, block: int = _PAIR_BLOCK, offset: int = 0
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The index pairs (offset + i, offset + j), 0 <= i < j < m, in
+    np.triu_indices(m, 1) order, as blocks of whole rows i with at least
+    `block` pairs each (the last block may hold fewer)."""
     start = 0
     while start < m - 1:
         stop, count = start, 0
@@ -195,8 +171,8 @@ def _upper_pairs(m: int, block: int = _PAIR_BLOCK) -> Iterator[tuple[np.ndarray,
             count += m - 1 - stop
             stop += 1
         rows = np.arange(start, stop)
-        first, second = np.nonzero(rows[:, None] < np.arange(m))
-        yield first + start, second
+        first, second = (rows[:, None] < np.arange(m)).nonzero()
+        yield first + (start + offset), second + offset if offset else second
         start = stop
 
 
@@ -276,17 +252,18 @@ def full_reports(ensembles) -> list[BoundReport]:
 
     Each stage runs once per group, over the group's arrays end to end: the
     averages, the member stage (_auxiliaries), chi of mu, mu_plus and mu_minus
-    (_holevo_quantities), the dense pairs of C (_diameters) and the gaps of
-    D (_minus_gaps); the dense matrices of a stage are solved in the stacks
-    that linalg._stacks plans.  A matrix's eigenvalues do not depend on its
-    stack, and every per-ensemble value is reduced from that ensemble's own
-    rows in its own order, so each report equals full_report of its
-    ensemble alone, bit for bit, with the same eigensolves: the batch's
-    count is the sum of its ensembles' counts.  Memory, one group at a
-    time: its member arrays once more, joined, its part stacks, and, for C
-    and D, the part arrays of its ensembles small enough to pool, joined
-    again; a batch of one joins nothing.  The first error raised stops the
-    batch; evaluate its ensembles one at a time to find which one raised it.
+    (_holevo_quantities), the pairs of C (_diameters) and the gaps of D
+    (_minus_gaps); the dense matrices of a stage are solved in the stacks
+    that linalg._stacks plans, or for C and D, linalg._pair_stacks.  A
+    matrix's eigenvalues do not depend on its stack, and every per-ensemble
+    value is reduced from that ensemble's own rows in its own order, so each
+    report equals full_report of its ensemble alone, bit for bit, with the
+    same eigensolves: the batch's count is the sum of its ensembles' counts.
+    Memory, one group at a time: its member arrays once more, joined, its
+    part stacks, and, for C and D, its part arrays of each member kind
+    joined again; a batch of one joins nothing.  The first error raised
+    stops the batch; evaluate its ensembles one at a time to find which one
+    raised it.
     """
     groups: dict[tuple[int, int], list[int]] = {}
     for k, mu in enumerate(ensembles):

@@ -1,12 +1,15 @@
 """Ensembles of quantum states and their auxiliary decompositions.
 
 An ensemble pairs a probability vector with density operators of a common
-dimension.  From it we derive the average state, the Holevo quantity, the
-per-member trace distances to the average, and the two auxiliary ensembles
-built from the normalized positive and negative parts of rho_i - average.
-One member stage, _member_parts, computes those parts for diagonal and
-dense members alike, for any number of ensembles at once, each a segment
-of rows about its own average, and for bounds.fei_checks' pairs.
+dimension, and holds its members as one array, stacked once when it is
+built (or handed over by _from_rows).  From it we derive the average
+state, the Holevo quantity, the per-member trace distances to the average,
+and the two auxiliary ensembles built from the normalized positive and
+negative parts of rho_i - average.  One member stage, _member_parts,
+computes those parts for diagonal and dense members alike, for any number
+of ensembles at once, each a segment of rows about its own average, and
+for bounds.fei_checks' pairs.  The gaps of D are the pair distances of
+each tau_i^- and omega (linalg.pair_trace_distances).
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ import numpy as np
 from .entropy import as_probability_vector, binary_entropy, von_neumann_entropy, _row_entropies
 from .linalg import (
     PSD_TOL, DensityOperator, _derived, _eigh, _eigvalsh, _freeze, _is_diagonal, _joined,
-    _one_stack, _pooled_pair_distances, _solved, _spectral_sum, _stacked_eigvalsh, _stacks,
-    pair_trace_distances,
+    _kinds, _solved, _spectral_sum, _stacked_eigvalsh, _stacks, pair_trace_distances,
 )
 
 # Member distances at or below this count as exactly zero.
@@ -50,12 +52,20 @@ class DegenerateEnsembleError(ValueError):
 @dataclass(frozen=True, eq=False)
 class DiscreteEnsemble:
     """A probability vector over same-dimension density operators.  Report
-    stages read the members as one array, `diagonals` or else `matrices`; one
-    built by _from_rows builds `states` on first read, as views of them."""
+    stages read the members as one read-only array, `diagonals` or else
+    `matrices`, and their spectra as the rows of `_spectra`: stacked once by
+    the checking constructor, or handed over by _from_rows, whose ensemble
+    builds `states` on first read, as views of them."""
 
     probs: np.ndarray
     states: tuple[DensityOperator, ...]
     labels: tuple[str, ...] | None = None
+    # The members' diagonals as the rows of one m x d array, or None when any
+    # member is dense; then their matrices as one (m, d, d) stack, else None.
+    diagonals: np.ndarray | None = field(init=False, repr=False)
+    matrices: np.ndarray | None = field(init=False, repr=False)
+    # The members' spectra, in any order, as one m x d array.
+    _spectra: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         probs = as_probability_vector(self.probs)
@@ -78,11 +88,18 @@ class DiscreteEnsemble:
             object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "states", states)
+        dense = any(state.diagonal is None for state in states)
+        diagonals = None if dense else _freeze(np.stack([state.diagonal for state in states]))
+        matrices = _freeze(np.stack([state.mat for state in states])) if dense else None
+        spectra = _freeze(np.stack([state.spectrum for state in states])) if dense else diagonals
+        object.__setattr__(self, "diagonals", diagonals)
+        object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "_spectra", spectra)
 
     def __getattr__(self, name):
         # Reached only for a field not set on the instance: the `states` of an
         # ensemble built by _from_rows, kept once built.
-        if name != "states" or "matrices" not in vars(self):
+        if name != "states":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         states = tuple(map(_row_state, self._spectra, self._members))
         object.__setattr__(self, "states", states)
@@ -101,32 +118,9 @@ class DiscreteEnsemble:
         """average_state(self), built on first use and kept."""
         return average_state(self)
 
-    @cached_property
-    def diagonals(self) -> np.ndarray | None:
-        """The members' diagonals as the rows of one read-only m x d array,
-        or None when any member is dense.  Stacked on first read and kept,
-        unless the ensemble was built from its arrays (_from_rows)."""
-        if any(state.diagonal is None for state in self.states):
-            return None
-        return _freeze(np.stack([state.diagonal for state in self.states]))
-
-    @cached_property
-    def matrices(self) -> np.ndarray | None:
-        """The members' matrices as one read-only (m, d, d) stack, or None
-        exactly when `diagonals` is not.  Stacked (copied) on first read."""
-        if self.diagonals is not None:
-            return None
-        return _freeze(np.stack([state.mat for state in self.states]))
-
     @property
     def _members(self) -> np.ndarray:
         return self.matrices if self.diagonals is None else self.diagonals
-
-    @cached_property
-    def _spectra(self) -> np.ndarray:
-        """The members' spectra, in any order, as one read-only m x d array."""
-        rows = self.diagonals
-        return rows if rows is not None else _freeze(np.stack([s.spectrum for s in self.states]))
 
 
 def _row_state(row: np.ndarray, member: np.ndarray) -> DensityOperator:
@@ -315,51 +309,31 @@ def _minus_gaps(auxes) -> list[tuple[float, ...]]:
     """minus_gaps of each of `auxes`, of one dimension: twice the distances
     of the pairs (tau_i^minus, omega), with omega in its slot
     (build_auxiliary), or appended to a copy when mu_minus was built from
-    its states.  The ensembles that _pools pools, whose gaps fit one stack
-    of each kind (linalg._one_stack), are evaluated in one pass per pool
-    (linalg._pooled_pair_distances); every other by pair_trace_distances."""
-    tasks = []  # each ensemble's (members, spectra, first, second)
+    its states; one pair_trace_distances pass per member kind (_kinds)."""
+    slots = []  # each ensemble's members and spectra, omega's last
     for aux in auxes:
-        n = aux.mu_minus.size
         if aux._minus_slots is None:
             omega, members, spectra = aux.omega, aux.mu_minus._members, aux.mu_minus._spectra
             members = np.append(members, [omega.mat if members.ndim == 3 else omega.diagonal], 0)
             spectra = np.append(spectra, [omega.spectrum], 0)
+            slots.append((members, spectra))
         else:
-            members, spectra = aux._minus_slots
-        tasks.append((members, spectra, np.arange(n), np.full(n, n)))
-    dim = auxes[0].mu_minus.dim if auxes else 0
-    alone, pools = _pools([aux.mu_minus for aux in auxes], lambda n: _one_stack(n, dim))
+            slots.append(aux._minus_slots)
     gaps = [None] * len(auxes)
-    for t in alone:
-        members, spectra, *pairs = tasks[t]
-        gaps[t] = np.empty(len(pairs[0]))
-        for positions, distances in pair_trace_distances(members, [pairs], spectra):
-            gaps[t][positions] = 2.0 * distances
-    for pool in pools:
-        distances = 2.0 * _pooled_pair_distances([tasks[t] for t in pool])
-        stops = accumulate(len(tasks[t][2]) for t in pool)
-        for t, stop in zip(pool, stops):
-            gaps[t] = distances[stop - len(tasks[t][2]):stop]
-    return [tuple(row.tolist()) for row in gaps]
-
-
-def _pools(parts, fits) -> tuple[list[int], list[list[int]]]:
-    """How a batch evaluates the pairs of C or D of its part ensembles
-    `parts` (each ensemble's mu_plus or mu_minus, of one dimension): the
-    indices of those scanned alone, and the pools, lists of indices whose
-    pairs linalg._pooled_pair_distances takes in one pass.  A pool holds
-    two or more ensembles of one member kind whose size fits(size) accepts;
-    every other ensemble is scanned alone, where one ensemble's pairs cost
-    less than in a pooled pass."""
-    alone, kinds = [], {}
-    for t, mu in enumerate(parts):
-        if fits(mu.size):
-            kinds.setdefault(mu._members.ndim, []).append(t)
-        else:
-            alone.append(t)
-    alone += [index[0] for index in kinds.values() if len(index) == 1]
-    return alone, [index for index in kinds.values() if len(index) > 1]
+    for index in _kinds([slot[0] for slot in slots]):
+        arrays, start = [], 0  # each array's pairs (i, omega), of its rows in the pass
+        for t in index:
+            n = len(slots[t][0]) - 1
+            arrays.append((*slots[t], [(np.arange(start, start + n), np.full(n, start + n))]))
+            start += n + 1
+        out = np.empty(start - len(index))  # the gaps of the kind's arrays, end to end
+        for positions, distances in pair_trace_distances(arrays):
+            out[positions] = 2.0 * distances
+        values, start = out.tolist(), 0
+        for t in index:
+            n = auxes[t].mu_minus.size
+            gaps[t], start = tuple(values[start:start + n]), start + n
+    return gaps
 
 
 def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:

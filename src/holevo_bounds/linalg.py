@@ -24,8 +24,10 @@ through _solved; a stack on which LAPACK fails is solved again one matrix
 at a time (_each_alone) to name the matrix that fails alone.
 _pair_methods alone picks how a pair's distance is computed: by a
 gathered vector difference, by the rank-1 closed form, or by a stacked
-eigensolve; pair_trace_distances scans one array's pairs, and
-_pooled_pair_distances those of a batch's small arrays in one pass.
+eigensolve.  pair_trace_distances computes every pair distance of C and
+D, for one member array or many in one pass, whose stacks end where each
+array's scan alone would end them (_pair_stacks); it alone decides where
+the scan of C stops.
 _spectral_sum alone rebuilds dense Jordan parts from their eigenvectors.
 Checked states enter as one stack too: _check_states runs
 DensityOperator's checks on a whole (m, d, d) stack, which a loaded file
@@ -36,6 +38,7 @@ DensityOperator built from a matrix is its one-matrix case.
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -344,9 +347,8 @@ def _symmetrize(
     ValueError (named as _member names it), which ends the pass there, or
     (m, None)."""
     count, dim = len(mats), mats.shape[-1]
-    # One matrix is its own block: no plan to make, and no view to take.
-    for block in _stacks(count, dim, "eigh")[0] if count > 1 else (slice(0, 1),):
-        part = mats[block] if count > 1 else mats
+    for block in _stacks(count, dim, "eigh")[0]:
+        part = mats[block]
         adjoint = part.conj().swapaxes(1, 2)
         deviation = np.abs(part - adjoint)
         if not deviation.max() <= HERMITICITY_TOL:  # NaN fails too
@@ -465,27 +467,28 @@ def pure_trace_distances(vectors: np.ndarray) -> np.ndarray:
     §9.2).  The Gram diagonal normalizes the columns."""
     gram = vectors.conj().T @ vectors
     norms = gram.diagonal().real
-    overlaps = np.abs(gram) ** 2 / np.outer(norms, norms)
-    return np.sqrt(np.clip(1.0 - overlaps, 0.0, 1.0))
+    overlaps = np.abs(gram) ** 2 / np.outer(norms, norms)  # nonnegative
+    return np.sqrt(np.maximum(1.0 - overlaps, 0.0))
 
 
 # Byte cap on one stack of rows of floats (2^14 floats at most): the diagonal
 # pair differences and the row blocks of whole-array stages.  These stacks
-# are solved serially: a larger cap computes more pairs before a caller's
-# early exit (a 1 MB cap cut commuting-examples from 171 to 138 ops/s).
+# are solved serially, so a larger cap only computes more pairs before a
+# caller's early exit.
 _STACK_BYTES = 1 << 17
 # Byte cap on one block of the member stage's d x d complex differences
 # (2^12 entries at most, one matrix at least).  Each matrix of a block keeps
 # about five temporaries of its size (eigenvectors, residual products,
-# rotated parts).  On the dense-files benchmark (seed 51, 30 reports) the
-# peak RSS read 66.9-67.0 MB with this cap, 67.5 MB at 128 KB and 70-72 MB
-# at 256-512 KB, against 66.8-67.1 MB for one eigh per member; blocks of up
-# to 128 KB ran as fast as this cap, and blocks of 512 KB or more slower.
+# rotated parts), so a larger cap raises the peak RSS; much larger blocks
+# also run slower.
 _BLOCK_BYTES = 1 << 16
+# A running maximum of trace distances at or above this stops a scan with
+# `maxima` (pair_trace_distances): no distance exceeds 1, so the pairs left
+# could raise it by no more than rounding.
+_CEILING = 1.0 - 1e-12
 # Fewest rows (matrices x d) in one stack of matrices solved for eigenvalues
 # only: 43 matrices, 1.5 MB, at d = 48.  numpy's stacked solvers release the
-# GIL only from about 500 rows, and on the dense-files benchmark inputs
-# stacks of 1024 rows gained less than 2048 and slowed the (12, 16) files.
+# GIL only from about 500 rows, and smaller stacks gain less from threads.
 _STACK_ROWS = 2048
 # Stacks solved at once, each on a worker thread: two, or one when this
 # process may use only one CPU.
@@ -496,9 +499,9 @@ _WORKERS = min(
 
 def _stacks(count: int, dim: int, solver: str | None = None) -> tuple[list[slice], int]:
     """The one stack planner: how every stage that takes an ensemble's
-    members a stack at a time (the member stage, member_epsilons, the pair
-    distances of C and D's gaps, and the row blocks of whole-array stages)
-    sizes its stacks and threads them.  Returns consecutive slices of
+    members a stack at a time (the member stage, member_epsilons, the row
+    blocks of whole-array stages, and, through _pair_stacks, the pair
+    distances of C and D's gaps) sizes its stacks and threads them.  Returns consecutive slices of
     range(count), one per stack, and the number of threads to solve them on.
 
     A stack holds at least one item.  Rows of `dim` floats (solver None) go
@@ -530,13 +533,6 @@ def _joined(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def _one_stack(pairs: int, dim: int) -> bool:
-    """Whether `pairs` pairs at `dim` fit one stack of diagonal differences
-    and one of matrix differences: an ensemble's pairs that a batch of
-    reports pools with others' (_pooled_pair_distances)."""
-    return pairs <= min(_stack_size(dim), _stack_size(dim, "eigvalsh"))
-
-
 def _stacked_eigvalsh(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
     """_eigvalsh of each d x d matrix of `mats`, stacked in the stacks that
     _stacks plans, on its threads; one matrix is its own stack, a view."""
@@ -553,14 +549,19 @@ def _solved(solve: Callable, tasks: Sequence, workers: int) -> Iterator:
 
 
 def pair_trace_distances(
-    members: np.ndarray, blocks: Iterable[tuple[np.ndarray, np.ndarray]], spectra: np.ndarray,
+    arrays: Sequence[tuple[np.ndarray, np.ndarray, Iterable]], maxima: list[float] | None = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Trace distances (1/2)||rho_i - rho_j||_1 of the index pairs
-    (first[k], second[k]) of each block (first, second) of `blocks`, yielded
-    a stack at a time as (positions, distances): distances[n] belongs to the
-    pair at position positions[n] of the blocks taken end to end.  `members`
-    is an ensemble's member array, m x d or (m, d, d), and `spectra` its
-    m x d array of spectra.
+    """Trace distances (1/2)||rho_i - rho_j||_1 of the pairs of one or more
+    member arrays of one dimension and kind, yielded a stack at a time as
+    (positions, distances): distances[n] belongs to the pair at position
+    positions[n] of the pairs taken a round at a time, each round the next
+    block of every array still scanned; for one array, or for arrays of one
+    block each, that is their blocks end to end.  Each of `arrays` is
+    (members, spectra, blocks): a member array, m x d or (m, d, d), its
+    m x d array of spectra, and an iterable of blocks (first, second) of its
+    index pairs.  The arrays are joined end to end (one is read in place),
+    and the pairs index that join: each array's rows follow those of the
+    arrays before it.
 
     Each pair's method is decided by _pair_methods, in this order within a
     block.  A pair of two diagonal members (every row of an m x d array,
@@ -569,93 +570,89 @@ def pair_trace_distances(
     no eigensolve: a diagonal difference's eigenvalues are its entries.
     A pair of two rank-1 members (at most one spectrum entry above PSD_TOL),
     not both diagonal, takes the closed form pure_trace_distances at no
-    eigensolve, from one Gram matrix of every rank-1 member's
+    eigensolve, from one Gram matrix per array of its every rank-1 member's
     largest-diagonal column (_gram_table), formed on first use and kept
     across blocks.  Every other pair goes in a stack of the fewest matrix
     differences whose rows reach _STACK_ROWS, at one eigvalsh call, which
-    then runs without the GIL; up to _WORKERS such stacks are solved at once
-    on worker threads, and no thread starts when a block's pairs fit one
-    stack.  A matrix's eigenvalues do not depend on its stack, so neither do
-    the distances.  When the caller stops or a solve fails, the pending
-    stacks are dropped and the workers joined before control returns to it;
-    a pair that fails alone is named "pair (i, j)".
+    then runs without the GIL.  The stacks are _pair_stacks'.  A matrix's
+    eigenvalues do not depend on its stack, so neither do the distances.
+
+    `maxima`, when given, holds each array's running maximum, raised as
+    each stack is yielded and checked after each of the array's stacks and
+    after its Gram pairs of a block.  Once it reaches _CEILING, the array's
+    later pairs are dropped: each array gets the distances and the
+    eigensolves of its scan alone.  When the caller stops or a solve fails,
+    the pending stacks are dropped and the workers joined before control
+    returns to it; a pair that fails alone is named "pair (i, j)" by its
+    rows in its array.
     """
-    rows, diagonal, rank_one = _pair_flags(members, spectra)
-    table, start = None, 0
-    for first, second in blocks:
-        vector, gram, dense = _pair_methods(diagonal, rank_one, first, second)
-        if vector.size:
-            for stack, distances in _kind_distances(rows, first[vector], second[vector]):
-                yield start + vector[stack], distances
-        if gram.size:
-            if table is None:  # each rank-1 member's column of the Gram matrix, and the matrix
-                column, table = np.cumsum(rank_one) - 1, _gram_table(members, rows, rank_one)
-            yield start + gram, table[column[first[gram]], column[second[gram]]]
-        if dense.size:
-            for stack, distances in _kind_distances(members, first[dense], second[dense]):
-                yield start + dense[stack], distances
-        start += first.size
+    members = _joined([array[0] for array in arrays])
+    rows, diagonal, rank_one = _pair_flags(members, _joined([array[1] for array in arrays]))
+    starts = [0, *accumulate(len(array[0]) for array in arrays)]
+    blocks = [iter(array[2]) for array in arrays]
+    live = (lambda t: True) if maxima is None else (lambda t: maxima[t] < _CEILING)
+    tables, base, active = {}, 0, range(len(arrays))
+    while True:  # a round: the next block of each array still scanned
+        taken = [(t, block) for t in active
+                 if live(t) and (block := next(blocks[t], None)) is not None]
+        if not taken:
+            return
+        active, pairs = zip(*taken)
+        firsts, seconds = zip(*pairs)
+        first, second = _joined(firsts), _joined(seconds)
+        edges = [0, *accumulate(map(len, firsts))]  # each array's first pair
+
+        def name(p):  # a pair's name is its rows in its own array
+            row = starts[active[bisect_right(edges, p) - 1]]
+            return f"pair ({first[p] - row}, {second[p] - row})"
+
+        for index, source in zip(_pair_methods(diagonal, rank_one, first, second),
+                                 (rows, None, members)):
+            if not index.size:
+                continue
+            # (t, lo, hi): index[lo:hi] are array t's pairs, unless it has stopped.
+            cuts = index.searchsorted(edges).tolist()
+            runs = [run for run in zip(active, cuts, cuts[1:]) if run[2] > run[1] and live(run[0])]
+            if not runs:
+                continue
+            stacks = (_kind_distances(source, first, second, index, runs, live, name)
+                      if source is not None else
+                      _gram_stacks(members, rows, rank_one, first, second, index, runs, starts,
+                                   tables))
+            for pieces, part, distances in stacks:
+                if not live(pieces[0][0]):  # its own stack, solved on a worker before it stopped
+                    continue
+                if maxima is not None:  # pieces: (t, lo, hi), index[lo:hi] array t's
+                    cuts = [lo - pieces[0][1] for _, lo, _ in pieces]
+                    peaks = np.maximum.reduceat(distances, cuts).tolist()
+                    for (t, _, _), peak in zip(pieces, peaks):
+                        maxima[t] = max(maxima[t], peak)
+                yield base + part, distances
+        base += first.size
 
 
-def _pooled_pair_distances(tasks: list, ceiling: float | None = None) -> np.ndarray:
-    """The trace distances of the pairs of many small member arrays, one
-    pass for all: each task (members, spectra, first, second) is an
-    ensemble's member array, of one dimension and kind, and one block of
-    its pairs.  The arrays are joined end to end, each pair takes the
-    method that pair_trace_distances gives it in its own array, with one
-    Gram matrix per task, and the dense pairs of every task are solved in
-    shared stacks, so each distance equals its scan's, bit for bit.  With a
-    `ceiling`, a task's Gram pairs are skipped once its diagonal pairs reach
-    it, and its dense pairs once those or its Gram pairs do, as its scan
-    would stop there: those pairs are NaN.  Returns the distances of the
-    tasks' pairs, taken end to end."""
-    members = _joined([task[0] for task in tasks])
-    spectra = _joined([task[1] for task in tasks])
-    starts = [0, *accumulate(len(task[0]) for task in tasks)]
-    counts = [len(task[2]) for task in tasks]
-    owner = np.repeat(np.arange(len(tasks)), counts)
-    shift = np.repeat(starts[:-1], counts)
-    first = np.concatenate([task[2] for task in tasks]) + shift
-    second = np.concatenate([task[3] for task in tasks]) + shift
-    rows, diagonal, rank_one = _pair_flags(members, spectra)
-    vector, gram, dense = _pair_methods(diagonal, rank_one, first, second)
-    out = np.full(first.size, np.nan)
-    if vector.size:
-        for stack, distances in _kind_distances(rows, first[vector], second[vector]):
-            out[vector[stack]] = distances
-    best = np.zeros(len(tasks))
-    if ceiling is not None:
-        np.maximum.at(best, owner[vector], out[vector])
-        gram = gram[best[owner[gram]] < ceiling]
-    # A task's Gram pairs are a run of `gram`: its table is its own.
-    for run in np.split(gram, np.flatnonzero(np.diff(owner[gram])) + 1) if gram.size else ():
-        lo, hi = starts[owner[run[0]]], starts[owner[run[0]] + 1]
-        column = np.cumsum(rank_one[lo:hi]) - 1
-        table = _gram_table(members[lo:hi], rows[lo:hi], rank_one[lo:hi])
-        out[run] = table[column[first[run] - lo], column[second[run] - lo]]
-    if ceiling is not None:
-        np.maximum.at(best, owner[gram], out[gram])
-        dense = dense[best[owner[dense]] < ceiling]
-    if dense.size:
-        for stack, distances in _kind_distances(members, first[dense], second[dense]):
-            out[dense[stack]] = distances
-    return out
+def _kinds(arrays: Sequence[np.ndarray]) -> list[list[int]]:
+    """The indices of member arrays of one dimension, grouped by kind (m x d
+    rows, or an (m, d, d) stack), as pair_trace_distances takes them."""
+    kinds: dict[int, list[int]] = {}
+    for t, array in enumerate(arrays):
+        kinds.setdefault(array.ndim, []).append(t)
+    return list(kinds.values())
 
 
 def _pair_flags(members: np.ndarray, spectra: np.ndarray) -> tuple:
     """(rows, diagonal, rank_one) of a member array: each member's diagonal,
     whether it is diagonal (each _is_diagonal matrix of a stack; None for
     an m x d array, all of whose rows are), and whether it has rank 1, read
-    from its spectrum, only when some member is dense: only a pair with a
-    dense member can take the closed form."""
+    from its spectrum."""
     if members.ndim == 2:
         return members, None, None
     rows = members.diagonal(axis1=1, axis2=2).real
-    diagonal = np.array([_is_diagonal(mat) for mat in members], dtype=bool)
-    rank_one = np.zeros_like(diagonal)
-    if not diagonal.all():
-        rank_one = np.count_nonzero(spectra > PSD_TOL, axis=1) <= 1
-    return rows, diagonal, rank_one
+    diagonal = np.fromiter(map(_is_diagonal, members), bool, len(members))
+    return rows, diagonal, (spectra > PSD_TOL).sum(axis=1) <= 1
+
+
+_NONE = _freeze(np.arange(0))  # no pairs
 
 
 def _pair_methods(diagonal, rank_one, first, second) -> tuple:
@@ -664,11 +661,11 @@ def _pair_methods(diagonal, rank_one, first, second) -> tuple:
     diagonal), by the rank-1 closed form (both rank 1, not both diagonal),
     and by an eigensolve (every other)."""
     if diagonal is None:  # pairs of rows
-        return np.arange(len(first)), np.arange(0), np.arange(0)
+        return np.arange(len(first)), _NONE, _NONE
     by_vector = diagonal[first] & diagonal[second]
     by_gram = rank_one[first] & rank_one[second] & ~by_vector
     dense = ~(by_vector | by_gram)
-    return np.flatnonzero(by_vector), np.flatnonzero(by_gram), np.flatnonzero(dense)
+    return by_vector.nonzero()[0], by_gram.nonzero()[0], dense.nonzero()[0]
 
 
 def _gram_table(members: np.ndarray, rows: np.ndarray, rank_one: np.ndarray) -> np.ndarray:
@@ -679,36 +676,84 @@ def _gram_table(members: np.ndarray, rows: np.ndarray, rank_one: np.ndarray) -> 
     return pure_trace_distances(np.ascontiguousarray(vectors.T))
 
 
-def _kind_distances(arrays: np.ndarray, first: np.ndarray, second: np.ndarray) -> Iterator:
-    """Trace distances of the pairs (first[k], second[k]) of rows of one
-    array, at least one pair, all of one stack kind: matrix differences
-    when `arrays` is an (m, d, d) stack, filled a pair at a time so that no
-    temporary of a stack's size is made, else diagonal ones, gathered.
-    Yields (stack, distances), stack a slice of the pairs; a pair that
-    fails alone is named by its rows."""
-    dense = arrays.ndim == 3
-    plan, workers = _stacks(first.size, arrays.shape[-1], "eigvalsh" if dense else None)
-    # One buffer per stack being filled or solved, allocated on this thread:
-    # stacks allocated on the workers raised dense-files' peak RSS by 7%.
-    shape = (min(plan[0].stop, first.size), *arrays.shape[1:])
-    buffers = [np.empty(shape, complex if dense else float) for _ in range(workers)]
+def _gram_stacks(members, rows, rank_one, first, second, index, runs, starts, tables):
+    """The rank-1 pairs (first[p], second[p]), p in `index`, of each run
+    (t, lo, hi) of `runs` as a stack of _kind_distances' form, from the
+    Gram table of array t alone (_gram_table, of its rows from starts[t]),
+    formed on first use and kept in `tables` with its members' columns."""
+    for t, lo, hi in runs:
+        row, span = starts[t], slice(starts[t], starts[t + 1])
+        if t not in tables:
+            tables[t] = np.cumsum(rank_one[span]) - 1, _gram_table(
+                members[span], rows[span], rank_one[span])
+        column, table = tables[t]
+        part = index[lo:hi]
+        yield [(t, lo, hi)], part, table[column[first[part] - row], column[second[part] - row]]
 
-    def distances(stack):
+
+def _kind_distances(
+    arrays: np.ndarray, first: np.ndarray, second: np.ndarray, index: np.ndarray,
+    runs: list[tuple[int, int, int]], live: Callable[[int], bool], name: Callable[[int], str],
+) -> Iterator[tuple]:
+    """(pieces, part, distances) of each stack of _pair_stacks(runs): the
+    trace distances of the pairs (first[p], second[p]) of rows of `arrays`,
+    p in part, a slice of `index`, and the runs (t, lo, hi) of arrays t in
+    it, index[lo:hi] array t's pairs.  A stack of an array's own is not
+    built once live(t) fails.  The pairs are all of one stack kind: matrix
+    differences, filled a pair at a time so that no temporary of a stack's
+    size is made, when `arrays` is an (m, d, d) stack, else diagonal ones,
+    gathered.  A pair p that fails alone is named name(p)."""
+    dense = arrays.ndim == 3
+    plan = _pair_stacks(runs, arrays.shape[-1], "eigvalsh" if dense else None)
+    # Matrix differences, in two or more stacks, are solved on worker threads.
+    workers = min(_WORKERS, len(plan)) if dense else 1
+    if dense:  # one buffer per stack being filled or solved, allocated once, on
+        # this thread: stacks allocated on the workers raised the peak RSS.
+        size = max(pieces[-1][2] - pieces[0][1] for pieces in plan)
+        buffers = [np.empty((size, *arrays.shape[1:]), complex) for _ in range(workers)]
+
+    def distances(pieces):
+        lo, hi = pieces[0][1], pieces[-1][2]
+        part = index[lo:hi]
+        i, j = first[part], second[part]
+        if not dense:
+            return pieces, part, np.add.reduce(np.abs(arrays[i] - arrays[j]), 1) * 0.5
         buffer = buffers.pop()
         try:
-            diffs = buffer[:len(first[stack])]
-            if not dense:
-                np.subtract(arrays[first[stack]], arrays[second[stack]], out=diffs)
-                return stack, 0.5 * np.abs(diffs).sum(axis=1)
-            i, j = first[stack].tolist(), second[stack].tolist()
-            for k, (a, b) in enumerate(zip(i, j)):
+            diffs = buffer[:hi - lo]
+            for k, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
                 np.subtract(arrays[a], arrays[b], out=diffs[k])
-            values = _eigvalsh(diffs, lambda k: f"pair ({i[k]}, {j[k]})")
-            return stack, 0.5 * np.abs(values).sum(axis=1)
+            values = _eigvalsh(diffs, lambda k: name(part[k]))
+            return pieces, part, np.add.reduce(np.abs(values), 1) * 0.5
         finally:
             buffers.append(buffer)
 
-    yield from _solved(distances, plan, workers)
+    return _solved(distances, (pieces for pieces in plan if live(pieces[0][0])), workers)
+
+
+def _pair_stacks(runs: list[tuple[int, int, int]], dim: int, solver: str | None) -> list:
+    """The stacks of the pairs of one kind of one or more arrays, each the
+    list of the runs (t, lo, hi) of `runs` in it.  An array whose pairs fit
+    one stack of _stacks goes whole into a stack shared with the arrays next
+    to it while they fit; a larger array is cut where _stacks would cut its
+    pairs alone, into stacks of its own.  So each array's stacks end where
+    its scan alone ends them, and only a stack of an array's own can follow
+    a check that stops it.  A shared stack also ends where `runs` skip the
+    pairs of an array stopped before, so that its pairs are consecutive."""
+    size = _stack_size(dim, solver)
+    plan, shared, count = [], [], 0  # the shared stack being filled, and its pairs
+    for t, lo, hi in runs:
+        if shared and (count + hi - lo > size or lo > shared[-1][2]):
+            plan.append(shared)
+            shared, count = [], 0
+        if hi - lo > size:  # _stacks(hi - lo, dim, solver)'s slices, from its first pair
+            plan += [[(t, cut, min(cut + size, hi))] for cut in range(lo, hi, size)]
+        else:
+            shared.append((t, lo, hi))
+            count += hi - lo
+    if shared:
+        plan.append(shared)
+    return plan
 
 
 def _solved_in_order(solve: Callable, tasks: Sequence, workers: int) -> Iterator:
@@ -725,10 +770,10 @@ def _solved_in_order(solve: Callable, tasks: Sequence, workers: int) -> Iterator
     pool = ThreadPoolExecutor(workers)
     try:
         pending = deque()
-        for task in tasks:
+        for task in tasks:  # the next task is taken after the consumer's turn
+            pending.append(pool.submit(solve, task))
             if len(pending) == workers:
                 yield pending.popleft().result()
-            pending.append(pool.submit(solve, task))
         while pending:
             yield pending.popleft().result()
     finally:

@@ -546,7 +546,7 @@ def test_multi_block_scan_forms_one_gram_matrix(monkeypatch):
     scanned = max(
         float(d.max())
         for _, d in linalg.pair_trace_distances(
-            aux.mu_plus._members, iter(blocks), aux.mu_plus._spectra
+            [(aux.mu_plus._members, aux.mu_plus._spectra, iter(blocks))]
         )
     )
     assert grams == [(6, 9)]
@@ -1035,7 +1035,7 @@ def test_ensembles_get_their_diagonals_three_ways():
     # The gallery keeps the np.eye whose rows are its members; build_auxiliary
     # keeps the arrays whose rows are tau_i^(+/-), omega's row after those of
     # tau_i^-; an ensemble of from_diagonal members stacks its members'
-    # diagonals on first read.  A row-backed ensemble builds its states on
+    # diagonals when it is built.  A row-backed ensemble builds its states on
     # their first read, as read-only views of its rows, and keeps them; aux
     # reads its tau_i^(+/-) and omega through mu+ and mu-.  The reports agree
     # bit for bit.
@@ -1057,7 +1057,7 @@ def test_ensembles_get_their_diagonals_three_ways():
         stacked = DiscreteEnsemble(
             mu.probs, tuple(DensityOperator.from_diagonal(s.diagonal) for s in mu.states)
         )
-        assert "diagonals" not in vars(stacked)
+        assert "diagonals" in vars(stacked)
         assert np.array_equal(stacked.diagonals, mu.diagonals)
         assert not np.shares_memory(stacked.diagonals, stacked.states[0].diagonal)
         _assert_reports_match(full_report(stacked), full_report(mu), 0.0)
@@ -1116,8 +1116,8 @@ _MEMBER_KINDS = ("basis", "diagonal", "pure", "low-rank", "full-rank", "rotated"
 
 
 @st.composite
-def _mixed_kind_ensembles(draw) -> DiscreteEnsemble:
-    """Ensembles of 2-7 members at d in 1..6 that mix every member kind a
+def _mixed_kind_ensembles(draw, dims=(3, 2, 4, 5, 6, 1)) -> DiscreteEnsemble:
+    """Ensembles of 2-7 members at d in `dims` that mix every member kind a
     path keys on: diagonal basis states and diagonal mixed states (kept as
     vectors), dense pure states (the rank-1 Gram closed form), dense
     low-rank and full-rank Ginibre states, dense rotations of diagonal
@@ -1129,7 +1129,7 @@ def _mixed_kind_ensembles(draw) -> DiscreteEnsemble:
     perturbation of norm 1e-11, whose distance to the average exceeds
     EPS_ZERO_TOL while every eigenvalue of its difference lies below
     PSD_TOL, so that the dead zone drops it by its parts' traces alone."""
-    dim = draw(st.sampled_from((3, 2, 4, 5, 6, 1)))
+    dim = draw(st.sampled_from(dims))
     kinds = draw(st.lists(st.sampled_from(_MEMBER_KINDS), min_size=2, max_size=6))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -1206,11 +1206,10 @@ def test_drawn_ensembles_match_independent_checker(mu, worker_stacks):
 @given(st.lists(_mixed_kind_ensembles(), min_size=1, max_size=6))
 def test_batched_reports_match_one_at_a_time(mus):
     # full_reports groups the ensembles by dimension and member kind and runs
-    # each stage once per group, over their arrays end to end, pooling the
-    # pairs of C and D of its small ensembles.  Every field equals that of
-    # each ensemble's report alone with its pairs scanned by themselves,
-    # degenerate and dead-zone ensembles included, and the batch solves as
-    # many matrices as its ensembles alone.
+    # each stage once per group, over their arrays end to end, the pairs of
+    # C and D of all its ensembles in one pass each.  Every field equals that
+    # of each ensemble's report alone, degenerate and dead-zone ensembles
+    # included, and the batch solves as many matrices as its ensembles alone.
     for mu in mus:
         mu.average  # built before anything is counted
     with pytest.MonkeyPatch.context() as patch:
@@ -1218,13 +1217,45 @@ def test_batched_reports_match_one_at_a_time(mus):
         batch = full_reports(mus)
         batched = len(calls)
         del calls[:]
-        _scan_alone(patch)
         alone = [full_report(mu) for mu in mus]
         assert len(calls) == batched
     # Within 1e-12, and in fact bit for bit: every value is reduced from its
     # own ensemble's rows in its own order.
     for report, want in zip(batch, alone):
         assert _fields(report) == _fields(want)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    st.lists(_mixed_kind_ensembles(dims=(6,)), max_size=4), st.integers(0, 4), st.integers(0, 99)
+)
+def test_batched_scans_stop_inside_stacks_of_their_own(mus, at, seed):
+    # At d = 6, stacks of 2 matrix differences and of 3 diagonal ones: an
+    # array of more pairs is cut into stacks of its own, next to the shared
+    # stacks of the drawn ensembles' small arrays.  Three rank-2 parts on
+    # orthogonal blocks (3 dense pairs, 2 stacks) and six basis states (15
+    # diagonal pairs, 5 stacks) put C at 1 in their first stack, so their
+    # scans stop there, inside their own stacks.  Every report equals its
+    # ensemble's alone, bit for bit, and the batch solves as many matrices.
+    mus = list(mus)
+    blocks = min(at, len(mus))
+    mus.insert(blocks, _block_supported_ensemble(3, 2, seed))
+    basis = blocks + 1
+    mus.insert(basis, orthogonal_ensemble(6))
+    for mu in mus:
+        mu.average  # built before anything is counted
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_STACK_ROWS", 2 * 6)
+        patch.setattr(linalg, "_STACK_BYTES", 3 * 8 * 6)
+        calls = count_eigensolves(patch)
+        batch = full_reports(mus)
+        batched = len(calls)
+        del calls[:]
+        alone = [full_report(mu) for mu in mus]
+        assert len(calls) == batched
+    for report, want in zip(batch, alone):
+        assert _fields(report) == _fields(want)
+    assert batch[blocks].plus_diameter >= 1.0 - 1e-12 and batch[basis].plus_diameter == 1.0
 
 
 def test_failed_pair_stack_names_its_pair(monkeypatch):
@@ -1277,7 +1308,8 @@ def test_batch_pools_each_kind_of_part_arrays(seed):
     # off-diagonal entries cancel in the average and are below PSD_TOL)
     # keeps its retained parts as rows, while the other ensemble of its
     # batch keeps stacks: each stage takes each ensemble's own kind, and C
-    # and D pool the two kinds apart, each report as its ensemble's alone.
+    # and D pass over the two kinds apart, each report as its ensemble's
+    # alone.
     rng = np.random.default_rng(seed)
     diagonals, probs = rng.dirichlet(np.ones(3), size=5), rng.dirichlet(np.ones(5))
     centre = np.diag(probs @ diagonals).astype(complex)
@@ -1295,26 +1327,100 @@ def test_batch_pools_each_kind_of_part_arrays(seed):
 def test_pooled_pairs_match_each_scan():
     # Pure members' positive parts have rank 1, so their pairs take the Gram
     # closed form; an entry of a Gram matrix depends on the matrix's size in
-    # its last bits, so each array of a pooled pass keeps its own table.
-    # Every distance of the pooled pass is its own scan's, bit for bit.
+    # its last bits, so each array of a pass over several keeps its own
+    # table.  Every distance of that pass is its own scan's, bit for bit.
     mus = [_haar_pure_ensemble(m, 8, seed) for seed, m in enumerate((9, 12, 4, 11))]
     mus += [random_ensemble(5, 8, 1), diagonal_average_ensemble(8, 2)]
     parts = [build_auxiliary(mu).mu_plus for mu in mus]
-    tasks = [(mu._members, mu._spectra, *np.triu_indices(mu.size, 1)) for mu in parts]
-    alone = []
-    for members, spectra, first, second in tasks:
-        distances = np.empty(first.size)
-        for positions, values in pair_trace_distances(members, [(first, second)], spectra):
-            distances[positions] = values
-        alone.append(distances)
-    assert np.array_equal(linalg._pooled_pair_distances(tasks), np.concatenate(alone))
+    arrays, start = [], 0  # each array's pairs, of its rows in a pass over all of them
+    for mu in parts:
+        first, second = np.triu_indices(mu.size, 1)
+        arrays.append((mu._members, mu._spectra, [(first + start, second + start)]))
+        start += mu.size
+
+    def distances(arrays):  # the distances of their pairs, end to end
+        out = np.empty(sum(len(blocks[0][0]) for _, _, blocks in arrays))
+        for positions, values in pair_trace_distances(arrays):
+            out[positions] = values
+        return out
+
+    alone = [distances([(mu._members, mu._spectra, [np.triu_indices(mu.size, 1)])])
+             for mu in parts]
+    assert np.array_equal(distances(arrays), np.concatenate(alone))
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(_mixed_kind_ensembles(dims=(4,)), min_size=1, max_size=4), st.integers(1, 4))
+def test_pass_in_blocks_matches_each_scan(mus, block):
+    # Each mu+ in blocks of about `block` pairs, so a pass over several takes
+    # rounds in which arrays run out, or stop, at different blocks; stacks
+    # of 2 matrix and 3 diagonal differences, so that arrays take stacks of
+    # their own next to shared ones.  Each array's distances, and with
+    # running maxima its maximum, equal those of its pass alone, bit for
+    # bit; the pass solves as many matrices as the arrays alone, and takes
+    # as many of each array's blocks, none after its maximum reaches the
+    # ceiling.
+    parts = []
+    for mu in mus:
+        try:
+            parts.append(build_auxiliary(mu).mu_plus)
+        except DegenerateEnsembleError:
+            pass
+
+    def counted(blocks, k, taken, maxima):  # the blocks, counting those taken
+        for pairs in blocks:  # none once the array's maximum reaches the ceiling
+            assert maxima is None or maxima[k] < 1.0 - 1e-12
+            taken[k] += 1
+            yield pairs
+
+    def scan(kind, maxima=None):  # each array's distances in its order, solves, blocks taken
+        arrays, start, taken = [], 0, [0] * len(kind)
+        for k, mu in enumerate(kind):
+            blocks = list(_upper_pairs(mu.size, block, start))
+            arrays.append((mu._members, mu._spectra, blocks))
+            start += mu.size
+        # Each position of the pass, a round at a time, as (array, its own position).
+        sizes = [[len(first) for first, _ in a[2]] for a in arrays]
+        layout, done = [], [0] * len(kind)
+        for r in range(max(map(len, sizes))):
+            for k, own in enumerate(sizes):
+                if r < len(own):
+                    layout += [(k, done[k] + n) for n in range(own[r])]
+                    done[k] += own[r]
+        out, before = [np.full(n, np.nan) for n in done], len(calls)
+        arrays = [(*a[:2], counted(a[2], k, taken, maxima)) for k, a in enumerate(arrays)]
+        for positions, distances in pair_trace_distances(arrays, maxima):
+            for p, value in zip(positions.tolist(), distances.tolist()):
+                if maxima is None:  # else stopped arrays leave the later rounds
+                    k, n = layout[p]
+                    out[k][n] = value
+        return out, len(calls) - before, taken
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_STACK_ROWS", 2 * 4)
+        patch.setattr(linalg, "_STACK_BYTES", 3 * 8 * 4)
+        calls = count_eigensolves(patch)
+        for index in linalg._kinds([mu._members for mu in parts]):
+            kind = [parts[t] for t in index if parts[t].size > 1]
+            if not kind:
+                continue
+            together, solved, taken = scan(kind)
+            alone = [scan([mu]) for mu in kind]
+            assert solved == sum(a[1] for a in alone) and taken == [a[2][0] for a in alone]
+            for got, a in zip(together, alone):
+                assert np.array_equal(got, a[0][0])
+            maxima, single = [0.0] * len(kind), [[0.0] for _ in kind]
+            _, solved, taken = scan(kind, maxima)
+            alone = [scan([mu], one) for mu, one in zip(kind, single)]
+            assert solved == sum(a[1] for a in alone) and taken == [a[2][0] for a in alone]
+            assert maxima == [one for one, in single]
 
 
 def test_batched_diameter_stops_where_its_scan_stops(monkeypatch):
     # Two basis states whose positive parts are orthogonal put C at 1 in
     # their diagonal pairs, so the scan of this ensemble alone stops before
-    # its Gram and dense pairs: in a batch, the pooled pass skips them too,
-    # solving the same matrices and giving the same C.
+    # its Gram and dense pairs: in a batch, the pass over all of them skips
+    # them too, solving the same matrices and giving the same C.
     psi = np.array([1.0, 1.0j, 0.0]) / math.sqrt(2.0)
     mirror = np.array([1.0, -1.0j, 0.0]) / math.sqrt(2.0)
     states = (DensityOperator.from_diagonal([1.0, 0.0, 0.0]),
@@ -1329,9 +1435,7 @@ def test_batched_diameter_stops_where_its_scan_stops(monkeypatch):
     batch = full_reports(mus)
     batched = len(calls)
     del calls[:]
-    with monkeypatch.context() as patch:
-        _scan_alone(patch)
-        alone = [full_report(mu) for mu in mus]
+    alone = [full_report(mu) for mu in mus]
     assert len(calls) == batched
     assert batch[1].plus_diameter == 1.0
     for report, want in zip(batch, alone):
@@ -1342,16 +1446,10 @@ def test_batched_diameter_skips_gram_pairs_past_the_ceiling(monkeypatch):
     # Positive parts whose one diagonal pair ends in [1 - 1e-12, 1): the scan
     # stops after its diagonal stack, before a Gram pair at distance 1 (two
     # orthogonal pure states off the diagonal) and the pairs of a dense
-    # rank-2 part.  The pooled pass skips those too, so C stays below 1.
-    psi = np.array([1.0, 1.0j, 0.0]) / math.sqrt(2.0)
-    mirror = np.array([1.0, -1.0j, 0.0]) / math.sqrt(2.0)
-    near = 1.0 - 1e-13
-    parts = (DensityOperator.from_diagonal([1.0, 0.0, 0.0]),
-             DensityOperator.from_diagonal([1.0 - near, 0.0, near]),
-             DensityOperator.from_pure(psi), DensityOperator.from_pure(mirror),
-             DensityOperator(0.5 * DensityOperator.from_pure(psi).mat + np.diag([0, 0, 0.5])))
-    mu = DiscreteEnsemble(np.full(5, 0.2), parts)
-    every = pair_trace_distances(mu._members, _upper_pairs(mu.size), mu._spectra)
+    # rank-2 part.  A pass over it and others skips those too, so C stays
+    # below 1.
+    mu = _near_ceiling_parts()
+    every = pair_trace_distances([(mu._members, mu._spectra, _upper_pairs(mu.size))])
     assert max(float(distances.max()) for _, distances in every) >= 1.0
     auxes = [build_auxiliary(random_ensemble(4, 3, 5)), _PlusParts(mu),
              build_auxiliary(random_ensemble(3, 3, 6))]
@@ -1359,12 +1457,67 @@ def test_batched_diameter_skips_gram_pairs_past_the_ceiling(monkeypatch):
     batch = bounds._diameters(auxes)
     batched = len(calls)
     del calls[:]
-    with monkeypatch.context() as patch:
-        _scan_alone(patch)
-        alone = [bounds._diameters([aux])[0] for aux in auxes]
+    alone = [bounds._diameters([aux])[0] for aux in auxes]
     assert len(calls) == batched
     assert batch == alone
     assert 1.0 - 1e-12 <= batch[1] < 1.0
+
+
+def test_batched_diameter_leaves_a_stopped_scans_pairs_out_of_shared_stacks(monkeypatch):
+    # The same parts between two ensembles with dense pairs: their dense
+    # pairs share a stack around the gap the stopped scan leaves, or would,
+    # so the stack ends there, and the batch solves what each scan alone
+    # solves.
+    auxes = [build_auxiliary(random_ensemble(4, 3, 0)), _PlusParts(_near_ceiling_parts()),
+             build_auxiliary(random_ensemble(5, 3, 3))]
+    calls = count_eigensolves(monkeypatch)
+    batch = bounds._diameters(auxes)
+    batched = len(calls)
+    del calls[:]
+    alone = [bounds._diameters([aux])[0] for aux in auxes]
+    assert len(calls) == batched == 6 + 7
+    assert batch == alone
+
+
+def test_worker_stack_solved_past_the_ceiling_is_left_out(monkeypatch):
+    # Dense rank-2 parts a, b at distance 1 - 5e-13 and c orthogonal to a,
+    # one pair a stack: (a, b) reaches the ceiling, and two workers solve
+    # (a, c), at distance 1, meanwhile.  That stack is left out, so C is
+    # the one-worker scan's, below 1.
+    rng = np.random.default_rng(11)
+
+    def block_state(rows):
+        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+        mat = np.zeros((4, 4), dtype=complex)
+        mat[rows, rows] = u @ (g @ g.conj().T) @ u.conj().T
+        return mat / mat.trace().real
+
+    a, c = block_state(slice(0, 2)), block_state(slice(2, 4))
+    b = (1.0 - 5e-13) * block_state(slice(2, 4)) + 5e-13 * a
+    parts = _PlusParts(DiscreteEnsemble(np.full(3, 1 / 3), tuple(map(DensityOperator, (a, b, c)))))
+    monkeypatch.setattr(linalg, "_STACK_ROWS", 4)
+    monkeypatch.setattr(linalg, "_WORKERS", 1)
+    single = bounds._diameters([parts])[0]
+    monkeypatch.setattr(linalg, "_WORKERS", 2)
+    calls, threaded = count_eigensolves(monkeypatch), _count_in_order_calls(monkeypatch)
+    assert bounds._diameters([parts])[0] == single
+    assert threaded == [2] and len(calls) == 2
+    assert 1.0 - 1e-12 <= single < 1.0
+
+
+def _near_ceiling_parts() -> DiscreteEnsemble:
+    """Positive parts whose one diagonal pair ends in [1 - 1e-12, 1), then a
+    Gram pair at distance 1 (two orthogonal pure states off the diagonal),
+    and four dense pairs with a rank-2 part."""
+    psi = np.array([1.0, 1.0j, 0.0]) / math.sqrt(2.0)
+    mirror = np.array([1.0, -1.0j, 0.0]) / math.sqrt(2.0)
+    near = 1.0 - 1e-13
+    parts = (DensityOperator.from_diagonal([1.0, 0.0, 0.0]),
+             DensityOperator.from_diagonal([1.0 - near, 0.0, near]),
+             DensityOperator.from_pure(psi), DensityOperator.from_pure(mirror),
+             DensityOperator(0.5 * DensityOperator.from_pure(psi).mat + np.diag([0, 0, 0.5])))
+    return DiscreteEnsemble(np.full(5, 0.2), parts)
 
 
 @dataclasses.dataclass
@@ -1372,13 +1525,6 @@ class _PlusParts:
     """The one field of an AuxiliaryDecomposition that C reads."""
 
     mu_plus: DiscreteEnsemble
-
-
-def _scan_alone(patch) -> None:
-    """Scan the pairs of C and D of every ensemble by itself: a batch then
-    pools none of them (linalg._pooled_pair_distances)."""
-    for module in (bounds, ensemble):
-        patch.setattr(module, "_one_stack", lambda pairs, dim: False)
 
 
 def _fields(report: BoundReport) -> list:

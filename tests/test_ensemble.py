@@ -245,8 +245,8 @@ def test_diagonal_member_stage_allocates_no_m_by_d_temporary():
 
 
 def test_dense_ensembles_are_one_stack(tmp_path):
-    # A dense ensemble built from states stacks their matrices once, on
-    # first read; one drawn by random_ensemble or loaded from a file enters
+    # A dense ensemble built from states stacks their matrices once, when
+    # it is built; one drawn by random_ensemble or loaded from a file enters
     # as its checked stack, whose slices its states' matrices are.  mu+ and
     # mu- hold theirs as stacks whose slices are their states' matrices,
     # and mu-'s has omega in the slot after tau^-'s.
@@ -258,7 +258,7 @@ def test_dense_ensembles_are_one_stack(tmp_path):
                             (loaded, False)):
         m, d = mu.size, mu.dim
         assert ("states" in vars(mu)) == from_states
-        assert mu.diagonals is None and ("matrices" in vars(mu)) != from_states
+        assert mu.diagonals is None and "matrices" in vars(mu)
         assert mu.matrices.shape == (m, d, d) and not mu.matrices.flags.writeable
         assert all(np.array_equal(mat, s.mat) for mat, s in zip(mu.matrices, mu.states))
         shared = [np.shares_memory(mat, s.mat) for mat, s in zip(mu.matrices, mu.states)]

@@ -363,13 +363,14 @@ def test_pure_trace_distances_match_dense():
     assert math.isclose(pure_trace_distances(trine)[0, 1], expected, abs_tol=1e-15)
 
 
-def _member_arrays(states, blocks):
-    """pair_trace_distances' arguments for `states`, whose member array is
+def _scan(states, blocks):
+    """pair_trace_distances of one array, `states`, whose member array is
     held as an ensemble holds it: the m x d array of their diagonals when
     every state is kept as one, else the (m, d, d) stack of their matrices."""
     diagonal = all(state.diagonal is not None for state in states)
     members = np.stack([state.diagonal if diagonal else state.mat for state in states])
-    return members, blocks, np.stack([state.spectrum for state in states])
+    spectra = np.stack([state.spectrum for state in states])
+    return pair_trace_distances([(members, spectra, blocks)])
 
 
 def test_pair_trace_distances_in_chunks(monkeypatch):
@@ -388,7 +389,7 @@ def test_pair_trace_distances_in_chunks(monkeypatch):
     for rows, sizes in ((2 * dim, [3] + [2] * 6), (2 * dim + 1, [3] + [3] * 4)):
         monkeypatch.setattr(linalg, "_STACK_ROWS", rows)
         solves.clear()
-        chunks = list(pair_trace_distances(*_member_arrays(states, [(first, second)])))
+        chunks = list(_scan(states, [(first, second)]))
         assert [len(d) for _, d in chunks] == sizes
         positions = np.concatenate([p for p, _ in chunks])
         assert np.array_equal(positions[:3], np.flatnonzero(second < 3))
@@ -400,13 +401,13 @@ def test_pair_trace_distances_in_chunks(monkeypatch):
     diagonals = [DensityOperator.from_diagonal(rng.dirichlet(np.ones(dim))) for _ in states]
     monkeypatch.setattr(linalg, "_STACK_BYTES", 2 * 8 * dim)
     solves.clear()
-    chunks = list(pair_trace_distances(*_member_arrays(diagonals, [(first, second)])))
+    chunks = list(_scan(diagonals, [(first, second)]))
     assert [len(d) for _, d in chunks] == [2] * 7 + [1]
     assert solves == []
     for (i, j), got in zip(zip(first, second), np.concatenate([d for _, d in chunks])):
         assert got == 0.5 * np.abs(diagonals[i].diagonal - diagonals[j].diagonal).sum()
     empty = np.empty((0, dim))
-    assert list(pair_trace_distances(empty, [(first[:0], second[:0])], empty)) == []
+    assert list(pair_trace_distances([(empty, empty, [(first[:0], second[:0])])])) == []
 
 
 def test_pair_trace_distances_mixes_stack_kinds(monkeypatch):
@@ -424,7 +425,7 @@ def test_pair_trace_distances_mixes_stack_kinds(monkeypatch):
     monkeypatch.setattr(linalg, "_STACK_ROWS", 2 * dim)
     monkeypatch.setattr(linalg, "_STACK_BYTES", 3 * 8 * dim)
     solves = count_eigensolves(monkeypatch)
-    stacks = list(pair_trace_distances(*_member_arrays(ops, [(first, second)])))
+    stacks = list(_scan(ops, [(first, second)]))
     both_diagonal = sum(ops[i].diagonal is not None and ops[j].diagonal is not None
                         for i, j in zip(first, second))
     assert both_diagonal == 6
@@ -460,7 +461,7 @@ def test_pair_trace_distances_picks_each_pairs_method(monkeypatch):
     solves = count_eigensolves(monkeypatch)
     cut = first.size // 2
     blocks = [(first[:cut], second[:cut]), (first[cut:], second[cut:])]
-    stacks = list(pair_trace_distances(*_member_arrays(ops, blocks)))
+    stacks = list(_scan(ops, blocks))
     assert len(solves) == first.size - free.sum()
     seen = np.zeros(first.size, dtype=int)
     for positions, distances in stacks:
@@ -479,7 +480,7 @@ def test_pair_trace_distances_failure_is_wrapped(monkeypatch):
     ops = [random_mixed_state(3, 3, rng), random_pure_state(3, rng)]
     monkeypatch.setattr(np.linalg, "eigvalsh", boom)
     with pytest.raises(EigensolverError) as excinfo:
-        next(pair_trace_distances(*_member_arrays(ops, [(np.array([0]), np.array([1]))])))
+        next(_scan(ops, [(np.array([0]), np.array([1]))]))
     assert excinfo.value.dim == 3
 
 
