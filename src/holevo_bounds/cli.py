@@ -24,6 +24,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -103,7 +104,8 @@ def ensemble_from_dict(data: dict) -> DiscreteEnsemble:
     gives its m x d `diagonals`.  The first faulty member is named, with
     its first failed check, as if each member were checked in turn: a fault
     found while parsing member j comes after the state checks of the
-    members before it."""
+    members before it.  A state may be nested lists, as json gives it, or
+    an (n, n, 2) float array, as load_ensemble_file gives one."""
     if not isinstance(data, dict):
         raise EnsembleFileError("top level must be a JSON object")
     version = data.get("version")
@@ -155,9 +157,10 @@ def _parse_member(k: int, member, dim: int) -> tuple[float, np.ndarray]:
     prob = member.get("prob")
     if isinstance(prob, bool) or not isinstance(prob, (int, float)):
         raise EnsembleFileError(f"member {k}: prob must be a number")
+    state = member.get("state")
     try:
         prob = float(prob)
-        arr = np.asarray(member.get("state"), dtype=float)
+        arr = np.asarray(state, dtype=float)
     except OverflowError:
         raise EnsembleFileError(f"member {k}: number too large for a float") from None
     except (TypeError, ValueError) as exc:
@@ -174,9 +177,12 @@ def _parse_member(k: int, member, dim: int) -> tuple[float, np.ndarray]:
             f"member {k}: state entries must be finite and of modulus at most 1"
         )
     # numpy reads JSON true and false as 1 and 0, so only an entry that
-    # reads 0 or 1 can have been one: those few are looked up.
+    # reads 0 or 1 can have been one: those few are looked up.  A float
+    # array, as the file reader gives a state of numbers, holds none.
+    if isinstance(state, np.ndarray) and state.dtype == float:
+        return prob, arr
     flagged = np.argwhere((arr == 0.0) | (arr == 1.0)).tolist()
-    if any(type(member["state"][i][j][c]) is bool for i, j, c in flagged):
+    if any(type(state[i][j][c]) is bool for i, j, c in flagged):
         raise EnsembleFileError(f"member {k}: state entries must be numbers, not booleans")
     return prob, arr
 
@@ -193,12 +199,119 @@ def _checked_states(stack: np.ndarray) -> tuple[np.ndarray, list[bool]]:
 def load_ensemble_file(path: str) -> DiscreteEnsemble:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = _read_ensemble_text(fh.read())
     except OSError as exc:
         raise EnsembleFileError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise EnsembleFileError(f"{path} is not valid JSON: {exc}") from None
     return ensemble_from_dict(data)
+
+
+# json.loads' scanner, with its defaults, and JSON whitespace.
+_SCAN = json.JSONDecoder().scan_once
+_SKIP = json.decoder.WHITESPACE.match
+# In the text of an array of arrays of numbers, "]]]" (JSON whitespace
+# between) ends the array.
+_STATE_END = re.compile(r"\][ \t\n\r]*\][ \t\n\r]*\]")
+_NUMBERS_AND_SPACE = str.maketrans("", "", "0123456789+-.eE \t\n\r")
+
+
+def _read_ensemble_text(text: str):
+    """json.loads(text), except that every member's "state" written as an
+    n x n array of [re, im] pairs of numbers is an (n, n, 2) float array,
+    read as one flat list of its numbers by json's own scanner: no Python
+    list is built per matrix entry, and the floats are the same bit for bit.
+
+    The top-level object, its "members" list and each member object are
+    walked with json's scanner, which reads every other key and value.  A
+    state of any other text is read by the scanner too, and any text that
+    is not such an object, or not valid JSON, is read by json.loads(text)
+    alone, so its values and its errors are json's."""
+    try:
+        data, end = _object(text, _SKIP(text, 0).end(), _top_value)
+        if _SKIP(text, end).end() == len(text):
+            return data
+    except (ValueError, StopIteration, RecursionError):
+        pass
+    return json.loads(text)
+
+
+def _object(text: str, idx: int, value) -> tuple[dict, int]:
+    """The JSON object at text[idx], read as json reads one, and the index
+    after it; value(text, key, start) reads each value, as _SCAN does."""
+    if text[idx:idx + 1] != "{":
+        raise ValueError("not an object")
+    out = {}
+    idx = _SKIP(text, idx + 1).end()
+    if text[idx:idx + 1] == "}":
+        return out, idx + 1
+    while True:
+        if text[idx:idx + 1] != '"':
+            raise ValueError("not a key")
+        key, idx = _SCAN(text, idx)
+        idx = _SKIP(text, idx).end()
+        if text[idx:idx + 1] != ":":
+            raise ValueError("no colon")
+        out[key], idx = value(text, key, _SKIP(text, idx + 1).end())
+        idx = _SKIP(text, idx).end()
+        if text[idx:idx + 1] == "}":
+            return out, idx + 1
+        if text[idx:idx + 1] != ",":
+            raise ValueError("no comma")
+        idx = _SKIP(text, idx + 1).end()
+
+
+def _top_value(text: str, key: str, idx: int) -> tuple:
+    """A value of the top-level object: "members" as a list of member
+    objects (_member_value), each other value as json reads it."""
+    if key != "members" or text[idx:idx + 1] != "[":
+        return _SCAN(text, idx)
+    out = []
+    idx = _SKIP(text, idx + 1).end()
+    if text[idx:idx + 1] == "]":
+        return out, idx + 1
+    while True:
+        if text[idx:idx + 1] == "{":
+            member, idx = _object(text, idx, _member_value)
+        else:
+            member, idx = _SCAN(text, idx)
+        out.append(member)
+        idx = _SKIP(text, idx).end()
+        if text[idx:idx + 1] == "]":
+            return out, idx + 1
+        if text[idx:idx + 1] != ",":
+            raise ValueError("no comma")
+        idx = _SKIP(text, idx + 1).end()
+
+
+def _member_value(text: str, key: str, idx: int) -> tuple:
+    """A value of a member object: "state" as an (n, n, 2) float array when
+    its text is an n x n array of [re, im] pairs of numbers, each other
+    value as json reads it.
+
+    The test is on the state's skeleton, its text with every number
+    character and JSON whitespace deleted, which must be that of an
+    n x n x 2 array; its numbers are then the text with its brackets
+    blanked, read as one JSON list.  The skeleton holds no JSON literal, so
+    no entry can be a boolean.  A list that does not read, or whose numbers
+    are no floats, leaves the state to the scanner."""
+    if key == "state" and text[idx:idx + 1] == "[":
+        quote = text.find('"', idx)  # a state of numbers ends before it
+        end = _STATE_END.search(text, idx, quote if quote >= 0 else len(text))
+        if end is not None:
+            body = text[idx:end.end()]
+            skeleton = body.translate(_NUMBERS_AND_SPACE)
+            n = (math.isqrt(4 * len(skeleton) - 3) - 1) // 4  # the length is 4n^2 + 2n + 1
+            row = "[" + ",".join(["[,]"] * n) + "]"
+            if skeleton == "[" + ",".join([row] * n) + "]":
+                flat = "[" + body[1:-1].replace("[", " ").replace("]", " ") + "]"
+                try:
+                    numbers = _SCAN(flat, 0)[0]
+                    state = np.fromiter(numbers, float, len(numbers)).reshape(n, n, 2)
+                    return state, end.end()
+                except (ValueError, StopIteration, OverflowError):
+                    pass
+    return _SCAN(text, idx)
 
 
 def write_ensemble_file(path: str, mu: DiscreteEnsemble) -> None:

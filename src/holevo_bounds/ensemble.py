@@ -22,8 +22,8 @@ import numpy as np
 
 from .entropy import as_probability_vector, binary_entropy, von_neumann_entropy, _row_entropies
 from .linalg import (
-    PSD_TOL, DensityOperator, _derived, _eigh, _eigvalsh, _freeze, _is_diagonal, _joined,
-    _kinds, _solved, _spectral_sum, _stacked_eigvalsh, _stacks, pair_trace_distances,
+    PSD_TOL, DensityOperator, _derived, _diagonal_flags, _eigh, _eigvalsh, _freeze, _is_diagonal,
+    _joined, _kinds, _solved, _spectral_sum, _stacked_eigvalsh, _stacks, pair_trace_distances,
 )
 
 # Member distances at or below this count as exactly zero.
@@ -453,13 +453,11 @@ def _trace_norms(ops) -> list[float]:
 def _by_entries(members: np.ndarray, centred: np.ndarray | None = None) -> np.ndarray:
     """Which matrices of the (m, d, d) stack `members` have a difference from
     their centre read from its entries, with no eigensolve: those exactly
-    diagonal (_is_diagonal) whose centre is too, as the m booleans `centred`
+    diagonal (_diagonal_flags) whose centre is too, as the m booleans `centred`
     say (by default every centre is).  Its callers skip it when no centre is
     diagonal, and every member's difference takes one."""
-    if centred is None:
-        return np.fromiter(map(_is_diagonal, members), bool, len(members))
-    pairs = zip(centred.tolist(), members)
-    return np.fromiter((c and _is_diagonal(mat) for c, mat in pairs), bool, len(members))
+    flags = _diagonal_flags(members)
+    return flags if centred is None else flags & centred
 
 
 def _member_parts(members: np.ndarray, centres, starts=(0,), rotate: bool = True) -> tuple:

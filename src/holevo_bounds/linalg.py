@@ -236,6 +236,18 @@ def _is_diagonal(mat: np.ndarray) -> bool:
     return np.count_nonzero(mat) == np.count_nonzero(mat.diagonal())
 
 
+def _diagonal_flags(mats: np.ndarray) -> np.ndarray:
+    """_is_diagonal of every matrix of the (m, d, d) stack `mats`, as m
+    booleans: each matrix's nonzero count against its diagonal's, a _stacks
+    block at a time, so a NaN off the diagonal keeps its matrix dense."""
+    flags = np.empty(len(mats), dtype=bool)
+    for part in _stacks(len(mats), mats.shape[-1], "eigh")[0]:
+        block = mats[part]
+        flags[part] = np.count_nonzero(block, axis=(1, 2)) == np.count_nonzero(
+            block.diagonal(axis1=1, axis2=2), axis=1)
+    return flags
+
+
 def hermitian_eigenvalues(a: HermitianOperator) -> np.ndarray:
     """Eigenvalues of `a` (values-only fast path): ascending from LAPACK, or,
     when `a` is kept as its diagonal, that diagonal array itself, unsorted."""
@@ -374,7 +386,7 @@ def _check_states(
     place (_symmetrize): Hermiticity, then each matrix's eigenvalues, then
     positivity within PSD_TOL, then unit trace within TRACE_TOL.  Returns
     (spectra, flat): the m x d array of spectra, and a list of which
-    matrices are exactly diagonal (_is_diagonal).  A diagonal matrix's
+    matrices are exactly diagonal (_diagonal_flags).  A diagonal matrix's
     spectrum is its diagonal, at no eigensolve; every other's is ascending,
     from one stacked eigvalsh of those matrices.
 
@@ -392,7 +404,7 @@ def _check_states(
     if mats.shape[-1] > 1 and all(checked[:, -1, 0].tolist()):  # nonzero corners: all dense
         flat = [False] * stop
     else:
-        flat = [_is_diagonal(checked[k]) for k in range(stop)]
+        flat = _diagonal_flags(checked).tolist()
     index = range(stop)  # the matrices solved
     if any(flat):  # a diagonal matrix's spectrum and trace are its diagonal's
         rows = checked.diagonal(axis1=1, axis2=2).real
@@ -642,13 +654,13 @@ def _kinds(arrays: Sequence[np.ndarray]) -> list[list[int]]:
 
 def _pair_flags(members: np.ndarray, spectra: np.ndarray) -> tuple:
     """(rows, diagonal, rank_one) of a member array: each member's diagonal,
-    whether it is diagonal (each _is_diagonal matrix of a stack; None for
+    whether it is diagonal (_diagonal_flags of a stack; None for
     an m x d array, all of whose rows are), and whether it has rank 1, read
     from its spectrum."""
     if members.ndim == 2:
         return members, None, None
     rows = members.diagonal(axis1=1, axis2=2).real
-    diagonal = np.fromiter(map(_is_diagonal, members), bool, len(members))
+    diagonal = _diagonal_flags(members)
     return rows, diagonal, (spectra > PSD_TOL).sum(axis=1) <= 1
 
 

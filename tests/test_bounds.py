@@ -526,6 +526,25 @@ def test_upper_pairs_follow_triu_order(m, block):
         assert f[-1] < g[0]  # whole rows: no row spans two blocks
 
 
+@pytest.mark.parametrize("m", [2, 3, 7, 256])
+def test_one_block_pairs_are_one_grid_plus_the_offset(m):
+    # Pairs that fit one block are m's grid, built once and read-only, plus
+    # the offset: the pairs and their order of a grid built for the call.
+    first, second = np.triu_indices(m, 1)
+    (grid,) = _upper_pairs(m)
+    assert grid[0].flags.writeable is False and grid[1].flags.writeable is False
+    for offset in (0, 5):
+        (pairs,) = _upper_pairs(m, offset=offset)
+        assert pairs[0].dtype == first.dtype and pairs[1].dtype == second.dtype
+        assert np.array_equal(pairs[0], first + offset)
+        assert np.array_equal(pairs[1], second + offset)
+    (again,) = _upper_pairs(m)
+    assert again[0] is grid[0] and again[1] is grid[1]
+    if m > 2:  # one pair more than a block is two blocks, the last row alone
+        assert [len(f) for f, _ in _upper_pairs(m, m * (m - 1) // 2 - 1)] == [
+            m * (m - 1) // 2 - 1, 1]
+
+
 def test_multi_block_scan_forms_one_gram_matrix(monkeypatch):
     # 9 pure and 3 full-rank members: a scan in blocks of about 4 pairs
     # forms the Gram matrix of the rank-1 parts once, and gives the
@@ -1223,6 +1242,22 @@ def test_batched_reports_match_one_at_a_time(mus):
     # own ensemble's rows in its own order.
     for report, want in zip(batch, alone):
         assert _fields(report) == _fields(want)
+
+
+def test_batch_of_diagonal_and_dense_centres_matches_each_alone():
+    # Two stacks of one dimension in one member stage: the first ensemble's
+    # average is diagonal, the second's is not, so the second's diagonal
+    # member |0><0| takes an eigensolve, not its entries, in the batch too.
+    zero, one = DensityOperator.from_pure([1.0, 0.0]), DensityOperator.from_pure([0.0, 1.0])
+    plus = DensityOperator.from_pure([1.0, 1.0])
+    minus = DensityOperator.from_pure([1.0, -1.0])
+    diagonal = DiscreteEnsemble(np.full(4, 0.25), (plus, minus, zero, one))
+    dense = DiscreteEnsemble(np.array([0.5, 0.5]), (zero, plus))
+    assert diagonal.matrices is not None and dense.matrices is not None
+    assert diagonal.average.diagonal is not None and dense.average.diagonal is None
+    batch = full_reports([diagonal, dense])
+    assert [_fields(report) for report in batch] == [
+        _fields(full_report(diagonal)), _fields(full_report(dense))]
 
 
 @settings(derandomize=True, deadline=None)

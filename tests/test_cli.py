@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import threading
 import tracemalloc
 
@@ -365,6 +366,174 @@ def test_ensemble_dict_rejects_malformed_shapes():
                 "members": [{"prob": 1.0, "state": [[1.0, 0.0], [0.0, 0.0]]}],
             }
         )
+
+
+def _json_load(path: str) -> DiscreteEnsemble:
+    """load_ensemble_file as json alone reads the file: json.load of the
+    text, then ensemble_from_dict."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise EnsembleFileError(f"{path} is not valid JSON: {exc}") from None
+    return ensemble_from_dict(data)
+
+
+def _load_outcome(load, path: str):
+    """The bytes of the ensemble's matrices, spectra and probs, and its
+    labels, or the type and message of the error that loading raised."""
+    try:
+        mu = load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    arrays = (mu.matrices, mu._spectra, mu.probs)
+    return [None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in arrays], mu.labels
+
+
+_LAYOUTS = {"default": {}, "compact": {"separators": (",", ":")}, "indent": {"indent": 1}}
+_STATE_KEY = re.compile(r'"state": ?')
+
+
+@st.composite
+def _ensemble_texts(draw):
+    """The text of an ensemble file: an _ensemble_dicts() or
+    _edge_ensemble_dicts() example written with default separators, compact
+    ones or indent=1, then one edit: a character of a state, or of the
+    whole text, deleted or doubled, a label holding "]]]" or '"state": [[['
+    before or after the state, a non-ASCII label written as is, a second
+    "state" key before or after the first, CRLF line ends, or text after
+    the object."""
+    data = draw(_ensemble_dicts().map(lambda drawn: drawn[0]) | _edge_ensemble_dicts())
+    layout = _LAYOUTS[draw(st.sampled_from(sorted(_LAYOUTS)))]
+    edit = draw(st.sampled_from(
+        [None, "delete", "double", "anywhere", "label", "non-ascii", "duplicate", "crlf",
+         "after"]))
+    members = data["members"]
+    if edit in ("label", "non-ascii") and isinstance(members, list) and members:
+        k = draw(st.integers(0, len(members) - 1))
+        labels = (["]]]", '"state": [[[', 'x]]] "state": [[[[1.0, 0.0]]], "prob": 1}']
+                  if edit == "label" else ["é", "状態 ]]]", " ", "\U0001f600"])
+        label = draw(st.sampled_from(labels))
+        if isinstance(members[k], dict):
+            first = draw(st.booleans())
+            members[k] = {"label": label, **members[k]} if first else {**members[k], "label": label}
+    text = json.dumps(data, ensure_ascii=edit != "non-ascii", **layout) + "\n"
+    keys = list(_STATE_KEY.finditer(text))
+    if edit in ("delete", "double", "duplicate") and keys:
+        key = draw(st.sampled_from(keys))
+        end = json.JSONDecoder().raw_decode(text, key.end())[1]
+        if edit == "duplicate":
+            other = draw(st.sampled_from(
+                [[[[0.5, 0.0]]], [[[1, 0], [0, 0]], [[0, 0], [0, 0]]], [[1.0, 0.0]]]) | _JSON)
+            other = f'"state"{layout.get("separators", (", ", ": "))[1]}{json.dumps(other)}'
+            if draw(st.booleans()):
+                text = f"{text[:key.start()]}{other}, {text[key.start():]}"
+            else:
+                text = f"{text[:end]}, {other}{text[end:]}"
+        else:
+            i = draw(st.integers(key.end(), end - 1))
+            text = text[:i] + text[i] * (edit == "double") + text[i + 1:]
+    elif edit == "anywhere":  # often a separator, a quote or a brace
+        marks = [mark.start() for mark in re.finditer(r'[:,{}"]', text)]
+        i = draw(st.sampled_from(marks) | st.integers(0, len(text) - 1))
+        text = text[:i] + text[i] * draw(st.integers(0, 2)) + text[i + 1:]
+    elif edit == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif edit == "after":
+        text += draw(st.sampled_from(["x", "{}", "]", " \t\r\n", "\f"]))
+    return text
+
+
+@settings(derandomize=True, deadline=None)
+@given(_ensemble_texts())
+def test_array_reader_matches_json(tmp_path_factory, text):
+    # Whatever a file holds, the reader gives what json.load and
+    # ensemble_from_dict give: the same arrays bit for bit and the same
+    # labels, or the same error.
+    path = str(tmp_path_factory.mktemp("reader") / "mu.json")
+    with open(path, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+    assert _load_outcome(load_ensemble_file, path) == _load_outcome(_json_load, path)
+
+
+_QUBIT_TEXT = (
+    '{"version": 1, "dim": 2, "members": [{"prob": 0.5, "state": STATE}, '
+    '{"prob": 0.5, "state": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}]}'
+)
+_FIRST_STATE = "[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]"
+
+
+# Edits of _QUBIT_TEXT, each (old, new): files whose states or structure
+# the reader must leave to json, or reject as json does.  The first two load.
+_TEXT_EDITS = {
+    "valid": ("STATE", _FIRST_STATE),
+    "integers": ("STATE", "[[[1, 0], [0, 0]], [[0, 0], [0, 1e-400]]]"),
+    "ragged": ("STATE", "[[[1.0, 0.0], [0.0]], [[0.0, 0.0, 0.0], [0.0, 0.0]]]"),  # 8 numbers
+    "wide": ("STATE", "[[[1.0, 0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0, 0.0]]]"),
+    "boolean": ("STATE", "[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [false, 0.0]]]"),
+    "nan": ("STATE", "[[[1.0, 0.0], [NaN, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]"),
+    "huge-integer": ("STATE", f"[[[1{'0' * 400}, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]"),
+    "no-comma-in-pair": ("STATE", "[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0 0.0]]]"),
+    "minus-alone": ("STATE", "[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, -]]]"),
+    "no-colon": ('"prob": 0.5, "state": STATE', '"prob" 0.5, "state": STATE'),
+    "colon-replaced": ('"prob": 0.5, "state": STATE', '"prob"= 0.5, "state": STATE'),
+    "comma-replaced-in-member": ('"prob": 0.5, "state": STATE', '"prob": 0.5; "state": STATE'),
+    "comma-replaced-between-members": ("STATE}, {", "STATE}; {"),
+    "trailing-comma-in-member": ("STATE}", "STATE,}"),
+    "trailing-comma-in-members": ("}]}", "},]}"),
+    "no-comma-at-top": ('"dim": 2,', '"dim": 2'),
+    "extra-data": ("}]}", "}]} x"),
+    "extra-bracket": ("}]}", "}]}]"),
+    "byte-order-mark": ('{"version"', '\ufeff{"version"'),
+    "top-level-list": ('{"version"', '[{"version"'),
+}
+
+
+@pytest.mark.parametrize("edit", list(_TEXT_EDITS))
+def test_array_reader_fails_as_json_does(tmp_path, edit):
+    # Each file loads to json's values, or fails with json's message.
+    old, new = _TEXT_EDITS[edit]
+    text = _QUBIT_TEXT.replace(old, new).replace("STATE", _FIRST_STATE)
+    path = tmp_path / "mu.json"
+    path.write_text(text, encoding="utf-8")
+    outcome = _load_outcome(load_ensemble_file, str(path))
+    assert outcome == _load_outcome(_json_load, str(path))
+    assert isinstance(outcome[0], list) == (edit in ("valid", "integers"))
+
+
+def test_array_reader_reads_states_as_arrays(tmp_path, monkeypatch):
+    # A file written by write_ensemble_file, and one in the benchmark's
+    # {"prob", "label", "state"} layout, load with json.loads and json.load
+    # out of use, and every state reaches ensemble_from_dict as an array.
+    mu = random_ensemble(4, 3, 5)
+    written = tmp_path / "written.json"
+    write_ensemble_file(str(written), mu)
+    pairs = np.stack([mu.matrices.real, mu.matrices.imag], axis=-1)
+    members = [json.dumps({"prob": p, "label": f"rank-{i}", "state": pairs[i].tolist()})
+               for i, p in enumerate(mu.probs.tolist())]
+    layout = tmp_path / "layout.json"
+    layout.write_text(f'{{"version": 1, "dim": 3, "members": [{", ".join(members)}]}}\n')
+    expected = _load_outcome(_json_load, str(written))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the whole text went to json")
+
+    states = []
+
+    def from_dict(data):
+        states.extend(member["state"] for member in data["members"])
+        return ensemble_from_dict(data)
+
+    monkeypatch.setattr(json, "loads", refuse)
+    monkeypatch.setattr(json, "load", refuse)
+    monkeypatch.setattr(cli, "ensemble_from_dict", from_dict)
+    for path in (written, layout):
+        states.clear()
+        outcome = _load_outcome(load_ensemble_file, str(path))
+        assert outcome[0] == expected[0]
+        assert all(type(s) is np.ndarray and s.shape == (3, 3, 2) for s in states)
+        assert len(states) == 4
+    assert outcome[1] == tuple(f"rank-{i}" for i in range(4))
 
 
 def test_example_trine(capsys):

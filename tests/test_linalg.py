@@ -576,3 +576,29 @@ def test_state_fault_before_a_failed_solve_is_named_first(monkeypatch):
     mats[1] = np.eye(3) / 3.0
     with pytest.raises(EigensolverError, match="^member 2: eigenvalue computation failed"):
         linalg._check_states(mats, range(4))
+
+
+@pytest.mark.parametrize("stack_matrices", [1, 2, 64])
+def test_diagonal_flags_match_each_matrix(monkeypatch, stack_matrices):
+    # The whole-stack test gives _is_diagonal's flag for every matrix, also
+    # when its blocks cut the stack: a NaN or a tiny entry off the diagonal,
+    # or one that leaves the corner 0, keeps a matrix dense; a NaN or a 0 on
+    # the diagonal does not.
+    monkeypatch.setattr(linalg, "_BLOCK_BYTES", stack_matrices * 16 * 3 * 3)
+    mats = np.zeros((10, 3, 3), dtype=complex)
+    mats[0] = np.diag([0.2, 0.3, 0.5])
+    mats[1] = random_mixed_state(3, 2, 7).mat
+    mats[2] = np.diag([1.0, 0.0, 0.0])
+    mats[3, 0, 1] = 1e-300
+    mats[4] = np.diag([np.nan, 0.5, 0.5])
+    mats[5, 2, 1] = np.nan
+    mats[6, 1, 2] = 1e-20j
+    mats[7, 2, 0] = 0.1
+    mats[9] = np.diag([0.0, 0.0, 1.0 + 1e-9j])
+    flags = linalg._diagonal_flags(mats)
+    assert flags.tolist() == [linalg._is_diagonal(mat) for mat in mats]
+    assert flags.tolist() == [True, False, True, False, True, False, False, False, True, True]
+    one = np.full((4, 1, 1), 0.5 + 0j)
+    one[2] = 0.0
+    assert linalg._diagonal_flags(one).tolist() == [True] * 4
+    assert linalg._diagonal_flags(mats[:0]).tolist() == []
