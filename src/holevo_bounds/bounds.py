@@ -30,7 +30,6 @@ suites.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterator
 from itertools import accumulate
@@ -49,7 +48,7 @@ from .ensemble import (
     _minus_gaps,
 )
 from .entropy import _entropy_of_weights, binary_entropy, von_neumann_entropy
-from .linalg import DensityOperator, _freeze, _kinds, pair_trace_distances
+from .linalg import DensityOperator, _kinds, pair_trace_distances
 
 # The bound fields of BoundReport, in report order; each has a slack.
 BOUND_KEYS = (
@@ -164,12 +163,7 @@ def _upper_pairs(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The index pairs (offset + i, offset + j), 0 <= i < j < m, in
     np.triu_indices(m, 1) order, as blocks of whole rows i with at least
-    `block` pairs each (the last block may hold fewer).  When they fit one
-    block, they are m's grid (_pair_grid), built once, plus the offset."""
-    if 1 < m and m * (m - 1) // 2 <= block:
-        first, second = _pair_grid(m)
-        yield (first + offset, second + offset) if offset else (first, second)
-        return
+    `block` pairs each (the last block may hold fewer)."""
     start = 0
     while start < m - 1:
         stop, count = start, 0
@@ -180,14 +174,6 @@ def _upper_pairs(
         first, second = (rows[:, None] < np.arange(m)).nonzero()
         yield first + (start + offset), second + offset if offset else second
         start = stop
-
-
-@functools.lru_cache(maxsize=16)
-def _pair_grid(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only index pairs (i, j), 0 <= i < j < m, in
-    np.triu_indices(m, 1) order."""
-    first, second = (np.arange(m - 1)[:, None] < np.arange(m)).nonzero()
-    return _freeze(first), _freeze(second)
 
 
 def pinsker_term(aux: AuxiliaryDecomposition, *, reweighted: bool = False) -> float:

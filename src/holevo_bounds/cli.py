@@ -213,7 +213,9 @@ _SKIP = json.decoder.WHITESPACE.match
 # In the text of an array of arrays of numbers, "]]]" (JSON whitespace
 # between) ends the array.
 _STATE_END = re.compile(r"\][ \t\n\r]*\][ \t\n\r]*\]")
-_NUMBERS_AND_SPACE = str.maketrans("", "", "0123456789+-.eE \t\n\r")
+# A state's skeleton: each character a JSON number can hold as "0", and
+# JSON whitespace deleted, in one bytes.translate pass.
+_NUMBERS_AS_ZEROS = bytes.maketrans(b"123456789+-.eE", b"0" * 14)
 
 
 def _read_ensemble_text(text: str):
@@ -236,16 +238,30 @@ def _read_ensemble_text(text: str):
     return json.loads(text)
 
 
+def _items(text: str, idx: int, close: str, read) -> int:
+    """Walk the items of the JSON object or array whose opening bracket is
+    at text[idx], as json does: read(idx) reads the item at text[idx] and
+    gives the index after it.  Returns the index after `close`."""
+    idx = _SKIP(text, idx + 1).end()
+    if text[idx:idx + 1] == close:
+        return idx + 1
+    while True:
+        idx = _SKIP(text, read(idx)).end()
+        if text[idx:idx + 1] == close:
+            return idx + 1
+        if text[idx:idx + 1] != ",":
+            raise ValueError("no comma")
+        idx = _SKIP(text, idx + 1).end()
+
+
 def _object(text: str, idx: int, value) -> tuple[dict, int]:
     """The JSON object at text[idx], read as json reads one, and the index
     after it; value(text, key, start) reads each value, as _SCAN does."""
     if text[idx:idx + 1] != "{":
         raise ValueError("not an object")
     out = {}
-    idx = _SKIP(text, idx + 1).end()
-    if text[idx:idx + 1] == "}":
-        return out, idx + 1
-    while True:
+
+    def pair(idx: int) -> int:
         if text[idx:idx + 1] != '"':
             raise ValueError("not a key")
         key, idx = _SCAN(text, idx)
@@ -253,12 +269,9 @@ def _object(text: str, idx: int, value) -> tuple[dict, int]:
         if text[idx:idx + 1] != ":":
             raise ValueError("no colon")
         out[key], idx = value(text, key, _SKIP(text, idx + 1).end())
-        idx = _SKIP(text, idx).end()
-        if text[idx:idx + 1] == "}":
-            return out, idx + 1
-        if text[idx:idx + 1] != ",":
-            raise ValueError("no comma")
-        idx = _SKIP(text, idx + 1).end()
+        return idx
+
+    return out, _items(text, idx, "}", pair)
 
 
 def _top_value(text: str, key: str, idx: int) -> tuple:
@@ -267,21 +280,16 @@ def _top_value(text: str, key: str, idx: int) -> tuple:
     if key != "members" or text[idx:idx + 1] != "[":
         return _SCAN(text, idx)
     out = []
-    idx = _SKIP(text, idx + 1).end()
-    if text[idx:idx + 1] == "]":
-        return out, idx + 1
-    while True:
+
+    def member(idx: int) -> int:
         if text[idx:idx + 1] == "{":
-            member, idx = _object(text, idx, _member_value)
+            item, idx = _object(text, idx, _member_value)
         else:
-            member, idx = _SCAN(text, idx)
-        out.append(member)
-        idx = _SKIP(text, idx).end()
-        if text[idx:idx + 1] == "]":
-            return out, idx + 1
-        if text[idx:idx + 1] != ",":
-            raise ValueError("no comma")
-        idx = _SKIP(text, idx + 1).end()
+            item, idx = _SCAN(text, idx)
+        out.append(item)
+        return idx
+
+    return out, _items(text, idx, "]", member)
 
 
 def _member_value(text: str, key: str, idx: int) -> tuple:
@@ -289,28 +297,31 @@ def _member_value(text: str, key: str, idx: int) -> tuple:
     its text is an n x n array of [re, im] pairs of numbers, each other
     value as json reads it.
 
-    The test is on the state's skeleton, its text with every number
-    character and JSON whitespace deleted, which must be that of an
-    n x n x 2 array; its numbers are then the text with its brackets
-    blanked, read as one JSON list.  The skeleton holds no JSON literal, so
-    no entry can be a boolean.  A list that does not read, or whose numbers
-    are no floats, leaves the state to the scanner."""
+    The test is on the state's skeleton: its text with each number
+    character as "0" and JSON whitespace deleted.  It must be an n x n
+    array of pairs with a run of zeros between each pair's "[" and "," and
+    between its "," and "]", so no number sits outside its slot.  The
+    numbers are then the text with its brackets blanked, read as one JSON
+    list: it reads only if each slot holds one JSON number.  The skeleton
+    holds no JSON literal, so no entry can be a boolean.  A list that does
+    not read, or whose numbers are no floats, leaves the state to the
+    scanner."""
     if key == "state" and text[idx:idx + 1] == "[":
         quote = text.find('"', idx)  # a state of numbers ends before it
         end = _STATE_END.search(text, idx, quote if quote >= 0 else len(text))
         if end is not None:
             body = text[idx:end.end()]
-            skeleton = body.translate(_NUMBERS_AND_SPACE)
-            n = (math.isqrt(4 * len(skeleton) - 3) - 1) // 4  # the length is 4n^2 + 2n + 1
-            row = "[" + ",".join(["[,]"] * n) + "]"
-            if skeleton == "[" + ",".join([row] * n) + "]":
-                flat = "[" + body[1:-1].replace("[", " ").replace("]", " ") + "]"
-                try:
+            try:  # a non-ASCII state, or one that does not read, goes on
+                skeleton = body.encode("ascii").translate(_NUMBERS_AS_ZEROS, b" \t\n\r")
+                n = (skeleton.count(b",", 0, skeleton.find(b"]]")) + 1) // 2  # 2n - 1 in row 0
+                row = rb"\[\[0+,0+\](?:,\[0+,0+\]){%d}\]" % (n - 1)
+                if n and re.fullmatch(rb"\[%s(?:,%s){%d}\]" % (row, row, n - 1), skeleton):
+                    flat = "[" + body[1:-1].replace("[", " ").replace("]", " ") + "]"
                     numbers = _SCAN(flat, 0)[0]
                     state = np.fromiter(numbers, float, len(numbers)).reshape(n, n, 2)
                     return state, end.end()
-                except (ValueError, StopIteration, OverflowError):
-                    pass
+            except (ValueError, StopIteration, OverflowError):
+                pass
     return _SCAN(text, idx)
 
 

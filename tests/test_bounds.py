@@ -527,22 +527,14 @@ def test_upper_pairs_follow_triu_order(m, block):
 
 
 @pytest.mark.parametrize("m", [2, 3, 7, 256])
-def test_one_block_pairs_are_one_grid_plus_the_offset(m):
-    # Pairs that fit one block are m's grid, built once and read-only, plus
-    # the offset: the pairs and their order of a grid built for the call.
+@pytest.mark.parametrize("block", [1, 5, 1 << 15])
+def test_upper_pairs_add_the_offset(m, block):
     first, second = np.triu_indices(m, 1)
-    (grid,) = _upper_pairs(m)
-    assert grid[0].flags.writeable is False and grid[1].flags.writeable is False
     for offset in (0, 5):
-        (pairs,) = _upper_pairs(m, offset=offset)
-        assert pairs[0].dtype == first.dtype and pairs[1].dtype == second.dtype
-        assert np.array_equal(pairs[0], first + offset)
-        assert np.array_equal(pairs[1], second + offset)
-    (again,) = _upper_pairs(m)
-    assert again[0] is grid[0] and again[1] is grid[1]
-    if m > 2:  # one pair more than a block is two blocks, the last row alone
-        assert [len(f) for f, _ in _upper_pairs(m, m * (m - 1) // 2 - 1)] == [
-            m * (m - 1) // 2 - 1, 1]
+        blocks = list(_upper_pairs(m, block, offset))
+        assert all(f.dtype == first.dtype and s.dtype == second.dtype for f, s in blocks)
+        assert np.array_equal(np.concatenate([f for f, _ in blocks]), first + offset)
+        assert np.array_equal(np.concatenate([s for _, s in blocks]), second + offset)
 
 
 def test_multi_block_scan_forms_one_gram_matrix(monkeypatch):

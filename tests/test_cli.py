@@ -399,14 +399,15 @@ def _ensemble_texts(draw):
     """The text of an ensemble file: an _ensemble_dicts() or
     _edge_ensemble_dicts() example written with default separators, compact
     ones or indent=1, then one edit: a character of a state, or of the
-    whole text, deleted or doubled, a label holding "]]]" or '"state": [[['
-    before or after the state, a non-ASCII label written as is, a second
-    "state" key before or after the first, CRLF line ends, or text after
-    the object."""
+    whole text, deleted or doubled, two adjacent characters of a state
+    swapped (a number moved across a bracket, say), a label holding "]]]"
+    or '"state": [[[' before or after the state, a non-ASCII label written
+    as is, a second "state" key before or after the first, CRLF line ends,
+    or text after the object."""
     data = draw(_ensemble_dicts().map(lambda drawn: drawn[0]) | _edge_ensemble_dicts())
     layout = _LAYOUTS[draw(st.sampled_from(sorted(_LAYOUTS)))]
     edit = draw(st.sampled_from(
-        [None, "delete", "double", "anywhere", "label", "non-ascii", "duplicate", "crlf",
+        [None, "delete", "double", "swap", "anywhere", "label", "non-ascii", "duplicate", "crlf",
          "after"]))
     members = data["members"]
     if edit in ("label", "non-ascii") and isinstance(members, list) and members:
@@ -419,7 +420,7 @@ def _ensemble_texts(draw):
             members[k] = {"label": label, **members[k]} if first else {**members[k], "label": label}
     text = json.dumps(data, ensure_ascii=edit != "non-ascii", **layout) + "\n"
     keys = list(_STATE_KEY.finditer(text))
-    if edit in ("delete", "double", "duplicate") and keys:
+    if edit in ("delete", "double", "swap", "duplicate") and keys:
         key = draw(st.sampled_from(keys))
         end = json.JSONDecoder().raw_decode(text, key.end())[1]
         if edit == "duplicate":
@@ -430,6 +431,16 @@ def _ensemble_texts(draw):
                 text = f"{text[:key.start()]}{other}, {text[key.start():]}"
             else:
                 text = f"{text[:end]}, {other}{text[end:]}"
+        elif edit == "swap":
+            # Integral numbers written as integers, so that a swap next to
+            # a bracket can move a whole number across it.
+            state = re.sub(r"\b(\d+)\.0\b", r"\1", text[key.end():end])
+            marks = [mark.start() for mark in re.finditer(r"\d[\[\]]|[\[\]]\d", state)]
+            if len(state) > 1:
+                where = st.integers(0, len(state) - 2)
+                i = draw(st.sampled_from(marks) | where if marks else where)
+                state = state[:i] + state[i + 1] + state[i] + state[i + 2:]
+            text = text[:key.end()] + state + text[end:]
         else:
             i = draw(st.integers(key.end(), end - 1))
             text = text[:i] + text[i] * (edit == "double") + text[i + 1:]
@@ -475,6 +486,12 @@ _TEXT_EDITS = {
     "huge-integer": ("STATE", f"[[[1{'0' * 400}, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]"),
     "no-comma-in-pair": ("STATE", "[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0 0.0]]]"),
     "minus-alone": ("STATE", "[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, -]]]"),
+    # A number moved across a bracket (blank the brackets and 8 numbers
+    # read), and two numbers in one slot.
+    "number-before-bracket": ("STATE", "[[[1,0],0[,0]],[[0,0],[0,0]]]"),
+    "number-after-bracket": ("STATE", "[[[1,]0,[0,0]],[[0,0],[0,0]]]"),
+    "two-numbers-in-a-slot": ("STATE", "[[[1 0,0],[0,0]],[[0,0],[0,0]]]"),
+    "number-as-key": ('{"prob": 0.5', '{1: 0.5, "prob": 0.5'),
     "no-colon": ('"prob": 0.5, "state": STATE', '"prob" 0.5, "state": STATE'),
     "colon-replaced": ('"prob": 0.5, "state": STATE', '"prob"= 0.5, "state": STATE'),
     "comma-replaced-in-member": ('"prob": 0.5, "state": STATE', '"prob": 0.5; "state": STATE'),
@@ -502,9 +519,10 @@ def test_array_reader_fails_as_json_does(tmp_path, edit):
 
 
 def test_array_reader_reads_states_as_arrays(tmp_path, monkeypatch):
-    # A file written by write_ensemble_file, and one in the benchmark's
-    # {"prob", "label", "state"} layout, load with json.loads and json.load
-    # out of use, and every state reaches ensemble_from_dict as an array.
+    # A file written by write_ensemble_file, the same with indent=1 and with
+    # compact separators, and one in the benchmark's {"prob", "label",
+    # "state"} layout, load with json.loads and json.load out of use, and
+    # every state reaches ensemble_from_dict as an array.
     mu = random_ensemble(4, 3, 5)
     written = tmp_path / "written.json"
     write_ensemble_file(str(written), mu)
@@ -513,6 +531,9 @@ def test_array_reader_reads_states_as_arrays(tmp_path, monkeypatch):
                for i, p in enumerate(mu.probs.tolist())]
     layout = tmp_path / "layout.json"
     layout.write_text(f'{{"version": 1, "dim": 3, "members": [{", ".join(members)}]}}\n')
+    indented, compact = tmp_path / "indented.json", tmp_path / "compact.json"
+    indented.write_text(json.dumps(json.loads(written.read_text()), indent=1))
+    compact.write_text(json.dumps(json.loads(written.read_text()), separators=(",", ":")))
     expected = _load_outcome(_json_load, str(written))
 
     def refuse(*args, **kwargs):
@@ -527,7 +548,7 @@ def test_array_reader_reads_states_as_arrays(tmp_path, monkeypatch):
     monkeypatch.setattr(json, "loads", refuse)
     monkeypatch.setattr(json, "load", refuse)
     monkeypatch.setattr(cli, "ensemble_from_dict", from_dict)
-    for path in (written, layout):
+    for path in (written, indented, compact, layout):
         states.clear()
         outcome = _load_outcome(load_ensemble_file, str(path))
         assert outcome[0] == expected[0]
