@@ -51,12 +51,8 @@ from .gallery import (
 )
 from .linalg import (
     DensityOperator,
-    EigenSystem,
     EigensolverError,
     HermitianOperator,
-    hermitian_eig,
-    hermitian_eigenvalues,
-    jordan_parts,
     trace_distance,
     trace_norm,
 )
@@ -70,7 +66,6 @@ __all__ = [
     "DegenerateEnsembleError",
     "DensityOperator",
     "DiscreteEnsemble",
-    "EigenSystem",
     "EigensolverError",
     "FeiReport",
     "HermitianOperator",
@@ -88,10 +83,7 @@ __all__ = [
     "full_report",
     "full_reports",
     "gibbs_entropy",
-    "hermitian_eig",
-    "hermitian_eigenvalues",
     "holevo_quantity",
-    "jordan_parts",
     "mean_binary_entropy",
     "member_epsilons",
     "orthogonal_ensemble",

@@ -48,7 +48,7 @@ from .ensemble import (
     _minus_gaps,
 )
 from .entropy import _entropy_of_weights, binary_entropy, von_neumann_entropy
-from .linalg import DensityOperator, _kinds, pair_trace_distances
+from .linalg import DensityOperator, _groups, pair_trace_distances
 
 # The bound fields of BoundReport, in report order; each has a slack.
 BOUND_KEYS = (
@@ -80,8 +80,9 @@ def fei_check(rho: DensityOperator, sigma: DensityOperator) -> FeiReport:
 
     eps is the trace distance and tau_plus/tau_minus the unit-trace positive
     and negative parts of rho - sigma.  Only their spectra are read: the
-    member stage (ensemble._member_parts) of rho, as a one-row array, about
-    sigma gives them from one eigensolve, with no part rotated back.  The slack
+    values-only member stage (ensemble._member_parts, rotate unset) of rho,
+    as a one-row array, about sigma gives them from one eigvalsh, with no
+    eigenvector and no part rotated back.  The slack
     is nonnegative for all pairs of states, up to floating point.  In the
     dead zone (either part's trace at most EPS_ZERO_TOL) both sides are S(rho), slack 0.
     """
@@ -93,17 +94,17 @@ def fei_checks(pairs) -> list[FeiReport]:
     group of pairs of one dimension, taken as rows when rho and sigma are
     both diagonal and as matrices otherwise: the rhos, one row each, each
     about its own sigma (_member_parts' segments), so the dense differences
-    of a group are solved in stacks of _stacks(n, d, "eigh").  Each value is
-    that of its pair alone.  Raises ValueError for a pair of two dimensions,
-    before anything is solved."""
-    groups: dict[tuple[int, bool], list[int]] = {}
-    for k, (rho, sigma) in enumerate(pairs):
+    of a group are solved for values only, in stacks of _stacks(n, d,
+    "eigh").  Each value is that of its pair alone.  Raises ValueError for a
+    pair of two dimensions, before anything is solved."""
+    keys = []
+    for rho, sigma in pairs:
         if rho.dim != sigma.dim:
             raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-        rows = rho.diagonal is not None and sigma.diagonal is not None
-        groups.setdefault((rho.dim, rows), []).append(k)
+        keys.append((rho.dim, rho.diagonal is not None and sigma.diagonal is not None))
     out = [None] * len(pairs)
-    for (_, rows), index in groups.items():
+    for index in _groups(keys):
+        rows = keys[index[0]][1]
         members = np.stack([pairs[k][0].diagonal if rows else pairs[k][0].mat for k in index])
         centres = [pairs[k][1] for k in index]
         eps, kept, plus_rows, minus_rows, *_ = _member_parts(
@@ -139,9 +140,9 @@ def plus_diameter(aux: AuxiliaryDecomposition) -> float:
 def _diameters(auxes) -> list[float]:
     """plus_diameter of each of `auxes`, of one dimension: one
     pair_trace_distances pass with running maxima per member kind of the
-    mu_plus arrays (_kinds), over their pairs in _upper_pairs' blocks."""
+    mu_plus arrays, over their pairs in _upper_pairs' blocks."""
     best = [0.0] * len(auxes)
-    for index in _kinds([aux.mu_plus._members for aux in auxes]):
+    for index in _groups(aux.mu_plus._members.ndim for aux in auxes):
         mus, maxima = [auxes[t].mu_plus for t in index], [0.0] * len(index)
         starts = accumulate((mu.size for mu in mus), initial=0)
         arrays = [(mu._members, mu._spectra, _upper_pairs(mu.size, offset=start))
@@ -158,13 +159,11 @@ def _diameters(auxes) -> list[float]:
 _PAIR_BLOCK = 1 << 15
 
 
-def _upper_pairs(
-    m: int, block: int = _PAIR_BLOCK, offset: int = 0
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _upper_pairs(m: int, offset: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The index pairs (offset + i, offset + j), 0 <= i < j < m, in
     np.triu_indices(m, 1) order, as blocks of whole rows i with at least
-    `block` pairs each (the last block may hold fewer)."""
-    start = 0
+    _PAIR_BLOCK pairs each (the last block may hold fewer)."""
+    block, start = _PAIR_BLOCK, 0
     while start < m - 1:
         stop, count = start, 0
         while stop < m - 1 and count < block:
@@ -265,11 +264,8 @@ def full_reports(ensembles) -> list[BoundReport]:
     stops the batch; evaluate its ensembles one at a time to find which one
     raised it.
     """
-    groups: dict[tuple[int, int], list[int]] = {}
-    for k, mu in enumerate(ensembles):
-        groups.setdefault((mu.dim, mu._members.ndim), []).append(k)
     reports = [None] * len(ensembles)
-    for index in groups.values():
+    for index in _groups((mu.dim, mu._members.ndim) for mu in ensembles):
         for k, report in zip(index, _group_reports([ensembles[k] for k in index])):
             reports[k] = report
     return reports

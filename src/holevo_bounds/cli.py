@@ -45,7 +45,7 @@ from .gallery import (
     trine_ensemble,
 )
 from .linalg import (
-    DensityOperator, EigensolverError, _check_states, _derived, _each_alone, _joined,
+    DensityOperator, EigensolverError, _check_states, _derived, _each_alone, _groups, _joined,
 )
 
 EXIT_OK = 0
@@ -516,10 +516,8 @@ def _check_joined(stacks: list[np.ndarray], named: bool) -> list[tuple]:
     checked as one, with (matrices, spectra, flat) of each stack as views of
     the joined arrays.  A stack alone is checked in place, its members named
     when `named`."""
-    out, groups = [None] * len(stacks), {}
-    for t, stack in enumerate(stacks):
-        groups.setdefault(stack.shape[-1], []).append(t)
-    for index in groups.values():
+    out = [None] * len(stacks)
+    for index in _groups(stack.shape[-1] for stack in stacks):
         joined = _joined([stacks[t] for t in index])
         alone = named and len(index) == 1
         spectra, flat = _check_states(joined, range(len(joined)) if alone else None)

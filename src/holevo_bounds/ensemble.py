@@ -7,9 +7,10 @@ state, the Holevo quantity, the per-member trace distances to the average,
 and the two auxiliary ensembles built from the normalized positive and
 negative parts of rho_i - average.  One member stage, _member_parts,
 computes those parts for diagonal and dense members alike, for any number
-of ensembles at once, each a segment of rows about its own average, and
-for bounds.fei_checks' pairs.  The gaps of D are the pair distances of
-each tau_i^- and omega (linalg.pair_trace_distances).
+of ensembles at once, each a segment of rows about its own average; with
+values only (no eigenvectors), it gives member_epsilons of a stack and
+bounds.fei_checks' spectra.  The gaps of D are the pair distances of each
+tau_i^- and omega (linalg.pair_trace_distances).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from .entropy import as_probability_vector, binary_entropy, von_neumann_entropy, _row_entropies
 from .linalg import (
     PSD_TOL, DensityOperator, _derived, _diagonal_flags, _eigh, _eigvalsh, _freeze, _is_diagonal,
-    _joined, _kinds, _solved, _spectral_sum, _stacked_eigvalsh, _stacks, pair_trace_distances,
+    _groups, _joined, _solved, _spectral_sum, _stacked_eigvalsh, _stacks, pair_trace_distances,
 )
 
 # Member distances at or below this count as exactly zero.
@@ -215,35 +216,20 @@ def member_epsilons(mu: DiscreteEnsemble) -> tuple[np.ndarray, float]:
     """Trace distances of the members to the average, and their mean.
 
     Returns (eps, eps_av) with eps_i = (1/2)||rho_i - average||_1 clipped to
-    [0, 1] and eps_av = sum(p_i eps_i).  Read from the member array: by a
-    row subtraction from diagonals, else by one stacked eigvalsh per stack
-    of _stacks of matrices - average, with a member taken by its entries
-    when it and the average are exactly diagonal (_by_entries).  Each eps_i
-    is the trace_distance of member i to the average, bit for bit.
+    [0, 1] and eps_av = sum(p_i eps_i).  A stack of matrices takes the
+    values-only member stage (_member_parts, rotate unset) about the
+    average; member rows are subtracted a _stacks block at a time, so no
+    m x d temporary is made.  Each eps_i is the trace_distance of member i
+    to the average, bit for bit.
     """
     members, centre = mu._members, mu.average
-    m, d = mu.size, mu.dim
-    norms = np.empty(m)
-    if members.ndim == 2:
-        for block in _stacks(m, d)[0]:
-            norms[block] = np.abs(members[block] - centre.diagonal).sum(axis=1)
+    if members.ndim == 3:
+        eps = _member_parts(members, [centre], rotate=False)[0]
     else:
-        solved = np.arange(m)
-        if centre.diagonal is not None:
-            flat = _by_entries(members)
-            rows = members.diagonal(axis1=1, axis2=2).real[flat]
-            norms[flat] = np.abs(rows - centre.diagonal).sum(axis=1)
-            solved = solved[~flat]
-
-        def solve(index):
-            diffs = members[index]
-            diffs -= centre.mat
-            return index, np.abs(_eigvalsh(diffs)).sum(axis=1)
-
-        plan, workers = _stacks(solved.size, d, "eigvalsh")
-        for index, values in _solved(solve, [solved[stack] for stack in plan], workers):
-            norms[index] = values
-    eps = np.clip(0.5 * norms, 0.0, 1.0)
+        eps = np.empty(mu.size)
+        for block in _stacks(mu.size, mu.dim)[0]:
+            norms = np.abs(members[block] - centre.diagonal).sum(axis=1)
+            np.minimum(0.5 * norms, 1.0, out=eps[block])
     eps.setflags(write=False)
     return eps, float(mu.probs @ eps)
 
@@ -309,7 +295,7 @@ def _minus_gaps(auxes) -> list[tuple[float, ...]]:
     """minus_gaps of each of `auxes`, of one dimension: twice the distances
     of the pairs (tau_i^minus, omega), with omega in its slot
     (build_auxiliary), or appended to a copy when mu_minus was built from
-    its states; one pair_trace_distances pass per member kind (_kinds)."""
+    its states; one pair_trace_distances pass per member kind."""
     slots = []  # each ensemble's members and spectra, omega's last
     for aux in auxes:
         if aux._minus_slots is None:
@@ -320,7 +306,7 @@ def _minus_gaps(auxes) -> list[tuple[float, ...]]:
         else:
             slots.append(aux._minus_slots)
     gaps = [None] * len(auxes)
-    for index in _kinds([slot[0] for slot in slots]):
+    for index in _groups(slot[0].ndim for slot in slots):
         arrays, start = [], 0  # each array's pairs (i, omega), of its rows in the pass
         for t in index:
             n = len(slots[t][0]) - 1
@@ -353,9 +339,9 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
 
     Eigensolves: at most m + 4 for m members, counted per matrix of a
     stack.  One for mu's average unless mu holds it already; one per member
-    whose difference is dense, which gives eps_i and the spectra of
-    tau_i^(+/-), solved a block of members at a time, one stacked eigh per
-    block; one each for the averages of mu_plus and mu_minus, and one for
+    whose difference is dense, which gives eps_i, the spectra of tau_i^(+/-)
+    and the eigenvectors that rotate them back, one stacked eigh per block;
+    one each for the averages of mu_plus and mu_minus, and one for
     their residual.  When every retained part is diagonal (always, when
     mu.diagonals is not None) the stage takes none and builds no d x d
     matrix: mu_plus and mu_minus keep _member_parts' row arrays as their
@@ -450,16 +436,6 @@ def _trace_norms(ops) -> list[float]:
     return out
 
 
-def _by_entries(members: np.ndarray, centred: np.ndarray | None = None) -> np.ndarray:
-    """Which matrices of the (m, d, d) stack `members` have a difference from
-    their centre read from its entries, with no eigensolve: those exactly
-    diagonal (_diagonal_flags) whose centre is too, as the m booleans `centred`
-    say (by default every centre is).  Its callers skip it when no centre is
-    diagonal, and every member's difference takes one."""
-    flags = _diagonal_flags(members)
-    return flags if centred is None else flags & centred
-
-
 def _member_parts(members: np.ndarray, centres, starts=(0,), rotate: bool = True) -> tuple:
     """The member stage: the normalized Jordan parts of every member minus
     its centre, as (eps, kept, plus_rows, minus_rows, plus, minus, solved),
@@ -479,15 +455,16 @@ def _member_parts(members: np.ndarray, centres, starts=(0,), rotate: bool = True
     last kept row is followed by a slot left for omega.  plus and minus are
     the same parts rotated back, an (n, d, d) and an (n + k, d, d) stack laid
     out as the rows, when `rotate` is set and any kept part is dense; else
-    both are None (fei_checks reads the spectra only).  solved says which
+    both are None (values-only callers read spectra).  solved says which
     members are kept and were taken by a solve (None for member rows).
 
     Step 1 gives the signed eigenvalues: in one subtraction from an array of
     diagonals, else, for each block of _stacks(m, d, "eigh"), from one
-    stacked _eigh of the block's differences, which names the member (its
-    index in its segment) whose solve fails.  A stacked member is taken by
-    its entries when it and its centre are exactly diagonal (_by_entries);
-    its eigenvectors are the basis.  Step 2 runs each block through
+    stacked _eigh of the block's differences, or _eigvalsh (values only)
+    when `rotate` is unset, which names the member (its index in its
+    segment) whose solve fails.  A stacked member is taken by its entries
+    when it and its centre are exactly diagonal (_diagonal_flags); its
+    eigenvectors are the basis.  Step 2 runs each block through
     whole-array operations and compacts the kept rows in place, to the
     front of plus_rows and minus_rows; a block's differences and residual
     temporaries go before the next block is solved, and only its kept
@@ -515,7 +492,7 @@ def _member_parts(members: np.ndarray, centres, starts=(0,), rotate: bool = True
         owner = np.repeat(np.arange(k), [stop - first for first, stop in zip(starts, stops)])
         centred = [c.diagonal is not None for c in centres]
         if any(centred):
-            flat = _by_entries(members, None if all(centred) else np.array(centred)[owner])
+            flat = _diagonal_flags(members) & np.array(centred)[owner]
             diagonals = np.array([c.diagonal if c.diagonal is not None else np.zeros(d)
                                   for c in centres])
             rows = members.diagonal(axis1=1, axis2=2).real[flat]
@@ -531,9 +508,12 @@ def _member_parts(members: np.ndarray, centres, starts=(0,), rotate: bool = True
                 row = np.arange(m)[index][j]
                 return f"member {row - starts[owner[row]]}"
 
-            values, vectors = _eigh(members[index] - mats[0][owner[index]], name)
-            if flat is None or not rotate:
-                return block, (values, vectors if rotate else None)
+            diffs = members[index] - mats[0][owner[index]]
+            if not rotate:
+                return block, (_eigvalsh(diffs, name), None)
+            values, vectors = _eigh(diffs, name)
+            if flat is None:
+                return block, (values, vectors)
             # A part taken by its entries rotates back by the identity.
             solved = ~flat[block]
             basis = np.empty((solved.size, d, d), complex)

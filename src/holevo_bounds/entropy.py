@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .linalg import DensityOperator, PSD_TOL, _stacks, hermitian_eig
+from .linalg import DensityOperator, PSD_TOL, _eigh, _stacks
 
 # Spectrum weights at or below this are treated as exact zeros inside eta.
 ETA_FLOOR = 1e-14
@@ -106,12 +106,10 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
         eigenvalues = sigma.diagonal
         overlaps = rho.diagonal if rho.diagonal is not None else rho.mat.diagonal().real
     else:
-        system = hermitian_eig(sigma)
-        eigenvalues = system.eigenvalues
+        w, v = _eigh(sigma.mat[None])
+        eigenvalues, vectors = w[0], v[0]
         # <v_k| rho |v_k> for every eigenvector of sigma.
-        overlaps = np.einsum(
-            "ji,jk,ki->i", system.eigenvectors.conj(), rho.mat, system.eigenvectors
-        ).real
+        overlaps = np.einsum("ji,jk,ki->i", vectors.conj(), rho.mat, vectors).real
     overlaps = np.clip(overlaps, 0.0, None)
     support = eigenvalues > PSD_TOL
     outside = float(overlaps[~support].sum())

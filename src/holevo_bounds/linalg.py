@@ -1,34 +1,35 @@
 """Complex Hermitian matrix kernel.
 
 Everything downstream (entropies, ensemble bounds) reduces to the operations
-here: eigendecomposition, trace norm, trace distance, and the split of a
-Hermitian operator into its positive and negative parts.  Matrices are dense
-double-precision arrays; operators are immutable once constructed, so all
-functions in this module are pure and safe to call concurrently.  An exactly
-diagonal operator (every commuting ensemble in its shared basis) is kept as
-its real diagonal: its eigenvalues are its entries, unsorted (no reader of
-a spectrum depends on its order), its Jordan parts the split of its entries
-by sign, and its differences and trace distances to other diagonal operators
-O(d) vector operations, with no LAPACK call and no d x d matrix.  That
-representation is set when the operator is built: by the checking
-constructor, by from_diagonal, or by _derived, which builds every derived
-object unchecked.  A dense operator whose entries cancel to a diagonal stays
-dense and goes to LAPACK.  An ensemble's members are one array: the m x d
-array of their diagonals, or the (m, d, d) stack of their matrices, where a
-matrix with every off-diagonal entry exactly 0 (_is_diagonal) counts as
-diagonal.  Every stage that takes members a stack at a time (the member
-stage, stacked _eigh and _spectral_sum; member_epsilons; the pair
-distances of C and D's gaps; the row blocks of whole-array stages) is
-sized and threaded by one stack planner, _stacks, and runs its stacks
-through _solved; a stack on which LAPACK fails is solved again one matrix
-at a time (_each_alone) to name the matrix that fails alone.
+here: checked operators, stacked eigensolves (_eigvalsh for values only,
+_eigh with eigenvectors), trace norm and trace distance.  Matrices are
+dense double-precision arrays; operators are immutable once constructed,
+so all functions in this module are pure and safe to call concurrently.  An
+exactly diagonal operator (every commuting ensemble in its shared basis) is
+kept as its real diagonal: its eigenvalues are its entries, unsorted (no
+reader of a spectrum depends on its order), and its differences and trace
+distances to other diagonal operators O(d) vector operations, with no
+LAPACK call and no d x d matrix.  That representation is set when the
+operator is built: by the checking constructor, by from_diagonal, or by
+_derived, which builds every derived object unchecked.  A dense operator
+whose entries cancel to a diagonal stays dense and goes to LAPACK.  An
+ensemble's members are one array: the m x d array of their diagonals, or
+the (m, d, d) stack of their matrices, where a matrix with every
+off-diagonal entry exactly 0 (_is_diagonal) counts as diagonal.  Every
+stage that takes members a stack at a time (the member stage, stacked
+_eigh, _eigvalsh and _spectral_sum; the pair distances of C and D's gaps;
+the row blocks of whole-array stages) is sized and threaded by one stack
+planner, _stacks, and runs its stacks through _solved; a stack on which
+LAPACK fails is solved again one matrix at a time (_each_alone) to name
+the matrix that fails alone.
 _pair_methods alone picks how a pair's distance is computed: by a
 gathered vector difference, by the rank-1 closed form, or by a stacked
 eigensolve.  pair_trace_distances computes every pair distance of C and
 D, for one member array or many in one pass, whose stacks end where each
 array's scan alone would end them (_pair_stacks); it alone decides where
 the scan of C stops.
-_spectral_sum alone rebuilds dense Jordan parts from their eigenvectors.
+_spectral_sum alone rebuilds the member stage's dense Jordan parts from
+their eigenvectors.
 Checked states enter as one stack too: _check_states runs
 DensityOperator's checks on a whole (m, d, d) stack, which a loaded file
 and a random ensemble hand to the ensemble as its matrices, and a
@@ -215,14 +216,6 @@ def _projector(amplitudes) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
-@dataclass(frozen=True, eq=False)
-class EigenSystem:
-    """Ascending eigenvalues paired with a unitary matrix of eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def _is_diagonal(mat: np.ndarray) -> bool:
     """Every off-diagonal entry is exactly 0: one O(d^2) pass, no copy.
 
@@ -246,12 +239,6 @@ def _diagonal_flags(mats: np.ndarray) -> np.ndarray:
         flags[part] = np.count_nonzero(block, axis=(1, 2)) == np.count_nonzero(
             block.diagonal(axis1=1, axis2=2), axis=1)
     return flags
-
-
-def hermitian_eigenvalues(a: HermitianOperator) -> np.ndarray:
-    """Eigenvalues of `a` (values-only fast path): ascending from LAPACK, or,
-    when `a` is kept as its diagonal, that diagonal array itself, unsorted."""
-    return a.diagonal if a.diagonal is not None else _eigvalsh(a.mat)
 
 
 def _eigvalsh(mats: np.ndarray, name: Callable[[int], str] | None = None) -> np.ndarray:
@@ -295,24 +282,14 @@ def _each_alone(solve: Callable, items: Iterable, errors=Exception) -> Iterator[
             yield None, exc
 
 
-def hermitian_eig(a: HermitianOperator) -> EigenSystem:
-    """Full eigendecomposition of `a` with a verified reconstruction.
-
-    Raises EigensolverError when LAPACK fails or when the reconstruction
-    residual max(||V diag(w) V^dag - A||_max, ||V^dag V - I||_max) exceeds
-    RECON_TOL.  An `a` kept as its diagonal goes to LAPACK through `a.mat`
-    too; the library itself splits such an operator by sign instead.
-    """
-    w, v = _eigh(a.mat[None])
-    return EigenSystem(_freeze(w[0]), _freeze(v[0]))
-
-
 def _eigh(mats: np.ndarray, name: Callable[[int], str] | None = None) -> tuple:
-    """hermitian_eig of every matrix of the (n, d, d) stack `mats` at one
-    np.linalg.eigh call: the stacked (w, v), each matrix's two residuals
-    checked as stacked arrays.  The EigensolverError of the first matrix k
-    that fails begins "{name(k)}: " when `name` is given; when LAPACK fails
-    on the stack, _lapack finds that matrix."""
+    """The eigendecomposition of every matrix of the (n, d, d) stack `mats`
+    at one np.linalg.eigh call: the stacked (w, v), ascending values and
+    unitary vectors.  Raises EigensolverError when LAPACK fails, or when a
+    matrix's residual max(||V diag(w) V^dag - A||_max, ||V^dag V - I||_max),
+    checked as stacked arrays, exceeds RECON_TOL.  The error of the first
+    matrix k that fails begins "{name(k)}: " when `name` is given; when
+    LAPACK fails on the stack, _lapack finds that matrix."""
     dim = mats.shape[-1]
     w, v = _lapack(np.linalg.eigh, mats, name)
     vh = v.conj().swapaxes(-1, -2)
@@ -463,8 +440,8 @@ def _raise_first_fault(spectra: np.ndarray, traces, members=None, fault=None):
 
 def trace_norm(a: HermitianOperator) -> float:
     """Trace norm ||A||_1, the sum of absolute eigenvalues: the L1 norm of
-    the diagonal when `a` is kept as one."""
-    return float(np.abs(hermitian_eigenvalues(a)).sum())
+    the diagonal when `a` is kept as one, else of one eigvalsh's values."""
+    return float(np.abs(a.diagonal if a.diagonal is not None else _eigvalsh(a.mat)).sum())
 
 
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
@@ -511,10 +488,11 @@ _WORKERS = min(
 
 def _stacks(count: int, dim: int, solver: str | None = None) -> tuple[list[slice], int]:
     """The one stack planner: how every stage that takes an ensemble's
-    members a stack at a time (the member stage, member_epsilons, the row
-    blocks of whole-array stages, and, through _pair_stacks, the pair
-    distances of C and D's gaps) sizes its stacks and threads them.  Returns consecutive slices of
-    range(count), one per stack, and the number of threads to solve them on.
+    members a stack at a time (the member stage, the row blocks of
+    whole-array stages, and, through _pair_stacks, the pair distances of C
+    and D's gaps) sizes its stacks and threads them.  Returns consecutive
+    slices of range(count), one per stack, and the number of threads to
+    solve them on.
 
     A stack holds at least one item.  Rows of `dim` floats (solver None) go
     at most _STACK_BYTES to a stack; d x d complex matrices for "eigh", at
@@ -643,13 +621,13 @@ def pair_trace_distances(
         base += first.size
 
 
-def _kinds(arrays: Sequence[np.ndarray]) -> list[list[int]]:
-    """The indices of member arrays of one dimension, grouped by kind (m x d
-    rows, or an (m, d, d) stack), as pair_trace_distances takes them."""
-    kinds: dict[int, list[int]] = {}
-    for t, array in enumerate(arrays):
-        kinds.setdefault(array.ndim, []).append(t)
-    return list(kinds.values())
+def _groups(keys: Iterable) -> list[list[int]]:
+    """The indices of `keys` grouped by equal key: each group ascending, the
+    groups in the order their keys first appear."""
+    groups: dict = {}
+    for t, key in enumerate(keys):
+        groups.setdefault(key, []).append(t)
+    return list(groups.values())
 
 
 def _pair_flags(members: np.ndarray, spectra: np.ndarray) -> tuple:
@@ -792,37 +770,13 @@ def _solved_in_order(solve: Callable, tasks: Sequence, workers: int) -> Iterator
         pool.shutdown(cancel_futures=True)
 
 
-def jordan_parts(a: HermitianOperator) -> tuple[HermitianOperator, HermitianOperator]:
-    """Split A into PSD parts (A_plus, A_minus) with A = A_plus - A_minus.
-
-    The split follows the sign of the eigenvalues; eigenvalues within
-    [-PSD_TOL, PSD_TOL] count as exact zeros and contribute to neither part.
-    The two parts have orthogonal supports, so A_plus A_minus = 0 and
-    Tr A_plus + Tr A_minus = ||A||_1 up to solver noise.  An `a` kept as its
-    diagonal is split by the sign of its entries, into parts kept as
-    diagonals, with no eigensystem.  Any other `a` takes one hermitian_eig,
-    and its parts are _spectral_sum's of the split eigenvalues.
-    """
-    if a.diagonal is not None:
-        return tuple(
-            _derived(HermitianOperator, diagonal=np.where(w > PSD_TOL, w, 0.0))
-            for w in (a.diagonal, -a.diagonal)
-        )
-    system = hermitian_eig(a)
-    vectors = system.eigenvectors
-    return tuple(
-        _derived(HermitianOperator, mat=_spectral_sum(vectors, np.where(w > PSD_TOL, w, 0.0)))
-        for w in (system.eigenvalues, -system.eigenvalues)
-    )
-
-
 def _spectral_sum(
     vectors: np.ndarray, values: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """V diag(values) V^dag for each eigenvector matrix V of `vectors`, a
-    d x d matrix or an (n, d, d) stack, and its row of nonnegative `values`,
-    written to `out` when given; symmetrized to (P + P^dag)/2, exactly
-    Hermitian.  Every column of V takes part, so a stack is one matmul."""
+    """V diag(values) V^dag for each eigenvector matrix V of the (n, d, d)
+    stack `vectors` and its row of the n x d nonnegative `values`, written
+    to `out` when given; symmetrized to (P + P^dag)/2, exactly Hermitian.
+    Every column of V takes part, so a stack is one matmul."""
     part = np.matmul(vectors * values[..., None, :], vectors.conj().swapaxes(-1, -2), out=out)
     part += part.conj().swapaxes(-1, -2)
     part *= 0.5

@@ -104,6 +104,21 @@ def count_derived(monkeypatch) -> list[str]:
     return calls
 
 
+def jordan_parts(mat) -> tuple[np.ndarray, np.ndarray]:
+    """The dense oracle of the split of a Hermitian matrix A into PSD parts
+    (A_plus, A_minus) with A = A_plus - A_minus, from numpy alone: one
+    np.linalg.eigh, and V diag(w) V^dag, symmetrized, of the eigenvalues
+    above PSD_TOL and of the negated ones; eigenvalues within [-PSD_TOL,
+    PSD_TOL] join neither part.  The library's own split is its member
+    stage, ensemble._member_parts."""
+    w, v = np.linalg.eigh(np.asarray(mat))
+    parts = []
+    for values in (w, -w):
+        part = (v * np.where(values > linalg.PSD_TOL, values, 0.0)) @ v.conj().T
+        parts.append(0.5 * (part + part.conj().T))
+    return parts[0], parts[1]
+
+
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> HermitianOperator:
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return HermitianOperator(scale * (a + a.conj().T) / 2.0)

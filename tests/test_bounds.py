@@ -49,7 +49,6 @@ from holevo_bounds import bounds, ensemble, linalg
 from holevo_bounds.linalg import (
     DensityOperator,
     EigensolverError,
-    jordan_parts,
     pair_trace_distances,
     trace_distance,
 )
@@ -62,6 +61,7 @@ from helpers import (
     cyclic_orbit_ensemble,
     diagonal_average_ensemble,
     fail_second_stack,
+    jordan_parts,
 )
 
 LN2 = math.log(2.0)
@@ -131,6 +131,25 @@ def test_fei_random_full_rank_pair():
 def test_fei_dim_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
         fei_check(DensityOperator(np.eye(2) / 2), DensityOperator(np.eye(3) / 3))
+
+
+def test_values_only_callers_never_call_eigh(monkeypatch):
+    # fei_check and a dense member_epsilons read spectra only: one eigvalsh
+    # per dense difference, and no eigh, which also builds eigenvectors.
+    rng = np.random.default_rng(3)
+    rho, sigma = random_mixed_state(4, 4, rng), random_mixed_state(4, 2, rng)
+    mu = random_ensemble(6, 8, 0)
+    mu.average
+    calls = count_eigensolves(monkeypatch)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    fei_check(rho, sigma)
+    assert calls == [4]
+    member_epsilons(mu)
+    assert calls == [4] + [8] * 6
 
 
 def test_fei_random_pairs_property():
@@ -515,8 +534,9 @@ def test_plus_diameter_without_vectors_solves_every_pair(monkeypatch):
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 7, 12])
 @pytest.mark.parametrize("block", [1, 2, 5, 1 << 15])
-def test_upper_pairs_follow_triu_order(m, block):
-    blocks = list(_upper_pairs(m, block))
+def test_upper_pairs_follow_triu_order(monkeypatch, m, block):
+    monkeypatch.setattr(bounds, "_PAIR_BLOCK", block)
+    blocks = list(_upper_pairs(m))
     first, second = np.triu_indices(m, 1)
     assert np.array_equal(np.concatenate([f for f, _ in blocks] or [first]), first)
     assert np.array_equal(np.concatenate([s for _, s in blocks] or [second]), second)
@@ -528,10 +548,11 @@ def test_upper_pairs_follow_triu_order(m, block):
 
 @pytest.mark.parametrize("m", [2, 3, 7, 256])
 @pytest.mark.parametrize("block", [1, 5, 1 << 15])
-def test_upper_pairs_add_the_offset(m, block):
+def test_upper_pairs_add_the_offset(monkeypatch, m, block):
+    monkeypatch.setattr(bounds, "_PAIR_BLOCK", block)
     first, second = np.triu_indices(m, 1)
     for offset in (0, 5):
-        blocks = list(_upper_pairs(m, block, offset))
+        blocks = list(_upper_pairs(m, offset))
         assert all(f.dtype == first.dtype and s.dtype == second.dtype for f, s in blocks)
         assert np.array_equal(np.concatenate([f for f, _ in blocks]), first + offset)
         assert np.array_equal(np.concatenate([s for _, s in blocks]), second + offset)
@@ -552,7 +573,9 @@ def test_multi_block_scan_forms_one_gram_matrix(monkeypatch):
         return original(vectors)
 
     monkeypatch.setattr(linalg, "pure_trace_distances", counted)
-    blocks = list(_upper_pairs(len(taus), block=4))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bounds, "_PAIR_BLOCK", 4)
+        blocks = list(_upper_pairs(len(taus)))
     assert len(blocks) > 3
     scanned = max(
         float(d.max())
@@ -787,10 +810,10 @@ def _reference_report(mu: DiscreteEnsemble) -> dict:
     for i, state in enumerate(mu.states):
         if eps[i] <= 1e-12:
             continue
-        a_plus, a_minus = jordan_parts(state - avg)
+        a_plus, a_minus = jordan_parts((state - avg).mat)
         kept.append(i)
-        plus.append(a_plus.mat / a_plus.trace())
-        minus.append(a_minus.mat / a_minus.trace())
+        plus.append(a_plus / np.trace(a_plus).real)
+        minus.append(a_minus / np.trace(a_minus).real)
     weights = probs[kept] * eps[kept]
     weights = weights / weights.sum()
     chi = _fresh_chi(probs, [s.mat for s in mu.states])
@@ -1403,7 +1426,7 @@ def test_pass_in_blocks_matches_each_scan(mus, block):
     def scan(kind, maxima=None):  # each array's distances in its order, solves, blocks taken
         arrays, start, taken = [], 0, [0] * len(kind)
         for k, mu in enumerate(kind):
-            blocks = list(_upper_pairs(mu.size, block, start))
+            blocks = list(_upper_pairs(mu.size, start))
             arrays.append((mu._members, mu._spectra, blocks))
             start += mu.size
         # Each position of the pass, a round at a time, as (array, its own position).
@@ -1426,8 +1449,9 @@ def test_pass_in_blocks_matches_each_scan(mus, block):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "_STACK_ROWS", 2 * 4)
         patch.setattr(linalg, "_STACK_BYTES", 3 * 8 * 4)
+        patch.setattr(bounds, "_PAIR_BLOCK", block)
         calls = count_eigensolves(patch)
-        for index in linalg._kinds([mu._members for mu in parts]):
+        for index in linalg._groups(mu._members.ndim for mu in parts):
             kind = [parts[t] for t in index if parts[t].size > 1]
             if not kind:
                 continue

@@ -1050,26 +1050,26 @@ def _suite_draws(suite: str, seed: int, trials: int) -> list:
 
 
 def _trial_differences(suite: str, draw) -> np.ndarray:
-    """The matrices that a trial's member stage hands to eigh: each member
-    minus the average, or rho - sigma."""
+    """The matrices that a trial's member stage hands to its solver: each
+    member minus the average (eigh), or rho - sigma (eigvalsh)."""
     if suite == "bounds":
         return draw.matrices - draw.average.mat
     return (draw[0].mat - draw[1].mat)[None]
 
 
-def _eigh_fails_on(monkeypatch, targets: np.ndarray, error: Exception) -> None:
-    """Make np.linalg.eigh raise `error` on any input that holds one of the
-    d x d matrices `targets`, in a stack or alone."""
-    original = np.linalg.eigh
+def _solve_fails_on(monkeypatch, targets: np.ndarray, error: Exception) -> None:
+    """Make np.linalg.eigh and eigvalsh raise `error` on any input that
+    holds one of the d x d matrices `targets`, in a stack or alone."""
+    for solver in ("eigh", "eigvalsh"):
 
-    def fails(a, *args, **kwargs):
-        if np.shape(a)[-1] == targets.shape[-1]:
-            for mat in np.reshape(a, (-1, *targets.shape[1:])):
-                if any(np.array_equal(mat, target) for target in targets):
-                    raise error
-        return original(a, *args, **kwargs)
+        def fails(a, *args, _original=getattr(np.linalg, solver), **kwargs):
+            if np.shape(a)[-1] == targets.shape[-1]:
+                for mat in np.reshape(a, (-1, *targets.shape[1:])):
+                    if any(np.array_equal(mat, target) for target in targets):
+                        raise error
+            return _original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", fails)
+        monkeypatch.setattr(np.linalg, solver, fails)
 
 
 def _worst_without(suite: str, alone: str, draws: list, skip: int) -> dict:
@@ -1104,7 +1104,7 @@ def test_verify_numerical_failure_is_recorded_per_trial(
     draws = _suite_draws(suite, 7, 5)
     expected = _worst_without(suite, alone, draws, 1)
     error = np.linalg.LinAlgError("boom")
-    _eigh_fails_on(monkeypatch, _trial_differences(suite, draws[1]), error)
+    _solve_fails_on(monkeypatch, _trial_differences(suite, draws[1]), error)
     monkeypatch.chdir(tmp_path)
     assert main(["verify", suite, "--trials", "5", "--seed", "7"]) == EXIT_NUMERICAL
     captured = capsys.readouterr()
@@ -1127,10 +1127,10 @@ def test_verify_trial_error_is_recorded_per_trial(
 ):
     # Any exception in a trial is recorded with its ensemble and the suite
     # goes on: it neither escapes main nor reads as an input error.  Here
-    # eigh raises it on trial 3's member differences only.
+    # the solver raises it on trial 3's member differences only.
     draws = _suite_draws(suite, 7, 5)
     expected = _worst_without(suite, alone, draws, 3)
-    _eigh_fails_on(monkeypatch, _trial_differences(suite, draws[3]), error("boom"))
+    _solve_fails_on(monkeypatch, _trial_differences(suite, draws[3]), error("boom"))
     monkeypatch.chdir(tmp_path)
     assert main(["verify", suite, "--trials", "5", "--seed", "7"]) == EXIT_NUMERICAL
     captured = capsys.readouterr()

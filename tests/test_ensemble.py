@@ -25,7 +25,9 @@ from holevo_bounds.gallery import (
     OscillatorEnsembleSpec, orthogonal_ensemble, oscillator_ensemble, random_ensemble,
     random_mixed_state, trine_ensemble,
 )
-from holevo_bounds.linalg import DensityOperator, _is_diagonal, trace_distance, trace_norm
+from holevo_bounds.linalg import (
+    DensityOperator, EigensolverError, _is_diagonal, trace_distance, trace_norm,
+)
 
 from helpers import count_eigensolves, diagonal_average_ensemble
 
@@ -164,6 +166,37 @@ def test_member_epsilons_reads_the_member_array(monkeypatch):
     member_epsilons(commuting)
     assert calls == [8] * 6
     assert "states" not in vars(commuting)
+
+
+def test_diagonal_member_epsilons_allocate_no_m_by_d_array():
+    # oscillator:30 has m = d = 843, so one m x d float array takes 5.7 MB:
+    # the member rows are subtracted from the average a block at a time.
+    mu, _ = oscillator_ensemble(OscillatorEnsembleSpec(30.0))
+    mu.average
+    tracemalloc.start()
+    try:
+        member_epsilons(mu)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (mu.size, mu.dim) == (843, 843)
+    assert peak < 1 << 20, f"peak {peak} bytes"
+
+
+def test_dense_member_epsilons_name_the_member_whose_solve_fails(monkeypatch):
+    # LAPACK fails on member 2's difference only, in its stack and alone.
+    mu = random_ensemble(5, 3, 2)
+    target = mu.matrices[2] - mu.average.mat
+    original = np.linalg.eigvalsh
+
+    def member_fails(a, *args, **kwargs):
+        if any(np.array_equal(mat, target) for mat in np.reshape(a, (-1, 3, 3))):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", member_fails)
+    with pytest.raises(EigensolverError, match="^member 2: eigenvalue computation failed at dim 3"):
+        member_epsilons(mu)
 
 
 def test_mean_binary_entropy_values():

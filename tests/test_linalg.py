@@ -7,25 +7,41 @@ import threading
 import numpy as np
 import pytest
 
-from holevo_bounds import linalg
+import holevo_bounds
+from holevo_bounds import ensemble, linalg
+from holevo_bounds.ensemble import DiscreteEnsemble, build_auxiliary
+from holevo_bounds.entropy import relative_entropy
 from holevo_bounds.gallery import random_mixed_state, random_pure_state
 from holevo_bounds.linalg import (
     DensityOperator,
     EigensolverError,
     HermitianOperator,
-    hermitian_eig,
-    hermitian_eigenvalues,
-    jordan_parts,
     pair_trace_distances,
     pure_trace_distances,
     trace_distance,
     trace_norm,
 )
 
-from helpers import count_eigensolves, random_hermitian
+from helpers import count_eigensolves, jordan_parts, random_hermitian
 
 TRINE_FIRST = DensityOperator.from_pure([1.0, 0.0])
 TRINE_SECOND = DensityOperator.from_pure([-0.5, math.sqrt(3.0) / 2.0])
+
+
+def _eig(op):
+    """linalg._eigh of the one matrix of `op`: (ascending values, vectors)."""
+    w, v = linalg._eigh(op.mat[None])
+    return w[0], v[0]
+
+
+def test_public_names_resolve():
+    # Every exported name resolves; the eigen-kernel wrappers that no
+    # library code called are gone from the package and from linalg.
+    for name in holevo_bounds.__all__:
+        assert getattr(holevo_bounds, name) is not None
+    for name in ("hermitian_eig", "EigenSystem", "hermitian_eigenvalues", "jordan_parts"):
+        assert name not in holevo_bounds.__all__
+        assert not hasattr(holevo_bounds, name) and not hasattr(linalg, name)
 
 
 def test_rejects_non_square():
@@ -66,11 +82,19 @@ def test_arithmetic_and_dim_mismatch():
 
 
 def test_derived_operators_are_read_only():
+    # A difference, and the Jordan parts that the member stage derives,
+    # dense and kept as diagonals.
     rho = random_mixed_state(4, 2, 3)
     sigma = random_mixed_state(4, 4, 5)
-    plus, minus = jordan_parts(rho - sigma)
-    diag_plus, diag_minus = jordan_parts(HermitianOperator(np.diag([0.5, -0.25, 0.0])))
-    for op in (rho - sigma, plus, minus, diag_plus, diag_minus):
+    half = np.array([0.5, 0.5])
+    dense = build_auxiliary(DiscreteEnsemble(half, (rho, sigma)))
+    diagonal = build_auxiliary(DiscreteEnsemble(half, (
+        DensityOperator.from_diagonal([0.75, 0.25, 0.0]),
+        DensityOperator.from_diagonal([0.25, 0.25, 0.5]),
+    )))
+    assert dense.tau_plus[0].diagonal is None and diagonal.tau_plus[0].diagonal is not None
+    parts = (*dense.tau_plus, *dense.tau_minus, *diagonal.tau_plus, *diagonal.tau_minus)
+    for op in (rho - sigma, *parts):
         assert not op.mat.flags.writeable
         with pytest.raises(ValueError):
             op.mat[0, 0] = 5.0
@@ -136,32 +160,32 @@ def test_from_diagonal_owns_its_values():
 
 
 def test_eig_diagonal():
-    system = hermitian_eig(HermitianOperator(np.diag([1.0, 0.0])))
-    np.testing.assert_allclose(system.eigenvalues, [0.0, 1.0])
+    values, _ = _eig(HermitianOperator(np.diag([1.0, 0.0])))
+    np.testing.assert_allclose(values, [0.0, 1.0])
 
 
 def test_eig_scalar_matrix():
-    system = hermitian_eig(DensityOperator(np.eye(2) / 2.0))
-    np.testing.assert_allclose(system.eigenvalues, [0.5, 0.5])
+    values, _ = _eig(DensityOperator(np.eye(2) / 2.0))
+    np.testing.assert_allclose(values, [0.5, 0.5])
 
 
 def test_eig_half_pauli_x():
     # 2x2 closed form: eigenvalues -1/2 and 1/2.
     op = HermitianOperator(np.array([[0.0, 0.5], [0.5, 0.0]]))
-    system = hermitian_eig(op)
-    np.testing.assert_allclose(system.eigenvalues, [-0.5, 0.5], atol=1e-14)
+    values, _ = _eig(op)
+    np.testing.assert_allclose(values, [-0.5, 0.5], atol=1e-14)
 
 
 def test_eig_reconstruction_random():
     rng = np.random.default_rng(11)
     for dim in (2, 3, 5, 8, 17, 32):
         a = random_hermitian(dim, rng)
-        system = hermitian_eig(a)
-        recon = (system.eigenvectors * system.eigenvalues) @ system.eigenvectors.conj().T
+        values, vectors = _eig(a)
+        recon = (vectors * values) @ vectors.conj().T
         assert np.max(np.abs(recon - a.mat)) <= 1e-10
-        gram = system.eigenvectors.conj().T @ system.eigenvectors
+        gram = vectors.conj().T @ vectors
         assert np.max(np.abs(gram - np.eye(dim))) <= 1e-10
-        assert np.all(np.diff(system.eigenvalues) >= 0.0)
+        assert np.all(np.diff(values) >= 0.0)
 
 
 def test_eigensolver_failure_is_wrapped(monkeypatch):
@@ -172,12 +196,12 @@ def test_eigensolver_failure_is_wrapped(monkeypatch):
     # Not diagonal: a diagonal input is solved without LAPACK.
     op = HermitianOperator(np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]]))
     with pytest.raises(EigensolverError) as excinfo:
-        hermitian_eig(op)
+        _eig(op)
     assert excinfo.value.dim == 3
     # The values-only solve of one matrix: no "stacked" in its message.
     monkeypatch.setattr(np.linalg, "eigvalsh", boom)
     with pytest.raises(EigensolverError, match="^eigenvalue computation failed at dim 3"):
-        hermitian_eigenvalues(op)
+        trace_norm(op)
     # The check of a state names no member either.
     with pytest.raises(EigensolverError, match="^eigenvalue computation failed at dim 3"):
         DensityOperator(op.mat / 3.0)
@@ -261,31 +285,27 @@ DIAGONAL_ENTRIES = [0.5, -2.0, 0.0, 0.5, 3.0, -2.0, 0.0, 1e-11, -1e-11, 0.5]
 
 
 def test_diagonal_eigenvalues_match_lapack(monkeypatch):
-    # The values of an operator kept as its diagonal are that array, unsorted
-    # and with no solve; its full eigensystem is one LAPACK call on its mat.
+    # The values of an operator kept as its diagonal are that array, unsorted,
+    # which trace_norm reads with no solve; its full eigensystem is one
+    # LAPACK call on its mat.
     op = HermitianOperator(np.diag(DIAGONAL_ENTRIES))
     expected = np.linalg.eigvalsh(op.mat)
     calls = count_eigensolves(monkeypatch)
-    values = hermitian_eigenvalues(op)
-    assert values is op.diagonal and calls == []
-    system = hermitian_eig(op)
+    values = op.diagonal
+    assert trace_norm(op) == float(np.abs(values).sum()) and calls == []
+    lapack, _ = _eig(op)
     assert calls == [len(DIAGONAL_ENTRIES)]
     np.testing.assert_allclose(np.sort(values), expected, rtol=0.0, atol=1e-15)
-    np.testing.assert_allclose(system.eigenvalues, expected, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(lapack, expected, rtol=0.0, atol=1e-15)
 
 
 def test_diagonal_residual_is_checked():
     # A Hermitian operator's diagonal is real after symmetrization, so only
     # an unchecked matrix can carry an imaginary diagonal entry.
-    # `diagonal = None` marks it dense, so it goes to LAPACK, which reads the
-    # entry's real part; the reconstruction residual then catches it.
-    class Raw:
-        mat = np.diag([1.0, 2.0 + 1e-6j, 0.0])
-        diagonal = None
-        dim = 3
-
+    # LAPACK reads the entry's real part; the reconstruction residual then
+    # catches it.
     with pytest.raises(EigensolverError) as excinfo:
-        hermitian_eig(Raw())
+        linalg._eigh(np.diag([1.0, 2.0 + 1e-6j, 0.0])[None])
     assert excinfo.value.residual == pytest.approx(1e-6)
 
 
@@ -293,28 +313,33 @@ def test_tiny_off_diagonal_entry_takes_lapack(monkeypatch):
     # Away from the corner entry, so the full off-diagonal count decides.
     mat = np.diag([0.25, 0.5, 0.25]).astype(complex)
     mat[0, 1] = mat[1, 0] = 1e-300
-    op = HermitianOperator(mat)
+    op, state = HermitianOperator(mat), DensityOperator(mat)
+    assert op.diagonal is None and state.diagonal is None
     calls = count_eigensolves(monkeypatch)
-    hermitian_eig(op)
+    trace_norm(op)
     assert calls == [3]
-    hermitian_eigenvalues(op)
+    relative_entropy(state, state)
     assert calls == [3, 3]
 
 
 def test_diagonal_jordan_split_matches_dense_formula():
-    # The sign split of an operator kept as its diagonal, against the same
-    # matrix built dense, which LAPACK splits by the (V w) V^dag formula; the
-    # dead-zone entries +-1e-11 join neither part.
-    op = HermitianOperator(np.diag(DIAGONAL_ENTRIES))
-    dense = linalg._derived(HermitianOperator, mat=np.diag(DIAGONAL_ENTRIES).astype(complex))
-    assert op.diagonal is not None and dense.diagonal is None
-    plus, minus = jordan_parts(op)
-    dense_plus, dense_minus = jordan_parts(dense)
-    assert plus.diagonal is not None and dense_plus.diagonal is None
-    assert np.array_equal(plus.mat, dense_plus.mat)
-    assert np.array_equal(minus.mat, dense_minus.mat)
-    kept = np.where(np.abs(DIAGONAL_ENTRIES) > linalg.PSD_TOL, DIAGONAL_ENTRIES, 0.0)
-    assert np.array_equal(plus.mat - minus.mat, np.diag(kept))
+    # The member stage's sign split of a member kept as its diagonal, about
+    # a zero centre, against the same matrix about a dense zero centre,
+    # which LAPACK splits by the (V w) V^dag formula; the dead-zone entries
+    # +-1e-11 join neither part.
+    entries = np.array(DIAGONAL_ENTRIES)
+    zero = HermitianOperator.from_diagonal(np.zeros(entries.size))
+    dense_zero = linalg._derived(HermitianOperator, mat=zero.mat.copy())
+    assert zero.diagonal is not None and dense_zero.diagonal is None
+    eps, kept, plus, minus, no_stack, _, _ = ensemble._member_parts(entries[None], [zero])
+    dense_eps, dense_kept, _, _, dense_plus, dense_minus, solved = ensemble._member_parts(
+        np.diag(entries).astype(complex)[None], [dense_zero])
+    assert no_stack is None and solved.tolist() == [True]
+    assert np.array_equal(eps, dense_eps) and np.array_equal(kept, dense_kept)
+    assert np.array_equal(np.diag(plus[0]), dense_plus[0])
+    assert np.array_equal(np.diag(minus[0]), dense_minus[0])
+    assert np.array_equal(plus[0] > 0.0, entries > linalg.PSD_TOL)
+    assert np.array_equal(minus[0] > 0.0, entries < -linalg.PSD_TOL)
 
 
 def test_trace_norm_examples():
@@ -498,24 +523,24 @@ def test_trace_distance_triangle_inequality():
 
 
 def test_jordan_diagonal_split():
-    plus, minus = jordan_parts(HermitianOperator(np.diag([0.5, -0.5])))
-    np.testing.assert_allclose(plus.mat, np.diag([0.5, 0.0]), atol=1e-14)
-    np.testing.assert_allclose(minus.mat, np.diag([0.0, 0.5]), atol=1e-14)
+    plus, minus = jordan_parts(np.diag([0.5, -0.5]))
+    np.testing.assert_allclose(plus, np.diag([0.5, 0.0]), atol=1e-14)
+    np.testing.assert_allclose(minus, np.diag([0.0, 0.5]), atol=1e-14)
 
 
 def test_jordan_psd_input_has_empty_negative_part():
     rho = DensityOperator.from_pure([1.0, 2.0j, -1.0])
-    plus, minus = jordan_parts(rho)
-    np.testing.assert_allclose(plus.mat, rho.mat, atol=1e-12)
-    assert trace_norm(minus) <= 1e-12
+    plus, minus = jordan_parts(rho.mat)
+    np.testing.assert_allclose(plus, rho.mat, atol=1e-12)
+    assert trace_norm(HermitianOperator(minus)) <= 1e-12
 
 
 def test_jordan_trine_member_difference():
     # First trine state minus the ensemble average I/2: parts of trace 1/2.
     delta = TRINE_FIRST - DensityOperator(np.eye(2) / 2.0)
-    plus, minus = jordan_parts(delta)
-    assert math.isclose(plus.trace(), 0.5, abs_tol=1e-12)
-    assert math.isclose(minus.trace(), 0.5, abs_tol=1e-12)
+    plus, minus = jordan_parts(delta.mat)
+    assert math.isclose(np.trace(plus).real, 0.5, abs_tol=1e-12)
+    assert math.isclose(np.trace(minus).real, 0.5, abs_tol=1e-12)
 
 
 def test_jordan_random_properties():
@@ -523,12 +548,12 @@ def test_jordan_random_properties():
     for _ in range(1000):
         dim = int(rng.integers(2, 9))
         a = random_hermitian(dim, rng)
-        plus, minus = jordan_parts(a)
-        assert np.max(np.abs(plus.mat - minus.mat - a.mat)) <= 1e-10
-        assert hermitian_eigenvalues(plus)[0] >= -1e-12
-        assert hermitian_eigenvalues(minus)[0] >= -1e-12
-        assert abs(plus.trace() + minus.trace() - trace_norm(a)) <= 1e-10
-        assert np.max(np.abs(plus.mat @ minus.mat)) <= 1e-10
+        plus, minus = jordan_parts(a.mat)
+        assert np.max(np.abs(plus - minus - a.mat)) <= 1e-10
+        assert np.linalg.eigvalsh(plus)[0] >= -1e-12
+        assert np.linalg.eigvalsh(minus)[0] >= -1e-12
+        assert abs(np.trace(plus).real + np.trace(minus).real - trace_norm(a)) <= 1e-10
+        assert np.max(np.abs(plus @ minus)) <= 1e-10
 
 
 def test_state_stack_is_checked_block_by_block(monkeypatch):
