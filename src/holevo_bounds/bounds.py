@@ -18,10 +18,11 @@ concavity).
 full_reports is the one place where these formulas are evaluated, once per
 group of ensembles of one dimension; full_report is its batch of one, and
 the four functions named above return its fields, so each call costs one
-report.  Every pair distance behind C and D comes from
+report.  Every pair distance behind C comes from
 linalg.pair_trace_distances, one pass per group and member kind, which
 gives each pair the method linalg._pair_methods gives it and stops each
-ensemble's scan of C where its report alone stops it.
+ensemble's scan where its report alone stops it.  The gaps behind D are
+twice the member distances of mu-, whose average is the barycenter.
 
 Reports carry measured slacks rather than enforcing the inequalities, so a
 violating instance can still be inspected and serialized by the verification
@@ -119,7 +120,7 @@ def fei_checks(pairs) -> list[FeiReport]:
             if not retained[j]:
                 out[k] = FeiReport(eps=eps_j, lhs=s, rhs=s, slack=0.0)
                 continue
-            lhs = s + eps_j * _entropy_of_weights(minus_rows[rank[j] + j])
+            lhs = s + eps_j * _entropy_of_weights(minus_rows[rank[j]])
             rhs = (von_neumann_entropy(sigma) + eps_j * _entropy_of_weights(plus_rows[rank[j]])
                    + binary_entropy(eps_j))
             out[k] = FeiReport(eps=eps_j, lhs=lhs, rhs=rhs, slack=rhs - lhs)
@@ -232,15 +233,16 @@ def full_report(mu: DiscreteEnsemble) -> BoundReport:
     Every value comes from one build_auxiliary analysis and the spectra it
     kept.  Eigensolves for m members, counted per matrix of a stack: at most
     2m + 4 (build_auxiliary's m + 4, one stacked eigh per block of members,
-    and m for D) plus, for the diameter C, one per pair that is neither a
-    pair of rank-1 positive parts nor a pair of diagonal ones, at most
-    m(m-1)/2.  A degenerate ensemble takes one per member after the
-    average.  An ensemble of exactly diagonal members takes none, and builds
-    no d x d matrix.  Memory: besides mu, the stacks of mu_plus and mu_minus
-    (2m + 1 matrices), one member block's temporaries while they are built,
-    and then the buffers of the pair stacks of C and D; linalg._stacks
-    sizes all of these.  A batch of one joins no arrays: each stage reads
-    mu's own.
+    and m for D, one per dense difference of mu_minus's member stage) plus,
+    for the diameter C, one per pair that is neither a pair of rank-1
+    positive parts nor a pair of diagonal ones, at most m(m-1)/2.  A
+    degenerate ensemble takes one per member after the average.  An
+    ensemble of exactly diagonal members takes none, and builds no d x d
+    matrix.  Memory: besides mu, the stacks of mu_plus and mu_minus (2m
+    matrices), one member block's temporaries while they are built, and
+    then the buffers of C's pair stacks or of D's member blocks;
+    linalg._stacks sizes all of these.  A batch of one joins no arrays:
+    each stage reads mu's own.
     """
     return full_reports([mu])[0]
 
@@ -252,15 +254,16 @@ def full_reports(ensembles) -> list[BoundReport]:
     Each stage runs once per group, over the group's arrays end to end: the
     averages, the member stage (_auxiliaries), chi of mu, mu_plus and mu_minus
     (_holevo_quantities), the pairs of C (_diameters) and the gaps of D
-    (_minus_gaps); the dense matrices of a stage are solved in the stacks
-    that linalg._stacks plans, or for C and D, linalg._pair_stacks.  A
-    matrix's eigenvalues do not depend on its stack, and every per-ensemble
-    value is reduced from that ensemble's own rows in its own order, so each
-    report equals full_report of its ensemble alone, bit for bit, with the
-    same eigensolves: the batch's count is the sum of its ensembles' counts.
-    Memory, one group at a time: its member arrays once more, joined, its
-    part stacks, and, for C and D, its part arrays of each member kind
-    joined again; a batch of one joins nothing.  The first error raised
+    (_minus_gaps, mu_minus's member distances); the dense matrices of a
+    stage are solved in the stacks that linalg._stacks plans, or for C,
+    linalg._pair_stacks.  A matrix's eigenvalues do not depend on its stack,
+    and every per-ensemble value is reduced from that ensemble's own rows in
+    its own order, so each report equals full_report of its ensemble alone,
+    bit for bit, with the same eigensolves: the batch's count is the sum of
+    its ensembles' counts.  Memory, one group at a time: its member arrays
+    once more, joined, its part stacks, and its part arrays joined again,
+    those of mu_plus for C and the stacks of mu_minus for D; a batch of one
+    joins nothing.  The first error raised
     stops the batch; evaluate its ensembles one at a time to find which one
     raised it.
     """

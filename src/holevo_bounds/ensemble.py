@@ -8,9 +8,9 @@ and the two auxiliary ensembles built from the normalized positive and
 negative parts of rho_i - average.  One member stage, _member_parts,
 computes those parts for diagonal and dense members alike, for any number
 of ensembles at once, each a segment of rows about its own average; with
-values only (no eigenvectors), it gives member_epsilons of a stack and
-bounds.fei_checks' spectra.  The gaps of D are the pair distances of each
-tau_i^- and omega (linalg.pair_trace_distances).
+values only (no eigenvectors), it gives the member distances of a stack
+(_member_distances) and bounds.fei_checks' spectra.  The gaps of D are
+twice the member distances of mu-, whose average is omega.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from .entropy import as_probability_vector, binary_entropy, von_neumann_entropy, _row_entropies
 from .linalg import (
     PSD_TOL, DensityOperator, _derived, _diagonal_flags, _eigh, _eigvalsh, _freeze, _is_diagonal,
-    _groups, _joined, _solved, _spectral_sum, _stacked_eigvalsh, _stacks, pair_trace_distances,
+    _groups, _joined, _solved, _spectral_sum, _stacked_eigvalsh, _stacks,
 )
 
 # Member distances at or below this count as exactly zero.
@@ -216,22 +216,36 @@ def member_epsilons(mu: DiscreteEnsemble) -> tuple[np.ndarray, float]:
     """Trace distances of the members to the average, and their mean.
 
     Returns (eps, eps_av) with eps_i = (1/2)||rho_i - average||_1 clipped to
-    [0, 1] and eps_av = sum(p_i eps_i).  A stack of matrices takes the
-    values-only member stage (_member_parts, rotate unset) about the
-    average; member rows are subtracted a _stacks block at a time, so no
-    m x d temporary is made.  Each eps_i is the trace_distance of member i
-    to the average, bit for bit.
+    [0, 1] and eps_av = sum(p_i eps_i): _member_distances of a batch of one.
+    Each eps_i is the trace_distance of member i to the average, bit for
+    bit.
     """
-    members, centre = mu._members, mu.average
-    if members.ndim == 3:
-        eps = _member_parts(members, [centre], rotate=False)[0]
-    else:
-        eps = np.empty(mu.size)
-        for block in _stacks(mu.size, mu.dim)[0]:
-            norms = np.abs(members[block] - centre.diagonal).sum(axis=1)
-            np.minimum(0.5 * norms, 1.0, out=eps[block])
+    eps = _member_distances([mu])[0]
     eps.setflags(write=False)
     return eps, float(mu.probs @ eps)
+
+
+def _member_distances(mus) -> list[np.ndarray]:
+    """The trace distances of the members of each ensemble of `mus`, of one
+    dimension and member kind, to its own average, clipped to 1.  Member
+    matrices take one values-only member stage (_member_parts, rotate
+    unset) over their stacks end to end, one segment each; member rows are
+    subtracted from their average a _stacks block at a time, so no m x d
+    temporary is made."""
+    _averages(mus)
+    if mus[0]._members.ndim == 3:
+        starts = [0, *accumulate(mu.size for mu in mus)]
+        eps = _member_parts(_joined([mu.matrices for mu in mus]), [mu.average for mu in mus],
+                            starts[:-1], rotate=False)[0]
+        return [eps[start:stop] for start, stop in zip(starts, starts[1:])]
+    out = []
+    for mu in mus:
+        eps, centre = np.empty(mu.size), mu.average.diagonal
+        for block in _stacks(mu.size, mu.dim)[0]:
+            norms = np.abs(mu.diagonals[block] - centre).sum(axis=1)
+            np.minimum(0.5 * norms, 1.0, out=eps[block])
+        out.append(eps)
+    return out
 
 
 def mean_binary_entropy(mu: DiscreteEnsemble) -> float:
@@ -266,6 +280,8 @@ class AuxiliaryDecomposition:
     full original vectors.  tau_plus, tau_minus and omega read the states of
     mu_plus and mu_minus and the average of mu_minus, which equals mu_plus's
     in exact arithmetic; `average_match_residual` is their computed gap.
+    omega is mu_minus's centre, so the gaps of D are twice mu_minus's member
+    distances (minus_gaps).
     """
 
     probs: np.ndarray
@@ -276,9 +292,6 @@ class AuxiliaryDecomposition:
     mu_plus: DiscreteEnsemble
     mu_minus: DiscreteEnsemble
     average_match_residual: float
-    # mu_minus's members and spectra with omega in the slot after them, as
-    # D reads them; None when mu_minus was built from its states.
-    _minus_slots: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     tau_plus = property(lambda self: self.mu_plus.states)
     tau_minus = property(lambda self: self.mu_minus.states)
@@ -292,33 +305,13 @@ class AuxiliaryDecomposition:
 
 
 def _minus_gaps(auxes) -> list[tuple[float, ...]]:
-    """minus_gaps of each of `auxes`, of one dimension: twice the distances
-    of the pairs (tau_i^minus, omega), with omega in its slot
-    (build_auxiliary), or appended to a copy when mu_minus was built from
-    its states; one pair_trace_distances pass per member kind."""
-    slots = []  # each ensemble's members and spectra, omega's last
-    for aux in auxes:
-        if aux._minus_slots is None:
-            omega, members, spectra = aux.omega, aux.mu_minus._members, aux.mu_minus._spectra
-            members = np.append(members, [omega.mat if members.ndim == 3 else omega.diagonal], 0)
-            spectra = np.append(spectra, [omega.spectrum], 0)
-            slots.append((members, spectra))
-        else:
-            slots.append(aux._minus_slots)
+    """minus_gaps of each of `auxes`, of one dimension: omega is mu_minus's
+    average, so each gap is twice a member distance of mu_minus; one
+    _member_distances call per member kind of the mu_minus arrays."""
     gaps = [None] * len(auxes)
-    for index in _groups(slot[0].ndim for slot in slots):
-        arrays, start = [], 0  # each array's pairs (i, omega), of its rows in the pass
-        for t in index:
-            n = len(slots[t][0]) - 1
-            arrays.append((*slots[t], [(np.arange(start, start + n), np.full(n, start + n))]))
-            start += n + 1
-        out = np.empty(start - len(index))  # the gaps of the kind's arrays, end to end
-        for positions, distances in pair_trace_distances(arrays):
-            out[positions] = 2.0 * distances
-        values, start = out.tolist(), 0
-        for t in index:
-            n = auxes[t].mu_minus.size
-            gaps[t], start = tuple(values[start:start + n]), start + n
+    for index in _groups(aux.mu_minus._members.ndim for aux in auxes):
+        for t, eps in zip(index, _member_distances([auxes[t].mu_minus for t in index])):
+            gaps[t] = tuple((2.0 * eps).tolist())
     return gaps
 
 
@@ -334,8 +327,7 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
     dropped.  mu_plus and mu_minus are built by _from_rows from
     _member_parts' rows, their spectra, and build their states on first read.
     If any retained part is dense, _member_parts has rotated each back into
-    a stack, one for each; omega takes the slot after tau^-'s in mu_minus's
-    rows and stack.  This is _auxiliaries of a batch of one.
+    a stack, one for each.  This is _auxiliaries of a batch of one.
 
     Eigensolves: at most m + 4 for m members, counted per matrix of a
     stack.  One for mu's average unless mu holds it already; one per member
@@ -362,8 +354,8 @@ def _auxiliaries(mus) -> list:
     with member rows or all with member matrices, each stage run once over
     all of them: their averages (_averages), one member stage over their
     member arrays end to end (_member_parts, one segment each), and the
-    averages of mu_plus and mu_minus and their residuals, the dense ones
-    solved as one stack each.  Eigensolves and values are those of each
+    averages of mu_plus and mu_minus (omega) and their residuals, the dense
+    ones solved as one stack each.  Eigensolves and values are those of each
     ensemble alone: its scalars (eps_av, the weights) are reduced from its
     own rows, in its own order.  Returns, per ensemble, its
     AuxiliaryDecomposition, or its DegenerateEnsembleError, not raised."""
@@ -392,35 +384,24 @@ def _auxiliaries(mus) -> list:
         raw = mu.probs[usable] * eps_e[usable]
         # An ensemble whose every retained part is diagonal keeps their rows.
         dense = plus is not None and bool(solved[starts[e]:starts[e + 1]].any())
-        # Its tau^+ and tau^- members, omega's slot after the latter, and their rows.
-        slots = slice(lo + e, hi + e + 1)
-        arrays = ((plus if dense else plus_rows)[lo:hi], plus_rows[lo:hi],
-                  (minus if dense else minus_rows)[slots], minus_rows[slots])
-        live.append((e, usable, eps_e, eps_av, raw / raw.sum(), *arrays))
-    pluses = _mixtures([(w, taus) for *_, w, taus, _, _, _ in live])
-    # omega's arrays are views of its slot, as tau^-'s are of theirs.
-    omegas = _mixtures([(w, slot[:-1]) for *_, w, _, _, slot, _ in live])
-    for (*_, slot, rows), omega in zip(live, omegas):
-        rows[-1] = omega.spectrum
-        if slot.ndim == 3:
-            slot[-1] = omega.mat
-    _freeze(minus_rows)
-    if minus is not None:
-        _freeze(minus)
-    omegas = [_row_state(rows[-1], slot[-1]) for *_, slot, rows in live]
+        # The rows and members of its tau^+ and of its tau^-.
+        parts = [(rows[lo:hi], (stack if dense else rows)[lo:hi])
+                 for rows, stack in ((plus_rows, plus), (minus_rows, minus))]
+        live.append((e, usable, eps_e, eps_av, raw / raw.sum(), parts))
+    # The averages of mu_plus and of mu_minus (omega).
+    pluses, omegas = (_mixtures([(w, parts[k][1]) for *_, w, parts in live]) for k in (0, 1))
     residuals = _trace_norms([average - omega for average, omega in zip(pluses, omegas)])
     for entry, average, omega, residual in zip(live, pluses, omegas, residuals):
-        e, usable, eps_e, eps_av, weights, taus, rows, slot, slot_rows = entry
+        e, usable, eps_e, eps_av, weights, (plus_part, minus_part) = entry
         out[e] = AuxiliaryDecomposition(
             probs=mus[e].probs,
             eps=eps_e,
             eps_av=eps_av,
             retained=tuple(usable),
             weights=weights,
-            mu_plus=_from_rows(weights, rows, taus, average=average),
-            mu_minus=_from_rows(weights, slot_rows[:-1], slot[:-1], average=omega),
+            mu_plus=_from_rows(weights, *plus_part, average=average),
+            mu_minus=_from_rows(weights, *minus_part, average=omega),
             average_match_residual=residual,
-            _minus_slots=(slot, slot_rows),
         )
     return out
 
@@ -450,13 +431,11 @@ def _member_parts(members: np.ndarray, centres, starts=(0,), rotate: bool = True
     lists the n other rows, ascending.  Row q of plus_rows is the spectrum of
     the q-th kept member's tau^+: the signed eigenvalues of its difference,
     at or below PSD_TOL set to 0, over their sum.  minus_rows holds tau^-'s
-    (the negated eigenvalues) the same way, with one more row per segment:
-    the q-th kept member, of segment e, sits at row q + e, and its segment's
-    last kept row is followed by a slot left for omega.  plus and minus are
-    the same parts rotated back, an (n, d, d) and an (n + k, d, d) stack laid
-    out as the rows, when `rotate` is set and any kept part is dense; else
-    both are None (values-only callers read spectra).  solved says which
-    members are kept and were taken by a solve (None for member rows).
+    (the negated eigenvalues) the same way.  plus and minus are the same
+    parts rotated back, two (n, d, d) stacks laid out as the rows, when
+    `rotate` is set and any kept part is dense; else both are None
+    (values-only callers read spectra).  solved says which members are kept
+    and were taken by a solve (None for member rows).
 
     Step 1 gives the signed eigenvalues: in one subtraction from an array of
     diagonals, else, for each block of _stacks(m, d, "eigh"), from one
@@ -473,14 +452,11 @@ def _member_parts(members: np.ndarray, centres, starts=(0,), rotate: bool = True
     allocates the two stacks and rotates each block's kept parts back into
     the same rows, one _spectral_sum per block and stack, dropping the
     block's eigenvectors once done.  The stacks are allocated after the
-    solves, which keeps the dense-files benchmark's peak RSS down.  Last,
-    segment e's rows of minus_rows and minus move down by e, the last
-    segment first, which opens each omega slot: one slice copy per segment
-    after the first, none for one segment.
+    solves, which keeps the dense-files benchmark's peak RSS down.
     """
     m, k, d = len(members), len(centres), centres[0].dim
     eps, keep = np.empty(m), np.empty(m, dtype=bool)
-    plus_rows, minus_rows = np.empty((m, d)), np.empty((m + k, d))
+    plus_rows, minus_rows = np.empty((m, d)), np.empty((m, d))
     # rotated: (first row, eigenvectors) of each block's kept parts
     flat, rotated = None, []
     stops = [*starts[1:], m]
@@ -547,22 +523,14 @@ def _member_parts(members: np.ndarray, centres, starts=(0,), rotate: bool = True
         system = None  # the block's solve temporaries go before the next block is solved
     del chunk, negated, part  # no view of the arrays may outlive their resize
     plus_rows.resize((n, d), refcheck=False)
-    minus_rows.resize((n + k, d), refcheck=False)
+    minus_rows.resize((n, d), refcheck=False)
     solved = None if members.ndim == 2 else keep if flat is None else keep & ~flat
     plus = minus = None
     if rotated and solved.any():
-        plus, minus = np.empty((n, d, d), complex), np.empty((n + k, d, d), complex)
+        plus, minus = np.empty((n, d, d), complex), np.empty((n, d, d), complex)
         while rotated:  # each block's eigenvectors go once its parts are rotated back
             first, vectors = rotated.pop()
             rows = slice(first, first + len(vectors))
             _spectral_sum(vectors, plus_rows[rows], out=plus[rows])
             _spectral_sum(vectors, minus_rows[rows], out=minus[rows])
-    kept = np.flatnonzero(keep)
-    first = np.searchsorted(kept, starts).tolist()
-    # Segment e's tau^- rows move down by e, last segment first, which
-    # leaves a slot for omega after each segment's rows.
-    for e in range(k - 1, 0, -1):
-        rows = slice(first[e], first[e + 1] if e + 1 < k else n)
-        for array in (minus_rows,) if minus is None else (minus_rows, minus):
-            array[rows.start + e:rows.stop + e] = array[rows]
-    return eps, kept, plus_rows, minus_rows, plus, minus, solved
+    return eps, np.flatnonzero(keep), plus_rows, minus_rows, plus, minus, solved

@@ -17,17 +17,17 @@ ensemble's members are one array: the m x d array of their diagonals, or
 the (m, d, d) stack of their matrices, where a matrix with every
 off-diagonal entry exactly 0 (_is_diagonal) counts as diagonal.  Every
 stage that takes members a stack at a time (the member stage, stacked
-_eigh, _eigvalsh and _spectral_sum; the pair distances of C and D's gaps;
-the row blocks of whole-array stages) is sized and threaded by one stack
+_eigh, _eigvalsh and _spectral_sum; the pair distances of C; the row
+blocks of whole-array stages) is sized and threaded by one stack
 planner, _stacks, and runs its stacks through _solved; a stack on which
 LAPACK fails is solved again one matrix at a time (_each_alone) to name
 the matrix that fails alone.
 _pair_methods alone picks how a pair's distance is computed: by a
 gathered vector difference, by the rank-1 closed form, or by a stacked
-eigensolve.  pair_trace_distances computes every pair distance of C and
-D, for one member array or many in one pass, whose stacks end where each
-array's scan alone would end them (_pair_stacks); it alone decides where
-the scan of C stops.
+eigensolve.  pair_trace_distances computes every pair distance of C, for
+one member array or many in one pass, whose stacks end where each array's
+scan alone would end them (_pair_stacks); it alone decides where the scan
+stops.
 _spectral_sum alone rebuilds the member stage's dense Jordan parts from
 their eigenvectors.
 Checked states enter as one stack too: _check_states runs
@@ -489,8 +489,8 @@ _WORKERS = min(
 def _stacks(count: int, dim: int, solver: str | None = None) -> tuple[list[slice], int]:
     """The one stack planner: how every stage that takes an ensemble's
     members a stack at a time (the member stage, the row blocks of
-    whole-array stages, and, through _pair_stacks, the pair distances of C
-    and D's gaps) sizes its stacks and threads them.  Returns consecutive
+    whole-array stages, and, through _pair_stacks, the pair distances of C)
+    sizes its stacks and threads them.  Returns consecutive
     slices of range(count), one per stack, and the number of threads to
     solve them on.
 
@@ -542,7 +542,8 @@ def pair_trace_distances(
     arrays: Sequence[tuple[np.ndarray, np.ndarray, Iterable]], maxima: list[float] | None = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Trace distances (1/2)||rho_i - rho_j||_1 of the pairs of one or more
-    member arrays of one dimension and kind, yielded a stack at a time as
+    member arrays of one dimension and kind (the diameter C's, for
+    bounds._diameters), yielded a stack at a time as
     (positions, distances): distances[n] belongs to the pair at position
     positions[n] of the pairs taken a round at a time, each round the next
     block of every array still scanned; for one array, or for arrays of one
@@ -571,7 +572,8 @@ def pair_trace_distances(
     each stack is yielded and checked after each of the array's stacks and
     after its Gram pairs of a block.  Once it reaches _CEILING, the array's
     later pairs are dropped: each array gets the distances and the
-    eigensolves of its scan alone.  When the caller stops or a solve fails,
+    eigensolves of its scan alone.  Without `maxima` every pair is
+    evaluated.  When the caller stops or a solve fails,
     the pending stacks are dropped and the workers joined before control
     returns to it; a pair that fails alone is named "pair (i, j)" by its
     rows in its array.

@@ -19,6 +19,7 @@ from holevo_bounds.bounds import (
     count_bound,
     diameter_bound,
     fei_check,
+    fei_checks,
     full_report,
     full_reports,
     pinsker_term,
@@ -635,8 +636,10 @@ def _count_in_order_calls(monkeypatch) -> list[int]:
 @pytest.mark.parametrize("seed", [0, 1])
 def test_worker_stacks_match_one_worker(monkeypatch, rows, seed):
     # 276 pairs at d = 12 take 2 stacks of 171 matrices by default, and 69
-    # stacks of 4 (6 for D's 24 gaps) at 48 rows.  Two workers must give the
-    # values of one, bit for bit, and the exhaustive scan's to 1e-12.
+    # stacks of 4 at 48 rows.  D's 24 gaps are mu-'s member distances, one
+    # member-stage block of 24 matrices, solved on the calling thread.  Two
+    # workers must give the values of one, bit for bit, and the exhaustive
+    # scan's to 1e-12.
     if rows is not None:
         monkeypatch.setattr(linalg, "_STACK_ROWS", rows)
     mu = random_ensemble(24, 12, seed)
@@ -649,7 +652,7 @@ def test_worker_stacks_match_one_worker(monkeypatch, rows, seed):
     before = threading.active_count()
     assert (plus_diameter(aux), aux.minus_gaps) == expected
     assert threading.active_count() == before
-    assert threaded == ([2] if rows is None else [2, 2])
+    assert threaded == [2]
     assert abs(expected[0] - _scan_diameter(aux)) <= 1e-12
     for gap, tau in zip(expected[1], aux.tau_minus):
         assert abs(gap - 2.0 * trace_distance(tau, aux.omega)) <= 1e-12
@@ -1067,12 +1070,11 @@ def test_commuting_report_derives_no_member_object(monkeypatch, small, large):
 
 def test_ensembles_get_their_diagonals_three_ways():
     # The gallery keeps the np.eye whose rows are its members; build_auxiliary
-    # keeps the arrays whose rows are tau_i^(+/-), omega's row after those of
-    # tau_i^-; an ensemble of from_diagonal members stacks its members'
-    # diagonals when it is built.  A row-backed ensemble builds its states on
-    # their first read, as read-only views of its rows, and keeps them; aux
-    # reads its tau_i^(+/-) and omega through mu+ and mu-.  The reports agree
-    # bit for bit.
+    # keeps the arrays whose rows are tau_i^(+/-); an ensemble of
+    # from_diagonal members stacks its members' diagonals when it is built.
+    # A row-backed ensemble builds its states on their first read, as
+    # read-only views of its rows, and keeps them; aux reads its tau_i^(+/-)
+    # and omega through mu+ and mu-.  The reports agree bit for bit.
     for mu in (orthogonal_ensemble(16), oscillator_ensemble(OscillatorEnsembleSpec(3.0))[0]):
         aux = build_auxiliary(mu)
         for ensemble in (mu, aux.mu_plus, aux.mu_minus):
@@ -1086,8 +1088,6 @@ def test_ensembles_get_their_diagonals_three_ways():
                 assert not s.diagonal.flags.writeable and s.spectrum is s.diagonal
         assert aux.tau_plus is aux.mu_plus.states and aux.tau_minus is aux.mu_minus.states
         assert aux.omega is aux.mu_minus.average
-        assert aux.mu_minus.diagonals.base is aux.omega.diagonal.base
-        assert len(aux.omega.diagonal.base) == len(aux.tau_minus) + 1
         stacked = DiscreteEnsemble(
             mu.probs, tuple(DensityOperator.from_diagonal(s.diagonal) for s in mu.states)
         )
@@ -1309,13 +1309,13 @@ def test_batched_scans_stop_inside_stacks_of_their_own(mus, at, seed):
 
 
 def test_failed_pair_stack_names_its_pair(monkeypatch):
-    # LAPACK fails on one pair difference of C's stack and on one of D's,
-    # in the stack and alone: the stack is solved again one matrix at a
-    # time, and the error names the pair.
+    # LAPACK fails on one pair difference of C's stack and on one member
+    # difference of D's (tau_2^- - omega), in the stack and alone: the stack
+    # is solved again one matrix at a time, and the error names the pair, or
+    # for D, mu-'s member.
     aux = build_auxiliary(random_ensemble(6, 8, 0))
-    plus, (minus, _) = aux.mu_plus.matrices, aux._minus_slots
-    n = aux.mu_minus.size
-    targets = [plus[1] - plus[3], minus[2] - minus[n]]
+    plus, minus = aux.mu_plus.matrices, aux.mu_minus.matrices
+    targets = [plus[1] - plus[3], minus[2] - aux.omega.mat]
     original = np.linalg.eigvalsh
 
     def pair_fails(a, *args, **kwargs):
@@ -1328,7 +1328,8 @@ def test_failed_pair_stack_names_its_pair(monkeypatch):
     pattern = r"^pair \(1, 3\): eigenvalue computation failed at dim 8"
     with pytest.raises(EigensolverError, match=pattern):
         plus_diameter(aux)
-    with pytest.raises(EigensolverError, match=rf"^pair \(2, {n}\): eigenvalue computation failed"):
+    pattern = r"^member 2: eigenvalue computation failed at dim 8"
+    with pytest.raises(EigensolverError, match=pattern):
         aux.minus_gaps
 
 
@@ -1352,14 +1353,10 @@ def test_failed_member_solve_in_a_batch_names_its_member(monkeypatch):
         full_reports(mus)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_batch_pools_each_kind_of_part_arrays(seed):
-    # A dense ensemble whose two dense members lie in the dead zone (their
-    # off-diagonal entries cancel in the average and are below PSD_TOL)
-    # keeps its retained parts as rows, while the other ensemble of its
-    # batch keeps stacks: each stage takes each ensemble's own kind, and C
-    # and D pass over the two kinds apart, each report as its ensemble's
-    # alone.
+def _dense_ensemble_of_diagonal_parts(seed: int) -> DiscreteEnsemble:
+    """A dense ensemble at d = 3 whose two dense members lie in the dead
+    zone (their off-diagonal entries cancel in the average and are below
+    PSD_TOL), so that it keeps its retained parts as rows."""
     rng = np.random.default_rng(seed)
     diagonals, probs = rng.dirichlet(np.ones(3), size=5), rng.dirichlet(np.ones(5))
     centre = np.diag(probs @ diagonals).astype(complex)
@@ -1367,11 +1364,90 @@ def test_batch_pools_each_kind_of_part_arrays(seed):
     off[0, 2] = off[2, 0] = 1e-11
     states = [DensityOperator.from_diagonal(row) for row in diagonals]
     states += [DensityOperator(centre + off), DensityOperator(centre - off)]
-    rows = DiscreteEnsemble(np.append(0.8 * probs, [0.1, 0.1]), tuple(states))
-    assert rows.matrices is not None and build_auxiliary(rows).mu_plus.matrices is None
+    mu = DiscreteEnsemble(np.append(0.8 * probs, [0.1, 0.1]), tuple(states))
+    assert mu.matrices is not None and build_auxiliary(mu).mu_plus.matrices is None
+    return mu
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batch_pools_each_kind_of_part_arrays(seed):
+    # A dense ensemble that keeps its retained parts as rows, while the
+    # other ensemble of its batch keeps stacks: each stage takes each
+    # ensemble's own kind, and C and D pass over the two kinds apart, each
+    # report as its ensemble's alone.
+    rows = _dense_ensemble_of_diagonal_parts(seed)
     mus = [random_ensemble(3, 3, seed), rows]
     for report, mu in zip(full_reports(mus), mus):
         assert _fields(report) == _fields(full_report(mu))
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(_mixed_kind_ensembles(), max_size=4), st.integers(0, 99))
+def test_minus_gaps_are_twice_member_distances_of_mu_minus(mus, seed):
+    # omega is mu-'s average, so each gap ||tau_i^- - omega||_1 of D is
+    # twice the member distance of tau_i^- in mu-, bit for bit.  The drawn
+    # ensembles are joined by a dense one, a diagonal one and a dense one
+    # whose retained parts are all diagonal.  The identity holds for the
+    # gaps that build_auxiliary's decomposition computes, for those of a
+    # decomposition built by hand, whose mu- is checked from its states, and
+    # for those that one full_reports batch sets, which equal those of each
+    # ensemble alone.
+    mus = [*mus, random_ensemble(4, 3, seed), orthogonal_ensemble(2 + seed % 5),
+           _dense_ensemble_of_diagonal_parts(seed)]
+    auxes = []
+    for mu in mus:
+        try:
+            auxes.append(build_auxiliary(mu))
+        except DegenerateEnsembleError:
+            auxes.append(None)
+    assert [aux.mu_minus.diagonals is None for aux in auxes[-3:]] == [True, False, False]
+    for aux in filter(None, auxes):
+        assert aux.minus_gaps == tuple(2 * member_epsilons(aux.mu_minus)[0])
+        manual = _manual_aux(aux.tau_plus, aux.tau_minus, aux.probs[list(aux.retained)],
+                             aux.weights)
+        assert "states" in vars(manual.mu_minus)
+        assert manual.minus_gaps == tuple(2 * member_epsilons(manual.mu_minus)[0])
+        assert np.allclose(manual.minus_gaps, aux.minus_gaps, rtol=0.0, atol=1e-12)
+    built = []  # the decompositions of the batch, whose gaps it sets
+
+    def kept(group):
+        built.extend(ensemble._auxiliaries(group))
+        return built[-len(group):]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bounds, "_auxiliaries", kept)
+        batch = full_reports(mus)
+    assert len(built) == len(mus)
+    for report, mu in zip(batch, mus):
+        assert _fields(report) == _fields(full_report(mu))
+    # full_reports groups the ensembles; match each decomposition by its eps.
+    alone = {tuple(aux.eps.tolist()): aux for aux in filter(None, auxes)}
+    for aux in built:
+        if isinstance(aux, DegenerateEnsembleError):
+            continue
+        gaps = vars(aux)["minus_gaps"]
+        assert gaps == tuple(2 * member_epsilons(aux.mu_minus)[0])
+        assert gaps == alone[tuple(aux.eps.tolist())].minus_gaps
+
+
+def test_fei_checks_batch_matches_each_pair_alone():
+    # One batch of diagonal pairs, dense pairs and mixed ones at d = 3 and
+    # d = 5, with an identical pair (the dead zone) between kept ones of
+    # each group: each kept pair reads its own row of the group's member
+    # stage, and every report equals fei_check of its pair alone, bit for
+    # bit.
+    rng = np.random.default_rng(7)
+    pairs = []
+    for dim in (3, 5):
+        diagonal = [DensityOperator.from_diagonal(rng.dirichlet(np.ones(dim))) for _ in range(3)]
+        dense = [random_mixed_state(dim, dim, rng) for _ in range(3)]
+        pairs += [(diagonal[0], diagonal[1]), (dense[0], dense[1]), (diagonal[2], diagonal[2]),
+                  (dense[2], dense[2]), (diagonal[1], diagonal[0]), (dense[1], dense[2]),
+                  (diagonal[0], dense[2])]
+    batch = fei_checks(pairs)
+    assert batch == [fei_check(*pair) for pair in pairs]
+    dead = [report.eps == report.slack == 0.0 for report in batch]
+    assert dead == [False, False, True, True, False, False, False] * 2
 
 
 def test_pooled_pairs_match_each_scan():

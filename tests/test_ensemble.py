@@ -282,7 +282,7 @@ def test_dense_ensembles_are_one_stack(tmp_path):
     # it is built; one drawn by random_ensemble or loaded from a file enters
     # as its checked stack, whose slices its states' matrices are.  mu+ and
     # mu- hold theirs as stacks whose slices are their states' matrices,
-    # and mu-'s has omega in the slot after tau^-'s.
+    # one per retained member.
     commuting = orthogonal_ensemble(4)
     assert commuting.matrices is None and commuting.diagonals is not None
     write_ensemble_file(tmp_path / "dense.json", random_ensemble(5, 4, 2))
@@ -302,16 +302,13 @@ def test_dense_ensembles_are_one_stack(tmp_path):
             assert "states" not in vars(part)
             for k, state in enumerate(part.states):
                 assert np.shares_memory(state.mat, part.matrices[k])
-        slots = aux.mu_minus.matrices.base
-        assert len(slots) == aux.mu_minus.size + 1
-        assert np.array_equal(slots[-1], aux.omega.mat)
+        assert len(aux.mu_minus.matrices.base) == aux.mu_minus.size
 
 
 def test_dense_report_peak_memory():
     # 12 Haar-pure members at d = 128: the report holds the stacks of mu+ and
-    # mu- (omega in mu-'s last slot) and the dense stack of D's gaps, and
-    # copies none of them whole.  Appending omega to mu-'s stack read 4.28
-    # m d^2 complex entries; the slot reads 3.40.
+    # mu-, and one member block of mu- at a time for D's gaps, and copies
+    # none of them whole (3.26 m d^2 complex entries measured).
     rng = np.random.default_rng(0)
     m, d = 12, 128
     vectors = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
