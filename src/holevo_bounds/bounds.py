@@ -132,8 +132,8 @@ def plus_diameter(aux: AuxiliaryDecomposition) -> float:
     [0, 1].  Exact: every pair is evaluated unless the metric ceiling
     linalg._CEILING (1 - 1e-12) is reached first.  _diameters of one
     ensemble: pair_trace_distances decides each pair's method and where the
-    scan stops.  The pairs are generated in blocks of rows, so a scan that
-    stops early never holds all m(m-1)/2 of them.
+    scan stops.  The pairs are generated in blocks of rows (_upper_pairs),
+    so a scan that stops early never holds all m(m-1)/2 of them.
     """
     return _diameters([aux])[0]
 
@@ -141,12 +141,15 @@ def plus_diameter(aux: AuxiliaryDecomposition) -> float:
 def _diameters(auxes) -> list[float]:
     """plus_diameter of each of `auxes`, of one dimension: one
     pair_trace_distances pass with running maxima per member kind of the
-    mu_plus arrays, over their pairs in _upper_pairs' blocks."""
+    mu_plus arrays, over their pairs in _upper_pairs' blocks.  The blocks
+    of rows (diagonal parts) start at _ROW_PAIRS pairs and double; those of
+    matrix stacks hold _PAIR_BLOCK pairs from the first on."""
     best = [0.0] * len(auxes)
     for index in _groups(aux.mu_plus._members.ndim for aux in auxes):
         mus, maxima = [auxes[t].mu_plus for t in index], [0.0] * len(index)
+        first = _ROW_PAIRS if mus[0]._members.ndim == 2 else _PAIR_BLOCK
         starts = accumulate((mu.size for mu in mus), initial=0)
-        arrays = [(mu._members, mu._spectra, _upper_pairs(mu.size, offset=start))
+        arrays = [(mu._members, mu._spectra, _upper_pairs(mu.size, start, first))
                   for mu, start in zip(mus, starts)]
         for _ in pair_trace_distances(arrays, maxima):
             pass  # the scan raises maxima[k] to the C of mus[k]
@@ -155,25 +158,32 @@ def _diameters(auxes) -> list[float]:
     return best
 
 
-# Fewest pairs in a block of _upper_pairs, the last excepted: 2^15 pairs,
-# 512 KB of indices.
+# Largest target of a block of _upper_pairs (2^15 pairs, 512 KB of
+# indices), and a matrix scan's first: each further block is one more round
+# of dense stacks, and a first block of 64 pairs made C 15% slower at 40 x 48.
 _PAIR_BLOCK = 1 << 15
+# A row scan's first target.  Its pairs take no eigensolve and the commuting
+# examples reach C = 1 at their first pair, so they stop before building the
+# rest; from one row, a C = 1 pair a few rows in took twice as long.
+_ROW_PAIRS = 64
 
 
-def _upper_pairs(m: int, offset: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _upper_pairs(m: int, offset: int, first: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The index pairs (offset + i, offset + j), 0 <= i < j < m, in
-    np.triu_indices(m, 1) order, as blocks of whole rows i with at least
-    _PAIR_BLOCK pairs each (the last block may hold fewer)."""
-    block, start = _PAIR_BLOCK, 0
+    np.triu_indices(m, 1) order, as blocks of whole rows i: the first holds
+    at least `first` pairs, and each later one at least min(twice the one
+    before, _PAIR_BLOCK); the last may hold fewer.  With first = _PAIR_BLOCK
+    each block ends at the first row that reaches _PAIR_BLOCK pairs."""
+    block, start = first, 0
     while start < m - 1:
         stop, count = start, 0
         while stop < m - 1 and count < block:
             count += m - 1 - stop
             stop += 1
         rows = np.arange(start, stop)
-        first, second = (rows[:, None] < np.arange(m)).nonzero()
-        yield first + (start + offset), second + offset if offset else second
-        start = stop
+        i, j = (rows[:, None] < np.arange(m)).nonzero()
+        yield i + (start + offset), j + offset if offset else j
+        start, block = stop, min(2 * count, _PAIR_BLOCK)
 
 
 def pinsker_term(aux: AuxiliaryDecomposition, *, reweighted: bool = False) -> float:

@@ -533,18 +533,44 @@ def test_plus_diameter_without_vectors_solves_every_pair(monkeypatch):
     assert abs(got - _scan_diameter(aux)) <= 1e-12
 
 
+def _row_blocks(m: int, block: int) -> list[tuple[int, int]]:
+    """The rows [start, stop) of each block of at least `block` pairs of
+    np.triu_indices(m, 1), whole rows each, the last block excepted: the
+    reference for _upper_pairs with first = _PAIR_BLOCK = block."""
+    out, start = [], 0
+    while start < m - 1:
+        stop, count = start, 0
+        while stop < m - 1 and count < block:
+            count += m - 1 - stop
+            stop += 1
+        out.append((start, stop))
+        start = stop
+    return out
+
+
+# The first block sizes of _upper_pairs that each test takes, beside the
+# patched _PAIR_BLOCK itself: rows start at 64 pairs (bounds._ROW_PAIRS).
+_FIRSTS = (1, 5, 64)
+
+
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 7, 12])
 @pytest.mark.parametrize("block", [1, 2, 5, 1 << 15])
 def test_upper_pairs_follow_triu_order(monkeypatch, m, block):
+    # Blocks of whole rows in triu order: block k holds at least
+    # min(first 2^k, _PAIR_BLOCK) pairs, the last excepted, and a first block
+    # of _PAIR_BLOCK gives blocks of _PAIR_BLOCK from the first on.
     monkeypatch.setattr(bounds, "_PAIR_BLOCK", block)
-    blocks = list(_upper_pairs(m))
     first, second = np.triu_indices(m, 1)
-    assert np.array_equal(np.concatenate([f for f, _ in blocks] or [first]), first)
-    assert np.array_equal(np.concatenate([s for _, s in blocks] or [second]), second)
-    for f, _ in blocks[:-1]:
-        assert len(f) >= block
-    for (f, _), (g, _) in zip(blocks, blocks[1:]):
-        assert f[-1] < g[0]  # whole rows: no row spans two blocks
+    for start in (*_FIRSTS, block):
+        blocks = list(_upper_pairs(m, 0, start))
+        assert np.array_equal(np.concatenate([f for f, _ in blocks] or [first]), first)
+        assert np.array_equal(np.concatenate([s for _, s in blocks] or [second]), second)
+        for k, (f, _) in enumerate(blocks[:-1]):
+            assert len(f) >= min(start << k, block)
+        for (f, _), (g, _) in zip(blocks, blocks[1:]):
+            assert f[-1] < g[0]  # whole rows: no row spans two blocks
+    rows = [(int(f[0]), int(f[-1]) + 1) for f, _ in _upper_pairs(m, 0, block)]
+    assert rows == _row_blocks(m, block)
 
 
 @pytest.mark.parametrize("m", [2, 3, 7, 256])
@@ -552,11 +578,14 @@ def test_upper_pairs_follow_triu_order(monkeypatch, m, block):
 def test_upper_pairs_add_the_offset(monkeypatch, m, block):
     monkeypatch.setattr(bounds, "_PAIR_BLOCK", block)
     first, second = np.triu_indices(m, 1)
-    for offset in (0, 5):
-        blocks = list(_upper_pairs(m, offset))
-        assert all(f.dtype == first.dtype and s.dtype == second.dtype for f, s in blocks)
-        assert np.array_equal(np.concatenate([f for f, _ in blocks]), first + offset)
-        assert np.array_equal(np.concatenate([s for _, s in blocks]), second + offset)
+    for start in (*_FIRSTS, block):
+        for offset in (0, 5):
+            blocks = list(_upper_pairs(m, offset, start))
+            assert all(f.dtype == first.dtype and s.dtype == second.dtype for f, s in blocks)
+            assert np.array_equal(np.concatenate([f for f, _ in blocks]), first + offset)
+            assert np.array_equal(np.concatenate([s for _, s in blocks]), second + offset)
+            for k, (f, _) in enumerate(blocks[:-1]):
+                assert len(f) >= min(start << k, block)
 
 
 def test_multi_block_scan_forms_one_gram_matrix(monkeypatch):
@@ -576,7 +605,7 @@ def test_multi_block_scan_forms_one_gram_matrix(monkeypatch):
     monkeypatch.setattr(linalg, "pure_trace_distances", counted)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bounds, "_PAIR_BLOCK", 4)
-        blocks = list(_upper_pairs(len(taus)))
+        blocks = list(_upper_pairs(len(taus), 0, bounds._PAIR_BLOCK))
     assert len(blocks) > 3
     scanned = max(
         float(d.max())
@@ -591,7 +620,10 @@ def test_multi_block_scan_forms_one_gram_matrix(monkeypatch):
 
 def test_plus_diameter_never_holds_every_pair_index():
     # 1,000 orthogonal members reach the ceiling in their first stack, so the
-    # scan must not build all m(m-1)/2 index pairs (16 bytes each) first.
+    # scan must not build all m(m-1)/2 index pairs (16 bytes each) first, nor
+    # a block of 2^15 pairs: its first block is one row, of 999 pairs, and
+    # the peak is its first stack's temporaries (0.43 MB; 1.87 MB when the
+    # first block held 2^15 pairs).
     m = 1000
     aux = build_auxiliary(orthogonal_ensemble(m))
     tracemalloc.start()
@@ -600,7 +632,27 @@ def test_plus_diameter_never_holds_every_pair_index():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * m * (m - 1) // 2, f"peak {peak} bytes"
+    assert peak < 0.75e6, f"peak {peak} bytes"
+
+
+@pytest.mark.parametrize("case", ["orthogonal-1000", "oscillator-3"])
+def test_row_scan_at_the_ceiling_takes_one_block(monkeypatch, case):
+    # Diagonal positive parts that reach C = 1 in their first stack: the scan
+    # takes one block of _upper_pairs, and no later one is built.
+    mu = (orthogonal_ensemble(1000) if case == "orthogonal-1000"
+          else oscillator_ensemble(OscillatorEnsembleSpec(3.0))[0])
+    aux = build_auxiliary(mu)
+    assert aux.mu_plus.diagonals is not None
+    taken, original = [], bounds._upper_pairs
+
+    def counted(m, offset, first):
+        for pairs in original(m, offset, first):
+            taken.append(len(pairs[0]))
+            yield pairs
+
+    monkeypatch.setattr(bounds, "_upper_pairs", counted)
+    assert plus_diameter(aux) == 1.0
+    assert len(taken) == 1 and taken[0] < aux.mu_plus.size * (aux.mu_plus.size - 1) // 2
 
 
 def _block_supported_ensemble(m: int, block: int, seed: int) -> DiscreteEnsemble:
@@ -1308,6 +1360,78 @@ def test_batched_scans_stop_inside_stacks_of_their_own(mus, at, seed):
     assert batch[blocks].plus_diameter >= 1.0 - 1e-12 and batch[basis].plus_diameter == 1.0
 
 
+def _late_pair_ensemble(m: int, x: int, y: int, orthogonal: bool, seed: int) -> DiscreteEnsemble:
+    """m diagonal states at d = 8 whose positive parts overlap pairwise but
+    for members x and y, which are orthogonal when `orthogonal` is set.
+
+    The other members have entries 1/4 at 0 and 1, none at 2 and 3, and
+    random ones after; x is (1/4, 0, 3/4, 0, ...) and y (0, 1/4, 0, 3/4, ...)
+    or, unless `orthogonal`, (0, 1/4, 3/4, 0, ...).  The others lie above the
+    average at 0 and 1, x at 0 and 2, and y at 1 and 3 (or 2), so C = 1 at
+    the pair (x, y) alone, and otherwise C < 1."""
+    rng = np.random.default_rng(seed)
+    rows = np.zeros((m, 8))
+    rows[:, :2] = 0.25
+    rows[:, 4:] = 0.5 * rng.dirichlet(np.ones(4), size=m)
+    rows[x] = [0.25, 0.0, 0.75, 0.0, 0.0, 0.0, 0.0, 0.0]
+    rows[y] = [0.0, 0.25, 0.0, 0.75, 0.0, 0.0, 0.0, 0.0] if orthogonal else [
+        0.0, 0.25, 0.75, 0.0, 0.0, 0.0, 0.0, 0.0]
+    counts = rng.integers(1, 4, size=m)
+    return DiscreteEnsemble(counts / counts.sum(), tuple(map(DensityOperator.from_diagonal, rows)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.integers(3, 40), st.integers(0, 39), st.integers(0, 39),
+                          st.booleans(), st.integers(0, 99)), min_size=1, max_size=4))
+def test_batched_row_scans_match_each_alone(draws):
+    # Diagonal ensembles of d = 8 and different m, with one dense one: the
+    # rows' scans start at _ROW_PAIRS pairs and double, the matrices' take
+    # _PAIR_BLOCK from the first block.  An orthogonal pair (x, y) puts C = 1
+    # in the block that holds it, often past the first, and the scan takes
+    # no block after it; without it C < 1 and the scan takes every block.
+    # Every report equals its ensemble's alone, bit for bit, and every C is
+    # within 1e-12 of the exhaustive scans.
+    mus, late = [], []
+    for m, x, y, orthogonal, seed in draws:
+        x, y = sorted((x % m, y % m))
+        y = y if y > x else (x + 1) % m
+        mus.append(_late_pair_ensemble(m, x, y, orthogonal, seed))
+        late.append((min(x, y), max(x, y)) if orthogonal else None)
+    mus.append(random_ensemble(5, 8, draws[0][4]))
+    taken = {}  # each scan's (first, blocks taken) by its offset and kind
+    original = bounds._upper_pairs
+
+    def counted(m, offset, first):
+        key = (offset, first)
+        taken[key] = [first, 0]
+        for pairs in original(m, offset, first):
+            taken[key][1] += 1
+            yield pairs
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bounds, "_upper_pairs", counted)
+        batch = full_reports(mus)
+    assert sorted(first for first, _ in taken.values()) == (
+        [bounds._ROW_PAIRS] * len(draws) + [bounds._PAIR_BLOCK])
+    offset = 0
+    for mu, report, pair in zip(mus, batch, late):
+        assert _fields(report) == _fields(full_report(mu))
+        aux = build_auxiliary(mu)
+        assert aux.mu_plus.diagonals is not None and aux.mu_plus.size == mu.size
+        assert abs(report.plus_diameter - _scan_diameter(aux)) <= 1e-12
+        blocks = list(original(mu.size, 0, bounds._ROW_PAIRS))
+        every = pair_trace_distances([(aux.mu_plus._members, aux.mu_plus._spectra, blocks)])
+        assert abs(report.plus_diameter - min(1.0, max(d.max() for _, d in every))) <= 1e-12
+        if pair is None:
+            assert report.plus_diameter < 1.0 - 1e-12
+            want = len(blocks)
+        else:
+            assert report.plus_diameter >= 1.0 - 1e-12
+            want = next(k for k, (f, _) in enumerate(blocks) if f[-1] >= pair[0]) + 1
+        assert taken[(offset, bounds._ROW_PAIRS)][1] == want
+        offset += mu.size
+
+
 def test_failed_pair_stack_names_its_pair(monkeypatch):
     # LAPACK fails on one pair difference of C's stack and on one member
     # difference of D's (tau_2^- - omega), in the stack and alone: the stack
@@ -1502,7 +1626,7 @@ def test_pass_in_blocks_matches_each_scan(mus, block):
     def scan(kind, maxima=None):  # each array's distances in its order, solves, blocks taken
         arrays, start, taken = [], 0, [0] * len(kind)
         for k, mu in enumerate(kind):
-            blocks = list(_upper_pairs(mu.size, start))
+            blocks = list(_upper_pairs(mu.size, start, bounds._PAIR_BLOCK))
             arrays.append((mu._members, mu._spectra, blocks))
             start += mu.size
         # Each position of the pass, a round at a time, as (array, its own position).
@@ -1576,7 +1700,8 @@ def test_batched_diameter_skips_gram_pairs_past_the_ceiling(monkeypatch):
     # rank-2 part.  A pass over it and others skips those too, so C stays
     # below 1.
     mu = _near_ceiling_parts()
-    every = pair_trace_distances([(mu._members, mu._spectra, _upper_pairs(mu.size))])
+    every = pair_trace_distances(
+        [(mu._members, mu._spectra, _upper_pairs(mu.size, 0, bounds._PAIR_BLOCK))])
     assert max(float(distances.max()) for _, distances in every) >= 1.0
     auxes = [build_auxiliary(random_ensemble(4, 3, 5)), _PlusParts(mu),
              build_auxiliary(random_ensemble(3, 3, 6))]
