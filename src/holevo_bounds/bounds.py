@@ -16,11 +16,12 @@ bound also has a variant with hbar replaced by h(eps_av) (never smaller, by
 concavity).
 
 full_reports is the one place where these formulas are evaluated, once per
-group of ensembles of one dimension; full_report is its batch of one, and
-the four functions named above return its fields, so each call costs one
-report.  Every pair distance behind C comes from
-linalg.pair_trace_distances, one pass per group and member kind, which
-gives each pair the method linalg._pair_methods gives it and stops each
+group of ensembles of one dimension and member kind: all rows (every
+member exactly diagonal) or all stacks, which every stage treats as dense.
+full_report is its batch of one, and the four functions named above return
+its fields, so each call costs one report.  Every pair distance behind C
+comes from linalg.pair_trace_distances, one pass per group, which gives
+each pair the method linalg._pair_methods gives it and stops each
 ensemble's scan where its report alone stops it.  The gaps behind D are
 twice the member distances of mu-, whose average is the barycenter.
 
@@ -139,23 +140,21 @@ def plus_diameter(aux: AuxiliaryDecomposition) -> float:
 
 
 def _diameters(auxes) -> list[float]:
-    """plus_diameter of each of `auxes`, of one dimension: one
-    pair_trace_distances pass with running maxima per member kind of the
-    mu_plus arrays, over their pairs in _upper_pairs' blocks.  The blocks
-    of rows (diagonal parts) start at _ROW_PAIRS pairs and double; those of
-    matrix stacks hold _PAIR_BLOCK pairs from the first on."""
-    best = [0.0] * len(auxes)
-    for index in _groups(aux.mu_plus._members.ndim for aux in auxes):
-        mus, maxima = [auxes[t].mu_plus for t in index], [0.0] * len(index)
-        first = _ROW_PAIRS if mus[0]._members.ndim == 2 else _PAIR_BLOCK
-        starts = accumulate((mu.size for mu in mus), initial=0)
-        arrays = [(mu._members, mu._spectra, _upper_pairs(mu.size, start, first))
-                  for mu, start in zip(mus, starts)]
-        for _ in pair_trace_distances(arrays, maxima):
-            pass  # the scan raises maxima[k] to the C of mus[k]
-        for t, value in zip(index, maxima):
-            best[t] = min(value, 1.0)
-    return best
+    """plus_diameter of each of `auxes`, of one dimension and member kind:
+    one pair_trace_distances pass with running maxima over the pairs of
+    their mu_plus arrays in _upper_pairs' blocks.  The blocks of rows start
+    at _ROW_PAIRS pairs and double; those of matrix stacks hold _PAIR_BLOCK
+    pairs from the first on."""
+    if not auxes:
+        return []
+    mus, maxima = [aux.mu_plus for aux in auxes], [0.0] * len(auxes)
+    first = _ROW_PAIRS if mus[0]._members.ndim == 2 else _PAIR_BLOCK
+    starts = accumulate((mu.size for mu in mus), initial=0)
+    arrays = [(mu._members, mu._spectra, _upper_pairs(mu.size, start, first))
+              for mu, start in zip(mus, starts)]
+    for _ in pair_trace_distances(arrays, maxima):
+        pass  # the scan raises maxima[k] to the C of mus[k]
+    return [min(value, 1.0) for value in maxima]
 
 
 # Largest target of a block of _upper_pairs (2^15 pairs, 512 KB of
@@ -241,17 +240,16 @@ def full_report(mu: DiscreteEnsemble) -> BoundReport:
     diameter_bound.
 
     Every value comes from one build_auxiliary analysis and the spectra it
-    kept.  Eigensolves for m members, counted per matrix of a stack: at most
-    2m + 4 (build_auxiliary's m + 4, one stacked eigh per block of members,
-    and m for D, one per dense difference of mu_minus's member stage) plus,
-    for the diameter C, one per pair that is neither a pair of rank-1
-    positive parts nor a pair of diagonal ones, at most m(m-1)/2.  A
-    degenerate ensemble takes one per member after the average.  An
-    ensemble of exactly diagonal members takes none, and builds no d x d
-    matrix.  Memory: besides mu, the stacks of mu_plus and mu_minus (2m
-    matrices), one member block's temporaries while they are built, and
-    then the buffers of C's pair stacks or of D's member blocks;
-    linalg._stacks sizes all of these.  A batch of one joins no arrays:
+    kept.  Eigensolves for m members of a stack, counted per matrix: at
+    most 2m + 4 (build_auxiliary's m + 4, one stacked eigh per block of
+    members, and m for D, one per member of mu_minus's stack) plus, for the
+    diameter C, one per pair that is not a pair of rank-1 positive parts,
+    at most m(m-1)/2.  A degenerate ensemble takes one per member after the
+    average.  An ensemble of rows (every member exactly diagonal) takes
+    none, and builds no d x d matrix.  Memory: besides mu, the stacks of
+    mu_plus and mu_minus (2m matrices), one member block's temporaries
+    while they are built, and then the buffers of C's pair stacks or of D's
+    member blocks; linalg._stacks sizes all of these.  A batch of one joins no arrays:
     each stage reads mu's own.
     """
     return full_reports([mu])[0]
@@ -259,12 +257,13 @@ def full_report(mu: DiscreteEnsemble) -> BoundReport:
 
 def full_reports(ensembles) -> list[BoundReport]:
     """full_report of each of `ensembles`, in one pass per group of
-    ensembles of one dimension and member kind (rows or matrices).
+    ensembles of one dimension and member kind (rows or stacks); the mu_plus
+    and mu_minus of a group are of its kind too.
 
     Each stage runs once per group, over the group's arrays end to end: the
     averages, the member stage (_auxiliaries), chi of mu, mu_plus and mu_minus
     (_holevo_quantities), the pairs of C (_diameters) and the gaps of D
-    (_minus_gaps, mu_minus's member distances); the dense matrices of a
+    (_minus_gaps, mu_minus's member distances); the matrices of a
     stage are solved in the stacks that linalg._stacks plans, or for C,
     linalg._pair_stacks.  A matrix's eigenvalues do not depend on its stack,
     and every per-ensemble value is reduced from that ensemble's own rows in

@@ -202,6 +202,8 @@ def load_ensemble_file(path: str) -> DiscreteEnsemble:
             data = _read_ensemble_text(fh.read())
     except OSError as exc:
         raise EnsembleFileError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise EnsembleFileError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise EnsembleFileError(f"{path} is not valid JSON: {exc}") from None
     return ensemble_from_dict(data)

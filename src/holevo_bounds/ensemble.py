@@ -6,9 +6,10 @@ built (or handed over by _from_rows).  From it we derive the average
 state, the Holevo quantity, the per-member trace distances to the average,
 and the two auxiliary ensembles built from the normalized positive and
 negative parts of rho_i - average.  One member stage, _member_parts,
-computes those parts for diagonal and dense members alike, for any number
-of ensembles at once, each a segment of rows about its own average; with
-values only (no eigenvectors), it gives the member distances of a stack
+computes those parts for member rows (by their entries) and member stacks
+(by eigensolves) alike, for any number of ensembles at once, each a
+segment of rows about its own average; with values only (no
+eigenvectors), it gives the member distances of a stack
 (_member_distances) and bounds.fei_checks' spectra.  The gaps of D are
 twice the member distances of mu-, whose average is omega.
 """
@@ -23,8 +24,8 @@ import numpy as np
 
 from .entropy import as_probability_vector, binary_entropy, von_neumann_entropy, _row_entropies
 from .linalg import (
-    PSD_TOL, DensityOperator, _derived, _diagonal_flags, _eigh, _eigvalsh, _freeze, _is_diagonal,
-    _groups, _joined, _solved, _spectral_sum, _stacked_eigvalsh, _stacks,
+    PSD_TOL, DensityOperator, _derived, _eigh, _eigvalsh, _freeze, _is_diagonal, _joined, _solved,
+    _spectral_sum, _stacked_eigvalsh, _stacks,
 )
 
 # Member distances at or below this count as exactly zero.
@@ -305,14 +306,13 @@ class AuxiliaryDecomposition:
 
 
 def _minus_gaps(auxes) -> list[tuple[float, ...]]:
-    """minus_gaps of each of `auxes`, of one dimension: omega is mu_minus's
-    average, so each gap is twice a member distance of mu_minus; one
-    _member_distances call per member kind of the mu_minus arrays."""
-    gaps = [None] * len(auxes)
-    for index in _groups(aux.mu_minus._members.ndim for aux in auxes):
-        for t, eps in zip(index, _member_distances([auxes[t].mu_minus for t in index])):
-            gaps[t] = tuple((2.0 * eps).tolist())
-    return gaps
+    """minus_gaps of each of `auxes`, of one dimension and member kind:
+    omega is mu_minus's average, so each gap is twice a member distance of
+    mu_minus, from one _member_distances call."""
+    if not auxes:
+        return []
+    return [tuple((2.0 * eps).tolist())
+            for eps in _member_distances([aux.mu_minus for aux in auxes])]
 
 
 def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
@@ -326,22 +326,23 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
     DegenerateEnsembleError when eps_av <= EPS_ZERO_TOL or every member is
     dropped.  mu_plus and mu_minus are built by _from_rows from
     _member_parts' rows, their spectra, and build their states on first read.
-    If any retained part is dense, _member_parts has rotated each back into
-    a stack, one for each.  This is _auxiliaries of a batch of one.
+    They are of mu's kind: when mu is a stack, _member_parts has rotated
+    each retained part back into a stack, one for each.  This is
+    _auxiliaries of a batch of one.
 
     Eigensolves: at most m + 4 for m members, counted per matrix of a
     stack.  One for mu's average unless mu holds it already; one per member
-    whose difference is dense, which gives eps_i, the spectra of tau_i^(+/-)
-    and the eigenvectors that rotate them back, one stacked eigh per block;
-    one each for the averages of mu_plus and mu_minus, and one for
-    their residual.  When every retained part is diagonal (always, when
-    mu.diagonals is not None) the stage takes none and builds no d x d
-    matrix: mu_plus and mu_minus keep _member_parts' row arrays as their
-    diagonals.  Besides those two arrays, and the two stacks of dense parts
-    with the kept members' eigenvectors before them, the stage holds one
-    block's temporaries at a time (at most _STACK_BYTES for a block of
-    rows, about five of _BLOCK_BYTES for a block of matrices, on each of the
-    _WORKERS threads when _stacks threads them), and no m x d temporary.
+    of a stack, which gives eps_i, the spectra of tau_i^(+/-) and the
+    eigenvectors that rotate them back, one stacked eigh per block; one
+    each for the averages of mu_plus and mu_minus, and one for their
+    residual, unless exactly diagonal.  When mu.diagonals is not None the
+    stage takes none and builds no d x d matrix: mu_plus and mu_minus keep
+    _member_parts' row arrays as their diagonals.  Besides those two
+    arrays, and the two stacks of parts with the kept members' eigenvectors
+    before them, the stage holds one block's temporaries at a time (at most
+    _STACK_BYTES for a block of rows, about five of _BLOCK_BYTES for a block
+    of matrices, on each of the _WORKERS threads when _stacks threads
+    them), and no m x d temporary.
     """
     aux = _auxiliaries([mu])[0]
     if isinstance(aux, DegenerateEnsembleError):
@@ -351,7 +352,7 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
 
 def _auxiliaries(mus) -> list:
     """build_auxiliary of each ensemble of `mus`, of one dimension and all
-    with member rows or all with member matrices, each stage run once over
+    with member rows or all with member stacks, each stage run once over
     all of them: their averages (_averages), one member stage over their
     member arrays end to end (_member_parts, one segment each), and the
     averages of mu_plus and mu_minus (omega) and their residuals, the dense
@@ -361,10 +362,13 @@ def _auxiliaries(mus) -> list:
     AuxiliaryDecomposition, or its DegenerateEnsembleError, not raised."""
     _averages(mus)
     starts = [0, *accumulate(mu.size for mu in mus)]
-    eps, kept, plus_rows, minus_rows, plus, minus, solved = _member_parts(
+    eps, kept, plus_rows, minus_rows, plus, minus = _member_parts(
         _joined([mu._members for mu in mus]), [mu.average for mu in mus], starts[:-1]
     )
     eps.setflags(write=False)
+    # The rows and members of tau^+ and of tau^-: a stack's parts are stacks.
+    sides = [(rows, rows if stack is None else stack)
+             for rows, stack in ((plus_rows, plus), (minus_rows, minus))]
     first = np.searchsorted(kept, starts).tolist()  # each ensemble's first kept row
     out, live = [None] * len(mus), []
     for e, mu in enumerate(mus):
@@ -382,11 +386,7 @@ def _auxiliaries(mus) -> list:
             continue
         usable = (kept[lo:hi] - starts[e]).tolist()
         raw = mu.probs[usable] * eps_e[usable]
-        # An ensemble whose every retained part is diagonal keeps their rows.
-        dense = plus is not None and bool(solved[starts[e]:starts[e + 1]].any())
-        # The rows and members of its tau^+ and of its tau^-.
-        parts = [(rows[lo:hi], (stack if dense else rows)[lo:hi])
-                 for rows, stack in ((plus_rows, plus), (minus_rows, minus))]
+        parts = [(rows[lo:hi], stack[lo:hi]) for rows, stack in sides]
         live.append((e, usable, eps_e, eps_av, raw / raw.sum(), parts))
     # The averages of mu_plus and of mu_minus (omega).
     pluses, omegas = (_mixtures([(w, parts[k][1]) for *_, w, parts in live]) for k in (0, 1))
@@ -419,11 +419,11 @@ def _trace_norms(ops) -> list[float]:
 
 def _member_parts(members: np.ndarray, centres, starts=(0,), rotate: bool = True) -> tuple:
     """The member stage: the normalized Jordan parts of every member minus
-    its centre, as (eps, kept, plus_rows, minus_rows, plus, minus, solved),
-    for a member array, m x d (about diagonal centres), or (m, d, d), that
-    holds k segments: rows starts[e] up to the next start (the last up to m)
-    take the state centres[e] as their centre.  An ensemble is one segment
-    about its average; a batch of ensembles of one dimension and kind (or
+    its centre, as (eps, kept, plus_rows, minus_rows, plus, minus), for a
+    member array, m x d (about diagonal centres) or (m, d, d), that holds k
+    segments: rows starts[e] up to the next start (the last up to m) take
+    the state centres[e] as their centre.  An ensemble is one segment about
+    its average; a batch of ensembles of one dimension and kind (or
     fei_checks' pairs, one row each) is their arrays end to end.
 
     eps_i is the trace distance, clipped to 1.  A member is dropped in the
@@ -432,77 +432,47 @@ def _member_parts(members: np.ndarray, centres, starts=(0,), rotate: bool = True
     the q-th kept member's tau^+: the signed eigenvalues of its difference,
     at or below PSD_TOL set to 0, over their sum.  minus_rows holds tau^-'s
     (the negated eigenvalues) the same way.  plus and minus are the same
-    parts rotated back, two (n, d, d) stacks laid out as the rows, when
-    `rotate` is set and any kept part is dense; else both are None
-    (values-only callers read spectra).  solved says which members are kept
-    and were taken by a solve (None for member rows).
+    parts rotated back, two (n, d, d) stacks laid out as the rows, when the
+    members are a stack and `rotate` is set; else both are None.
 
-    Step 1 gives the signed eigenvalues: in one subtraction from an array of
-    diagonals, else, for each block of _stacks(m, d, "eigh"), from one
-    stacked _eigh of the block's differences, or _eigvalsh (values only)
-    when `rotate` is unset, which names the member (its index in its
-    segment) whose solve fails.  A stacked member is taken by its entries
-    when it and its centre are exactly diagonal (_diagonal_flags); its
-    eigenvectors are the basis.  Step 2 runs each block through
-    whole-array operations and compacts the kept rows in place, to the
-    front of plus_rows and minus_rows; a block's differences and residual
-    temporaries go before the next block is solved, and only its kept
-    eigenvectors are kept.  Nothing of m x d is allocated besides the row
-    arrays, which are shrunk before any view of them is made.  Step 3
-    allocates the two stacks and rotates each block's kept parts back into
-    the same rows, one _spectral_sum per block and stack, dropping the
-    block's eigenvectors once done.  The stacks are allocated after the
-    solves, which keeps the dense-files benchmark's peak RSS down.
+    The signed eigenvalues of an m x d array are its differences; a stack's
+    come from one _eigh (_eigvalsh when `rotate` is unset) per block of
+    _stacks(m, d, "eigh"), which names the member (its row in its segment)
+    whose solve fails.  Each block is split, normalized and compacted to the
+    front of plus_rows and minus_rows before the next is solved, keeping
+    only its kept eigenvectors, so nothing of m x d is allocated besides the
+    row arrays.  The two stacks are allocated after the solves, which keeps
+    the dense-files benchmark's peak RSS down, and each block's parts are
+    rotated back by one _spectral_sum per stack.
     """
     m, k, d = len(members), len(centres), centres[0].dim
     eps, keep = np.empty(m), np.empty(m, dtype=bool)
     plus_rows, minus_rows = np.empty((m, d)), np.empty((m, d))
-    # rotated: (first row, eigenvectors) of each block's kept parts
-    flat, rotated = None, []
+    rotated = []  # (first row, eigenvectors) of each block's kept parts
     stops = [*starts[1:], m]
-    if members.ndim == 2:
+    dense = members.ndim == 3
+    if not dense:
         for centre, first, stop in zip(centres, starts, stops):
             np.subtract(members[first:stop], centre.diagonal, out=plus_rows[first:stop])
         blocks = ((block, None) for block in _stacks(m, d)[0])
     else:
         owner = np.repeat(np.arange(k), [stop - first for first, stop in zip(starts, stops)])
-        centred = [c.diagonal is not None for c in centres]
-        if any(centred):
-            flat = _diagonal_flags(members) & np.array(centred)[owner]
-            diagonals = np.array([c.diagonal if c.diagonal is not None else np.zeros(d)
-                                  for c in centres])
-            rows = members.diagonal(axis1=1, axis2=2).real[flat]
-            plus_rows[flat] = rows - diagonals[owner[flat]]
-        mats = []  # the centres' matrices, read on the first solve
+        mats = np.array([c.mat for c in centres])
 
         def solve(block):
-            if not mats:
-                mats.append(np.array([c.mat for c in centres]))
-            index = block if flat is None else np.flatnonzero(~flat[block]) + block.start
-
             def name(j):  # a member's name is its row in its segment
-                row = np.arange(m)[index][j]
+                row = block.start + j
                 return f"member {row - starts[owner[row]]}"
 
-            diffs = members[index] - mats[0][owner[index]]
-            if not rotate:
-                return block, (_eigvalsh(diffs, name), None)
-            values, vectors = _eigh(diffs, name)
-            if flat is None:
-                return block, (values, vectors)
-            # A part taken by its entries rotates back by the identity.
-            solved = ~flat[block]
-            basis = np.empty((solved.size, d, d), complex)
-            basis[...] = np.eye(d)
-            basis[solved] = vectors
-            return block, (values, basis)
+            diffs = members[block] - mats[owner[block]]
+            return block, (_eigh(diffs, name) if rotate else (_eigvalsh(diffs, name), None))
 
         blocks = _solved(solve, *_stacks(m, d, "eigh"))
     n = 0  # the rows kept so far, compacted to the front of plus_rows and minus_rows
     for block, system in blocks:
         chunk = plus_rows[block]
         if system is not None:
-            chunk[slice(None) if flat is None else ~flat[block]] = system[0]
+            chunk[...] = system[0]
         negated = minus_rows[n:n + len(chunk)]  # scratch rows for tau^-
         eps[block] = np.minimum(0.5 * np.abs(chunk).sum(axis=1), 1.0)
         np.negative(chunk, out=negated)
@@ -524,13 +494,12 @@ def _member_parts(members: np.ndarray, centres, starts=(0,), rotate: bool = True
     del chunk, negated, part  # no view of the arrays may outlive their resize
     plus_rows.resize((n, d), refcheck=False)
     minus_rows.resize((n, d), refcheck=False)
-    solved = None if members.ndim == 2 else keep if flat is None else keep & ~flat
     plus = minus = None
-    if rotated and solved.any():
+    if rotate and dense:
         plus, minus = np.empty((n, d, d), complex), np.empty((n, d, d), complex)
         while rotated:  # each block's eigenvectors go once its parts are rotated back
             first, vectors = rotated.pop()
             rows = slice(first, first + len(vectors))
             _spectral_sum(vectors, plus_rows[rows], out=plus[rows])
             _spectral_sum(vectors, minus_rows[rows], out=minus[rows])
-    return eps, np.flatnonzero(keep), plus_rows, minus_rows, plus, minus, solved
+    return eps, np.flatnonzero(keep), plus_rows, minus_rows, plus, minus

@@ -13,21 +13,21 @@ LAPACK call and no d x d matrix.  That representation is set when the
 operator is built: by the checking constructor, by from_diagonal, or by
 _derived, which builds every derived object unchecked.  A dense operator
 whose entries cancel to a diagonal stays dense and goes to LAPACK.  An
-ensemble's members are one array: the m x d array of their diagonals, or
-the (m, d, d) stack of their matrices, where a matrix with every
-off-diagonal entry exactly 0 (_is_diagonal) counts as diagonal.  Every
-stage that takes members a stack at a time (the member stage, stacked
-_eigh, _eigvalsh and _spectral_sum; the pair distances of C; the row
-blocks of whole-array stages) is sized and threaded by one stack
-planner, _stacks, and runs its stacks through _solved; a stack on which
-LAPACK fails is solved again one matrix at a time (_each_alone) to name
-the matrix that fails alone.
+ensemble's members are one array, chosen once when it is built: the m x d
+array of their diagonals when every member is exactly diagonal, else the
+(m, d, d) stack of their matrices, which every report stage treats as
+dense, its exactly diagonal matrices too.  Every stage that takes members
+a stack at a time (the member stage, stacked _eigh, _eigvalsh and
+_spectral_sum; the pair distances of C; the row blocks of whole-array
+stages) is sized and threaded by one stack planner, _stacks, and runs its
+stacks through _solved; a stack on which LAPACK fails is solved again one
+matrix at a time (_each_alone) to name the matrix that fails alone.
 _pair_methods alone picks how a pair's distance is computed: by a
-gathered vector difference, by the rank-1 closed form, or by a stacked
-eigensolve.  pair_trace_distances computes every pair distance of C, for
-one member array or many in one pass, whose stacks end where each array's
-scan alone would end them (_pair_stacks); it alone decides where the scan
-stops.
+gathered vector difference (rows), or, in a stack, by the rank-1 closed
+form or a stacked eigensolve.  pair_trace_distances computes every pair
+distance of C, for one member array or many in one pass, whose stacks end
+where each array's scan alone would end them (_pair_stacks); it alone
+decides where the scan stops.
 _spectral_sum alone rebuilds the member stage's dense Jordan parts from
 their eigenvectors.
 Checked states enter as one stack too: _check_states runs
@@ -542,8 +542,8 @@ def pair_trace_distances(
     arrays: Sequence[tuple[np.ndarray, np.ndarray, Iterable]], maxima: list[float] | None = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Trace distances (1/2)||rho_i - rho_j||_1 of the pairs of one or more
-    member arrays of one dimension and kind (the diameter C's, for
-    bounds._diameters), yielded a stack at a time as
+    member arrays of one dimension and kind, all rows or all stacks (the
+    diameter C's, for bounds._diameters), yielded a stack at a time as
     (positions, distances): distances[n] belongs to the pair at position
     positions[n] of the pairs taken a round at a time, each round the next
     block of every array still scanned; for one array, or for arrays of one
@@ -555,15 +555,14 @@ def pair_trace_distances(
     arrays before it.
 
     Each pair's method is decided by _pair_methods, in this order within a
-    block.  A pair of two diagonal members (every row of an m x d array,
-    and each _is_diagonal matrix of a stack) goes in a stack of at most
-    _STACK_BYTES of diagonal differences, gathered from their diagonals, at
-    no eigensolve: a diagonal difference's eigenvalues are its entries.
-    A pair of two rank-1 members (at most one spectrum entry above PSD_TOL),
-    not both diagonal, takes the closed form pure_trace_distances at no
-    eigensolve, from one Gram matrix per array of its every rank-1 member's
-    largest-diagonal column (_gram_table), formed on first use and kept
-    across blocks.  Every other pair goes in a stack of the fewest matrix
+    block.  A pair of rows of an m x d array goes in a stack of at most
+    _STACK_BYTES of diagonal differences, gathered, at no eigensolve: a
+    diagonal difference's eigenvalues are its entries.  A pair of two
+    rank-1 members of a stack (at most one spectrum entry above PSD_TOL)
+    takes the closed form pure_trace_distances at no eigensolve, from one
+    Gram matrix per array of its every rank-1 member's largest-diagonal
+    column (_gram_table), formed on first use and kept across blocks.
+    Every other pair of a stack goes in a stack of the fewest matrix
     differences whose rows reach _STACK_ROWS, at one eigvalsh call, which
     then runs without the GIL.  The stacks are _pair_stacks'.  A matrix's
     eigenvalues do not depend on its stack, so neither do the distances.
@@ -579,7 +578,9 @@ def pair_trace_distances(
     rows in its array.
     """
     members = _joined([array[0] for array in arrays])
-    rows, diagonal, rank_one = _pair_flags(members, _joined([array[1] for array in arrays]))
+    # Whether each member of a stack has rank 1, read from its spectrum.
+    rank_one = None if members.ndim == 2 else (
+        _joined([array[1] for array in arrays]) > PSD_TOL).sum(axis=1) <= 1
     starts = [0, *accumulate(len(array[0]) for array in arrays)]
     blocks = [iter(array[2]) for array in arrays]
     live = (lambda t: True) if maxima is None else (lambda t: maxima[t] < _CEILING)
@@ -598,8 +599,8 @@ def pair_trace_distances(
             row = starts[active[bisect_right(edges, p) - 1]]
             return f"pair ({first[p] - row}, {second[p] - row})"
 
-        for index, source in zip(_pair_methods(diagonal, rank_one, first, second),
-                                 (rows, None, members)):
+        for index, source in zip(_pair_methods(rank_one, first, second),
+                                 (members, None, members)):
             if not index.size:
                 continue
             # (t, lo, hi): index[lo:hi] are array t's pairs, unless it has stopped.
@@ -609,8 +610,7 @@ def pair_trace_distances(
                 continue
             stacks = (_kind_distances(source, first, second, index, runs, live, name)
                       if source is not None else
-                      _gram_stacks(members, rows, rank_one, first, second, index, runs, starts,
-                                   tables))
+                      _gram_stacks(members, rank_one, first, second, index, runs, starts, tables))
             for pieces, part, distances in stacks:
                 if not live(pieces[0][0]):  # its own stack, solved on a worker before it stopped
                     continue
@@ -632,43 +632,29 @@ def _groups(keys: Iterable) -> list[list[int]]:
     return list(groups.values())
 
 
-def _pair_flags(members: np.ndarray, spectra: np.ndarray) -> tuple:
-    """(rows, diagonal, rank_one) of a member array: each member's diagonal,
-    whether it is diagonal (_diagonal_flags of a stack; None for
-    an m x d array, all of whose rows are), and whether it has rank 1, read
-    from its spectrum."""
-    if members.ndim == 2:
-        return members, None, None
-    rows = members.diagonal(axis1=1, axis2=2).real
-    diagonal = _diagonal_flags(members)
-    return rows, diagonal, (spectra > PSD_TOL).sum(axis=1) <= 1
-
-
 _NONE = _freeze(np.arange(0))  # no pairs
 
 
-def _pair_methods(diagonal, rank_one, first, second) -> tuple:
+def _pair_methods(rank_one, first, second) -> tuple:
     """The one place that decides each pair's method: the positions of the
-    pairs (first[k], second[k]) taken as a vector difference (both
-    diagonal), by the rank-1 closed form (both rank 1, not both diagonal),
-    and by an eigensolve (every other)."""
-    if diagonal is None:  # pairs of rows
+    pairs (first[k], second[k]) taken as a vector difference (pairs of
+    rows), by the rank-1 closed form (two rank-1 members of a stack), and
+    by an eigensolve (every other pair of a stack)."""
+    if rank_one is None:  # pairs of rows
         return np.arange(len(first)), _NONE, _NONE
-    by_vector = diagonal[first] & diagonal[second]
-    by_gram = rank_one[first] & rank_one[second] & ~by_vector
-    dense = ~(by_vector | by_gram)
-    return by_vector.nonzero()[0], by_gram.nonzero()[0], dense.nonzero()[0]
+    by_gram = rank_one[first] & rank_one[second]
+    return _NONE, by_gram.nonzero()[0], (~by_gram).nonzero()[0]
 
 
-def _gram_table(members: np.ndarray, rows: np.ndarray, rank_one: np.ndarray) -> np.ndarray:
+def _gram_table(members: np.ndarray, rank_one: np.ndarray) -> np.ndarray:
     """pure_trace_distances of every rank-1 member of a stack, in order, from
     its largest-diagonal column."""
     pure = np.flatnonzero(rank_one)
-    vectors = members[pure, :, np.argmax(rows[pure], axis=1)]
-    return pure_trace_distances(np.ascontiguousarray(vectors.T))
+    columns = np.argmax(members.diagonal(axis1=1, axis2=2)[pure].real, axis=1)
+    return pure_trace_distances(np.ascontiguousarray(members[pure, :, columns].T))
 
 
-def _gram_stacks(members, rows, rank_one, first, second, index, runs, starts, tables):
+def _gram_stacks(members, rank_one, first, second, index, runs, starts, tables):
     """The rank-1 pairs (first[p], second[p]), p in `index`, of each run
     (t, lo, hi) of `runs` as a stack of _kind_distances' form, from the
     Gram table of array t alone (_gram_table, of its rows from starts[t]),
@@ -676,8 +662,7 @@ def _gram_stacks(members, rows, rank_one, first, second, index, runs, starts, ta
     for t, lo, hi in runs:
         row, span = starts[t], slice(starts[t], starts[t + 1])
         if t not in tables:
-            tables[t] = np.cumsum(rank_one[span]) - 1, _gram_table(
-                members[span], rows[span], rank_one[span])
+            tables[t] = np.cumsum(rank_one[span]) - 1, _gram_table(members[span], rank_one[span])
         column, table = tables[t]
         part = index[lo:hi]
         yield [(t, lo, hi)], part, table[column[first[part] - row], column[second[part] - row]]

@@ -395,10 +395,12 @@ def _haar_pure_ensemble(m: int, dim: int, seed: int) -> DiscreteEnsemble:
         # Ceilings are today's counts, each within 2m + 4 + m(m-1)/2.
         # Lower them as the pipeline improves; never raise one silently.
         # Pure members have rank-1 positive parts, so their diameter pairs
-        # cost no eigensolve: Haar-pure sits at 2m + 4.  Diagonal operators
-        # are solved in closed form: the orthogonal and oscillator ensembles
-        # make none, and the trine only for its two non-diagonal members.
-        pytest.param(trine_ensemble(), 4, id="trine"),
+        # cost no eigensolve: Haar-pure sits at 2m + 4.  Ensembles of
+        # diagonal members are rows, solved in closed form: the orthogonal
+        # and oscillator ensembles make none.  The trine is a stack, so its
+        # three members take one member solve each and the three gaps of D
+        # one each, |0><0| too.
+        pytest.param(trine_ensemble(), 6, id="trine"),
         pytest.param(random_ensemble(6, 8, 0), 31, id="random-6-8-0"),
         pytest.param(orthogonal_ensemble(8), 0, id="orthogonal-8"),
         pytest.param(_haar_pure_ensemble(7, 5, 4), 18, id="haar-pure-7-5-4"),
@@ -815,9 +817,8 @@ def test_member_blocks_match_default_blocking(monkeypatch, mu):
     # unevenly, solved on one worker or on two, give every report field, D
     # gap and member distance of the default blocking (four matrices a block
     # at d = 32, one block at smaller d) bit for bit, and so does fei_check
-    # on a pair of dense members.  The
-    # diagonal-average ensemble's exactly diagonal members are read from
-    # their entries, and rotate back into the stacks by the identity.
+    # on a pair of dense members.  The diagonal-average ensemble's exactly
+    # diagonal members take their solves in the blocks like the others.
     m, d = mu.size, mu.dim
     pair = tuple(state for state in mu.states if state.diagonal is None)[:2]
     expected = _report_values(mu), fei_check(*pair), member_epsilons(mu)[0]
@@ -1148,8 +1149,9 @@ def test_ensembles_get_their_diagonals_three_ways():
         assert not np.shares_memory(stacked.diagonals, stacked.states[0].diagonal)
         _assert_reports_match(full_report(stacked), full_report(mu), 0.0)
         assert build_auxiliary(stacked).minus_gaps == aux.minus_gaps
-    # One member of the trine is diagonal and two are dense: it keeps the
-    # per-member path (test_full_report_eigensolve_budget[trine]).
+    # One member of the trine is diagonal and two are dense: it is a stack,
+    # which every stage treats as dense
+    # (test_full_report_eigensolve_budget[trine]).
     trine = trine_ensemble()
     assert trine.states[0].diagonal is not None and trine.diagonals is None
 
@@ -1313,8 +1315,8 @@ def test_batched_reports_match_one_at_a_time(mus):
 
 def test_batch_of_diagonal_and_dense_centres_matches_each_alone():
     # Two stacks of one dimension in one member stage: the first ensemble's
-    # average is diagonal, the second's is not, so the second's diagonal
-    # member |0><0| takes an eigensolve, not its entries, in the batch too.
+    # average is diagonal, the second's is not.  Every member of a stack,
+    # |0><0| too, takes an eigensolve, in the batch as alone.
     zero, one = DensityOperator.from_pure([1.0, 0.0]), DensityOperator.from_pure([0.0, 1.0])
     plus = DensityOperator.from_pure([1.0, 1.0])
     minus = DensityOperator.from_pure([1.0, -1.0])
@@ -1478,9 +1480,10 @@ def test_failed_member_solve_in_a_batch_names_its_member(monkeypatch):
 
 
 def _dense_ensemble_of_diagonal_parts(seed: int) -> DiscreteEnsemble:
-    """A dense ensemble at d = 3 whose two dense members lie in the dead
-    zone (their off-diagonal entries cancel in the average and are below
-    PSD_TOL), so that it keeps its retained parts as rows."""
+    """A dense ensemble at d = 3 about a diagonal average whose retained
+    parts are all diagonal: its two dense members lie in the dead zone
+    (their off-diagonal entries cancel in the average and are below
+    PSD_TOL).  It is a stack, so its mu+ and mu- are stacks too."""
     rng = np.random.default_rng(seed)
     diagonals, probs = rng.dirichlet(np.ones(3), size=5), rng.dirichlet(np.ones(5))
     centre = np.diag(probs @ diagonals).astype(complex)
@@ -1488,21 +1491,26 @@ def _dense_ensemble_of_diagonal_parts(seed: int) -> DiscreteEnsemble:
     off[0, 2] = off[2, 0] = 1e-11
     states = [DensityOperator.from_diagonal(row) for row in diagonals]
     states += [DensityOperator(centre + off), DensityOperator(centre - off)]
-    mu = DiscreteEnsemble(np.append(0.8 * probs, [0.1, 0.1]), tuple(states))
-    assert mu.matrices is not None and build_auxiliary(mu).mu_plus.matrices is None
-    return mu
+    return DiscreteEnsemble(np.append(0.8 * probs, [0.1, 0.1]), tuple(states))
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_batch_pools_each_kind_of_part_arrays(seed):
-    # A dense ensemble that keeps its retained parts as rows, while the
-    # other ensemble of its batch keeps stacks: each stage takes each
-    # ensemble's own kind, and C and D pass over the two kinds apart, each
-    # report as its ensemble's alone.
-    rows = _dense_ensemble_of_diagonal_parts(seed)
-    mus = [random_ensemble(3, 3, seed), rows]
-    for report, mu in zip(full_reports(mus), mus):
-        assert _fields(report) == _fields(full_report(mu))
+def test_stack_of_diagonal_parts_keeps_stacked_parts(seed):
+    # A stack whose retained parts are all diagonal keeps its mu+ and mu- as
+    # stacks, and every stage takes them as dense: its report matches its
+    # rotation's, and in a batch with a dense ensemble each report equals
+    # its ensemble's alone, bit for bit.
+    mu = _dense_ensemble_of_diagonal_parts(seed)
+    aux = build_auxiliary(mu)
+    assert mu.matrices is not None and len(aux.retained) == 5
+    assert all(tau.diagonal is not None for tau in aux.tau_plus + aux.tau_minus)
+    assert aux.mu_plus.matrices is not None and aux.mu_minus.matrices is not None
+    report = full_report(mu)
+    _assert_reports_match(report, full_report(_rotated(mu, seed)), 1e-10)
+    mus = [random_ensemble(3, 3, seed), mu]
+    batch = full_reports(mus)
+    assert _fields(batch[1]) == _fields(report)
+    assert _fields(batch[0]) == _fields(full_report(mus[0]))
 
 
 @settings(derandomize=True, deadline=None)
@@ -1524,7 +1532,7 @@ def test_minus_gaps_are_twice_member_distances_of_mu_minus(mus, seed):
             auxes.append(build_auxiliary(mu))
         except DegenerateEnsembleError:
             auxes.append(None)
-    assert [aux.mu_minus.diagonals is None for aux in auxes[-3:]] == [True, False, False]
+    assert [aux.mu_minus.diagonals is None for aux in auxes[-3:]] == [True, False, True]
     for aux in filter(None, auxes):
         assert aux.minus_gaps == tuple(2 * member_epsilons(aux.mu_minus)[0])
         manual = _manual_aux(aux.tau_plus, aux.tau_minus, aux.probs[list(aux.retained)],
@@ -1668,9 +1676,9 @@ def test_pass_in_blocks_matches_each_scan(mus, block):
 
 
 def test_batched_diameter_stops_where_its_scan_stops(monkeypatch):
-    # Two basis states whose positive parts are orthogonal put C at 1 in
-    # their diagonal pairs, so the scan of this ensemble alone stops before
-    # its Gram and dense pairs: in a batch, the pass over all of them skips
+    # Two basis states whose positive parts are orthogonal and of rank 1 put
+    # C at 1 in the Gram pairs, so the scan of this ensemble alone stops
+    # before its dense pairs: in a batch, the pass over all of them skips
     # them too, solving the same matrices and giving the same C.
     psi = np.array([1.0, 1.0j, 0.0]) / math.sqrt(2.0)
     mirror = np.array([1.0, -1.0j, 0.0]) / math.sqrt(2.0)
@@ -1694,14 +1702,15 @@ def test_batched_diameter_stops_where_its_scan_stops(monkeypatch):
 
 
 def test_batched_diameter_skips_gram_pairs_past_the_ceiling(monkeypatch):
-    # Positive parts whose one diagonal pair ends in [1 - 1e-12, 1): the scan
-    # stops after its diagonal stack, before a Gram pair at distance 1 (two
-    # orthogonal pure states off the diagonal) and the pairs of a dense
+    # Positive parts whose first row of pairs, a block of its own at a
+    # _PAIR_BLOCK of 4, ends in [1 - 1e-12, 1) at a dense pair: the scan
+    # stops after that block, before a Gram pair at distance 1 (two
+    # orthogonal pure states off the diagonal) and the other pairs of a
     # rank-2 part.  A pass over it and others skips those too, so C stays
     # below 1.
+    monkeypatch.setattr(bounds, "_PAIR_BLOCK", 4)
     mu = _near_ceiling_parts()
-    every = pair_trace_distances(
-        [(mu._members, mu._spectra, _upper_pairs(mu.size, 0, bounds._PAIR_BLOCK))])
+    every = pair_trace_distances([(mu._members, mu._spectra, _upper_pairs(mu.size, 0, 4))])
     assert max(float(distances.max()) for _, distances in every) >= 1.0
     auxes = [build_auxiliary(random_ensemble(4, 3, 5)), _PlusParts(mu),
              build_auxiliary(random_ensemble(3, 3, 6))]
@@ -1716,10 +1725,11 @@ def test_batched_diameter_skips_gram_pairs_past_the_ceiling(monkeypatch):
 
 
 def test_batched_diameter_leaves_a_stopped_scans_pairs_out_of_shared_stacks(monkeypatch):
-    # The same parts between two ensembles with dense pairs: their dense
-    # pairs share a stack around the gap the stopped scan leaves, or would,
-    # so the stack ends there, and the batch solves what each scan alone
-    # solves.
+    # The same parts, in one block, between two ensembles with dense pairs:
+    # their Gram pair at distance 1 stops their scan before its seven dense
+    # pairs, so the dense pairs of the two others share a stack around the
+    # gap it leaves, or would, the stack ends there, and the batch solves
+    # what each scan alone solves.
     auxes = [build_auxiliary(random_ensemble(4, 3, 0)), _PlusParts(_near_ceiling_parts()),
              build_auxiliary(random_ensemble(5, 3, 3))]
     calls = count_eigensolves(monkeypatch)
@@ -1759,14 +1769,14 @@ def test_worker_stack_solved_past_the_ceiling_is_left_out(monkeypatch):
 
 
 def _near_ceiling_parts() -> DiscreteEnsemble:
-    """Positive parts whose one diagonal pair ends in [1 - 1e-12, 1), then a
-    Gram pair at distance 1 (two orthogonal pure states off the diagonal),
-    and four dense pairs with a rank-2 part."""
+    """Positive parts at d = 3, one stack: |0><0| and a rank-2 diagonal part
+    at distance 1 - 1e-13 (a dense pair), two orthogonal pure states off the
+    diagonal (a Gram pair at distance 1), and a dense rank-2 part."""
     psi = np.array([1.0, 1.0j, 0.0]) / math.sqrt(2.0)
     mirror = np.array([1.0, -1.0j, 0.0]) / math.sqrt(2.0)
-    near = 1.0 - 1e-13
+    near = 1e-13
     parts = (DensityOperator.from_diagonal([1.0, 0.0, 0.0]),
-             DensityOperator.from_diagonal([1.0 - near, 0.0, near]),
+             DensityOperator.from_diagonal([near, 0.5 - near / 2, 0.5 - near / 2]),
              DensityOperator.from_pure(psi), DensityOperator.from_pure(mirror),
              DensityOperator(0.5 * DensityOperator.from_pure(psi).mat + np.diag([0, 0, 0.5])))
     return DiscreteEnsemble(np.full(5, 0.2), parts)

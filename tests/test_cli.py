@@ -126,6 +126,14 @@ def test_report_invalid_json(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
+def test_report_file_not_utf8_names_its_path(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(json.dumps(ensemble_to_dict(trine_ensemble())).encode() + b"\xff")
+    assert main(["report", str(path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path} is not UTF-8 text: ")
+
+
 def test_ensemble_file_round_trip(tmp_path):
     for mu in (trine_ensemble(), random_ensemble(3, 4, seed=77)):
         path = tmp_path / "roundtrip.json"

@@ -146,8 +146,8 @@ def test_member_epsilons_identical_states():
 def test_member_epsilons_match_each_trace_distance(mu):
     # Read from the member array, each distance is the trace_distance of its
     # state to the average, bit for bit: a diagonal member of a dense stack
-    # about a diagonal average is read from its entries, as trace_distance
-    # reads it.
+    # about a diagonal average takes an eigensolve, whose values are its
+    # entries.
     eps, eps_av = member_epsilons(mu)
     want = np.clip([trace_distance(state, mu.average) for state in mu.states], 0.0, 1.0)
     assert np.array_equal(eps, want) and not eps.flags.writeable

@@ -331,10 +331,10 @@ def test_diagonal_jordan_split_matches_dense_formula():
     zero = HermitianOperator.from_diagonal(np.zeros(entries.size))
     dense_zero = linalg._derived(HermitianOperator, mat=zero.mat.copy())
     assert zero.diagonal is not None and dense_zero.diagonal is None
-    eps, kept, plus, minus, no_stack, _, _ = ensemble._member_parts(entries[None], [zero])
-    dense_eps, dense_kept, _, _, dense_plus, dense_minus, solved = ensemble._member_parts(
+    eps, kept, plus, minus, no_stack, _ = ensemble._member_parts(entries[None], [zero])
+    dense_eps, dense_kept, _, _, dense_plus, dense_minus = ensemble._member_parts(
         np.diag(entries).astype(complex)[None], [dense_zero])
-    assert no_stack is None and solved.tolist() == [True]
+    assert no_stack is None and dense_plus is not None
     assert np.array_equal(eps, dense_eps) and np.array_equal(kept, dense_kept)
     assert np.array_equal(np.diag(plus[0]), dense_plus[0])
     assert np.array_equal(np.diag(minus[0]), dense_minus[0])
@@ -436,37 +436,38 @@ def test_pair_trace_distances_in_chunks(monkeypatch):
 
 
 def test_pair_trace_distances_mixes_stack_kinds(monkeypatch):
-    # Diagonal-diagonal pairs take vector stacks at no eigensolve; mixed and
-    # dense pairs take dense stacks, one solve each.  Every position is
-    # filled once, whichever stack holds it.
+    # A stack holds Gram and dense pairs only: its diagonal members take
+    # dense stacks like the others, one solve a pair, and only its pairs of
+    # two rank-1 members cost none.  An m x d array of rows takes vector
+    # stacks of its pairs at no solve.  Every position is filled once,
+    # whichever stack holds it.
     rng = np.random.default_rng(41)
     dim = 5
-    ops = [DensityOperator.from_diagonal(rng.dirichlet(np.ones(dim))) for _ in range(4)]
-    ops += [random_mixed_state(dim, 2, rng), random_pure_state(dim, rng)]
-    ops.insert(2, random_mixed_state(dim, dim, rng))
-    first, second = np.triu_indices(len(ops), 1)
-    order = rng.permutation(first.size)
-    first, second = first[order], second[order]
+    diagonals = [DensityOperator.from_diagonal(rng.dirichlet(np.ones(dim))) for _ in range(4)]
+    ops = [*diagonals, random_mixed_state(dim, 2, rng), random_pure_state(dim, rng)]
+    ops[2:2] = [random_mixed_state(dim, dim, rng), random_pure_state(dim, rng)]
     monkeypatch.setattr(linalg, "_STACK_ROWS", 2 * dim)
     monkeypatch.setattr(linalg, "_STACK_BYTES", 3 * 8 * dim)
     solves = count_eigensolves(monkeypatch)
-    stacks = list(_scan(ops, [(first, second)]))
-    both_diagonal = sum(ops[i].diagonal is not None and ops[j].diagonal is not None
-                        for i, j in zip(first, second))
-    assert both_diagonal == 6
-    assert len(solves) == first.size - both_diagonal
-    seen = np.zeros(first.size, dtype=int)
-    for positions, distances in stacks:
-        seen[positions] += 1
-        for k, got in zip(positions, distances):
-            assert abs(got - trace_distance(ops[first[k]], ops[second[k]])) <= 1e-12
-    assert np.all(seen == 1)
+    for states, free in ((ops, 1), (diagonals, 6)):
+        first, second = np.triu_indices(len(states), 1)
+        order = rng.permutation(first.size)
+        first, second = first[order], second[order]
+        solves.clear()
+        stacks = list(_scan(states, [(first, second)]))
+        assert len(solves) == first.size - free
+        seen = np.zeros(first.size, dtype=int)
+        for positions, distances in stacks:
+            seen[positions] += 1
+            for k, got in zip(positions, distances):
+                assert abs(got - trace_distance(states[first[k]], states[second[k]])) <= 1e-12
+        assert np.all(seen == 1)
 
 
 def test_pair_trace_distances_picks_each_pairs_method(monkeypatch):
     # Shuffled pairs in two blocks over diagonal rank-1, dense pure and dense
-    # mixed states: a pair of diagonals or of rank-1 states costs no solve,
-    # every other pair one.  No two pure states are equal, where the closed
+    # mixed states, one stack: a pair of rank-1 states costs no solve, every
+    # other pair one.  No two pure states are equal, where the closed
     # form's square root would amplify rounding.
     rng = np.random.default_rng(47)
     dim = 5
@@ -478,9 +479,8 @@ def test_pair_trace_distances_picks_each_pairs_method(monkeypatch):
     first, second = np.triu_indices(len(ops), 1)
     shuffle = rng.permutation(first.size)
     first, second = first[shuffle], second[shuffle]
-    diagonal = np.array([op.diagonal is not None for op in ops])
     rank_one = order < 5
-    free = (diagonal[first] & diagonal[second]) | (rank_one[first] & rank_one[second])
+    free = rank_one[first] & rank_one[second]
     assert free.sum() == 10
     monkeypatch.setattr(linalg, "_STACK_ROWS", 2 * dim)
     solves = count_eigensolves(monkeypatch)
