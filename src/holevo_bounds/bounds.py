@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
+from functools import lru_cache
 from itertools import accumulate
 from dataclasses import dataclass, fields
 
@@ -41,7 +42,6 @@ import numpy as np
 
 from .ensemble import (
     AuxiliaryDecomposition,
-    DegenerateEnsembleError,
     DiscreteEnsemble,
     _auxiliaries,
     _h_terms,
@@ -49,8 +49,8 @@ from .ensemble import (
     _member_parts,
     _minus_gaps,
 )
-from .entropy import _entropy_of_weights, binary_entropy, von_neumann_entropy
-from .linalg import DensityOperator, _groups, pair_trace_distances
+from .entropy import _weight_entropies, binary_entropy
+from .linalg import DensityOperator, _freeze, _groups, _joined, pair_trace_distances
 
 # The bound fields of BoundReport, in report order; each has a slack.
 BOUND_KEYS = (
@@ -97,8 +97,11 @@ def fei_checks(pairs) -> list[FeiReport]:
     both diagonal and as matrices otherwise: the rhos, one row each, each
     about its own sigma (_member_parts' segments), so the dense differences
     of a group are solved for values only, in stacks of _stacks(n, d,
-    "eigh").  Each value is that of its pair alone.  Raises ValueError for a
-    pair of two dimensions, before anything is solved."""
+    "eigh").  The entropies of a group's rhos, sigmas and parts come from
+    one _weight_entropies pass, and both sides are arrays over the group;
+    only h(eps) is taken a pair at a time.  Each value is that of its pair
+    alone, bit for bit.  Raises ValueError for a pair of two dimensions,
+    before anything is solved."""
     keys = []
     for rho, sigma in pairs:
         if rho.dim != sigma.dim:
@@ -107,24 +110,24 @@ def fei_checks(pairs) -> list[FeiReport]:
     out = [None] * len(pairs)
     for index in _groups(keys):
         rows = keys[index[0]][1]
-        members = np.stack([pairs[k][0].diagonal if rows else pairs[k][0].mat for k in index])
-        centres = [pairs[k][1] for k in index]
+        states = [pairs[k][0] for k in index] + [pairs[k][1] for k in index]
+        members = np.stack([state.diagonal if rows else state.mat for state in states])
+        n, d = len(index), members.shape[-1]
         eps, kept, plus_rows, minus_rows, *_ = _member_parts(
-            members, centres, np.arange(len(index)), rotate=False
+            members[:n], members[n:], range(n), rotate=False
         )
-        retained = np.zeros(len(index), dtype=bool)
-        retained[kept] = True
-        rank = (np.cumsum(retained) - 1).tolist()  # each retained pair's row of plus_rows
-        for j, k in enumerate(index):
-            rho, sigma = pairs[k]
-            eps_j, s = float(eps[j]), von_neumann_entropy(rho)
-            if not retained[j]:
-                out[k] = FeiReport(eps=eps_j, lhs=s, rhs=s, slack=0.0)
-                continue
-            lhs = s + eps_j * _entropy_of_weights(minus_rows[rank[j]])
-            rhs = (von_neumann_entropy(sigma) + eps_j * _entropy_of_weights(plus_rows[rank[j]])
-                   + binary_entropy(eps_j))
-            out[k] = FeiReport(eps=eps_j, lhs=lhs, rhs=rhs, slack=rhs - lhs)
+        spectra = np.concatenate([np.stack([state.spectrum for state in states]),
+                                  plus_rows, minus_rows])
+        s_rho, s_sigma, h_plus, h_minus = np.split(
+            _weight_entropies(spectra.ravel(), [d] * len(spectra)), [n, 2 * n, 2 * n + len(kept)])
+        # Both sides are S(rho) in the dead zone, and as fei_check's formula elsewhere.
+        lhs, rhs, eps_kept = s_rho.copy(), s_rho.copy(), eps[kept]
+        lhs[kept] = s_rho[kept] + eps_kept * h_minus
+        rhs[kept] = (s_sigma[kept] + eps_kept * h_plus
+                     + [binary_entropy(value) for value in eps_kept.tolist()])
+        columns = (eps.tolist(), lhs.tolist(), rhs.tolist(), (rhs - lhs).tolist())
+        for k, values in zip(index, zip(*columns)):
+            out[k] = FeiReport(*values)
     return out
 
 
@@ -132,28 +135,30 @@ def plus_diameter(aux: AuxiliaryDecomposition) -> float:
     """Largest pairwise trace distance among the positive-part states; in
     [0, 1].  Exact: every pair is evaluated unless the metric ceiling
     linalg._CEILING (1 - 1e-12) is reached first.  _diameters of one
-    ensemble: pair_trace_distances decides each pair's method and where the
-    scan stops.  The pairs are generated in blocks of rows (_upper_pairs),
-    so a scan that stops early never holds all m(m-1)/2 of them.
+    mu_plus array: pair_trace_distances decides each pair's method and
+    where the scan stops.  The pairs are generated in blocks of rows
+    (_upper_pairs), so a scan that stops early never holds all m(m-1)/2 of
+    them.
     """
-    return _diameters([aux])[0]
+    mu = aux.mu_plus
+    return _diameters(mu._members, mu._spectra, [0, mu.size])[0]
 
 
-def _diameters(auxes) -> list[float]:
-    """plus_diameter of each of `auxes`, of one dimension and member kind:
-    one pair_trace_distances pass with running maxima over the pairs of
-    their mu_plus arrays in _upper_pairs' blocks.  The blocks of rows start
-    at _ROW_PAIRS pairs and double; those of matrix stacks hold _PAIR_BLOCK
+def _diameters(members: np.ndarray, spectra: np.ndarray, starts) -> list[float]:
+    """plus_diameter of each mu_plus array, rows starts[k] up to starts[k +
+    1] of the joined `members` and their `spectra`, of one dimension and
+    kind: one pair_trace_distances pass with running maxima over the pairs
+    of each array in _upper_pairs' blocks.  The blocks of rows start at
+    _ROW_PAIRS pairs and double; those of matrix stacks hold _PAIR_BLOCK
     pairs from the first on."""
-    if not auxes:
+    if len(starts) < 2:
         return []
-    mus, maxima = [aux.mu_plus for aux in auxes], [0.0] * len(auxes)
-    first = _ROW_PAIRS if mus[0]._members.ndim == 2 else _PAIR_BLOCK
-    starts = accumulate((mu.size for mu in mus), initial=0)
-    arrays = [(mu._members, mu._spectra, _upper_pairs(mu.size, start, first))
-              for mu, start in zip(mus, starts)]
+    maxima = [0.0] * (len(starts) - 1)
+    first = _ROW_PAIRS if members.ndim == 2 else _PAIR_BLOCK
+    arrays = [(members[a:b], spectra[a:b], _upper_pairs(b - a, a, first))
+              for a, b in zip(starts, starts[1:])]
     for _ in pair_trace_distances(arrays, maxima):
-        pass  # the scan raises maxima[k] to the C of mus[k]
+        pass  # the scan raises maxima[k] to the C of array k
     return [min(value, 1.0) for value in maxima]
 
 
@@ -172,17 +177,35 @@ def _upper_pairs(m: int, offset: int, first: int) -> Iterator[tuple[np.ndarray, 
     np.triu_indices(m, 1) order, as blocks of whole rows i: the first holds
     at least `first` pairs, and each later one at least min(twice the one
     before, _PAIR_BLOCK); the last may hold fewer.  With first = _PAIR_BLOCK
-    each block ends at the first row that reaches _PAIR_BLOCK pairs."""
+    each block ends at the first row that reaches _PAIR_BLOCK pairs.  The
+    first block is _row_pairs', kept for the next scan of as many rows."""
     block, start = first, 0
     while start < m - 1:
-        stop, count = start, 0
-        while stop < m - 1 and count < block:
-            count += m - 1 - stop
-            stop += 1
-        rows = np.arange(start, stop)
-        i, j = (rows[:, None] < np.arange(m)).nonzero()
-        yield i + (start + offset), j + offset if offset else j
-        start, block = stop, min(2 * count, _PAIR_BLOCK)
+        stop, i, j = _row_pairs(m, start, block) if start else _first_pairs(m, first)
+        yield (i + offset, j + offset) if offset else (i, j)
+        start, block = stop, min(2 * len(i), _PAIR_BLOCK)
+
+
+def _row_pairs(m: int, start: int, block: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(stop, i, j): the pairs (i, j) of rows start up to stop of the upper
+    triangle of m rows, the fewest whole rows that hold `block` pairs."""
+    stop, count = start, 0
+    while stop < m - 1 and count < block:
+        count += m - 1 - stop
+        stop += 1
+    i, j = (np.arange(start, stop)[:, None] < np.arange(m)).nonzero()
+    i += start
+    return stop, i, j
+
+
+# A report batch's mu+ arrays mostly share a few sizes, so their first
+# blocks are built once; each is at most 16 bytes per pair of _PAIR_BLOCK
+# and a row.
+@lru_cache(maxsize=16)
+def _first_pairs(m: int, first: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """_row_pairs(m, 0, first), its arrays read-only."""
+    stop, i, j = _row_pairs(m, 0, first)
+    return stop, _freeze(i), _freeze(j)
 
 
 def pinsker_term(aux: AuxiliaryDecomposition, *, reweighted: bool = False) -> float:
@@ -197,7 +220,12 @@ def pinsker_term(aux: AuxiliaryDecomposition, *, reweighted: bool = False) -> fl
     read the gaps kept on `aux`, so only the first call solves for them.
     """
     w = aux.weights if reweighted else aux.probs[list(aux.retained)]
-    return 0.5 * float(w @ np.square(aux.minus_gaps))
+    return _pinsker(w, np.square(aux.minus_gaps))
+
+
+def _pinsker(weights, squares) -> float:
+    """(1/2) weights @ squares: the D term of one ensemble."""
+    return 0.5 * float(weights @ squares)
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,20 +289,23 @@ def full_reports(ensembles) -> list[BoundReport]:
     and mu_minus of a group are of its kind too.
 
     Each stage runs once per group, over the group's arrays end to end: the
-    averages, the member stage (_auxiliaries), chi of mu, mu_plus and mu_minus
+    averages and the member stage (_auxiliaries, which returns them as
+    group arrays), chi of mu, mu_plus and mu_minus from one entropy pass
     (_holevo_quantities), the pairs of C (_diameters) and the gaps of D
-    (_minus_gaps, mu_minus's member distances); the matrices of a
-    stage are solved in the stacks that linalg._stacks plans, or for C,
-    linalg._pair_stacks.  A matrix's eigenvalues do not depend on its stack,
-    and every per-ensemble value is reduced from that ensemble's own rows in
-    its own order, so each report equals full_report of its ensemble alone,
-    bit for bit, with the same eigensolves: the batch's count is the sum of
-    its ensembles' counts.  Memory, one group at a time: its member arrays
-    once more, joined, its part stacks, and its part arrays joined again,
-    those of mu_plus for C and the stacks of mu_minus for D; a batch of one
-    joins nothing.  The first error raised
-    stops the batch; evaluate its ensembles one at a time to find which one
-    raised it.
+    (_minus_gaps, mu_minus's member distances), both read from the member
+    stage's joined part arrays; the matrices of a stage are solved in the
+    stacks that linalg._stacks plans, or for C, linalg._pair_stacks.  Every
+    per-ensemble value is an array over the group (_group_reports), and
+    each BoundReport is built once, at the end: no mu_plus, mu_minus or
+    AuxiliaryDecomposition is built.  A matrix's eigenvalues do not depend
+    on its stack, and every per-ensemble sum is reduced from that
+    ensemble's own rows in its own order, so each report equals full_report
+    of its ensemble alone, bit for bit, with the same eigensolves: the
+    batch's count is the sum of its ensembles' counts.  Memory, one group
+    at a time: its member arrays once more, joined, and its part arrays and
+    stacks; a batch of one joins nothing.  The first error raised stops the
+    batch; evaluate its ensembles one at a time to find which one raised
+    it.
     """
     reports = [None] * len(ensembles)
     for index in _groups((mu.dim, mu._members.ndim) for mu in ensembles):
@@ -284,62 +315,61 @@ def full_reports(ensembles) -> list[BoundReport]:
 
 
 def _group_reports(mus) -> list[BoundReport]:
-    """full_reports of ensembles of one dimension and member kind."""
-    chis = _holevo_quantities(mus)
-    auxes = _auxiliaries(mus)
-    live = [aux for aux in auxes if not isinstance(aux, DegenerateEnsembleError)]
-    chi_plus = _holevo_quantities([aux.mu_plus for aux in live])
-    chi_minus = _holevo_quantities([aux.mu_minus for aux in live])
-    diameters = _diameters(live)
-    for aux, gaps in zip(live, _minus_gaps(live)):
-        object.__setattr__(aux, "minus_gaps", gaps)
-    # A DegenerateEnsembleError carries the member distances too.
-    h_terms = _h_terms([(mu.probs, aux.eps, aux.eps_av) for mu, aux in zip(mus, auxes)])
-    values = iter(zip(live, chi_plus, chi_minus, diameters))
-    return [
-        _degenerate_report(chi, aux.eps_av, *h) if isinstance(aux, DegenerateEnsembleError)
-        else _report(mu, chi, *h, *next(values))
-        for mu, chi, aux, h in zip(mus, chis, auxes, h_terms)
+    """full_reports of ensembles of one dimension and member kind.  Every
+    value is an array over the group, of its ensembles or of the live ones
+    (_Parts.live, those with parts), until each BoundReport is built at the
+    end; only the dot products and h(eps_av) go an ensemble at a time."""
+    parts = _auxiliaries(mus)
+    live, cuts = parts.live, parts.cuts
+    segments = list(zip(cuts, cuts[1:]))
+    starts = [0, *accumulate(mu.size for mu in mus)]
+    # chi of mu, mu_plus and mu_minus, from one entropy pass.
+    weights = [parts.weights[a:b] for a, b in segments]
+    chis = _holevo_quantities(
+        [_joined([mu._spectra for mu in mus]), parts.plus_rows, parts.minus_rows],
+        [mu.probs for mu in mus] + weights + weights,
+        starts + [starts[-1] + c for c in cuts[1:]] + [starts[-1] + cuts[-1] + c for c in cuts[1:]],
+        np.concatenate([parts.spectra, parts.plus_spectra, parts.omega_spectra]),
+    )
+    e, el = len(mus), len(mus) + len(live)
+    chi, chi_plus, chi_minus = chis[:e], chis[e:el], chis[el:]
+    hbar, h_av = _h_terms([mu.probs for mu in mus], parts.eps, starts, parts.eps_av)
+    kept_chi, kept_hbar, kept_h_av, eps_av = np.array([chi, hbar, h_av, parts.eps_av])[:, live]
+    diameter = np.array(_diameters(parts.plus, parts.plus_rows, cuts))
+    squares = np.square(_minus_gaps(parts.minus, parts.omegas, cuts))
+    pinsker, reweighted = np.array([[_pinsker(w[a:b], squares[a:b]) for a, b in segments]
+                                    for w in (parts.probs, parts.weights)])
+    weight_entropy = _weight_entropies(parts.weights, [b - a for a, b in segments])
+    logs = [math.log(mus[e].size) for e in live]
+    core, lead = eps_av * (chi_plus - chi_minus), eps_av * weight_entropy
+    bounds = [  # in BOUND_KEYS order
+        core + kept_hbar,
+        core + kept_h_av,
+        lead + kept_hbar,
+        lead + kept_h_av,
+        eps_av * logs + kept_hbar,
+        eps_av * diameter * weight_entropy + kept_hbar - eps_av * pinsker,
     ]
+    # BoundReport's fields in order, then the slacks, one row each.
+    table = np.array([kept_chi, chi_plus, chi_minus, eps_av, kept_hbar, kept_h_av, *bounds,
+                      diameter, pinsker, reweighted, parts.residuals,
+                      *(bound - kept_chi for bound in bounds),
+                      chi_minus - pinsker, diameter * weight_entropy - chi_plus])  # the two lemmas
+    rows, fields = iter(table.T.tolist()), len(BOUND_KEYS) + 10
+    reports = []
+    for error, *scalars in zip(parts.errors, chi.tolist(), parts.eps_av, hbar, h_av):
+        if error is not None:
+            reports.append(_degenerate_report(*scalars))
+            continue
+        row = next(rows)
+        reports.append(BoundReport(*row[:fields], dict(zip(SLACK_KEYS, row[fields:]))))
+    return reports
 
 
 def _degenerate_report(chi: float, eps_av: float, hbar: float, h_av: float) -> BoundReport:
     kept = {"chi": chi, "eps_av": eps_av, "hbar": hbar, "h_of_eps_av": h_av}
     zeros = {f.name: 0.0 for f in fields(BoundReport) if f.name not in kept}
     return BoundReport(**zeros | kept | {"slacks": dict.fromkeys(SLACK_KEYS, 0.0)})
-
-
-def _report(mu, chi, hbar, h_av, aux, chi_plus, chi_minus, diameter) -> BoundReport:
-    eps_av = aux.eps_av
-    weight_entropy = _entropy_of_weights(aux.weights)
-    pinsker = pinsker_term(aux)
-    core = eps_av * (chi_plus - chi_minus)
-    lead = eps_av * weight_entropy
-    bounds = {
-        "aux_bound": core + hbar,
-        "aux_bound_hvariant": core + h_av,
-        "shannon_bound": lead + hbar,
-        "shannon_bound_hvariant": lead + h_av,
-        "count_bound": eps_av * math.log(mu.size) + hbar,
-        "diameter_bound": eps_av * diameter * weight_entropy + hbar - eps_av * pinsker,
-    }
-    slacks = {key: value - chi for key, value in bounds.items()}
-    slacks["pinsker_lemma"] = chi_minus - pinsker
-    slacks["audenaert_lemma"] = diameter * weight_entropy - chi_plus
-    return BoundReport(
-        chi=chi,
-        chi_plus=chi_plus,
-        chi_minus=chi_minus,
-        eps_av=eps_av,
-        hbar=hbar,
-        h_of_eps_av=h_av,
-        plus_diameter=diameter,
-        pinsker_term=pinsker,
-        pinsker_term_reweighted=pinsker_term(aux, reweighted=True),
-        average_match_residual=aux.average_match_residual,
-        slacks=slacks,
-        **bounds,
-    )
 
 
 def aux_bound(mu: DiscreteEnsemble) -> tuple[float, float]:

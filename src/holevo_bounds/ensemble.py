@@ -9,9 +9,10 @@ negative parts of rho_i - average.  One member stage, _member_parts,
 computes those parts for member rows (by their entries) and member stacks
 (by eigensolves) alike, for any number of ensembles at once, each a
 segment of rows about its own average; with values only (no
-eigenvectors), it gives the member distances of a stack
-(_member_distances) and bounds.fei_checks' spectra.  The gaps of D are
-twice the member distances of mu-, whose average is omega.
+eigenvectors), it gives the member distances of a stack (_distances) and
+bounds.fei_checks' spectra.  The gaps of D are twice the member distances
+of mu-, whose average is omega.  A batch of ensembles is held as group
+arrays (_Parts), with no ensemble object per mu+ or mu-.
 """
 
 from __future__ import annotations
@@ -19,13 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
-from .entropy import as_probability_vector, binary_entropy, von_neumann_entropy, _row_entropies
+from .entropy import as_probability_vector, binary_entropy, _row_entropies, _weight_entropies
 from .linalg import (
-    PSD_TOL, DensityOperator, _derived, _eigh, _eigvalsh, _freeze, _is_diagonal, _joined, _solved,
-    _spectral_sum, _stacked_eigvalsh, _stacks,
+    PSD_TOL, DensityOperator, _derived, _eigh, _eigvalsh, _freeze, _is_diagonal,
+    _joined, _solved, _spectral_sum, _stacked_eigvalsh, _stacks,
 )
 
 # Member distances at or below this count as exactly zero.
@@ -147,44 +149,57 @@ def _from_rows(probs: np.ndarray, rows: np.ndarray, members: np.ndarray | None =
 
 
 def average_state(mu: DiscreteEnsemble) -> DensityOperator:
-    """The mixture sum(p_i rho_i), built unchecked: a diagonal (its own
-    spectrum) when the members or their sum are exactly diagonal, else dense
-    with one eigvalsh."""
-    return _mixtures([(mu.probs, mu._members)])[0]
+    """The mixture sum(p_i rho_i), built unchecked (_mixtures): a diagonal
+    (its own spectrum) when the members or their sum are exactly diagonal,
+    else dense with one eigvalsh."""
+    sums, spectra, _ = _mixtures([(mu.probs, mu._members)])
+    return _row_state(spectra[0], sums[0])
 
 
-def _mixtures(items) -> list[DensityOperator]:
-    """average_state of each (probs, members) of `items`, of one dimension:
-    probs @ diagonals, or an einsum that sums the matrices in member order,
-    one item at a time; the dense sums are solved together
-    (_stacked_eigvalsh)."""
-    out, dense = [], []
-    for probs, members in items:
+def _mixtures(items) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mixtures of each (probs, members) of `items`, of one dimension
+    and kind, as arrays (sums, spectra, flat): probs @ the rows, each its
+    own spectrum, or an einsum that sums the matrices in member order, one
+    item at a time.  flat marks the sums that are exactly diagonal
+    (_is_diagonal), whose spectra are their diagonals; the others are
+    solved together (_stacked_eigvalsh)."""
+    members = items[0][1]
+    sums = np.empty((len(items), *members.shape[1:]), members.dtype)
+    flat = np.ones(len(items), dtype=bool)
+    for k, (probs, members) in enumerate(items):
         if members.ndim == 2:
-            diag = probs @ members
-            out.append(_derived(DensityOperator, diagonal=diag, spectrum=diag))
-            continue
-        acc = np.einsum("k,kij->ij", probs, members)
-        if _is_diagonal(acc):
-            diag = acc.diagonal().real.copy()
-            out.append(_derived(DensityOperator, mat=acc, diagonal=diag, spectrum=diag))
+            sums[k] = probs @ members
         else:
-            dense.append(len(out))
-            out.append(acc)
-    if dense:
-        for k, spectrum in zip(dense, _stacked_eigvalsh([out[k] for k in dense])):
-            out[k] = _derived(DensityOperator, mat=out[k], spectrum=spectrum)
-    return out
+            sums[k] = np.einsum("k,kij->ij", probs, members)
+            flat[k] = _is_diagonal(sums[k])
+    if sums.ndim == 2:
+        return sums, sums, flat
+    spectra = sums.diagonal(axis1=1, axis2=2).real.copy()
+    if not flat.all():
+        spectra[~flat] = _stacked_eigvalsh(sums[~flat])
+    return sums, spectra, flat
 
 
-def _averages(mus) -> None:
-    """Give each ensemble of `mus`, of one dimension, its average, unless it
-    holds it already: built by _mixtures, with the dense ones solved
-    together."""
-    missing = [mu for mu in mus if "average" not in vars(mu)]
-    if missing:
-        for mu, average in zip(missing, _mixtures([(mu.probs, mu._members) for mu in missing])):
-            object.__setattr__(mu, "average", average)
+def _centres(mus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The averages of `mus`, of one dimension and kind, as _mixtures gives
+    them; an average an ensemble holds already is read, not built again."""
+    held = [vars(mu).get("average") for mu in mus]
+    if all(average is None for average in held):
+        return _mixtures([(mu.probs, mu._members) for mu in mus])
+    todo = [(mu.probs, mu._members) for mu, average in zip(mus, held) if average is None]
+    built = zip(*_mixtures(todo)) if todo else iter(())
+    rows = mus[0].diagonals is not None
+    columns = [next(built) if average is None else (
+        average.diagonal if rows else average.mat, average.spectrum, average.diagonal is not None)
+        for average in held]
+    return tuple(map(np.array, zip(*columns)))
+
+
+def _centre(mu: DiscreteEnsemble) -> np.ndarray:
+    """mu's average as the one centre of a member stage: its diagonal when
+    mu is rows, else its matrix."""
+    average = mu.average
+    return (average.diagonal if mu.diagonals is not None else average.mat)[None]
 
 
 def holevo_quantity(mu: DiscreteEnsemble) -> float:
@@ -194,59 +209,50 @@ def holevo_quantity(mu: DiscreteEnsemble) -> float:
     Shannon entropy of the probabilities and ln(dim).  The members'
     entropies are read from their spectra array, a block of rows at a time.
     """
-    return _holevo_quantities([mu])[0]
+    return float(_holevo_quantities([mu._spectra], [mu.probs], [0, mu.size],
+                                    mu.average.spectrum[None])[0])
 
 
-def _holevo_quantities(mus) -> list[float]:
-    """holevo_quantity of each ensemble of `mus`, of one dimension: the
-    averages built together (_averages), and the members' entropies from
-    one pass over their spectra, end to end."""
-    if not mus:
-        return []
-    _averages(mus)
-    entropies = _row_entropies(_joined([mu._spectra for mu in mus]))
-    out, start = [], 0
-    for mu in mus:
-        val = von_neumann_entropy(mu.average) - float(mu.probs @ entropies[start:start + mu.size])
-        out.append(val if val > 0.0 else 0.0)
-        start += mu.size
-    return out
+def _holevo_quantities(arrays, weights, starts, averages) -> np.ndarray:
+    """chi of each ensemble k whose member spectra are the rows starts[k] up
+    to starts[k + 1] of `arrays` end to end, with probabilities weights[k]
+    and the spectrum averages[k] of its average: S(average) - weights[k] @
+    the members' entropies, clipped at 0.  The entropies come from one
+    pass over each array's rows (_row_entropies) and one over the averages
+    (_weight_entropies); only the dot products go an ensemble at a time."""
+    entropies = np.concatenate([_row_entropies(rows) for rows in arrays])
+    chi = _weight_entropies(averages.ravel(), [averages.shape[1]] * len(averages))
+    chi -= [float(w @ entropies[a:b]) for w, a, b in zip(weights, starts, starts[1:])]
+    return np.where(chi > 0.0, chi, 0.0)
 
 
 def member_epsilons(mu: DiscreteEnsemble) -> tuple[np.ndarray, float]:
     """Trace distances of the members to the average, and their mean.
 
     Returns (eps, eps_av) with eps_i = (1/2)||rho_i - average||_1 clipped to
-    [0, 1] and eps_av = sum(p_i eps_i): _member_distances of a batch of one.
-    Each eps_i is the trace_distance of member i to the average, bit for
-    bit.
+    [0, 1] and eps_av = sum(p_i eps_i): _distances of one ensemble, the one
+    path of D's gaps too.  Each eps_i is the trace_distance of member i to
+    the average, bit for bit.
     """
-    eps = _member_distances([mu])[0]
+    eps = _distances(mu._members, _centre(mu), [0, mu.size])
     eps.setflags(write=False)
     return eps, float(mu.probs @ eps)
 
 
-def _member_distances(mus) -> list[np.ndarray]:
-    """The trace distances of the members of each ensemble of `mus`, of one
-    dimension and member kind, to its own average, clipped to 1.  Member
-    matrices take one values-only member stage (_member_parts, rotate
-    unset) over their stacks end to end, one segment each; member rows are
-    subtracted from their average a _stacks block at a time, so no m x d
-    temporary is made."""
-    _averages(mus)
-    if mus[0]._members.ndim == 3:
-        starts = [0, *accumulate(mu.size for mu in mus)]
-        eps = _member_parts(_joined([mu.matrices for mu in mus]), [mu.average for mu in mus],
-                            starts[:-1], rotate=False)[0]
-        return [eps[start:stop] for start, stop in zip(starts, starts[1:])]
-    out = []
-    for mu in mus:
-        eps, centre = np.empty(mu.size), mu.average.diagonal
-        for block in _stacks(mu.size, mu.dim)[0]:
-            norms = np.abs(mu.diagonals[block] - centre).sum(axis=1)
-            np.minimum(0.5 * norms, 1.0, out=eps[block])
-        out.append(eps)
-    return out
+def _distances(members: np.ndarray, centres: np.ndarray, starts) -> np.ndarray:
+    """The trace distance of each member of `members`, of one dimension and
+    kind, to its centre, clipped to 1: rows starts[k] up to starts[k + 1]
+    take centres[k].  A stack takes one values-only member stage
+    (_member_parts, rotate unset); rows are subtracted from their centre a
+    _stacks block at a time, so no m x d temporary is made."""
+    eps = np.empty(len(members))
+    if members.ndim == 3 and len(members):
+        return _member_parts(members, centres, starts[:-1], rotate=False)[0]
+    for centre, first, stop in zip(centres, starts, starts[1:]):
+        rows, out = members[first:stop], eps[first:stop]
+        for block in _stacks(len(rows), rows.shape[1])[0]:
+            np.minimum(0.5 * np.abs(rows[block] - centre).sum(axis=1), 1.0, out=out[block])
+    return eps
 
 
 def mean_binary_entropy(mu: DiscreteEnsemble) -> float:
@@ -254,21 +260,18 @@ def mean_binary_entropy(mu: DiscreteEnsemble) -> float:
 
     By concavity of h this never exceeds h(eps_av).
     """
-    return _h_terms([(mu.probs, *member_epsilons(mu))])[0][0]
+    eps, eps_av = member_epsilons(mu)
+    return _h_terms([mu.probs], eps, [0, mu.size], [eps_av])[0][0]
 
 
-def _h_terms(items) -> list[tuple[float, float]]:
-    """(hbar, h(eps_av)) of each (probs, eps, eps_av) of `items`: hbar =
-    sum(p_i h(eps_i)), as probs @ the row entropies of [eps_i, 1 - eps_i],
-    from one pass over every item's rows, and its concavity ceiling."""
-    eps = _joined([item[1] for item in items])
+def _h_terms(weights, eps, starts, eps_av) -> tuple[list[float], list[float]]:
+    """(hbar, h(eps_av)) of each ensemble k whose member distances are
+    eps[starts[k]:starts[k + 1]], with probabilities weights[k] and mean
+    eps_av[k]: hbar = weights[k] @ the row entropies of [eps_i, 1 - eps_i],
+    from one pass over every row, and its concavity ceiling."""
     entropies = _row_entropies(np.column_stack((eps, 1.0 - eps)))
-    out, start = [], 0
-    for probs, eps, eps_av in items:
-        hbar = float(probs @ entropies[start:start + len(eps)])
-        out.append((hbar, binary_entropy(min(eps_av, 1.0))))
-        start += len(eps)
-    return out
+    hbar = [float(w @ entropies[a:b]) for w, a, b in zip(weights, starts, starts[1:])]
+    return hbar, [binary_entropy(min(value, 1.0)) for value in eps_av]
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,19 +303,18 @@ class AuxiliaryDecomposition:
 
     @cached_property
     def minus_gaps(self) -> tuple[float, ...]:
-        """Trace-norm gaps ||tau_i^minus - omega||_1 (_minus_gaps).  Computed
-        on first use, then kept; a batch of reports sets them together."""
-        return _minus_gaps([self])[0]
+        """Trace-norm gaps ||tau_i^minus - omega||_1 (_minus_gaps of mu_minus
+        alone), computed on first use, then kept."""
+        minus = self.mu_minus
+        return tuple(_minus_gaps(minus._members, _centre(minus), [0, minus.size]).tolist())
 
 
-def _minus_gaps(auxes) -> list[tuple[float, ...]]:
-    """minus_gaps of each of `auxes`, of one dimension and member kind:
-    omega is mu_minus's average, so each gap is twice a member distance of
-    mu_minus, from one _member_distances call."""
-    if not auxes:
-        return []
-    return [tuple((2.0 * eps).tolist())
-            for eps in _member_distances([aux.mu_minus for aux in auxes])]
+def _minus_gaps(members: np.ndarray, omegas: np.ndarray, starts) -> np.ndarray:
+    """The gaps ||tau_i^minus - omega||_1 of mu_minus arrays end to end, rows
+    starts[k] up to starts[k + 1] about omegas[k]: omega is mu_minus's
+    average, so each gap is twice a member distance of mu_minus
+    (_distances)."""
+    return 2.0 * _distances(members, omegas, starts)
 
 
 def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
@@ -324,11 +326,10 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
     zone, where the trace of either part is at most EPS_ZERO_TOL, and the
     weights p_i eps_i of the others are renormalized to sum 1.  Raises
     DegenerateEnsembleError when eps_av <= EPS_ZERO_TOL or every member is
-    dropped.  mu_plus and mu_minus are built by _from_rows from
-    _member_parts' rows, their spectra, and build their states on first read.
-    They are of mu's kind: when mu is a stack, _member_parts has rotated
-    each retained part back into a stack, one for each.  This is
-    _auxiliaries of a batch of one.
+    dropped.  This is the view of one ensemble's _auxiliaries arrays:
+    mu_plus and mu_minus are built by _from_rows from its part rows (their
+    spectra) and part members, of mu's kind, with their averages; they
+    build their states on first read.
 
     Eigensolves: at most m + 4 for m members, counted per matrix of a
     stack.  One for mu's average unless mu holds it already; one per member
@@ -344,77 +345,116 @@ def build_auxiliary(mu: DiscreteEnsemble) -> AuxiliaryDecomposition:
     of matrices, on each of the _WORKERS threads when _stacks threads
     them), and no m x d temporary.
     """
-    aux = _auxiliaries([mu])[0]
-    if isinstance(aux, DegenerateEnsembleError):
-        raise aux
-    return aux
+    parts = _auxiliaries([mu])
+    if parts.errors[0] is not None:
+        raise parts.errors[0]
+    n = len(parts.weights)
+
+    def side(rows, members, averages, spectra):
+        return _from_rows(parts.weights, rows[:n], members[:n],
+                          average=_row_state(spectra[0], averages[0]))
+
+    return AuxiliaryDecomposition(
+        probs=mu.probs,
+        eps=parts.eps,
+        eps_av=parts.eps_av[0],
+        retained=tuple(parts.kept.tolist()),  # the rows of mu alone
+        weights=parts.weights,
+        mu_plus=side(parts.plus_rows, parts.plus, parts.pluses, parts.plus_spectra),
+        mu_minus=side(parts.minus_rows, parts.minus, parts.omegas, parts.omega_spectra),
+        average_match_residual=float(parts.residuals[0]),
+    )
 
 
-def _auxiliaries(mus) -> list:
+class _Parts(NamedTuple):
+    """_auxiliaries' arrays for a group of E ensembles, of which L are live
+    (not degenerate), with n parts in all: the first three per ensemble,
+    eps per member, then live and cuts, the live ensembles and where each
+    one's parts start (L + 1 offsets), then seven per part, and the rest per
+    live ensemble."""
+
+    spectra: np.ndarray  # each average's spectrum, E x d
+    eps_av: list[float]
+    errors: list  # each ensemble's DegenerateEnsembleError, or None
+    eps: np.ndarray  # every member's distance to its average, end to end
+    live: list[int]
+    cuts: list[int]
+    kept: np.ndarray  # each part's member, by its row in the group's members
+    probs: np.ndarray  # each part's member probability
+    weights: np.ndarray  # p_i eps_i / eps_av, summing to 1 per live ensemble
+    plus_rows: np.ndarray  # the spectra of tau^+, n x d
+    minus_rows: np.ndarray
+    plus: np.ndarray  # tau^+ as members: an (n, d, d) stack, or plus_rows
+    minus: np.ndarray
+    pluses: np.ndarray  # the averages of mu_plus, as _mixtures gives them
+    plus_spectra: np.ndarray
+    omegas: np.ndarray  # the averages of mu_minus
+    omega_spectra: np.ndarray
+    residuals: np.ndarray  # average_match_residual, L of them
+
+
+def _auxiliaries(mus) -> _Parts:
     """build_auxiliary of each ensemble of `mus`, of one dimension and all
-    with member rows or all with member stacks, each stage run once over
-    all of them: their averages (_averages), one member stage over their
-    member arrays end to end (_member_parts, one segment each), and the
-    averages of mu_plus and mu_minus (omega) and their residuals, the dense
-    ones solved as one stack each.  Eigensolves and values are those of each
-    ensemble alone: its scalars (eps_av, the weights) are reduced from its
-    own rows, in its own order.  Returns, per ensemble, its
-    AuxiliaryDecomposition, or its DegenerateEnsembleError, not raised."""
-    _averages(mus)
+    with member rows or all with member stacks, as group arrays (_Parts),
+    each stage run once over all of them: their averages (_centres), one
+    member stage over their member arrays end to end (_member_parts, one
+    segment each), and the averages of mu_plus and mu_minus (omega) and
+    their residuals, the dense ones solved as one stack each.  No object is
+    built per ensemble but its DegenerateEnsembleError, not raised.
+    Eigensolves and values are those of each ensemble alone: its scalars
+    (eps_av, the weights' sum) are reduced from its own rows, in its own
+    order, and the rest is elementwise."""
     starts = [0, *accumulate(mu.size for mu in mus)]
+    centres, spectra, _ = _centres(mus)
     eps, kept, plus_rows, minus_rows, plus, minus = _member_parts(
-        _joined([mu._members for mu in mus]), [mu.average for mu in mus], starts[:-1]
+        _joined([mu._members for mu in mus]), centres, starts[:-1]
     )
     eps.setflags(write=False)
-    # The rows and members of tau^+ and of tau^-: a stack's parts are stacks.
-    sides = [(rows, rows if stack is None else stack)
-             for rows, stack in ((plus_rows, plus), (minus_rows, minus))]
-    first = np.searchsorted(kept, starts).tolist()  # each ensemble's first kept row
-    out, live = [None] * len(mus), []
+    probs = _joined([mu.probs for mu in mus])[kept]
+    raw = probs * eps[kept]
+    first = np.searchsorted(kept, starts).tolist()  # each ensemble's first part
+    eps_av, errors, live, totals, counts = [], [], [], [], []
     for e, mu in enumerate(mus):
-        lo, hi = first[e], first[e + 1]
-        eps_e = eps[starts[e]:starts[e + 1]]
-        eps_av = float(mu.probs @ eps_e)
-        if eps_av <= EPS_ZERO_TOL or lo == hi:
-            out[e] = DegenerateEnsembleError(
-                f"mean member distance {eps_av:.3e} is below {EPS_ZERO_TOL:.0e}; "
-                "all states equal the average" if eps_av <= EPS_ZERO_TOL
+        eps_e, lo, hi = eps[starts[e]:starts[e + 1]], first[e], first[e + 1]
+        value = float(mu.probs @ eps_e)
+        eps_av.append(value)
+        if value <= EPS_ZERO_TOL or lo == hi:
+            errors.append(DegenerateEnsembleError(
+                f"mean member distance {value:.3e} is below {EPS_ZERO_TOL:.0e}; "
+                "all states equal the average" if value <= EPS_ZERO_TOL
                 else "every member difference lies inside the eigenvalue dead zone",
                 eps=eps_e,
-                eps_av=eps_av,
-            )
+                eps_av=value,
+            ))
             continue
-        usable = (kept[lo:hi] - starts[e]).tolist()
-        raw = mu.probs[usable] * eps_e[usable]
-        parts = [(rows[lo:hi], stack[lo:hi]) for rows, stack in sides]
-        live.append((e, usable, eps_e, eps_av, raw / raw.sum(), parts))
-    # The averages of mu_plus and of mu_minus (omega).
-    pluses, omegas = (_mixtures([(w, parts[k][1]) for *_, w, parts in live]) for k in (0, 1))
-    residuals = _trace_norms([average - omega for average, omega in zip(pluses, omegas)])
-    for entry, average, omega, residual in zip(live, pluses, omegas, residuals):
-        e, usable, eps_e, eps_av, weights, (plus_part, minus_part) = entry
-        out[e] = AuxiliaryDecomposition(
-            probs=mus[e].probs,
-            eps=eps_e,
-            eps_av=eps_av,
-            retained=tuple(usable),
-            weights=weights,
-            mu_plus=_from_rows(weights, *plus_part, average=average),
-            mu_minus=_from_rows(weights, *minus_part, average=omega),
-            average_match_residual=residual,
-        )
-    return out
-
-
-def _trace_norms(ops) -> list[float]:
-    """trace_norm of each Hermitian operator of `ops`, of one dimension: the
-    dense ones solved together (_stacked_eigvalsh)."""
-    out = [float(np.abs(op.diagonal).sum()) if op.diagonal is not None else None for op in ops]
-    dense = [k for k, value in enumerate(out) if value is None]
-    if dense:
-        for k, values in zip(dense, _stacked_eigvalsh([ops[k].mat for k in dense])):
-            out[k] = float(np.abs(values).sum())
-    return out
+        errors.append(None)
+        live.append(e)
+        totals.append(raw[lo:hi].sum())
+        counts.append(hi - lo)
+    plus, minus = (rows if stack is None else stack
+                   for rows, stack in ((plus_rows, plus), (minus_rows, minus)))
+    if sum(counts) < len(kept):
+        # A degenerate ensemble with parts: only live ensembles' parts go on.
+        keep = np.zeros(len(kept), dtype=bool)
+        for e in live:
+            keep[first[e]:first[e + 1]] = True
+        kept, probs, raw, plus_rows, minus_rows, plus, minus = (
+            array[keep] for array in (kept, probs, raw, plus_rows, minus_rows, plus, minus))
+    cuts = [0, *accumulate(counts)]
+    weights = raw / np.repeat(totals, counts)
+    segments = list(zip(cuts, cuts[1:]))
+    (pluses, plus_spectra, plus_flat), (omegas, omega_spectra, omega_flat) = (
+        _mixtures([(weights[a:b], side[a:b]) for a, b in segments]) if live
+        else (centres[:0], spectra[:0], np.ones(0, dtype=bool)) for side in (plus, minus))
+    # Each residual is a trace norm: of the diagonal difference when both
+    # averages are exactly diagonal, else of one eigvalsh's values.
+    gaps = np.abs(plus_spectra - omega_spectra)
+    dense = ~(plus_flat & omega_flat)
+    if dense.any():
+        gaps[dense] = np.abs(_stacked_eigvalsh(pluses[dense] - omegas[dense]))
+    residuals = gaps.sum(axis=1)
+    return _Parts(spectra, eps_av, errors, eps, live, cuts, kept, probs, weights, plus_rows,
+                  minus_rows, plus, minus, pluses, plus_spectra, omegas, omega_spectra, residuals)
 
 
 def _member_parts(members: np.ndarray, centres, starts=(0,), rotate: bool = True) -> tuple:
@@ -445,7 +485,7 @@ def _member_parts(members: np.ndarray, centres, starts=(0,), rotate: bool = True
     the dense-files benchmark's peak RSS down, and each block's parts are
     rotated back by one _spectral_sum per stack.
     """
-    m, k, d = len(members), len(centres), centres[0].dim
+    m, k, d = len(members), len(centres), members.shape[-1]
     eps, keep = np.empty(m), np.empty(m, dtype=bool)
     plus_rows, minus_rows = np.empty((m, d)), np.empty((m, d))
     rotated = []  # (first row, eigenvectors) of each block's kept parts
@@ -453,18 +493,17 @@ def _member_parts(members: np.ndarray, centres, starts=(0,), rotate: bool = True
     dense = members.ndim == 3
     if not dense:
         for centre, first, stop in zip(centres, starts, stops):
-            np.subtract(members[first:stop], centre.diagonal, out=plus_rows[first:stop])
+            np.subtract(members[first:stop], centre, out=plus_rows[first:stop])
         blocks = ((block, None) for block in _stacks(m, d)[0])
     else:
         owner = np.repeat(np.arange(k), [stop - first for first, stop in zip(starts, stops)])
-        mats = np.array([c.mat for c in centres])
 
         def solve(block):
             def name(j):  # a member's name is its row in its segment
                 row = block.start + j
                 return f"member {row - starts[owner[row]]}"
 
-            diffs = members[block] - mats[owner[block]]
+            diffs = members[block] - centres[owner[block]]
             return block, (_eigh(diffs, name) if rotate else (_eigvalsh(diffs, name), None))
 
         blocks = _solved(solve, *_stacks(m, d, "eigh"))

@@ -523,13 +523,11 @@ def _joined(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def _stacked_eigvalsh(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """_eigvalsh of each d x d matrix of `mats`, stacked in the stacks that
-    _stacks plans, on its threads; one matrix is its own stack, a view."""
-    stack = _joined([mat[None] for mat in mats])
+def _stacked_eigvalsh(stack: np.ndarray) -> np.ndarray:
+    """_eigvalsh of each matrix of the (n, d, d) `stack`, as n rows, solved
+    in the stacks that _stacks plans, on its threads."""
     plan, workers = _stacks(len(stack), stack.shape[-1], "eigvalsh")
-    return [row for values in _solved(lambda part: _eigvalsh(stack[part]), plan, workers)
-            for row in values]
+    return _joined(list(_solved(lambda part: _eigvalsh(stack[part]), plan, workers)))
 
 
 def _solved(solve: Callable, tasks: Sequence, workers: int) -> Iterator:

@@ -1121,6 +1121,20 @@ def test_commuting_report_derives_no_member_object(monkeypatch, small, large):
     assert counts[0] == counts[1] < small.size, counts
 
 
+def test_batch_derives_no_object_per_ensemble(monkeypatch):
+    # A batch's per-ensemble values are arrays over its group, and each
+    # report is built from them at the end: 100 small dense ensembles derive
+    # no more operators, states or ensembles than 10 do.
+    calls = count_derived(monkeypatch)
+    counts = []
+    for count in (10, 100):
+        mus = [random_ensemble(4, 5, seed) for seed in range(count)]
+        del calls[:]
+        full_reports(mus)
+        counts.append(len(calls))
+    assert counts[0] == counts[1], counts
+
+
 def test_ensembles_get_their_diagonals_three_ways():
     # The gallery keeps the np.eye whose rows are its members; build_auxiliary
     # keeps the arrays whose rows are tau_i^(+/-); an ensemble of
@@ -1522,8 +1536,8 @@ def test_minus_gaps_are_twice_member_distances_of_mu_minus(mus, seed):
     # whose retained parts are all diagonal.  The identity holds for the
     # gaps that build_auxiliary's decomposition computes, for those of a
     # decomposition built by hand, whose mu- is checked from its states, and
-    # for those that one full_reports batch sets, which equal those of each
-    # ensemble alone.
+    # for those that one full_reports batch computes from its group arrays,
+    # which equal those of each ensemble alone.
     mus = [*mus, random_ensemble(4, 3, seed), orthogonal_ensemble(2 + seed % 5),
            _dense_ensemble_of_diagonal_parts(seed)]
     auxes = []
@@ -1540,26 +1554,35 @@ def test_minus_gaps_are_twice_member_distances_of_mu_minus(mus, seed):
         assert "states" in vars(manual.mu_minus)
         assert manual.minus_gaps == tuple(2 * member_epsilons(manual.mu_minus)[0])
         assert np.allclose(manual.minus_gaps, aux.minus_gaps, rtol=0.0, atol=1e-12)
-    built = []  # the decompositions of the batch, whose gaps it sets
+    groups = []  # each group of the batch, its arrays, and the gaps D took from them
 
     def kept(group):
-        built.extend(ensemble._auxiliaries(group))
-        return built[-len(group):]
+        groups.append([group, ensemble._auxiliaries(group), None])
+        return groups[-1][1]
+
+    def gaps_of(*arrays):
+        groups[-1][2] = ensemble._minus_gaps(*arrays)
+        return groups[-1][2]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bounds, "_auxiliaries", kept)
+        patch.setattr(bounds, "_minus_gaps", gaps_of)
         batch = full_reports(mus)
-    assert len(built) == len(mus)
+    assert sum(len(group) for group, _, _ in groups) == len(mus)
     for report, mu in zip(batch, mus):
         assert _fields(report) == _fields(full_report(mu))
-    # full_reports groups the ensembles; match each decomposition by its eps.
+    # full_reports groups the ensembles; match each one's mu- by its eps.
     alone = {tuple(aux.eps.tolist()): aux for aux in filter(None, auxes)}
-    for aux in built:
-        if isinstance(aux, DegenerateEnsembleError):
-            continue
-        gaps = vars(aux)["minus_gaps"]
-        assert gaps == tuple(2 * member_epsilons(aux.mu_minus)[0])
-        assert gaps == alone[tuple(aux.eps.tolist())].minus_gaps
+    for group, parts, all_gaps in groups:
+        starts = np.cumsum([0] + [mu.size for mu in group])
+        for k, e in enumerate(parts.live):
+            a, b = parts.cuts[k], parts.cuts[k + 1]
+            mu_minus = ensemble._from_rows(
+                parts.weights[a:b], parts.minus_rows[a:b], parts.minus[a:b],
+                average=ensemble._row_state(parts.omega_spectra[k], parts.omegas[k]))
+            gaps = tuple(all_gaps[a:b].tolist())
+            assert gaps == tuple(2 * member_epsilons(mu_minus)[0])
+            assert gaps == alone[tuple(parts.eps[starts[e]:starts[e + 1]].tolist())].minus_gaps
 
 
 def test_fei_checks_batch_matches_each_pair_alone():
@@ -1715,10 +1738,10 @@ def test_batched_diameter_skips_gram_pairs_past_the_ceiling(monkeypatch):
     auxes = [build_auxiliary(random_ensemble(4, 3, 5)), _PlusParts(mu),
              build_auxiliary(random_ensemble(3, 3, 6))]
     calls = count_eigensolves(monkeypatch)
-    batch = bounds._diameters(auxes)
+    batch = _diameters_of(auxes)
     batched = len(calls)
     del calls[:]
-    alone = [bounds._diameters([aux])[0] for aux in auxes]
+    alone = [_diameters_of([aux])[0] for aux in auxes]
     assert len(calls) == batched
     assert batch == alone
     assert 1.0 - 1e-12 <= batch[1] < 1.0
@@ -1733,10 +1756,10 @@ def test_batched_diameter_leaves_a_stopped_scans_pairs_out_of_shared_stacks(monk
     auxes = [build_auxiliary(random_ensemble(4, 3, 0)), _PlusParts(_near_ceiling_parts()),
              build_auxiliary(random_ensemble(5, 3, 3))]
     calls = count_eigensolves(monkeypatch)
-    batch = bounds._diameters(auxes)
+    batch = _diameters_of(auxes)
     batched = len(calls)
     del calls[:]
-    alone = [bounds._diameters([aux])[0] for aux in auxes]
+    alone = [_diameters_of([aux])[0] for aux in auxes]
     assert len(calls) == batched == 6 + 7
     assert batch == alone
 
@@ -1760,10 +1783,10 @@ def test_worker_stack_solved_past_the_ceiling_is_left_out(monkeypatch):
     parts = _PlusParts(DiscreteEnsemble(np.full(3, 1 / 3), tuple(map(DensityOperator, (a, b, c)))))
     monkeypatch.setattr(linalg, "_STACK_ROWS", 4)
     monkeypatch.setattr(linalg, "_WORKERS", 1)
-    single = bounds._diameters([parts])[0]
+    single = _diameters_of([parts])[0]
     monkeypatch.setattr(linalg, "_WORKERS", 2)
     calls, threaded = count_eigensolves(monkeypatch), _count_in_order_calls(monkeypatch)
-    assert bounds._diameters([parts])[0] == single
+    assert _diameters_of([parts])[0] == single
     assert threaded == [2] and len(calls) == 2
     assert 1.0 - 1e-12 <= single < 1.0
 
@@ -1787,6 +1810,15 @@ class _PlusParts:
     """The one field of an AuxiliaryDecomposition that C reads."""
 
     mu_plus: DiscreteEnsemble
+
+
+def _diameters_of(auxes) -> list[float]:
+    """bounds._diameters of the mu_plus arrays of `auxes`, joined end to end
+    as a report group holds its parts."""
+    plus = [aux.mu_plus for aux in auxes]
+    starts = np.cumsum([0] + [mu.size for mu in plus]).tolist()
+    return bounds._diameters(np.concatenate([mu._members for mu in plus]),
+                             np.concatenate([mu._spectra for mu in plus]), starts)
 
 
 def _fields(report: BoundReport) -> list:

@@ -1283,6 +1283,34 @@ def test_suite_run_holds_one_chunk_at_a_time(suite):
     assert peaks[1] <= 1.5 * peaks[0]
 
 
+# LAPACK calls and the matrices they solve, counted at numpy.linalg, for a
+# 100-trial run at seed 0: ceilings, so that a change which splits a stack
+# or solves a matrix twice fails here.
+_SUITE_LAPACK = {
+    "bounds": {"eigh": (7, 380), "eigvalsh": (48, 1707)},  # 55 calls, 2,087 matrices
+    "fei": {"eigvalsh": (14, 300)},
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_SUITE_LAPACK))
+def test_suite_lapack_calls_stay_under_their_ceilings(monkeypatch, suite):
+    solved = {}
+    for solver in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, solver)
+
+        def counted(a, *args, _original=original, _solver=solver, **kwargs):
+            calls, matrices = solved.get(_solver, (0, 0))
+            solved[_solver] = calls + 1, matrices + math.prod(np.shape(a)[:-2])
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, solver, counted)
+    assert cli._SUITES[suite](100, 0).passed
+    ceilings = _SUITE_LAPACK[suite]
+    assert solved.keys() <= ceilings.keys(), solved
+    for solver, (calls, matrices) in solved.items():
+        assert calls <= ceilings[solver][0] and matrices <= ceilings[solver][1], solved
+
+
 def test_suite_results_are_structured():
     fei = run_fei_suite(trials=25, seed=1)
     assert fei.passed and fei.trials == 25 and "slack" in fei.worst

@@ -15,6 +15,8 @@ from holevo_bounds.entropy import (
     relative_entropy,
     shannon_entropy,
     von_neumann_entropy,
+    _entropy_of_weights,
+    _weight_entropies,
 )
 from holevo_bounds.linalg import DensityOperator, trace_norm
 
@@ -224,3 +226,19 @@ def test_entropy_kernel_on_random_hermitian_spectra():
         rho = DensityOperator(mat / mat.trace().real)
         val = von_neumann_entropy(rho)
         assert 0.0 <= val <= math.log(4.0) + 1e-12
+
+
+@pytest.mark.parametrize("segments", [1, 5, 6, 80])
+def test_weight_entropies_match_each_segment_alone(segments):
+    # Segments of 1 to 69 weights, with entries at zero and at or below
+    # ETA_FLOOR: each entropy equals _entropy_of_weights of its segment
+    # alone, bit for bit, whether the segments are few enough to be taken
+    # one at a time or are gathered by count of kept entries.
+    rng = np.random.default_rng(segments)
+    for _ in range(40):
+        lengths = rng.integers(1, 70, size=segments)
+        values = rng.dirichlet(np.ones(lengths.sum())) * rng.random()
+        values[rng.random(values.size) < rng.random() * 0.6] = 0.0
+        values[rng.random(values.size) < 0.05] = 1e-15
+        alone = [_entropy_of_weights(part) for part in np.split(values, np.cumsum(lengths)[:-1])]
+        assert _weight_entropies(values, lengths).tolist() == alone

@@ -331,9 +331,9 @@ def test_diagonal_jordan_split_matches_dense_formula():
     zero = HermitianOperator.from_diagonal(np.zeros(entries.size))
     dense_zero = linalg._derived(HermitianOperator, mat=zero.mat.copy())
     assert zero.diagonal is not None and dense_zero.diagonal is None
-    eps, kept, plus, minus, no_stack, _ = ensemble._member_parts(entries[None], [zero])
+    eps, kept, plus, minus, no_stack, _ = ensemble._member_parts(entries[None], zero.diagonal[None])
     dense_eps, dense_kept, _, _, dense_plus, dense_minus = ensemble._member_parts(
-        np.diag(entries).astype(complex)[None], [dense_zero])
+        np.diag(entries).astype(complex)[None], dense_zero.mat[None])
     assert no_stack is None and dense_plus is not None
     assert np.array_equal(eps, dense_eps) and np.array_equal(kept, dense_kept)
     assert np.array_equal(np.diag(plus[0]), dense_plus[0])
