@@ -178,7 +178,7 @@ def _upper_pairs(m: int, offset: int, first: int) -> Iterator[tuple[np.ndarray, 
     at least `first` pairs, and each later one at least min(twice the one
     before, _PAIR_BLOCK); the last may hold fewer.  With first = _PAIR_BLOCK
     each block ends at the first row that reaches _PAIR_BLOCK pairs.  The
-    first block is _row_pairs', kept for the next scan of as many rows."""
+    first block comes from _first_pairs, built once per (m, first)."""
     block, start = first, 0
     while start < m - 1:
         stop, i, j = _row_pairs(m, start, block) if start else _first_pairs(m, first)
@@ -199,8 +199,8 @@ def _row_pairs(m: int, start: int, block: int) -> tuple[int, np.ndarray, np.ndar
 
 
 # A report batch's mu+ arrays mostly share a few sizes, so their first
-# blocks are built once; each is at most 16 bytes per pair of _PAIR_BLOCK
-# and a row.
+# blocks are built once; an entry holds at most _PAIR_BLOCK pairs and one
+# row more, at 16 bytes a pair.
 @lru_cache(maxsize=16)
 def _first_pairs(m: int, first: int) -> tuple[int, np.ndarray, np.ndarray]:
     """_row_pairs(m, 0, first), its arrays read-only."""
@@ -331,8 +331,8 @@ def _group_reports(mus) -> list[BoundReport]:
         starts + [starts[-1] + c for c in cuts[1:]] + [starts[-1] + cuts[-1] + c for c in cuts[1:]],
         np.concatenate([parts.spectra, parts.plus_spectra, parts.omega_spectra]),
     )
-    e, el = len(mus), len(mus) + len(live)
-    chi, chi_plus, chi_minus = chis[:e], chis[e:el], chis[el:]
+    plus_at, minus_at = len(mus), len(mus) + len(live)
+    chi, chi_plus, chi_minus = chis[:plus_at], chis[plus_at:minus_at], chis[minus_at:]
     hbar, h_av = _h_terms([mu.probs for mu in mus], parts.eps, starts, parts.eps_av)
     kept_chi, kept_hbar, kept_h_av, eps_av = np.array([chi, hbar, h_av, parts.eps_av])[:, live]
     diameter = np.array(_diameters(parts.plus, parts.plus_rows, cuts))
@@ -355,14 +355,14 @@ def _group_reports(mus) -> list[BoundReport]:
                       diameter, pinsker, reweighted, parts.residuals,
                       *(bound - kept_chi for bound in bounds),
                       chi_minus - pinsker, diameter * weight_entropy - chi_plus])  # the two lemmas
-    rows, fields = iter(table.T.tolist()), len(BOUND_KEYS) + 10
+    rows, width = iter(table.T.tolist()), len(BOUND_KEYS) + 10  # fields before the slacks
     reports = []
     for error, *scalars in zip(parts.errors, chi.tolist(), parts.eps_av, hbar, h_av):
         if error is not None:
             reports.append(_degenerate_report(*scalars))
             continue
         row = next(rows)
-        reports.append(BoundReport(*row[:fields], dict(zip(SLACK_KEYS, row[fields:]))))
+        reports.append(BoundReport(*row[:width], dict(zip(SLACK_KEYS, row[width:]))))
     return reports
 
 
